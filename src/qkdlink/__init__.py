@@ -8,10 +8,8 @@ state machine), securecomm (OTP messaging), cli (entry points).
 
 from .core import (
     Basis,
-    DetectionEvent,
     LinkBudget,
     Polarization,
-    PulseRecord,
     SimConfig,
     default_config,
     load_config,
@@ -23,10 +21,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Basis",
-    "DetectionEvent",
     "LinkBudget",
     "Polarization",
-    "PulseRecord",
     "SimConfig",
     "default_config",
     "load_config",

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import analysis, securecomm, session, timing
 from .core import ConfigError, SimConfig, default_config, load_config
-from .postproc import QberAbort
 from .session import (
     DEFAULT_PORT,
     BurstOutcome,
@@ -395,7 +394,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ProtocolError, QberAbort, securecomm.ChatRefused,
+    except (ProtocolError, securecomm.ChatRefused,
             securecomm.KeyStreamDesync, timing.NoLockError, ConnectionError,
             TimeoutError) as exc:
         log(event="abort", error=type(exc).__name__, detail=str(exc))

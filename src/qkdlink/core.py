@@ -70,25 +70,6 @@ def channel_bit(channel: int) -> int:
 
 
 @dataclass(frozen=True)
-class PulseRecord:
-    """One emitted weak-coherent pulse."""
-
-    frame_index: int
-    basis: Basis
-    bit: int
-    photon_count: int
-
-
-@dataclass(frozen=True)
-class DetectionEvent:
-    """One receiver click: global time bin, detector channel, multi-channel flag."""
-
-    bin_index: int
-    channel: int
-    multi_click: bool
-
-
-@dataclass(frozen=True)
 class LinkBudget:
     """Optical and protocol parameters feeding both the analytic estimator and the Monte Carlo.
 

@@ -14,8 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Basis, PulseRecord
-
 
 @dataclass
 class EveLog:
@@ -66,17 +64,3 @@ class Eavesdropper:
             self.log.measured_bits.extend(eve_bit.tolist())
         return eve_basis, eve_bit
 
-
-def intercept_resend(pulse: PulseRecord, rng: np.random.Generator) -> PulseRecord:
-    """Single-pulse intercept-resend (the scalar form of the transform)."""
-    eve_basis = Basis(int(rng.integers(0, 2)))
-    if eve_basis == pulse.basis:
-        eve_bit = pulse.bit
-    else:
-        eve_bit = int(rng.integers(0, 2))
-    return PulseRecord(
-        frame_index=pulse.frame_index,
-        basis=eve_basis,
-        bit=eve_bit,
-        photon_count=pulse.photon_count,
-    )

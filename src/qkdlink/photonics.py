@@ -11,12 +11,10 @@ burst at 20 MHz simulates in a few seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
-from .core import Basis, DetectionEvent, PulseRecord, SimConfig
+from .core import SimConfig
 from .timing import sample_pps_offset
 
 PRBS11_MASK = 0x7FF
@@ -70,18 +68,6 @@ class TxBurst:
     def __len__(self) -> int:
         return len(self.bases)
 
-    def pulse(self, i: int) -> PulseRecord:
-        return PulseRecord(
-            frame_index=i,
-            basis=Basis(int(self.bases[i])),
-            bit=int(self.bits[i]),
-            photon_count=int(self.photon_counts[i]),
-        )
-
-    def pulses(self) -> Iterator[PulseRecord]:
-        for i in range(len(self)):
-            yield self.pulse(i)
-
 
 @dataclass
 class RxBurst:
@@ -103,13 +89,6 @@ class RxBurst:
 
     def __len__(self) -> int:
         return len(self.bin_index)
-
-    def event(self, i: int) -> DetectionEvent:
-        return DetectionEvent(
-            bin_index=int(self.bin_index[i]),
-            channel=int(self.channel[i]),
-            multi_click=bool(self.multi_click[i]),
-        )
 
 
 def generate_burst(cfg: SimConfig, rng: np.random.Generator) -> TxBurst:
@@ -226,9 +205,3 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None,
         source_index=src_u,
     )
 
-
-def dump_detections(rx: RxBurst, path: str | Path) -> None:
-    """Write one detection per line as ``bin_index,channel,multi_flag``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for b, c, m in zip(rx.bin_index, rx.channel, rx.multi_click):
-            fh.write(f"{b},{c},{int(m)}\n")

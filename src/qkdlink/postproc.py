@@ -1,4 +1,19 @@
-"""Classical key distillation: sifting, QBER estimation, Winnow, privacy amplification.
+"""Classical key distillation, one function per protocol step.
+
+Each step is a pure function of local arrays plus what the peer disclosed,
+so both terminals of :mod:`qkdlink.session` call the same code:
+
+* sifting: :func:`sift_mask` keeps the positions where the bases agree;
+* QBER check: :func:`qber_sample_indices` draws the disclosed sample,
+  :func:`sample_qber` compares it, :func:`without` strips it from the key and
+  :func:`check_abort` applies the threshold;
+* Winnow: per pass, :func:`winnow_pass` (both sides) permutes the key and
+  computes block parities, :func:`mismatched_blocks` compares them,
+  :func:`winnow_syndromes` (Alice) answers with the mismatched blocks'
+  syndromes and :func:`winnow_repair` (Bob) flips the bit each syndrome
+  difference points at; :func:`key_hash` then verifies the result;
+* privacy amplification: :func:`amplify_with_carry` hashes every whole
+  16-bit block, carrying the leftover bits into the next burst.
 
 Error correction is an 8-bit-block Winnow: each pass applies a shared random
 permutation, exchanges one parity bit per block, and repairs parity-
@@ -7,20 +22,22 @@ error (syndrome zero with odd parity means the eighth bit).  Passes repeat
 until one completes with no parity mismatches, up to four.  Disclosed bits
 (parities, syndromes, the final 64-bit verification hash) are counted and
 reported; the fixed 16->11 Toeplitz compression provides the privacy margin,
-so the corrected key itself is not shortened further.
+so the corrected key itself is not shortened further.  :func:`winnow_correct`
+is the in-memory driver of the same pass functions, holding both keys at once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass
+import time
 from enum import Enum
 
 import numpy as np
 
 WINNOW_BLOCK = 8
 WINNOW_MAX_PASSES = 4
+SYNDROME_BITS = 3
 PA_IN_BITS = 16
 PA_OUT_BITS = 11
 PA_SEED_BITS = PA_IN_BITS + PA_OUT_BITS - 1  # 26
@@ -28,73 +45,43 @@ QBER_ABORT_THRESHOLD = 0.11
 KEY_HASH_BITS = 64
 
 
-class QberAbort(RuntimeError):
-    """QBER estimate above the abort threshold; the burst yields no key."""
-
-    def __init__(self, qber: float):
-        super().__init__(f"QBER {qber:.4f} above abort threshold")
-        self.qber = qber
-
-
-class BurstRejected(RuntimeError):
-    """Keys still differ after error correction (hash mismatch)."""
-
-
 class Decision(Enum):
     CONTINUE = "continue"
     ABORT = "abort"
 
 
-@dataclass(frozen=True)
-class RawKey:
-    """Index-aligned bits, bases and originating pulse indices for one side."""
-
-    bits: np.ndarray
-    bases: np.ndarray
-    origin_indices: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.bits) == len(self.bases) == len(self.origin_indices)):
-            raise ValueError("RawKey sequences must have equal lengths")
-
-    def __len__(self) -> int:
-        return len(self.bits)
+# --- sifting and QBER estimate ---------------------------------------------------
 
 
-def sift(alice: RawKey, bob: RawKey) -> tuple[np.ndarray, np.ndarray]:
-    """Keep exactly the positions where the bases agree, order preserved."""
-    if len(alice) != len(bob):
-        raise ValueError(f"raw keys differ in length: {len(alice)} vs {len(bob)}")
-    keep = alice.bases == bob.bases
-    return alice.bits[keep].copy(), bob.bits[keep].copy()
+def sift_mask(bases: np.ndarray, peer_bases: np.ndarray) -> np.ndarray:
+    """Positions where both terminals chose the same basis."""
+    if len(bases) != len(peer_bases):
+        raise ValueError(f"basis lists differ in length: {len(bases)} vs {len(peer_bases)}")
+    return np.asarray(bases) == np.asarray(peer_bases)
 
 
-def estimate_qber(alice_sifted: np.ndarray, bob_sifted: np.ndarray,
-                  sample_fraction: float = 0.05,
-                  rng: np.random.Generator | None = None,
-                  sample_indices: np.ndarray | None = None,
-                  ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Disclose a random sample, compare it, and strip it from both keys.
+def qber_sample_indices(n_sift: int, fraction: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted positions of the disclosed QBER sample, drawn without replacement.
 
-    ``sample_indices`` lets a protocol peer reuse the indices its counterpart
-    drew; otherwise ``rng`` picks them.
+    The sample holds ``round(fraction * n_sift)`` positions, at least one and
+    at most the whole key.
     """
-    n = len(alice_sifted)
-    if n != len(bob_sifted):
-        raise ValueError("sifted keys differ in length")
-    if sample_indices is None:
-        k = int(round(n * sample_fraction))
-        if k < 1:
-            raise ValueError(f"key too short for a {sample_fraction:.0%} QBER sample: {n} bits")
-        if rng is None:
-            raise ValueError("estimate_qber needs an rng when sample_indices is not given")
-        sample_indices = rng.choice(n, size=k, replace=False)
-    elif len(sample_indices) < 1:
-        raise ValueError("empty QBER sample")
-    qber = float(np.mean(alice_sifted[sample_indices] != bob_sifted[sample_indices]))
-    mask = np.ones(n, dtype=bool)
-    mask[sample_indices] = False
-    return qber, alice_sifted[mask], bob_sifted[mask]
+    n_sample = min(n_sift, max(1, int(round(n_sift * fraction))))
+    return np.sort(rng.choice(n_sift, size=n_sample, replace=False)).astype(np.int64)
+
+
+def sample_qber(bits: np.ndarray, sample_idx: np.ndarray, peer_sample: np.ndarray) -> float:
+    """Mismatch fraction on the sample; 0.5 (no correlation shown) for an empty one."""
+    if len(sample_idx) == 0:
+        return 0.5
+    return float(np.mean(bits[sample_idx] != peer_sample))
+
+
+def without(bits: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``bits`` with the positions ``idx`` removed, order preserved."""
+    keep = np.ones(len(bits), dtype=bool)
+    keep[idx] = False
+    return bits[keep]
 
 
 def check_abort(qber: float, threshold: float = QBER_ABORT_THRESHOLD) -> Decision:
@@ -127,46 +114,76 @@ def permutation_for_pass(seed: int, n: int) -> np.ndarray:
     return np.random.Generator(np.random.PCG64(seed)).permutation(n)
 
 
+def winnow_key(bits: np.ndarray) -> np.ndarray:
+    """A fresh uint8 copy of ``bits`` truncated to a multiple of the block size."""
+    return np.array(bits[: len(bits) - len(bits) % WINNOW_BLOCK], dtype=np.uint8)
+
+
+def draw_perm_seed(rng: np.random.Generator) -> int:
+    """The next pass's permutation seed, disclosed by Alice."""
+    return int(rng.integers(0, 2**63))
+
+
+def winnow_pass(key: np.ndarray, perm_seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both sides: (permutation, permuted key, its block parities) for one pass."""
+    perm = permutation_for_pass(perm_seed, len(key))
+    permuted = key[perm]
+    return perm, permuted, block_parities(permuted)
+
+
+def mismatched_blocks(parities: np.ndarray, peer_parities: np.ndarray) -> np.ndarray:
+    """Ascending indices of the blocks whose parities disagree."""
+    return np.nonzero(parities != peer_parities)[0]
+
+
+def winnow_syndromes(permuted: np.ndarray, mismatched: np.ndarray) -> np.ndarray:
+    """Alice's side: the syndrome of each mismatched block of her permuted key."""
+    return block_syndromes(permuted.reshape(-1, WINNOW_BLOCK)[mismatched])
+
+
+def winnow_repair(key: np.ndarray, perm: np.ndarray, permuted: np.ndarray,
+                  mismatched: np.ndarray, peer_syndromes: np.ndarray) -> None:
+    """Bob's side: flip, in ``key`` itself, the bit each syndrome difference locates."""
+    diff = winnow_syndromes(permuted, mismatched) ^ peer_syndromes
+    permuted[mismatched * WINNOW_BLOCK + syndrome_error_positions(diff)] ^= 1
+    key[perm] = permuted
+
+
+def winnow_disclosed(parities: np.ndarray, mismatched: np.ndarray) -> int:
+    """Key bits one pass discloses: a parity per block, a syndrome per mismatch."""
+    return len(parities) + SYNDROME_BITS * len(mismatched)
+
+
 def winnow_correct(alice_key: np.ndarray, bob_key: np.ndarray,
                    rng: np.random.Generator,
                    max_passes: int = WINNOW_MAX_PASSES,
                    ) -> tuple[np.ndarray, int, int]:
     """Correct Bob's key toward Alice's; returns (corrected, disclosed_bits, passes).
 
-    Both keys are truncated to a multiple of the block size first.  Each pass
-    discloses one parity per block plus a 3-bit syndrome per mismatched
-    block; iteration stops after a pass with zero mismatches or after
+    The in-memory driver of the pass functions the session runs over the
+    wire.  Both keys are truncated to a multiple of the block size first.
+    Iteration stops after a pass with zero mismatches or after
     ``max_passes``.  Residual errors, if any, are caught by the verification
     hash downstream.
     """
     if len(alice_key) != len(bob_key):
         raise ValueError("keys differ in length")
-    n = len(alice_key) - (len(alice_key) % WINNOW_BLOCK)
-    alice = np.asarray(alice_key[:n], dtype=np.uint8)
-    bob = np.asarray(bob_key[:n], dtype=np.uint8).copy()
+    alice = winnow_key(alice_key)
+    bob = winnow_key(bob_key)
     disclosed = 0
     passes = 0
-    if n == 0:
+    if len(bob) == 0:
         return bob, 0, 0
     for _ in range(max_passes):
         passes += 1
-        perm = permutation_for_pass(int(rng.integers(0, 2**63)), n)
-        a = alice[perm]
-        b = bob[perm]
-        pa = block_parities(a)
-        pb = block_parities(b)
-        disclosed += n // WINNOW_BLOCK
-        mismatched = np.nonzero(pa != pb)[0]
+        seed = draw_perm_seed(rng)
+        _, a, alice_par = winnow_pass(alice, seed)
+        perm, b, bob_par = winnow_pass(bob, seed)
+        mismatched = mismatched_blocks(bob_par, alice_par)
+        disclosed += winnow_disclosed(alice_par, mismatched)
         if len(mismatched) == 0:
             break
-        va = a.reshape(-1, WINNOW_BLOCK)[mismatched]
-        vb = b.reshape(-1, WINNOW_BLOCK)[mismatched]
-        diff = block_syndromes(va) ^ block_syndromes(vb)
-        pos = syndrome_error_positions(diff)
-        disclosed += 3 * len(mismatched)
-        flat = mismatched * WINNOW_BLOCK + pos
-        b[flat] ^= 1
-        bob[perm] = b
+        winnow_repair(bob, perm, b, mismatched, winnow_syndromes(a, mismatched))
     return bob, disclosed, passes
 
 
@@ -198,51 +215,21 @@ def privacy_amplify(key: np.ndarray, toeplitz_seed: np.ndarray) -> np.ndarray:
     return out.astype(np.uint8).ravel()
 
 
+def amplify_with_carry(carry: np.ndarray, key: np.ndarray,
+                       pa_seed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hash ``carry + key`` block by block; returns (secure bits, leftover carry).
+
+    Bits short of a whole 16-bit block are carried into the next burst.
+    """
+    combined = np.concatenate([carry, key]) if len(carry) else key
+    n16 = len(combined) - len(combined) % PA_IN_BITS
+    return privacy_amplify(combined[:n16], pa_seed), combined[n16:].copy()
+
+
 def key_hash(bits: np.ndarray) -> bytes:
     """64-bit verification digest of a bit string."""
     data = np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
     return hashlib.sha256(len(bits).to_bytes(8, "big") + data).digest()[: KEY_HASH_BITS // 8]
-
-
-@dataclass
-class DistillResult:
-    secure_bits: np.ndarray
-    carry_out: np.ndarray   # corrected bits short of a PA block, for the next burst
-    disclosed_bits: int
-    winnow_passes: int
-    qber: float
-
-
-def distill(alice_sifted: np.ndarray, bob_sifted: np.ndarray, qber: float,
-            rng: np.random.Generator,
-            pa_seed: np.ndarray | None = None,
-            carry: np.ndarray | None = None,
-            abort_threshold: float = QBER_ABORT_THRESHOLD) -> DistillResult:
-    """Abort check, Winnow, hash verification, then Toeplitz compression.
-
-    Raises :class:`QberAbort` or :class:`BurstRejected`; on either, callers
-    must leave their key buffers untouched.
-    """
-    if check_abort(qber, abort_threshold) is Decision.ABORT:
-        raise QberAbort(qber)
-    corrected, disclosed, passes = winnow_correct(alice_sifted, bob_sifted, rng)
-    reference = np.asarray(alice_sifted[: len(corrected)], dtype=np.uint8)
-    disclosed += KEY_HASH_BITS
-    if key_hash(reference) != key_hash(corrected):
-        raise BurstRejected("corrected keys still differ")
-    if carry is not None and len(carry):
-        corrected = np.concatenate([np.asarray(carry, dtype=np.uint8), corrected])
-    n16 = len(corrected) - (len(corrected) % PA_IN_BITS)
-    if pa_seed is None:
-        pa_seed = rng.integers(0, 2, PA_SEED_BITS, dtype=np.uint8)
-    secure = privacy_amplify(corrected[:n16], pa_seed)
-    return DistillResult(
-        secure_bits=secure,
-        carry_out=corrected[n16:].copy(),
-        disclosed_bits=disclosed,
-        winnow_passes=passes,
-        qber=qber,
-    )
 
 
 # --- accumulated key ---------------------------------------------------------
@@ -393,11 +380,13 @@ class KeyBuffer:
         """Consume ``nbits`` from a lane, blocking until enough key accumulates.
 
         Returns the absolute bit ranges consumed and the bits themselves.
+        ``timeout`` bounds the whole wait, however many appends arrive in it.
         """
         with self._cond:
-            deadline = None
+            deadline = None if timeout is None else time.monotonic() + timeout
             while self.available(lane) < nbits:
-                if not self._cond.wait(timeout=timeout):
+                remaining = None if deadline is None else deadline - time.monotonic()
+                if (remaining is not None and remaining <= 0) or not self._cond.wait(remaining):
                     raise TimeoutError(
                         f"key buffer exhausted: need {nbits} bits, lane has {self.available(lane)}"
                     )

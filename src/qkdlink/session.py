@@ -363,9 +363,53 @@ def _abort_payload(reason: AbortReason, qber: float) -> bytes:
     return struct.pack(">Bd", reason, qber)
 
 
+# --- payload decoding: anything malformed or out of range is a ProtocolError ------
+
+
+def _exact(payload: bytes, size: int, what: str) -> bytes:
+    if len(payload) != size:
+        raise ProtocolError(f"malformed {what}: {len(payload)} bytes, expected {size}")
+    return payload
+
+
+def _fields(fmt: str, payload: bytes, what: str) -> tuple:
+    return struct.unpack(fmt, _exact(payload, struct.calcsize(fmt), what))
+
+
+def _split_counted(payload: bytes, what: str, *parts: str) -> tuple[int, list[bytes]]:
+    """Read a u32 count n, then one section per part: n u32 "indices" or n packed "bits"."""
+    if len(payload) < 4:
+        raise ProtocolError(f"truncated {what}")
+    (n,) = struct.unpack(">I", payload[:4])
+    sizes = [4 * n if part == "indices" else -(-n // 8) for part in parts]
+    _exact(payload, 4 + sum(sizes), what)
+    sections, pos = [], 4
+    for size in sizes:
+        sections.append(payload[pos : pos + size])
+        pos += size
+    return n, sections
+
+
+def _indices(raw: bytes, bound: int, what: str) -> np.ndarray:
+    """Peer-supplied positions: strictly increasing and below ``bound``."""
+    idx = np.frombuffer(raw, dtype=">u4").astype(np.int64)
+    if len(idx) and (idx[-1] >= bound or np.any(idx[1:] <= idx[:-1])):
+        raise ProtocolError(f"{what}: positions out of order or not below {bound}")
+    return idx
+
+
 def _parse_abort(payload: bytes) -> tuple[AbortReason, float]:
-    reason, qber = struct.unpack(">Bd", payload)
+    reason, qber = _fields(">Bd", payload, "ABORT")
+    if reason not in AbortReason._value2member_map_:
+        raise ProtocolError(f"unknown abort reason {reason}")
     return AbortReason(reason), qber
+
+
+def _parse_qber(payload: bytes) -> float:
+    (qber,) = _fields(">d", payload, "QBER_SAMPLE")
+    if not 0.0 <= qber <= 1.0:
+        raise ProtocolError(f"peer QBER {qber} outside [0, 1]")
+    return qber
 
 
 def pack_offset_ack(r_n: int, fifo_choice: int, central: int,
@@ -375,7 +419,8 @@ def pack_offset_ack(r_n: int, fifo_choice: int, central: int,
 
 
 def unpack_offset_ack(payload: bytes) -> tuple[int, int, int, list[tuple[int, float]]]:
-    r_n, fifo_choice, central, n = struct.unpack(">IBBH", payload[:8])
+    r_n, fifo_choice, central, n = _fields(">IBBH", payload[:8], "FRAME_OFFSET_ACK")
+    _exact(payload, 8 + 10 * n, "FRAME_OFFSET_ACK")
     curve = [struct.unpack(">Hd", payload[8 + 10 * i : 18 + 10 * i]) for i in range(n)]
     return r_n, fifo_choice, central, [(int(o), float(q)) for o, q in curve]
 
@@ -408,35 +453,29 @@ def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postpro
     r_n, fifo_choice, central, sync_curve = unpack_offset_ack(msg.payload)
 
     state.advance(BurstPhase.SIFTING)
-    msg = recv_expect(chan, MsgType.BASES)
-    (n_matched,) = struct.unpack(">I", msg.payload[:4])
-    idx = np.frombuffer(msg.payload[4 : 4 + 4 * n_matched], dtype=">u4").astype(np.int64)
-    bob_bases = unpack_bits(msg.payload[4 + 4 * n_matched :], n_matched)
-    mask = tx.bases[idx] == bob_bases
+    n_matched, (raw_idx, raw_bases) = _split_counted(
+        recv_expect(chan, MsgType.BASES).payload, "BASES", "indices", "bits")
+    idx = _indices(raw_idx, cfg.n_pulses, "BASES")
+    mask = postproc.sift_mask(tx.bases[idx], unpack_bits(raw_bases, n_matched))
     chan.send(MsgType.BASES, struct.pack(">I", n_matched) + pack_bits(mask))
-    alice_sifted = tx.bits[idx][mask.astype(bool)].copy()
+    alice_sifted = tx.bits[idx][mask]
 
     state.advance(BurstPhase.QBER_CHECK)
     n_sift = len(alice_sifted)
     if n_sift < 2:
         # degenerate burst: nothing to estimate on, treat as a failed QBER check
         chan.send(MsgType.QBER_SAMPLE, struct.pack(">I", 0))
-        recv_expect(chan, MsgType.QBER_SAMPLE)
+        _parse_qber(recv_expect(chan, MsgType.QBER_SAMPLE).payload)
         chan.send(MsgType.ABORT, _abort_payload(AbortReason.QBER, 1.0))
         state.advance(BurstPhase.ABORTED)
         return _aborted_outcome(k, t0, AbortReason.QBER, 1.0, sifted=n_sift,
                                 r_n=r_n, fifo=fifo_choice, sync_curve=sync_curve), carry
-    qrng = rng_stream(seed, f"qber:{k}")
-    n_sample = min(n_sift, max(1, int(round(n_sift * cfg.link.qber_sample_fraction))))
-    sample_idx = np.sort(qrng.choice(n_sift, size=n_sample, replace=False)).astype(np.int64)
+    sample_idx = postproc.qber_sample_indices(n_sift, cfg.link.qber_sample_fraction,
+                                              rng_stream(seed, f"qber:{k}"))
     chan.send(MsgType.QBER_SAMPLE,
-              struct.pack(">I", n_sample) + sample_idx.astype(">u4").tobytes()
+              struct.pack(">I", len(sample_idx)) + sample_idx.astype(">u4").tobytes()
               + pack_bits(alice_sifted[sample_idx]))
-    msg = recv_expect(chan, MsgType.QBER_SAMPLE)
-    (qber,) = struct.unpack(">d", msg.payload)
-    keep = np.ones(n_sift, dtype=bool)
-    keep[sample_idx] = False
-    alice_rest = alice_sifted[keep]
+    qber = _parse_qber(recv_expect(chan, MsgType.QBER_SAMPLE).payload)
 
     if postproc.check_abort(qber) is postproc.Decision.ABORT:
         chan.send(MsgType.ABORT, _abort_payload(AbortReason.QBER, qber))
@@ -446,44 +485,39 @@ def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postpro
 
     state.advance(BurstPhase.ERROR_CORRECTION)
     wrng = rng_stream(seed, f"winnow:{k}")
-    n8 = len(alice_rest) - len(alice_rest) % postproc.WINNOW_BLOCK
-    key = np.asarray(alice_rest[:n8], dtype=np.uint8)
+    key = postproc.winnow_key(postproc.without(alice_sifted, sample_idx))
     disclosed = 0
     for p in range(postproc.WINNOW_MAX_PASSES):
-        perm_seed = int(wrng.integers(0, 2**63))
+        perm_seed = postproc.draw_perm_seed(wrng)
         chan.send(MsgType.PERM_SEED, struct.pack(">BQ", p, perm_seed))
-        perm = postproc.permutation_for_pass(perm_seed, n8)
-        a = key[perm]
-        parities = postproc.block_parities(a)
-        disclosed += len(parities)
+        _, permuted, parities = postproc.winnow_pass(key, perm_seed)
         chan.send(MsgType.WINNOW_PARITIES,
                   struct.pack(">I", len(parities)) + pack_bits(parities))
-        msg = recv_expect(chan, MsgType.WINNOW_PARITIES)
-        (n_mism,) = struct.unpack(">I", msg.payload[:4])
-        if n_mism == 0:
+        _, (raw_mism,) = _split_counted(recv_expect(chan, MsgType.WINNOW_PARITIES).payload,
+                                        "WINNOW_PARITIES", "indices")
+        mism = _indices(raw_mism, len(parities), "WINNOW_PARITIES")
+        disclosed += postproc.winnow_disclosed(parities, mism)
+        if len(mism) == 0:
             break
-        mism = np.frombuffer(msg.payload[4:], dtype=">u4").astype(np.int64)
-        syndromes = postproc.block_syndromes(a.reshape(-1, postproc.WINNOW_BLOCK)[mism])
-        disclosed += 3 * n_mism
+        syndromes = postproc.winnow_syndromes(permuted, mism)
         chan.send(MsgType.WINNOW_SYNDROMES, syndromes.astype(np.uint8).tobytes())
 
     disclosed += postproc.KEY_HASH_BITS
-    chan.send(MsgType.KEY_HASH, postproc.key_hash(key))
+    digest = postproc.key_hash(key)
+    chan.send(MsgType.KEY_HASH, digest)
     msg = recv_expect(chan, MsgType.KEY_HASH, MsgType.ABORT)
     if msg.msg_type == MsgType.ABORT:
-        reason, bad = _parse_abort(msg.payload)
+        reason, _ = _parse_abort(msg.payload)
         state.advance(BurstPhase.ABORTED)
         return _aborted_outcome(k, t0, reason, qber, sifted=n_sift,
                                 r_n=r_n, fifo=fifo_choice, sync_curve=sync_curve), carry
-    if msg.payload != postproc.key_hash(key):
+    if msg.payload != digest:
         raise ProtocolError("peer verification hash does not match local key")
 
     state.advance(BurstPhase.PRIVACY_AMPLIFICATION)
     pa_seed = rng_stream(seed, f"pa:{k}").integers(0, 2, postproc.PA_SEED_BITS, dtype=np.uint8)
     chan.send(MsgType.PA_SEED, pack_bits(pa_seed))
-    combined = np.concatenate([carry, key]) if len(carry) else key
-    n16 = len(combined) - len(combined) % postproc.PA_IN_BITS
-    secure = postproc.privacy_amplify(combined[:n16], pa_seed)
+    secure, carry = postproc.amplify_with_carry(carry, key, pa_seed)
     key_buffer.append(secure)
 
     state.advance(BurstPhase.KEY_READY)
@@ -497,7 +531,7 @@ def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postpro
         fifo_choice=fifo_choice,
         disclosed_bits=disclosed,
         sync_curve=sync_curve,
-    ), combined[n16:].copy()
+    ), carry
 
 
 def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.KeyBuffer,
@@ -508,8 +542,8 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
     state = BurstState()
     state.advance(BurstPhase.HANDSHAKE)
 
-    msg = recv_expect(chan, MsgType.BURST_START)
-    burst_id, n_pulses = struct.unpack(">IQ", msg.payload)
+    burst_id, n_pulses = _fields(">IQ", recv_expect(chan, MsgType.BURST_START).payload,
+                                 "BURST_START")
     if burst_id != k or n_pulses != cfg.n_pulses:
         raise ProtocolError(f"burst header mismatch: got burst {burst_id} x {n_pulses} pulses")
 
@@ -521,13 +555,12 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
     rx = transmit_and_detect(tx, cfg, eve=eavesdropper, rng=rng_stream(seed, f"channel:{k}"))
 
     state.advance(BurstPhase.FRAME_SYNC)
-    msg = recv_expect(chan, MsgType.SYNC_SUBSET)
-    (s,) = struct.unpack(">I", msg.payload[:4])
-    nbytes = -(-s // 8)
-    sub_bases = unpack_bits(msg.payload[4 : 4 + nbytes], s)
-    sub_bits = unpack_bits(msg.payload[4 + nbytes : 4 + 2 * nbytes], s)
+    s, (raw_bases, raw_bits) = _split_counted(recv_expect(chan, MsgType.SYNC_SUBSET).payload,
+                                              "SYNC_SUBSET", "bits", "bits")
+    if s != cfg.sync_subset_size:
+        raise ProtocolError(f"sync subset of {s} pulses, configuration says {cfg.sync_subset_size}")
     try:
-        sync = synchronize(sub_bases, sub_bits, rx, cfg)
+        sync = synchronize(unpack_bits(raw_bases, s), unpack_bits(raw_bits, s), rx, cfg)
     except NoLockError as exc:
         chan.send(MsgType.ABORT, _abort_payload(AbortReason.NO_LOCK, exc.min_qber))
         state.advance(BurstPhase.ABORTED)
@@ -542,75 +575,69 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
     chan.send(MsgType.BASES,
               struct.pack(">I", len(match.tx_index))
               + match.tx_index.astype(">u4").tobytes() + pack_bits(bob_bases))
-    msg = recv_expect(chan, MsgType.BASES)
-    (n_matched,) = struct.unpack(">I", msg.payload[:4])
+    n_matched, (raw_mask,) = _split_counted(recv_expect(chan, MsgType.BASES).payload,
+                                            "BASES", "bits")
     if n_matched != len(match.tx_index):
         raise ProtocolError("agreement mask length mismatch")
-    mask = unpack_bits(msg.payload[4:], n_matched).astype(bool)
-    bob_sifted = bob_bits[mask]
+    bob_sifted = bob_bits[unpack_bits(raw_mask, n_matched).astype(bool)]
 
     state.advance(BurstPhase.QBER_CHECK)
-    msg = recv_expect(chan, MsgType.QBER_SAMPLE)
-    (n_sample,) = struct.unpack(">I", msg.payload[:4])
-    sample_idx = np.frombuffer(msg.payload[4 : 4 + 4 * n_sample], dtype=">u4").astype(np.int64)
-    alice_sample = unpack_bits(msg.payload[4 + 4 * n_sample :], n_sample)
-    qber = float(np.mean(bob_sifted[sample_idx] != alice_sample)) if n_sample else 0.5
-    chan.send(MsgType.QBER_SAMPLE, struct.pack(">d", qber))
-    keep = np.ones(len(bob_sifted), dtype=bool)
-    keep[sample_idx] = False
-    bob_rest = bob_sifted[keep]
     n_sift = len(bob_sifted)
+    n_sample, (raw_idx, raw_sample) = _split_counted(
+        recv_expect(chan, MsgType.QBER_SAMPLE).payload, "QBER_SAMPLE", "indices", "bits")
+    sample_idx = _indices(raw_idx, n_sift, "QBER_SAMPLE")
+    qber = postproc.sample_qber(bob_sifted, sample_idx, unpack_bits(raw_sample, n_sample))
+    chan.send(MsgType.QBER_SAMPLE, struct.pack(">d", qber))
 
     if postproc.check_abort(qber) is postproc.Decision.ABORT:
-        msg = recv_expect(chan, MsgType.ABORT)
+        _parse_abort(recv_expect(chan, MsgType.ABORT).payload)
         state.advance(BurstPhase.ABORTED)
         return _aborted_outcome(k, t0, AbortReason.QBER, qber, sifted=n_sift,
                                 r_n=sync.r_n, fifo=int(sync.fifo_choice),
                                 sync_curve=sync.curve), carry
 
     state.advance(BurstPhase.ERROR_CORRECTION)
-    n8 = len(bob_rest) - len(bob_rest) % postproc.WINNOW_BLOCK
-    key = np.asarray(bob_rest[:n8], dtype=np.uint8).copy()
+    key = postproc.winnow_key(postproc.without(bob_sifted, sample_idx))
     disclosed = 0
     for p in range(postproc.WINNOW_MAX_PASSES):
-        msg = recv_expect(chan, MsgType.PERM_SEED)
-        _, perm_seed = struct.unpack(">BQ", msg.payload)
-        perm = postproc.permutation_for_pass(perm_seed, n8)
-        b = key[perm]
-        msg = recv_expect(chan, MsgType.WINNOW_PARITIES)
-        (n_blocks,) = struct.unpack(">I", msg.payload[:4])
-        alice_par = unpack_bits(msg.payload[4:], n_blocks)
-        disclosed += n_blocks
-        mism = np.nonzero(postproc.block_parities(b) != alice_par)[0]
+        pass_no, perm_seed = _fields(">BQ", recv_expect(chan, MsgType.PERM_SEED).payload,
+                                     "PERM_SEED")
+        if pass_no != p:
+            raise ProtocolError(f"Winnow pass {pass_no} arrived as pass {p}")
+        perm, permuted, parities = postproc.winnow_pass(key, perm_seed)
+        n_blocks, (raw_par,) = _split_counted(recv_expect(chan, MsgType.WINNOW_PARITIES).payload,
+                                              "WINNOW_PARITIES", "bits")
+        if n_blocks != len(parities):
+            raise ProtocolError(f"{n_blocks} peer parities for {len(parities)} blocks")
+        mism = postproc.mismatched_blocks(parities, unpack_bits(raw_par, n_blocks))
         chan.send(MsgType.WINNOW_PARITIES,
                   struct.pack(">I", len(mism)) + mism.astype(">u4").tobytes())
+        disclosed += postproc.winnow_disclosed(parities, mism)
         if len(mism) == 0:
             break
-        msg = recv_expect(chan, MsgType.WINNOW_SYNDROMES)
-        alice_syn = np.frombuffer(msg.payload, dtype=np.uint8).astype(np.int64)
-        disclosed += 3 * len(mism)
-        blocks = b.reshape(-1, postproc.WINNOW_BLOCK)
-        diff = postproc.block_syndromes(blocks[mism]) ^ alice_syn
-        pos = postproc.syndrome_error_positions(diff)
-        b[mism * postproc.WINNOW_BLOCK + pos] ^= 1
-        key[perm] = b
+        raw_syn = _exact(recv_expect(chan, MsgType.WINNOW_SYNDROMES).payload, len(mism),
+                         "WINNOW_SYNDROMES")
+        alice_syn = np.frombuffer(raw_syn, dtype=np.uint8).astype(np.int64)
+        if np.any(alice_syn >= 1 << postproc.SYNDROME_BITS):
+            raise ProtocolError("Winnow syndrome out of range")
+        postproc.winnow_repair(key, perm, permuted, mism, alice_syn)
 
     disclosed += postproc.KEY_HASH_BITS
+    digest = postproc.key_hash(key)
     msg = recv_expect(chan, MsgType.KEY_HASH)
-    if msg.payload != postproc.key_hash(key):
+    if _exact(msg.payload, postproc.KEY_HASH_BITS // 8, "KEY_HASH") != digest:
         chan.send(MsgType.ABORT, _abort_payload(AbortReason.BURST_REJECTED, qber))
         state.advance(BurstPhase.ABORTED)
         return _aborted_outcome(k, t0, AbortReason.BURST_REJECTED, qber, sifted=n_sift,
                                 r_n=sync.r_n, fifo=int(sync.fifo_choice),
                                 sync_curve=sync.curve), carry
-    chan.send(MsgType.KEY_HASH, postproc.key_hash(key))
+    chan.send(MsgType.KEY_HASH, digest)
 
     state.advance(BurstPhase.PRIVACY_AMPLIFICATION)
-    msg = recv_expect(chan, MsgType.PA_SEED)
-    pa_seed = unpack_bits(msg.payload, postproc.PA_SEED_BITS)
-    combined = np.concatenate([carry, key]) if len(carry) else key
-    n16 = len(combined) - len(combined) % postproc.PA_IN_BITS
-    secure = postproc.privacy_amplify(combined[:n16], pa_seed)
+    raw_seed = _exact(recv_expect(chan, MsgType.PA_SEED).payload, -(-postproc.PA_SEED_BITS // 8),
+                      "PA_SEED")
+    secure, carry = postproc.amplify_with_carry(carry, key,
+                                                unpack_bits(raw_seed, postproc.PA_SEED_BITS))
     key_buffer.append(secure)
 
     state.advance(BurstPhase.KEY_READY)
@@ -624,7 +651,7 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
         fifo_choice=int(sync.fifo_choice),
         disclosed_bits=disclosed,
         sync_curve=sync.curve,
-    ), combined[n16:].copy()
+    ), carry
 
 
 def _aborted_outcome(k: int, t0: float, reason: AbortReason, qber: float,

@@ -21,7 +21,6 @@ import csv
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -39,18 +38,6 @@ class NoLockError(RuntimeError):
 class FifoChoice(IntEnum):
     FIFO1 = 1
     FIFO2 = 2
-
-
-class Ambiguity(IntEnum):
-    EXACT = 0
-    NEAREST_NEIGHBOR = 1
-
-
-@dataclass(frozen=True)
-class MatchedPair:
-    tx_index: int
-    rx_channel: int
-    ambiguity: Ambiguity
 
 
 @dataclass(frozen=True)
@@ -145,14 +132,6 @@ class MatchResult:
 
     def __len__(self) -> int:
         return len(self.tx_index)
-
-    def pairs(self) -> Iterator[MatchedPair]:
-        for j, ch, ex in zip(self.tx_index, self.channel, self.exact):
-            yield MatchedPair(
-                tx_index=int(j),
-                rx_channel=int(ch),
-                ambiguity=Ambiguity.EXACT if ex else Ambiguity.NEAREST_NEIGHBOR,
-            )
 
 
 def nnc_match(n_tx: int, fifo: FifoView, central: int, frame_offset: int,

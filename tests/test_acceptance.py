@@ -6,6 +6,7 @@ lines appear in the terminal summary.
 
 import csv
 import dataclasses
+import os
 import socket
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qkdlink
 from conftest import scaled_config
 from qkdlink.analysis import distance_sweep, estimate_rates
 from qkdlink.core import default_config, rng_stream
@@ -244,9 +246,13 @@ def _free_port_pair() -> int:
 
 
 def _run_cli(args, cwd, stderr_path):
+    # the child starts in cwd, where a relative PYTHONPATH would not find the package
+    src = str(Path(qkdlink.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.Popen(
         [sys.executable, "-m", "qkdlink.cli", *args],
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
         stdout=subprocess.DEVNULL,
         stderr=open(stderr_path, "w"),
     )
@@ -363,3 +369,27 @@ def test_criterion_7_networked_protocol_and_otp(acceptance_recorder, tmp_path):
     assert chat_ok
     assert disjoint
     assert counter_ok
+
+
+def test_tcp_key_matches_in_process(tmp_path):
+    # two terminal processes over loopback distill the same key as simulate_session
+    cfg_path = tmp_path / "net.cfg"
+    cfg_path.write_text("burst_seconds=0.01\n")
+    port = _free_port_pair()
+    a_key, b_key = tmp_path / "a.key", tmp_path / "b.key"
+    a_err, b_err = tmp_path / "a.err", tmp_path / "b.err"
+    common = ["--config", str(cfg_path), "--seed", "33", "--bursts", "2"]
+    alice = _run_cli(["alice", "--port", str(port), *common, "--key-out", str(a_key)],
+                     tmp_path, a_err)
+    assert _wait_for_marker(a_err, "event=listening"), a_err.read_text()
+    bob = _run_cli(["bob", "--connect", f"127.0.0.1:{port}", *common, "--key-out", str(b_key)],
+                   tmp_path, b_err)
+    assert alice.wait(timeout=120) == 0, a_err.read_text()
+    assert bob.wait(timeout=120) == 0, b_err.read_text()
+
+    reference, _ = simulate_session(
+        dataclasses.replace(default_config(33), burst_seconds=0.01), 2)
+    expected = reference.key_buffer.to_bytes()
+    assert len(expected) > 0
+    assert a_key.read_bytes() == expected
+    assert b_key.read_bytes() == expected

@@ -4,24 +4,21 @@ import numpy as np
 import pytest
 
 from conftest import scaled_config
-from qkdlink.core import Basis, PulseRecord, rng_stream
-from qkdlink.eve import Eavesdropper, intercept_resend
+from qkdlink.core import rng_stream
+from qkdlink.eve import Eavesdropper
 from qkdlink.photonics import generate_burst, transmit_and_detect
 from qkdlink.session import simulate_session
 
 
 def test_matching_basis_reprepares_identically():
-    rng = rng_stream(1, "e")
-    matched = 0
-    for i in range(2000):
-        pulse = PulseRecord(i, Basis(i % 2), (i // 2) % 2, 1)
-        out = intercept_resend(pulse, rng)
-        assert out.photon_count == pulse.photon_count
-        assert out.frame_index == pulse.frame_index
-        if out.basis == pulse.basis:
-            matched += 1
-            assert out.bit == pulse.bit
-    assert matched > 800  # half the pulses in expectation
+    i = np.arange(2000)
+    bases = (i % 2).astype(np.uint8)
+    bits = ((i // 2) % 2).astype(np.uint8)
+    out_bases, out_bits = Eavesdropper(rng_stream(1, "e")).transform(
+        bases, bits, np.ones(2000, np.uint8))
+    matched = out_bases == bases
+    assert np.array_equal(out_bits[matched], bits[matched])
+    assert matched.sum() > 800  # half the pulses in expectation
 
 
 def test_sifted_error_weight_exactly_one_quarter():

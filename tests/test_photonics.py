@@ -5,7 +5,6 @@ from conftest import noiseless_config, scaled_config
 from qkdlink.core import rng_stream
 from qkdlink.photonics import (
     PRBS11_PERIOD,
-    dump_detections,
     eta_geometric,
     generate_burst,
     prbs11_next,
@@ -78,15 +77,6 @@ def test_generate_burst_basis_balance():
     tx = generate_burst(cfg, rng_stream(6, "g"))
     assert np.mean(tx.bases) == pytest.approx(0.5, abs=1e-3)
     assert np.mean(tx.bits) == pytest.approx(0.5, abs=1e-3)
-
-
-def test_pulse_record_view():
-    cfg = scaled_config(0.0001)
-    tx = generate_burst(cfg, rng_stream(1, "g"))
-    rec = tx.pulse(7)
-    assert rec.frame_index == 7
-    assert rec.bit == tx.bits[7]
-    assert rec.photon_count == tx.photon_counts[7]
 
 
 # --- geometric collection ---------------------------------------------------------
@@ -199,15 +189,3 @@ def test_pps_cap_respected_in_realization(small_cfg):
     rx = transmit_and_detect(tx, small_cfg, rng=rng_stream(11, "c"))
     assert abs(rx.realized_pps_offset_ns) <= small_cfg.pps_jitter_cap_ns
 
-
-def test_dump_detections(tmp_path):
-    cfg = scaled_config(0.0005, seed=2)
-    tx = generate_burst(cfg, rng_stream(2, "g"))
-    rx = transmit_and_detect(tx, cfg, rng=rng_stream(2, "c"))
-    path = tmp_path / "rx.txt"
-    dump_detections(rx, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == len(rx)
-    first = lines[0].split(",")
-    assert len(first) == 3
-    assert int(first[1]) in (1, 2, 3, 4)

@@ -11,20 +11,19 @@ from qkdlink.postproc import (
     PA_IN_BITS,
     PA_OUT_BITS,
     PA_SEED_BITS,
-    BurstRejected,
     Decision,
     KeyBuffer,
-    QberAbort,
-    RawKey,
+    amplify_with_carry,
     block_parities,
     check_abort,
-    distill,
-    estimate_qber,
     key_hash,
     privacy_amplify,
-    sift,
+    qber_sample_indices,
+    sample_qber,
+    sift_mask,
     toeplitz_matrix,
     winnow_correct,
+    without,
 )
 
 
@@ -32,10 +31,10 @@ def _bits(rng, n):
     return rng.integers(0, 2, n, dtype=np.uint8)
 
 
-def _raw(bits, bases):
-    bits = np.asarray(bits, dtype=np.uint8)
-    bases = np.asarray(bases, dtype=np.uint8)
-    return RawKey(bits=bits, bases=bases, origin_indices=np.arange(len(bits)))
+def _sample_qber(alice, bob, fraction, rng):
+    """The QBER check as the two terminals run it: Alice samples, Bob compares."""
+    idx = qber_sample_indices(len(alice), fraction, rng)
+    return sample_qber(bob, idx, alice[idx]), idx
 
 
 # --- sifting ------------------------------------------------------------------
@@ -44,34 +43,22 @@ def _raw(bits, bases):
 def test_sift_all_bases_equal_is_identity():
     rng = rng_stream(1, "t")
     bits = _bits(rng, 500)
-    a = _raw(bits, np.zeros(500))
-    b = _raw(_bits(rng, 500), np.zeros(500))
-    sa, sb = sift(a, b)
-    assert np.array_equal(sa, bits)
-    assert len(sb) == 500
+    mask = sift_mask(np.zeros(500, np.uint8), np.zeros(500, np.uint8))
+    assert mask.all()
+    assert np.array_equal(bits[mask], bits)
 
 
 def test_sift_kept_fraction_binomial():
     rng = rng_stream(2, "t")
     n = 100_000
-    a = _raw(_bits(rng, n), _bits(rng, n))
-    b = _raw(_bits(rng, n), _bits(rng, n))
-    sa, sb = sift(a, b)
+    kept = int(np.count_nonzero(sift_mask(_bits(rng, n), _bits(rng, n))))
     sigma = np.sqrt(n * 0.25)
-    assert abs(len(sa) - n / 2) < 3 * sigma
-    assert len(sa) == len(sb)
+    assert abs(kept - n / 2) < 3 * sigma
 
 
 def test_sift_length_mismatch_rejected():
-    a = _raw([0, 1], [0, 0])
-    b = _raw([0, 1, 1], [0, 0, 1])
     with pytest.raises(ValueError):
-        sift(a, b)
-
-
-def test_rawkey_validates_lengths():
-    with pytest.raises(ValueError):
-        RawKey(bits=np.zeros(3), bases=np.zeros(2), origin_indices=np.zeros(3))
+        sift_mask(np.zeros(2, np.uint8), np.zeros(3, np.uint8))
 
 
 # --- QBER estimate --------------------------------------------------------------
@@ -80,9 +67,9 @@ def test_rawkey_validates_lengths():
 def test_estimate_qber_identical_keys():
     rng = rng_stream(3, "t")
     bits = _bits(rng, 2000)
-    q, ra, rb = estimate_qber(bits, bits.copy(), rng=rng)
+    q, idx = _sample_qber(bits, bits.copy(), 0.05, rng)
     assert q == 0.0
-    assert len(ra) == len(rb) == 2000 - 100
+    assert len(without(bits, idx)) == 2000 - 100
 
 
 def test_estimate_qber_planted_errors():
@@ -91,21 +78,32 @@ def test_estimate_qber_planted_errors():
     b = a.copy()
     flip = rng.choice(40_000, size=1200, replace=False)  # 3% plant
     b[flip] ^= 1
-    q, _, _ = estimate_qber(a, b, rng=rng)
+    q, _ = _sample_qber(a, b, 0.05, rng)
     assert q == pytest.approx(0.03, abs=0.01)
 
 
 def test_estimate_qber_sample_removed_from_both():
     rng = rng_stream(5, "t")
     a = _bits(rng, 1000)
-    q, ra, rb = estimate_qber(a, a.copy(), sample_fraction=0.1, rng=rng)
-    assert len(ra) == 900
+    b = a.copy()
+    b[::7] ^= 1
+    _, idx = _sample_qber(a, b, 0.1, rng)
+    assert len(idx) == 100 and np.all(np.diff(idx) > 0)
+    kept = np.setdiff1d(np.arange(1000), idx)
+    rest_a, rest_b = without(a, idx), without(b, idx)
+    assert len(rest_a) == len(rest_b) == 900
+    assert np.array_equal(rest_a, a[kept]) and np.array_equal(rest_b, b[kept])
 
 
 def test_estimate_qber_too_short_rejected():
-    with pytest.raises(ValueError):
-        estimate_qber(np.zeros(5, np.uint8), np.zeros(5, np.uint8),
-                      sample_fraction=0.05, rng=rng_stream(6, "t"))
+    # a 5-bit key still discloses one bit; an empty key shows no correlation and aborts
+    rng = rng_stream(6, "t")
+    assert len(qber_sample_indices(5, 0.05, rng)) == 1
+    assert len(qber_sample_indices(1, 0.05, rng)) == 1
+    empty = qber_sample_indices(0, 0.05, rng)
+    q = sample_qber(np.zeros(0, np.uint8), empty, np.zeros(0, np.uint8))
+    assert len(empty) == 0 and q == 0.5
+    assert check_abort(q) is Decision.ABORT
 
 
 def test_check_abort_thresholds():
@@ -257,32 +255,38 @@ def test_pa_input_validation():
         privacy_amplify(np.zeros(16, np.uint8), np.zeros(25, np.uint8))
 
 
-# --- distillation ---------------------------------------------------------------------
+# --- distillation: Winnow, hash check, PA with carry -------------------------------
 
 
 def test_distill_single_clean_block():
     rng = rng_stream(16, "t")
     key = _bits(rng, 16)
-    result = distill(key, key.copy(), qber=0.0, rng=rng_stream(16, "d"))
-    assert len(result.secure_bits) == 11
-    assert len(result.carry_out) == 0
+    secure, carry_out = amplify_with_carry(np.empty(0, np.uint8), key, _bits(rng, PA_SEED_BITS))
+    assert len(secure) == 11
+    assert len(carry_out) == 0
 
 
 def test_distill_aborts_on_high_qber():
-    key = np.zeros(64, np.uint8)
-    with pytest.raises(QberAbort):
-        distill(key, key.copy(), qber=0.25, rng=rng_stream(17, "d"))
+    # an intercept-resend key (25% errors) fails the sampled QBER check
+    rng = rng_stream(17, "t")
+    alice = _bits(rng, 20_000)
+    bob = alice.copy()
+    bob[rng.random(20_000) < 0.25] ^= 1
+    q, _ = _sample_qber(alice, bob, 0.05, rng)
+    assert check_abort(q) is Decision.ABORT
 
 
 def test_distill_rejects_uncorrectable_burst():
-    # two errors inside the only block can never be separated by permuting
+    # two errors inside the only block can never be separated by permuting,
+    # so Winnow leaves them and the verification hash catches the mismatch
     rng = rng_stream(18, "t")
     alice = _bits(rng, 8)
     bob = alice.copy()
     bob[0] ^= 1
     bob[5] ^= 1
-    with pytest.raises(BurstRejected):
-        distill(alice, bob, qber=0.02, rng=rng_stream(18, "d"))
+    corrected, _, passes = winnow_correct(alice, bob, rng_stream(18, "d"))
+    assert passes == 1
+    assert key_hash(corrected) != key_hash(alice)
 
 
 def test_distill_both_sides_identical_and_carry():
@@ -292,13 +296,21 @@ def test_distill_both_sides_identical_and_carry():
     flips = rng.random(1009) < 0.02
     bob[flips] ^= 1
     carry = _bits(rng, 5)
-    result = distill(alice, bob, qber=0.02, rng=rng_stream(19, "d"), carry=carry)
-    n8 = 1008
-    total = n8 + 5
-    assert len(result.secure_bits) == (total - total % 16) // 16 * 11
-    assert len(result.carry_out) == total % 16
-    assert result.winnow_passes <= 4
-    assert result.disclosed_bits > 0
+    seed = _bits(rng, PA_SEED_BITS)
+    corrected, disclosed, passes = winnow_correct(alice, bob, rng_stream(19, "d"))
+    assert key_hash(corrected) == key_hash(alice[:1008])
+    secure_a, carry_a = amplify_with_carry(carry, alice[:1008], seed)
+    secure_b, carry_b = amplify_with_carry(carry, corrected, seed)
+    total = 1008 + 5
+    assert np.array_equal(secure_a, secure_b) and np.array_equal(carry_a, carry_b)
+    assert len(secure_a) == (total - total % 16) // 16 * 11
+    assert len(carry_a) == total % 16
+    # the carry goes first: the leftover is the key's tail, the hash input its head
+    combined = np.concatenate([carry, alice[:1008]])
+    assert np.array_equal(carry_a, combined[total - total % 16:])
+    assert np.array_equal(secure_a, privacy_amplify(combined[: total - total % 16], seed))
+    assert passes <= 4
+    assert disclosed > 0
 
 
 def test_distill_secure_ratio_near_pa_ratio():
@@ -307,8 +319,9 @@ def test_distill_secure_ratio_near_pa_ratio():
     bob = alice.copy()
     flips = rng.random(40_000) < 0.026
     bob[flips] ^= 1
-    result = distill(alice, bob, qber=0.026, rng=rng_stream(20, "d"))
-    assert len(result.secure_bits) / 40_000 == pytest.approx(11 / 16, abs=0.01)
+    corrected, _, _ = winnow_correct(alice, bob, rng_stream(20, "d"))
+    secure, _ = amplify_with_carry(np.empty(0, np.uint8), corrected, _bits(rng, PA_SEED_BITS))
+    assert len(secure) / 40_000 == pytest.approx(11 / 16, abs=0.01)
 
 
 def test_key_hash_sensitive_to_any_bit():
@@ -390,3 +403,24 @@ def test_key_buffer_take_timeout():
     buf.append(np.ones(8, np.uint8))
     with pytest.raises(TimeoutError):
         buf.take(50, timeout=0.05)
+
+
+def test_key_buffer_take_timeout_survives_trickle():
+    # appends that never reach the request must not restart the wait
+    buf = KeyBuffer()
+    stop = threading.Event()
+
+    def trickle():
+        while not stop.wait(0.01):
+            buf.append(np.ones(1, np.uint8))
+
+    t = threading.Thread(target=trickle)
+    t.start()
+    start = time.monotonic()
+    try:
+        with pytest.raises(TimeoutError):
+            buf.take(10_000, timeout=0.3)
+    finally:
+        stop.set()
+        t.join()
+    assert time.monotonic() - start < 1.5

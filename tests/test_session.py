@@ -1,5 +1,6 @@
 import dataclasses
 import socket
+import struct
 import threading
 
 import numpy as np
@@ -8,21 +9,26 @@ import pytest
 from conftest import scaled_config
 from qkdlink.core import default_config, rng_stream
 from qkdlink.photonics import generate_burst, transmit_and_detect
+from qkdlink.postproc import KeyBuffer
 from qkdlink.session import (
     BurstPhase,
     BurstState,
     ChannelClosed,
+    InProcessTransport,
     Message,
     MsgType,
     NetworkTransport,
     ProtocolError,
     SocketChannel,
+    _parse_abort,
     decode_message,
     encode_message,
     make_loop_pair,
     pack_tx_burst,
     recv_expect,
+    run_burst,
     simulate_session,
+    unpack_offset_ack,
     unpack_tx_burst,
 )
 
@@ -282,3 +288,116 @@ def test_aborted_burst_leaves_buffers_untouched():
     assert all(o.aborted_reason == "qber" for o in alice.outcomes)
     assert len(alice.key_buffer) == 0
     assert len(bob.key_buffer) == 0
+
+
+# --- hostile peer ------------------------------------------------------------------
+
+
+def test_short_or_unknown_payloads_are_protocol_errors():
+    with pytest.raises(ProtocolError):
+        unpack_offset_ack(b"\x00\x01")
+    with pytest.raises(ProtocolError):
+        unpack_offset_ack(struct.pack(">IBBH", 20, 1, 1, 3) + struct.pack(">Hd", 0, 0.5))
+    with pytest.raises(ProtocolError):
+        _parse_abort(b"\x01")
+    with pytest.raises(ProtocolError):
+        _parse_abort(struct.pack(">Bd", 9, 0.5))
+
+
+def truncated(msg_type, payload):
+    return msg_type, payload[:-1]
+
+
+def last_index_too_large(msg_type, payload):
+    (n,) = struct.unpack(">I", payload[:4])
+    return msg_type, payload[: 4 * n] + b"\xff\xff\xff\xff" + payload[4 + 4 * n :]
+
+
+def syndrome_too_large(msg_type, payload):
+    return msg_type, payload[:-1] + bytes([8])
+
+
+def short_abort(msg_type, payload):
+    return MsgType.ABORT, b"\x01"
+
+
+def unknown_abort_reason(msg_type, payload):
+    return MsgType.ABORT, struct.pack(">Bd", 9, 0.0)
+
+
+# (sender, the message it sends, how it is rewritten); every message a burst receives
+HOSTILE = [
+    ("alice", MsgType.BURST_START, truncated),
+    ("alice", MsgType.SYNC_SUBSET, truncated),
+    ("bob", MsgType.FRAME_OFFSET_ACK, truncated),
+    ("bob", MsgType.FRAME_OFFSET_ACK, short_abort),
+    ("bob", MsgType.FRAME_OFFSET_ACK, unknown_abort_reason),
+    ("bob", MsgType.BASES, truncated),
+    ("bob", MsgType.BASES, last_index_too_large),
+    ("alice", MsgType.BASES, truncated),
+    ("alice", MsgType.QBER_SAMPLE, truncated),
+    ("alice", MsgType.QBER_SAMPLE, last_index_too_large),
+    ("bob", MsgType.QBER_SAMPLE, truncated),
+    ("alice", MsgType.ABORT, truncated),
+    ("alice", MsgType.PERM_SEED, truncated),
+    ("alice", MsgType.WINNOW_PARITIES, truncated),
+    ("bob", MsgType.WINNOW_PARITIES, truncated),
+    ("bob", MsgType.WINNOW_PARITIES, last_index_too_large),
+    ("alice", MsgType.WINNOW_SYNDROMES, truncated),
+    ("alice", MsgType.WINNOW_SYNDROMES, syndrome_too_large),
+    ("alice", MsgType.KEY_HASH, truncated),
+    ("bob", MsgType.KEY_HASH, truncated),
+    ("alice", MsgType.PA_SEED, truncated),
+]
+
+
+class _Tampered:
+    """Channel end that rewrites the first message of one type it sends."""
+
+    def __init__(self, chan, msg_type, rewrite):
+        self.chan, self.msg_type, self.rewrite = chan, msg_type, rewrite
+
+    def send(self, msg_type, payload=b""):
+        if msg_type == self.msg_type and self.rewrite is not None:
+            msg_type, payload = self.rewrite(msg_type, payload)
+            self.rewrite = None
+        self.chan.send(msg_type, payload)
+
+    def recv(self):
+        return self.chan.recv()
+
+    def close(self):
+        self.chan.close()
+
+
+@pytest.mark.parametrize("sender,msg_type,rewrite", HOSTILE,
+                         ids=[f"{s}-{t.name}-{r.__name__}" for s, t, r in HOSTILE])
+def test_hostile_payload_is_a_protocol_error(sender, msg_type, rewrite):
+    # Alice sends ABORT only when the QBER check fails, hence the eavesdropper
+    cfg = scaled_config(0.01, seed=33, eve_enabled=msg_type == MsgType.ABORT)
+    receiver = "bob" if sender == "alice" else "alice"
+    chans = dict(zip(("alice", "bob"), make_loop_pair(timeout=10.0)))
+    chans[sender] = _Tampered(chans[sender], msg_type, rewrite)
+    transport = InProcessTransport(10.0)
+    bufs = {role: KeyBuffer() for role in chans}
+    errors = {}
+
+    def run(role):
+        try:
+            run_burst(role, 0, cfg, chans[role], transport, bufs[role], np.empty(0, np.uint8))
+        except Exception as exc:  # inspected below
+            errors[role] = exc
+            chans[role].close()
+
+    threads = [threading.Thread(target=run, args=(role,)) for role in chans]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert isinstance(errors.get(receiver), ProtocolError), errors
+    assert not isinstance(errors[receiver], ChannelClosed), errors
+    assert len(bufs[receiver]) == 0
+    # PA_SEED is a burst's last message: Alice has committed her key before sending it
+    if msg_type != MsgType.PA_SEED:
+        assert len(bufs[sender]) == 0

@@ -8,7 +8,6 @@ from conftest import noiseless_config, scaled_config
 from qkdlink.core import default_config, rng_stream
 from qkdlink.photonics import generate_burst, transmit_and_detect
 from qkdlink.timing import (
-    Ambiguity,
     FifoChoice,
     FrameHistogram,
     NoLockError,
@@ -111,16 +110,14 @@ def test_nnc_exact_match(tiny_cfg):
     f1, _ = build_dual_fifo(_rx([4 * 5 + 1]), tiny_cfg)
     res = nnc_match(10, f1, central=1, frame_offset=0)
     assert list(res.tx_index) == [5]
-    pair = next(res.pairs())
-    assert pair.ambiguity == Ambiguity.EXACT
+    assert list(res.exact) == [True]
 
 
 def test_nnc_nearest_neighbor_match(tiny_cfg):
     f1, _ = build_dual_fifo(_rx([4 * 5 + 2]), tiny_cfg)
     res = nnc_match(10, f1, central=1, frame_offset=0)
     assert list(res.tx_index) == [5]
-    pair = next(res.pairs())
-    assert pair.ambiguity == Ambiguity.NEAREST_NEIGHBOR
+    assert list(res.exact) == [False]
 
 
 def test_nnc_two_bins_away_unmatched(tiny_cfg):
