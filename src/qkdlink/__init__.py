@@ -7,9 +7,7 @@ state machine), securecomm (OTP messaging), cli (entry points).
 """
 
 from .core import (
-    Basis,
     LinkBudget,
-    Polarization,
     SimConfig,
     default_config,
     load_config,
@@ -20,9 +18,7 @@ from .core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Basis",
     "LinkBudget",
-    "Polarization",
     "SimConfig",
     "default_config",
     "load_config",

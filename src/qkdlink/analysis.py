@@ -16,6 +16,10 @@ from pathlib import Path
 
 from .core import LinkBudget
 from .photonics import eta_geometric
+from .postproc import PA_IN_BITS, PA_OUT_BITS
+
+SIFT_FRACTION = 0.5                   # the receiver draws each basis 50:50
+PA_RATIO = PA_OUT_BITS / PA_IN_BITS   # the fixed 16 -> 11 Toeplitz compression
 
 
 @dataclass(frozen=True)
@@ -67,8 +71,8 @@ def estimate_rates(link: LinkBudget, distance_m: float | None = None) -> RateEst
     q = click_prob(link.mu, total_efficiency(link, distance_m))
     clicks = link.prf_hz * q
     after_sync = clicks * link.sync_efficiency
-    sifted = after_sync * link.sift_fraction
-    secure = sifted * (1.0 - link.qber_sample_fraction) * link.pa_ratio
+    sifted = after_sync * SIFT_FRACTION
+    secure = sifted * (1.0 - link.qber_sample_fraction) * PA_RATIO
     return RateEstimate(
         q_mu=q,
         clicks_per_s=clicks,
@@ -100,7 +104,7 @@ def write_sweep_csv(rows: list[tuple[float, float]], path: str | Path) -> None:
 def format_rate_table(link: LinkBudget) -> str:
     """Human-readable summary of the operating point and derived rates."""
     est = estimate_rates(link)
-    post_eff = link.sift_fraction * (1.0 - link.qber_sample_fraction) * link.pa_ratio
+    post_eff = SIFT_FRACTION * (1.0 - link.qber_sample_fraction) * PA_RATIO
     rows = [
         ("mean photon number", f"{link.mu:g}"),
         ("pulse repetition frequency", f"{link.prf_hz / 1e6:g} MHz"),

@@ -1,9 +1,9 @@
-"""Domain types, configuration and the deterministic randomness contract.
+"""Configuration and the deterministic randomness contract.
 
 Everything downstream (photonics, timing, post-processing, the protocol
-engine) builds on the value types defined here.  All types are immutable;
-random streams are created per consumer via :func:`rng_stream` and never
-shared between modules.
+engine) builds on the configuration types defined here.  They are
+immutable; random streams are created per consumer via :func:`rng_stream`
+and never shared between modules.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
-from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
@@ -21,52 +20,6 @@ SPEED_OF_LIGHT_M_PER_S = 299792458.0
 
 class ConfigError(ValueError):
     """Invalid configuration value or unparseable configuration file."""
-
-
-class Basis(IntEnum):
-    """Polarization measurement basis: rectilinear {0, 90} or diagonal {-45, +45} degrees."""
-
-    RECTILINEAR = 0
-    DIAGONAL = 1
-
-
-class Polarization(IntEnum):
-    """The four BB84 states. H/V belong to the rectilinear basis, D/A to the diagonal one."""
-
-    H = 0   # 0 deg,   rectilinear, bit 0
-    V = 1   # 90 deg,  rectilinear, bit 1
-    D = 2   # +45 deg, diagonal,    bit 0
-    A = 3   # -45 deg, diagonal,    bit 1
-
-    @property
-    def basis(self) -> Basis:
-        return Basis(self.value >> 1)
-
-    @property
-    def bit(self) -> int:
-        return self.value & 1
-
-
-def polarization_for(basis: Basis, bit: int) -> Polarization:
-    """(basis, bit) -> polarization; a bijection onto the four states."""
-    return Polarization((int(basis) << 1) | (int(bit) & 1))
-
-
-def channel_for(basis: Basis, bit: int) -> int:
-    """Detector channel for a state: ch1=H, ch2=V, ch3=D, ch4=A."""
-    return 1 + (int(basis) << 1) + (int(bit) & 1)
-
-
-def channel_basis(channel: int) -> Basis:
-    if channel not in (1, 2, 3, 4):
-        raise ValueError(f"channel must be 1..4, got {channel}")
-    return Basis((channel - 1) >> 1)
-
-
-def channel_bit(channel: int) -> int:
-    if channel not in (1, 2, 3, 4):
-        raise ValueError(f"channel must be 1..4, got {channel}")
-    return (channel - 1) & 1
 
 
 @dataclass(frozen=True)
@@ -92,9 +45,7 @@ class LinkBudget:
     dark_cps: float              # dark + background counts per second, all channels
     e_pol: float                 # intrinsic polarization error probability
     sync_efficiency: float       # fraction of clicks left after frame-sync overhead
-    sift_fraction: float         # expected basis-agreement fraction
     qber_sample_fraction: float  # sifted-key fraction disclosed for QBER estimation
-    pa_ratio: float              # privacy amplification output/input ratio
 
     def detector_chain_efficiency(self) -> float:
         """Front-end optics x decoder x SPD, i.e. everything behind the aperture."""
@@ -112,9 +63,7 @@ class LinkBudget:
             "eta_residual": self.eta_residual,
             "e_pol": self.e_pol,
             "sync_efficiency": self.sync_efficiency,
-            "sift_fraction": self.sift_fraction,
             "qber_sample_fraction": self.qber_sample_fraction,
-            "pa_ratio": self.pa_ratio,
         }
         for name, value in fractions.items():
             if not 0.0 <= value <= 1.0:
@@ -211,9 +160,7 @@ def default_config(rng_seed: int = 1) -> SimConfig:
         dark_cps=300.0,
         e_pol=0.025,
         sync_efficiency=0.995,
-        sift_fraction=0.5,
         qber_sample_fraction=0.05,
-        pa_ratio=11.0 / 16.0,
     )
     return SimConfig(link=link, rng_seed=rng_seed)
 

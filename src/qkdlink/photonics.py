@@ -33,8 +33,8 @@ def prbs11_next(state: int) -> tuple[int, int]:
     return bit, ((state << 1) & PRBS11_MASK) | bit
 
 
-def prbs11_sequence(state: int, n: int) -> tuple[np.ndarray, int]:
-    """n successive PRBS11 output bits starting from ``state``, plus the final state.
+def prbs11_sequence(state: int, n: int) -> np.ndarray:
+    """n successive PRBS11 output bits starting from ``state``.
 
     The period is 2047, so one full cycle is materialized once and tiled.
     """
@@ -45,14 +45,8 @@ def prbs11_sequence(state: int, n: int) -> tuple[np.ndarray, int]:
         period[i] = bit
     assert s == state  # maximal-length sequence returns to its seed
     if n <= 0:
-        return np.empty(0, dtype=np.uint8), state
-    reps = -(-n // PRBS11_PERIOD)
-    bits = np.tile(period, reps)[:n]
-    # final state after n steps: replay the remainder of the last cycle
-    final = state
-    for _ in range(n % PRBS11_PERIOD):
-        _, final = prbs11_next(final)
-    return bits, final
+        return np.empty(0, dtype=np.uint8)
+    return np.tile(period, -(-n // PRBS11_PERIOD))[:n]
 
 
 @dataclass
@@ -62,8 +56,6 @@ class TxBurst:
     bases: np.ndarray          # uint8, 0=rectilinear 1=diagonal
     bits: np.ndarray           # uint8
     photon_counts: np.ndarray  # uint8, realized Poisson draws
-    basis_prbs_state: int      # final LFSR states, for burst continuation
-    bit_prbs_state: int
 
     def __len__(self) -> int:
         return len(self.bases)
@@ -96,10 +88,10 @@ def generate_burst(cfg: SimConfig, rng: np.random.Generator) -> TxBurst:
     n = cfg.n_pulses
     seed_bases = int(rng.integers(1, PRBS11_MASK + 1))
     seed_bits = int(rng.integers(1, PRBS11_MASK + 1))
-    bases, state_bases = prbs11_sequence(seed_bases, n)
-    bits, state_bits = prbs11_sequence(seed_bits, n)
+    bases = prbs11_sequence(seed_bases, n)
+    bits = prbs11_sequence(seed_bits, n)
     counts = np.minimum(rng.poisson(cfg.link.mu, n), 255).astype(np.uint8)
-    return TxBurst(bases, bits, counts, state_bases, state_bits)
+    return TxBurst(bases, bits, counts)
 
 
 def eta_geometric(distance_m: float, aperture_mm: float, footprint0_mm: float,
@@ -130,6 +122,11 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None,
     measurement basis when they differ); detector-chain survival; bin
     placement shifted by time of flight + 1PPS offset and smeared by the
     3-bin clock spread; dark counts; multi-channel bins flagged.
+
+    A click's channel is ``1 + 2 * basis + bit``: ch1=H, ch2=V (rectilinear
+    basis 0, bits 0 and 1), ch3=D, ch4=A (diagonal basis 1, bits 0 and 1).
+    Downstream code recovers basis and bit as ``(channel - 1) >> 1`` and
+    ``(channel - 1) & 1``.
     """
     if rng is None:
         raise ValueError("transmit_and_detect requires an explicit rng stream")

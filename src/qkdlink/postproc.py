@@ -28,6 +28,7 @@ is the in-memory driver of the same pass functions, holding both keys at once.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import threading
 import time
@@ -238,21 +239,25 @@ def key_hash(bits: np.ndarray) -> bytes:
 class KeyBuffer:
     """Append-only secure-key store with consume-once discipline.
 
-    Bits are appended burst by burst and handed out exactly once.  Consumers
-    take from a *lane*: the default linear lane walks the whole buffer, while
-    the duplex lanes stripe over alternating 4 KiB pages so two directions of
-    traffic can never collide on key material.  Every issued range is
-    recorded, and overlapping issues raise.
+    Bits are appended burst by burst and handed out exactly once, from one of
+    two *lanes*: lane 0 owns the even 4 KiB pages of the buffer and lane 1
+    the odd ones, so the two directions of a chat can never collide on key
+    material.  A lane is just a count of the lane bits consumed so far; the
+    absolute offset of its k-th bit is page arithmetic.  A take may span page
+    boundaries and then issues one range per page.  Every issued range is
+    recorded, and a range overlapping an earlier one raises.
     """
 
     PAGE_BITS = 4096 * 8
 
     def __init__(self):
         self._chunks: list[np.ndarray] = []
+        self._chunk_starts: list[int] = []
         self._length = 0
         self._cond = threading.Condition()
-        self._lane_cursors: dict[int | None, int] = {}
+        self._lane_used = [0, 0]
         self.issued_ranges: list[tuple[int, int]] = []
+        self._sorted_ranges: list[tuple[int, int]] = []
         self._consumed_total = 0
 
     def __len__(self) -> int:
@@ -262,15 +267,11 @@ class KeyBuffer:
     def consumed_total(self) -> int:
         return self._consumed_total
 
-    @property
-    def consumed_upto(self) -> int:
-        """High-water mark: no bit below it will ever be issued again."""
-        return max((stop for _, stop in self.issued_ranges), default=0)
-
     def append(self, bits: np.ndarray) -> None:
         bits = np.asarray(bits, dtype=np.uint8)
         with self._cond:
             self._chunks.append(bits)
+            self._chunk_starts.append(self._length)
             self._length += len(bits)
             self._cond.notify_all()
 
@@ -284,103 +285,50 @@ class KeyBuffer:
         return np.packbits(self.bits()).tobytes()
 
     def _slice(self, start: int, stop: int) -> np.ndarray:
+        """The buffered bits ``[start, stop)``; the first chunk is found by bisection."""
         out = np.empty(stop - start, dtype=np.uint8)
-        pos = 0
-        chunk_start = 0
-        for chunk in self._chunks:
-            chunk_stop = chunk_start + len(chunk)
-            lo = max(start, chunk_start)
-            hi = min(stop, chunk_stop)
-            if lo < hi:
-                out[pos : pos + hi - lo] = chunk[lo - chunk_start : hi - chunk_start]
-                pos += hi - lo
-            chunk_start = chunk_stop
+        i = bisect.bisect_right(self._chunk_starts, start) - 1
+        pos = start
+        while pos < stop:
+            chunk, chunk_start = self._chunks[i], self._chunk_starts[i]
+            hi = min(stop, chunk_start + len(chunk))
+            out[pos - start : hi - start] = chunk[pos - chunk_start : hi - chunk_start]
+            pos = hi
+            i += 1
         return out
 
-    def _lane_ranges(self, lane: int | None, cursor: int, nbits: int) -> list[tuple[int, int]]:
-        """Ranges the lane would consume next; lanes 0/1 stripe alternate pages."""
-        if lane is None:
-            return [(cursor, cursor + nbits)]
-        ranges = []
-        pos = cursor
-        need = nbits
-        page = self.PAGE_BITS
-        while need > 0:
-            page_idx = pos // page
-            if page_idx % 2 != lane:
-                pos = (page_idx + 1) * page
-                continue
-            room = (page_idx + 1) * page - pos
-            take = min(room, need)
-            ranges.append((pos, pos + take))
-            pos += take
-            need -= take
-            if pos % page == 0:
-                pos += page  # skip the other lane's page
-        return ranges
+    def _lane_offset(self, lane: int, k: int) -> int:
+        """Absolute offset of the lane's k-th bit."""
+        page_no, within = divmod(k, self.PAGE_BITS)
+        return (2 * page_no + lane) * self.PAGE_BITS + within
 
-    def _lane_start(self, lane: int | None) -> int:
-        if lane in self._lane_cursors:
-            return self._lane_cursors[lane]
-        if lane is None:
-            return 0
-        return 0 if lane == 0 else self.PAGE_BITS
-
-    def next_range_start(self, lane: int | None = None) -> int:
+    def next_range_start(self, lane: int = 0) -> int:
         """Absolute bit offset the next take on this lane will start at."""
         with self._cond:
-            cursor = self._lane_start(lane)
-            if lane is None:
-                return cursor
-            page_idx = cursor // self.PAGE_BITS
-            if page_idx % 2 != lane:
-                return (page_idx + 1) * self.PAGE_BITS
-            return cursor
+            return self._lane_offset(lane, self._lane_used[lane])
 
-    def lane_contiguous_room(self, lane: int | None = None) -> int:
-        """Bits the next take can consume without crossing a page boundary.
-
-        Structural room only; the take itself blocks until the key is
-        actually buffered.  The linear lane has no pages, hence no limit.
-        """
-        if lane is None:
-            return 2**63
+    def available(self, lane: int = 0) -> int:
+        """Buffered lane bits not yet consumed."""
+        page = self.PAGE_BITS
         with self._cond:
-            start = self.next_range_start(lane)
-            page_end = (start // self.PAGE_BITS + 1) * self.PAGE_BITS
-            return page_end - start
+            cycles, rest = divmod(self._length, 2 * page)
+            buffered = cycles * page + min(max(rest - lane * page, 0), page)
+            return buffered - self._lane_used[lane]
 
-    def available(self, lane: int | None = None) -> int:
-        with self._cond:
-            cursor = self._lane_start(lane)
-            if lane is None:
-                return max(0, self._length - cursor)
-            total = 0
-            page = self.PAGE_BITS
-            pos = cursor
-            while pos < self._length:
-                page_idx = pos // page
-                if page_idx % 2 != lane:
-                    pos = (page_idx + 1) * page
-                    continue
-                total += min((page_idx + 1) * page, self._length) - pos
-                pos = (page_idx + 1) * page
-            return total
+    def _check_unissued(self, start: int, stop: int) -> None:
+        """Raise if ``[start, stop)`` overlaps an issued range (bisection over the sorted copy)."""
+        i = bisect.bisect_left(self._sorted_ranges, (start, start))
+        for istart, istop in self._sorted_ranges[max(i - 1, 0) : i + 1]:
+            if start < istop and istart < stop:
+                raise RuntimeError(f"key range [{start},{stop}) overlaps issued [{istart},{istop})")
 
-    def seek_lane(self, lane: int | None, position: int) -> None:
-        """Advance a lane cursor (used to burn the handshake window)."""
-        with self._cond:
-            current = self._lane_start(lane)
-            if position < current:
-                raise ValueError("lane cursor cannot move backward")
-            self._lane_cursors[lane] = position
-
-    def take(self, nbits: int, lane: int | None = None,
+    def take(self, nbits: int, lane: int = 0,
              timeout: float | None = None) -> tuple[list[tuple[int, int]], np.ndarray]:
         """Consume ``nbits`` from a lane, blocking until enough key accumulates.
 
-        Returns the absolute bit ranges consumed and the bits themselves.
-        ``timeout`` bounds the whole wait, however many appends arrive in it.
+        Returns the absolute bit ranges consumed (one per page spanned) and
+        the bits themselves.  ``timeout`` bounds the whole wait, however many
+        appends arrive in it.
         """
         with self._cond:
             deadline = None if timeout is None else time.monotonic() + timeout
@@ -390,19 +338,22 @@ class KeyBuffer:
                     raise TimeoutError(
                         f"key buffer exhausted: need {nbits} bits, lane has {self.available(lane)}"
                     )
-            cursor = self._lane_start(lane)
-            ranges = self._lane_ranges(lane, cursor, nbits)
-            for start, stop in ranges:
-                for istart, istop in self.issued_ranges:
-                    if start < istop and istart < stop:
-                        raise RuntimeError(
-                            f"key range [{start},{stop}) overlaps issued [{istart},{istop})"
-                        )
-                self.issued_ranges.append((start, stop))
-            self._lane_cursors[lane] = ranges[-1][1]
+            k = self._lane_used[lane]
+            end = k + nbits
+            ranges = []
+            while k < end:
+                page_stop = min(end, (k // self.PAGE_BITS + 1) * self.PAGE_BITS)
+                start = self._lane_offset(lane, k)
+                ranges.append((start, start + page_stop - k))
+                k = page_stop
+            for start, stop in ranges:  # all checked before any is recorded
+                self._check_unissued(start, stop)
+            for r in ranges:
+                bisect.insort(self._sorted_ranges, r)
+            self.issued_ranges.extend(ranges)
+            self._lane_used[lane] = end
             self._consumed_total += nbits
-            bits = np.concatenate([self._slice(a, b) for a, b in ranges])
-            return ranges, bits
+            return ranges, np.concatenate([self._slice(a, b) for a, b in ranges])
 
     def peek(self, start: int, nbits: int) -> np.ndarray:
         """Read without consuming; only for protocol checks like the chat parity."""

@@ -3,9 +3,10 @@
 Payloads are XORed with never-reused key material drawn from the shared
 :class:`~qkdlink.postproc.KeyBuffer`.  A session starts with a cheap parity
 handshake over the first 64 buffered bits (then discarded); after that the
-two directions consume disjoint page stripes of the buffer, so duplex
-traffic cannot collide on key ranges.  When the buffer runs dry, sending
-blocks until fresh key arrives: throughput is bounded by key generation.
+two directions consume the two lanes of the buffer, its even and odd page
+stripes, so duplex traffic cannot collide on key ranges.  When the buffer
+runs dry, sending blocks until fresh key arrives: throughput is bounded by
+key generation.
 """
 
 from __future__ import annotations
@@ -42,40 +43,31 @@ def _xor(data: bytes, key_bits: np.ndarray) -> bytes:
     return (buf ^ key[: len(buf)]).tobytes()
 
 
-def otp_seal(plaintext: bytes, buf: KeyBuffer, lane: int | None = None,
+def otp_seal(plaintext: bytes, buf: KeyBuffer, lane: int = 0,
              seq: int = 0, timeout: float | None = None) -> CipherFrame:
     """Encrypt with the next key bits of a lane, consuming them exactly once.
 
     Blocks (back-pressure) while the buffer holds fewer than 8*len(plaintext)
-    unconsumed bits on the lane.  Each frame's key range is contiguous;
-    callers split payloads at page boundaries (see :class:`ChatEndpoint`).
+    unconsumed bits on the lane.  The key may span page boundaries; the frame
+    names the absolute offset of its first key bit.
     """
-    nbits = 8 * len(plaintext)
     if not plaintext:
         return CipherFrame(seq=seq, key_offset=buf.next_range_start(lane), ciphertext=b"")
-    ranges, bits = buf.take(nbits, lane=lane, timeout=timeout)
-    if len(ranges) != 1:
-        raise KeyStreamDesync(
-            f"frame key spans {len(ranges)} ranges; split payloads at page boundaries"
-        )
+    ranges, bits = buf.take(8 * len(plaintext), lane=lane, timeout=timeout)
     return CipherFrame(seq=seq, key_offset=ranges[0][0], ciphertext=_xor(plaintext, bits))
 
 
-def otp_open(frame: CipherFrame, buf: KeyBuffer, lane: int | None = None,
+def otp_open(frame: CipherFrame, buf: KeyBuffer, lane: int = 0,
              timeout: float | None = None) -> bytes:
     """Decrypt a frame, consuming the mirrored key range on the receive lane."""
-    if not frame.ciphertext:
-        expected = buf.next_range_start(lane)
-        if frame.key_offset != expected:
-            raise KeyStreamDesync(f"empty frame offset {frame.key_offset}, cursor {expected}")
-        return b""
-    nbits = 8 * len(frame.ciphertext)
     expected = buf.next_range_start(lane)
     if frame.key_offset != expected:
         raise KeyStreamDesync(
             f"frame uses key at bit {frame.key_offset}, receiver cursor at {expected}"
         )
-    ranges, bits = buf.take(nbits, lane=lane, timeout=timeout)
+    if not frame.ciphertext:
+        return b""
+    ranges, bits = buf.take(8 * len(frame.ciphertext), lane=lane, timeout=timeout)
     if ranges[0][0] != frame.key_offset:
         raise KeyStreamDesync("consumed range diverged from frame offset")
     return _xor(frame.ciphertext, bits)
@@ -83,10 +75,10 @@ def otp_open(frame: CipherFrame, buf: KeyBuffer, lane: int | None = None,
 
 def buffer_parity(buf: KeyBuffer, nbits: int = HANDSHAKE_BITS) -> int:
     """Parity of the first ``nbits`` unconsumed bits."""
-    if len(buf) < nbits or buf.consumed_upto > 0:
+    if len(buf) < nbits or buf.consumed_total > 0:
         raise ChatRefused(
             f"need {nbits} fresh key bits for the handshake, have {len(buf)} "
-            f"(consumed {buf.consumed_upto})"
+            f"(consumed {buf.consumed_total})"
         )
     return int(buf.peek(0, nbits).sum() & 1)
 
@@ -143,19 +135,17 @@ class ChatEndpoint:
         chat_handshake(self.chan, self.buf)
 
     def send_bytes(self, data: bytes, timeout: float | None = None) -> int:
-        """Seal and transmit, splitting at page boundaries; returns frames sent."""
-        sent = 0
-        view = memoryview(data)
-        while len(view):
-            room = self.buf.lane_contiguous_room(self.send_lane) // 8
-            size = min(len(view), CHAT_CHUNK_BYTES, room)
-            frame = otp_seal(bytes(view[:size]), self.buf, lane=self.send_lane,
-                             seq=self._tx_seq, timeout=timeout)
+        """Seal and transmit in frames of up to ``CHAT_CHUNK_BYTES``; returns frames sent.
+
+        A frame's key may span a page boundary of the send lane.
+        """
+        starts = range(0, len(data), CHAT_CHUNK_BYTES)
+        for pos in starts:
+            frame = otp_seal(bytes(data[pos : pos + CHAT_CHUNK_BYTES]), self.buf,
+                             lane=self.send_lane, seq=self._tx_seq, timeout=timeout)
             self.chan.send(MsgType.CHAT_DATA, pack_chat_frame(frame))
             self._tx_seq += 1
-            view = view[size:]
-            sent += 1
-        return sent
+        return len(starts)
 
     def send_eof(self) -> None:
         frame = CipherFrame(seq=self._tx_seq,

@@ -269,22 +269,22 @@ def check_hello(payload: bytes, cfg: SimConfig, n_bursts: int) -> None:
 
 def pack_tx_burst(tx: TxBurst) -> bytes:
     n = len(tx)
-    head = struct.pack(">QHH", n, tx.basis_prbs_state, tx.bit_prbs_state)
-    return head + pack_bits(tx.bases) + pack_bits(tx.bits) + tx.photon_counts.tobytes()
+    return struct.pack(">Q", n) + pack_bits(tx.bases) + pack_bits(tx.bits) \
+        + tx.photon_counts.tobytes()
 
 
 def unpack_tx_burst(payload: bytes) -> TxBurst:
-    if len(payload) < 12:
+    if len(payload) < 8:
         raise ProtocolError("truncated pulse stream header")
-    n, state_bases, state_bits = struct.unpack(">QHH", payload[:12])
+    (n,) = struct.unpack(">Q", payload[:8])
     nbytes = -(-n // 8)
-    need = 12 + 2 * nbytes + n
+    need = 8 + 2 * nbytes + n
     if len(payload) != need:
         raise ProtocolError(f"pulse stream length {len(payload)} != expected {need}")
-    bases = unpack_bits(payload[12 : 12 + nbytes], n)
-    bits = unpack_bits(payload[12 + nbytes : 12 + 2 * nbytes], n)
-    counts = np.frombuffer(payload[12 + 2 * nbytes :], dtype=np.uint8).copy()
-    return TxBurst(bases, bits, counts, state_bases, state_bits)
+    bases = unpack_bits(payload[8 : 8 + nbytes], n)
+    bits = unpack_bits(payload[8 + nbytes : 8 + 2 * nbytes], n)
+    counts = np.frombuffer(payload[8 + 2 * nbytes :], dtype=np.uint8).copy()
+    return TxBurst(bases, bits, counts)
 
 
 # --- quantum transport ---------------------------------------------------------

@@ -126,7 +126,6 @@ class MatchResult:
 
     tx_index: np.ndarray   # int64, matched pulse indices, ascending
     channel: np.ndarray    # uint8
-    exact: np.ndarray      # bool, click was in the central bin
     n_multi_discard: int
     n_compete_discard: int
 
@@ -152,7 +151,7 @@ def nnc_match(n_tx: int, fifo: FifoView, central: int, frame_offset: int,
     span = last_tx - first_tx
     if span <= 0 or len(vj) == 0:
         empty = np.empty(0, dtype=np.int64)
-        return MatchResult(empty, empty.astype(np.uint8), empty.astype(bool), 0, 0)
+        return MatchResult(empty, empty.astype(np.uint8), 0, 0)
     rel = vj - first_tx
     cnt = np.bincount(rel, minlength=span)
     multi_sel = fifo.multi[valid]
@@ -161,8 +160,6 @@ def nnc_match(n_tx: int, fifo: FifoView, central: int, frame_offset: int,
 
     ch_at = np.zeros(span, dtype=np.uint8)
     ch_at[rel] = fifo.channel[valid]
-    exact_at = np.zeros(span, dtype=bool)
-    exact_at[rel] = fifo.slots[valid] == central
 
     matched_rel = np.nonzero(ok)[0]
     n_multi = int(np.count_nonzero((cnt_multi > 0) & (cnt > 0)))
@@ -170,7 +167,6 @@ def nnc_match(n_tx: int, fifo: FifoView, central: int, frame_offset: int,
     return MatchResult(
         tx_index=matched_rel + first_tx,
         channel=ch_at[matched_rel],
-        exact=exact_at[matched_rel],
         n_multi_discard=n_multi,
         n_compete_discard=n_compete,
     )

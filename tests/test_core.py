@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 
 from qkdlink.core import (
-    Basis,
     ConfigError,
-    Polarization,
-    channel_basis,
-    channel_bit,
-    channel_for,
     default_config,
     format_config,
     parse_config,
-    polarization_for,
     rng_stream,
 )
 
@@ -24,9 +18,7 @@ def test_default_operating_point():
     assert cfg.link.prf_hz == 2.0e7
     assert cfg.link.dark_cps == 300.0
     assert cfg.link.sync_efficiency == 0.995
-    assert cfg.link.sift_fraction == 0.5
     assert cfg.link.qber_sample_fraction == 0.05
-    assert cfg.link.pa_ratio == 11 / 16
     assert cfg.link.distance_m == 300.0
     assert cfg.link.aperture_mm == 80.0
     assert cfg.link.divergence_urad == 66.0
@@ -49,31 +41,6 @@ def test_derived_geometry():
     assert cfg.frame_ns == pytest.approx(50.0)
     assert cfg.sync_subset_size == 100_000
     assert cfg.tof_ns() == pytest.approx(1000.7, abs=0.1)
-
-
-def test_basis_polarization_bijection():
-    seen = set()
-    for basis in Basis:
-        for bit in (0, 1):
-            pol = polarization_for(basis, bit)
-            assert pol.basis == basis
-            assert pol.bit == bit
-            seen.add(pol)
-    assert seen == set(Polarization)
-
-
-def test_channel_mapping_bijection():
-    # ch1=H, ch2=V, ch3=D, ch4=A
-    assert channel_for(Basis.RECTILINEAR, 0) == 1
-    assert channel_for(Basis.RECTILINEAR, 1) == 2
-    assert channel_for(Basis.DIAGONAL, 0) == 3
-    assert channel_for(Basis.DIAGONAL, 1) == 4
-    for ch in (1, 2, 3, 4):
-        assert channel_for(channel_basis(ch), channel_bit(ch)) == ch
-    with pytest.raises(ValueError):
-        channel_basis(5)
-    with pytest.raises(ValueError):
-        channel_bit(0)
 
 
 def test_rng_stream_deterministic():

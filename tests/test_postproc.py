@@ -345,18 +345,6 @@ def test_key_buffer_append_and_take():
     assert ranges == [(0, 40)]
     assert np.array_equal(got, bits[:40])
     assert buf.consumed_total == 40
-    assert buf.consumed_upto == 40
-
-
-def test_key_buffer_cursor_never_backward():
-    buf = KeyBuffer()
-    buf.append(np.zeros(200, np.uint8))
-    buf.take(50)
-    first = buf.consumed_upto
-    buf.take(50)
-    assert buf.consumed_upto >= first
-    with pytest.raises(ValueError):
-        buf.seek_lane(None, 10)
 
 
 def test_key_buffer_issued_ranges_disjoint():
@@ -378,6 +366,52 @@ def test_key_buffer_lane_striping():
     r1, _ = buf.take(10, lane=1)
     assert r0[0][0] // KeyBuffer.PAGE_BITS % 2 == 0
     assert r1[0][0] // KeyBuffer.PAGE_BITS % 2 == 1
+
+
+class _SmallPages(KeyBuffer):
+    PAGE_BITS = 16
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 1), st.integers(1, 40)),
+                min_size=1, max_size=30))
+def test_key_buffer_lanes_read_their_page_stripes(steps):
+    # reference: lane L's key stream is pages L, L + 2, L + 4, ... read in order
+    buf = _SmallPages()
+    page = buf.PAGE_BITS
+    key = np.empty(0, np.uint8)
+    used = [0, 0]
+    for i, (n_append, lane, n_take) in enumerate(steps):
+        chunk = rng_stream(i, "stripe").integers(0, 2, n_append, dtype=np.uint8)
+        buf.append(chunk)
+        key = np.concatenate([key, chunk])
+        stripes = [[o for o in range(len(key) + 2 * page) if o // page % 2 == ln] for ln in (0, 1)]
+        for ln in (0, 1):
+            assert buf.available(ln) == sum(o < len(key) for o in stripes[ln]) - used[ln]
+            assert buf.next_range_start(ln) == stripes[ln][used[ln]]
+        if buf.available(lane) < n_take:
+            continue
+        ranges, got = buf.take(n_take, lane=lane)
+        want = stripes[lane][used[lane] : used[lane] + n_take]
+        assert [o for a, b in ranges for o in range(a, b)] == want
+        assert all(a // page == (b - 1) // page for a, b in ranges)
+        assert np.array_equal(got, key[want])
+        used[lane] += n_take
+    assert buf.consumed_total == sum(used)
+
+
+def test_key_buffer_overlapping_range_raises():
+    buf = KeyBuffer()
+    buf.append(np.zeros(3 * KeyBuffer.PAGE_BITS, np.uint8))
+    buf.take(100, lane=1)
+    buf.take(KeyBuffer.PAGE_BITS, lane=0)
+    buf._lane_used[0] = 50  # a lane count rewound by a fault
+    with pytest.raises(RuntimeError, match="overlaps"):
+        buf.take(10, lane=0)
+    buf._lane_used[1] = 0
+    with pytest.raises(RuntimeError, match="overlaps"):
+        buf.take(KeyBuffer.PAGE_BITS, lane=1)
+    assert buf.consumed_total == 100 + KeyBuffer.PAGE_BITS
 
 
 def test_key_buffer_take_blocks_until_append():

@@ -17,8 +17,9 @@ from qkdlink.securecomm import (
     chat_handshake,
     otp_open,
     otp_seal,
+    unpack_chat_frame,
 )
-from qkdlink.session import make_loop_pair
+from qkdlink.session import MsgType, make_loop_pair
 
 
 def _filled_buffer(nbits, seed=1):
@@ -201,6 +202,30 @@ def test_sequence_gap_aborts():
     eb._rx_seq += 1  # receiver believes it saw a later frame: gap
     with pytest.raises(KeyStreamDesync):
         eb.recv_frame()
+
+
+def test_chat_ciphertext_is_payload_xor_lane_stripe():
+    # frames cross page boundaries in both directions; the ciphertext stream is still
+    # the payload XOR the lane's pages read in order, after the handshake window on lane 0
+    page = KeyBuffer.PAGE_BITS
+    ea, eb = _endpoints(nbits=page * 8, seed=5)
+    taps = {"alice": [], "bob": []}
+    ea.chan.tap, eb.chan.tap = taps["alice"], taps["bob"]
+    _do_handshake(ea, eb)
+    pages = rng_stream(5, "key").integers(0, 2, page * 8, dtype=np.uint8).reshape(-1, page)
+    lane_key = {"alice": pages[0::2].ravel()[HANDSHAKE_BITS:], "bob": pages[1::2].ravel()}
+    for sender, end, peer, sizes in (("alice", ea, eb, (5000, 7001)),
+                                     ("bob", eb, ea, (1000, 9000))):
+        payload = rng_stream(5, sender).integers(0, 256, sum(sizes), dtype=np.uint8).tobytes()
+        end.send_bytes(payload[: sizes[0]])
+        end.send_bytes(payload[sizes[0] :])
+        end.send_eof()
+        assert peer.recv_all() == payload
+        frames = [unpack_chat_frame(p) for t, p in taps[sender] if t == MsgType.CHAT_DATA]
+        assert any(f.key_offset % page + 8 * len(f.ciphertext) > page for f in frames)
+        key = np.packbits(lane_key[sender][: 8 * len(payload)])
+        want = (np.frombuffer(payload, np.uint8) ^ key).tobytes()
+        assert b"".join(f.ciphertext for f in frames) == want
 
 
 def test_fuzzed_session_key_ranges_disjoint_and_monotone():
