@@ -226,7 +226,7 @@ def cmd_alice(args) -> int:
     writer = ReportWriter(args.out, cfg.burst_seconds) if args.out else None
     try:
         result = run_session("alice", cfg, chan, transport, args.bursts,
-                             hello_first=False, on_burst=writer.add if writer else None)
+                             on_burst=writer.add if writer else None)
         code = _finish_session(args, result, cfg)
         if args.chat:
             code = max(code, _run_chat(args, chan, result))
@@ -250,7 +250,7 @@ def cmd_bob(args) -> int:
     writer = ReportWriter(args.out, cfg.burst_seconds) if args.out else None
     try:
         result = run_session("bob", cfg, chan, transport, args.bursts,
-                             hello_first=True, on_burst=writer.add if writer else None)
+                             on_burst=writer.add if writer else None)
         code = _finish_session(args, result, cfg)
         if args.chat:
             code = max(code, _run_chat(args, chan, result))

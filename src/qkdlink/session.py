@@ -1,11 +1,12 @@
 """Two-terminal protocol engine: wire format, channels, per-burst state machine.
 
 The classical channel carries length-prefixed binary messages (4-byte
-big-endian length of type+payload, 1-byte type, payload).  A burst walks a
-fixed phase sequence on both ends: handshake, qubit exchange, frame sync,
-sifting, QBER check, error correction, privacy amplification, key ready.
-Aborts can occur at frame sync (no lock), the QBER check (Eve suspected) or
-error correction (residual mismatch).
+big-endian length of type+payload, 1-byte type, payload laid out as
+``LAYOUTS`` declares).  A burst walks a fixed phase sequence on both ends:
+handshake, qubit exchange, frame sync, sifting, QBER check, error
+correction, privacy amplification, key ready.  Aborts can occur at frame
+sync (no lock), the QBER check (Eve suspected) or error correction
+(residual mismatch or a failed verification hash).
 
 The quantum channel of the real system is replaced by a simulation
 transport: in-process hand-off of the pulse arrays, or a dedicated side
@@ -29,10 +30,10 @@ from . import postproc
 from .core import SimConfig, format_config, rng_stream
 from .eve import Eavesdropper
 from .photonics import TxBurst, generate_burst, transmit_and_detect
-from .timing import NoLockError, nnc_match, synchronize
+from .timing import FifoChoice, NoLockError, nnc_match, offset_window, synchronize
 
 PROTOCOL_MAGIC = b"QKL1"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 DEFAULT_PORT = 47000
 DEFAULT_PHASE_TIMEOUT = 30.0
 MAX_PAYLOAD = 2**32 - 2  # length field also covers the type byte
@@ -249,20 +250,14 @@ def config_fingerprint(cfg: SimConfig) -> bytes:
     return hashlib.sha256(format_config(cfg).encode("utf-8")).digest()[:8]
 
 
-def pack_hello(cfg: SimConfig, n_bursts: int) -> bytes:
-    return PROTOCOL_MAGIC + struct.pack(">H", PROTOCOL_VERSION) + config_fingerprint(cfg) \
-        + struct.pack(">I", n_bursts)
-
-
-def check_hello(payload: bytes, cfg: SimConfig, n_bursts: int) -> None:
-    if len(payload) != 18 or payload[:4] != PROTOCOL_MAGIC:
+def check_hello(hello: tuple, cfg: SimConfig, n_bursts: int) -> None:
+    magic, version, fingerprint, bursts = hello
+    if magic != PROTOCOL_MAGIC:
         raise ProtocolError("malformed HELLO")
-    (version,) = struct.unpack(">H", payload[4:6])
     if version != PROTOCOL_VERSION:
         raise ProtocolError(f"protocol version mismatch: {version} != {PROTOCOL_VERSION}")
-    if payload[6:14] != config_fingerprint(cfg):
+    if fingerprint != config_fingerprint(cfg):
         raise ProtocolError("configuration fingerprint mismatch between terminals")
-    (bursts,) = struct.unpack(">I", payload[14:18])
     if bursts != n_bursts:
         raise ProtocolError(f"burst count mismatch: peer wants {bursts}, local {n_bursts}")
 
@@ -321,25 +316,131 @@ class NetworkTransport:
         return unpack_tx_burst(msg.payload)
 
 
+# --- payload layouts: every burst message, declared once ---------------------------
+
+
+@dataclass(frozen=True)
+class Layout:
+    """Fixed struct fields, then n entries per section, where n is the last field
+    (a u32) when there are sections.  Section kinds: "positions" (n big-endian
+    u32, strictly increasing, below the receiver's bound), "bits" (n bits,
+    packed), "bytes" (n u8, below the receiver's bound) and "floats" (n
+    big-endian f64).  ``limits`` holds a closed (lo, hi) range for each leading
+    fixed field.
+    """
+
+    fields: str
+    sections: tuple[str, ...] = ()
+    limits: tuple[tuple[float, float], ...] = ()
+
+
+_ITEM = {"positions": ">u4", "bytes": "u1", "floats": ">f8"}  # "bits" are packed
+_QBER = (0.0, 1.0)
+_REASON = (min(AbortReason), max(AbortReason))  # AbortReason values are contiguous
+_HASH = f"{postproc.KEY_HASH_BITS // 8}s"
+
+# (sender, message type) -> layout
+LAYOUTS = {
+    # magic, protocol version, configuration fingerprint, bursts
+    ("alice", MsgType.HELLO): Layout(">4sH8sI"),
+    ("bob", MsgType.HELLO): Layout(">4sH8sI"),
+    # burst id, pulses
+    ("alice", MsgType.BURST_START): Layout(">IQ"),
+    # bases and bits of the first n pulses
+    ("alice", MsgType.SYNC_SUBSET): Layout(">I", ("bits", "bits")),
+    # R_N, FIFO choice, central slot; interim QBER at each offset of timing.offset_window
+    ("bob", MsgType.FRAME_OFFSET_ACK): Layout(">IBBI", ("floats",)),
+    # matched pulse indices and Bob's bases there; Alice's basis-agreement mask
+    ("bob", MsgType.BASES): Layout(">I", ("positions", "bits")),
+    ("alice", MsgType.BASES): Layout(">I", ("bits",)),
+    # sample positions in the sifted key and Alice's bits there; Bob's QBER on them
+    ("alice", MsgType.QBER_SAMPLE): Layout(">I", ("positions", "bits")),
+    ("bob", MsgType.QBER_SAMPLE): Layout(">d", limits=(_QBER,)),
+    # reason, QBER
+    ("alice", MsgType.ABORT): Layout(">Bd", limits=(_REASON, _QBER)),
+    ("bob", MsgType.ABORT): Layout(">Bd", limits=(_REASON, _QBER)),
+    # Winnow pass, permutation seed
+    ("alice", MsgType.PERM_SEED): Layout(">BQ"),
+    # Alice's block parities; the blocks whose parities differ; Alice's syndromes of those
+    ("alice", MsgType.WINNOW_PARITIES): Layout(">I", ("bits",)),
+    ("bob", MsgType.WINNOW_PARITIES): Layout(">I", ("positions",)),
+    ("alice", MsgType.WINNOW_SYNDROMES): Layout(">I", ("bytes",)),
+    # Toeplitz seed
+    ("alice", MsgType.PA_SEED): Layout(">I", ("bits",)),
+    # verification hash of the corrected key and the Toeplitz seed
+    ("alice", MsgType.KEY_HASH): Layout(">" + _HASH),
+    ("bob", MsgType.KEY_HASH): Layout(">" + _HASH),
+}
+
+
+def pack_payload(sender: str, msg_type: MsgType, *values) -> bytes:
+    """The payload of ``msg_type`` from ``sender``: its fixed fields, then its sections."""
+    layout = LAYOUTS[sender, msg_type]
+    k = len(values) - len(layout.sections)
+    fixed = values[:k] + ((len(values[k]),) if layout.sections else ())
+    return struct.pack(layout.fields, *fixed) + b"".join(
+        pack_bits(v) if kind == "bits" else np.asarray(v, dtype=_ITEM[kind]).tobytes()
+        for kind, v in zip(layout.sections, values[k:]))
+
+
+def unpack_payload(sender: str, msg_type: MsgType, payload: bytes, n: int | None = None,
+                   bound: int | None = None) -> tuple:
+    """Inverse of :func:`pack_payload`; anything malformed or out of range is a ProtocolError.
+
+    ``n`` is the section count the receiver expects of a layout with sections
+    (a layout without any, such as ABORT, ignores it), ``bound`` the exclusive
+    upper limit of positions and bytes.  Sections come back as int64 arrays
+    (positions, bytes), uint8 arrays (bits) or float arrays.
+    """
+    layout = LAYOUTS[sender, msg_type]
+    what = f"{MsgType(msg_type).name} from {sender}"
+    head = struct.calcsize(layout.fields)
+    if len(payload) < head:
+        raise ProtocolError(f"truncated {what}: {len(payload)} bytes")
+    values = list(struct.unpack(layout.fields, payload[:head]))
+    count = values.pop() if layout.sections else 0
+    sizes = [-(-count // 8) if kind == "bits" else count * np.dtype(_ITEM[kind]).itemsize
+             for kind in layout.sections]
+    if len(payload) != head + sum(sizes):
+        raise ProtocolError(f"malformed {what}: {len(payload)} bytes, expected {head + sum(sizes)}")
+    if layout.sections and n is not None and count != n:
+        raise ProtocolError(f"{what} carries {count} entries, expected {n}")
+    for value, (lo, hi) in zip(values, layout.limits):
+        if not lo <= value <= hi:
+            raise ProtocolError(f"{what}: {value} outside [{lo}, {hi}]")
+    pos = head
+    for kind, size in zip(layout.sections, sizes):
+        raw, pos = payload[pos : pos + size], pos + size
+        if kind == "bits":
+            values.append(unpack_bits(raw, count))
+            continue
+        section = np.frombuffer(raw, dtype=_ITEM[kind])
+        if kind != "floats":
+            section = section.astype(np.int64)
+            if count and (section.max() >= bound
+                          or kind == "positions" and np.any(section[1:] <= section[:-1])):
+                raise ProtocolError(f"{what}: {kind} out of order or not below {bound}")
+        values.append(section)
+    return tuple(values)
+
+
 # --- burst outcome --------------------------------------------------------------
 
 
 @dataclass
 class BurstOutcome:
+    """One terminal's account of a burst, filled in as the burst proceeds."""
+
     burst_id: int
-    sifted_bits: int
-    qber: float
-    secure_bits: int
-    elapsed_s: float
-    offset_frames: int
-    fifo_choice: int
+    sifted_bits: int = 0
+    qber: float = float("nan")
+    secure_bits: int = 0
+    elapsed_s: float = 0.0
+    offset_frames: int = -1
+    fifo_choice: int = 0
     disclosed_bits: int = 0
     aborted_reason: str | None = None
-    sync_curve: list = None  # (offset_frames, interim qber) diagnostics
-
-    @property
-    def key_appended(self) -> bool:
-        return self.aborted_reason is None
+    sync_curve: list | None = None  # (offset_frames, interim qber) diagnostics
 
     def sifted_kbps(self, burst_seconds: float) -> float:
         return self.sifted_bits / burst_seconds / 1e3
@@ -356,73 +457,52 @@ class SessionResult:
 
     @property
     def any_aborted(self) -> bool:
-        return any(not o.key_appended for o in self.outcomes)
+        return any(o.aborted_reason is not None for o in self.outcomes)
 
 
-def _abort_payload(reason: AbortReason, qber: float) -> bytes:
-    return struct.pack(">Bd", reason, qber)
+class _Abort(Exception):
+    """Ends a burst early with ``reason`` and ``qber``; ``notify`` tells the peer first."""
+
+    def __init__(self, reason: AbortReason, qber: float, notify: bool = True):
+        super().__init__(reason.name)
+        self.reason, self.qber, self.notify = reason, qber, notify
 
 
-# --- payload decoding: anything malformed or out of range is a ProtocolError ------
+class _Burst:
+    """One terminal's side of a burst: its phase, its outcome, its messages, and
+    the single exit through which an :class:`_Abort` leaves it."""
 
+    def __init__(self, k: int, chan, role: str):
+        self.chan, self.role = chan, role
+        self.peer = "bob" if role == "alice" else "alice"
+        self.state = BurstState()
+        self.out = BurstOutcome(burst_id=k)
+        self.t0 = time.monotonic()
 
-def _exact(payload: bytes, size: int, what: str) -> bytes:
-    if len(payload) != size:
-        raise ProtocolError(f"malformed {what}: {len(payload)} bytes, expected {size}")
-    return payload
+    def send(self, msg_type: MsgType, *values) -> None:
+        self.chan.send(msg_type, pack_payload(self.role, msg_type, *values))
 
+    def recv(self, *types: MsgType, n: int | None = None, bound: int | None = None) -> tuple:
+        """The unpacked payload of one of ``types``; an ABORT among them ends the burst."""
+        msg = recv_expect(self.chan, *types)
+        values = unpack_payload(self.peer, msg.msg_type, msg.payload, n, bound)
+        if msg.msg_type == MsgType.ABORT:
+            raise _Abort(AbortReason(values[0]), values[1], notify=False)
+        return values
 
-def _fields(fmt: str, payload: bytes, what: str) -> tuple:
-    return struct.unpack(fmt, _exact(payload, struct.calcsize(fmt), what))
+    def __enter__(self) -> _Burst:
+        return self
 
-
-def _split_counted(payload: bytes, what: str, *parts: str) -> tuple[int, list[bytes]]:
-    """Read a u32 count n, then one section per part: n u32 "indices" or n packed "bits"."""
-    if len(payload) < 4:
-        raise ProtocolError(f"truncated {what}")
-    (n,) = struct.unpack(">I", payload[:4])
-    sizes = [4 * n if part == "indices" else -(-n // 8) for part in parts]
-    _exact(payload, 4 + sum(sizes), what)
-    sections, pos = [], 4
-    for size in sizes:
-        sections.append(payload[pos : pos + size])
-        pos += size
-    return n, sections
-
-
-def _indices(raw: bytes, bound: int, what: str) -> np.ndarray:
-    """Peer-supplied positions: strictly increasing and below ``bound``."""
-    idx = np.frombuffer(raw, dtype=">u4").astype(np.int64)
-    if len(idx) and (idx[-1] >= bound or np.any(idx[1:] <= idx[:-1])):
-        raise ProtocolError(f"{what}: positions out of order or not below {bound}")
-    return idx
-
-
-def _parse_abort(payload: bytes) -> tuple[AbortReason, float]:
-    reason, qber = _fields(">Bd", payload, "ABORT")
-    if reason not in AbortReason._value2member_map_:
-        raise ProtocolError(f"unknown abort reason {reason}")
-    return AbortReason(reason), qber
-
-
-def _parse_qber(payload: bytes) -> float:
-    (qber,) = _fields(">d", payload, "QBER_SAMPLE")
-    if not 0.0 <= qber <= 1.0:
-        raise ProtocolError(f"peer QBER {qber} outside [0, 1]")
-    return qber
-
-
-def pack_offset_ack(r_n: int, fifo_choice: int, central: int,
-                    curve: list[tuple[int, float]]) -> bytes:
-    head = struct.pack(">IBBH", r_n, fifo_choice, central, len(curve))
-    return head + b"".join(struct.pack(">Hd", off, q) for off, q in curve)
-
-
-def unpack_offset_ack(payload: bytes) -> tuple[int, int, int, list[tuple[int, float]]]:
-    r_n, fifo_choice, central, n = _fields(">IBBH", payload[:8], "FRAME_OFFSET_ACK")
-    _exact(payload, 8 + 10 * n, "FRAME_OFFSET_ACK")
-    curve = [struct.unpack(">Hd", payload[8 + 10 * i : 18 + 10 * i]) for i in range(n)]
-    return r_n, fifo_choice, central, [(int(o), float(q)) for o, q in curve]
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        aborted = isinstance(exc, _Abort)
+        if aborted:
+            if exc.notify:
+                self.send(MsgType.ABORT, exc.reason, exc.qber)
+            self.state.advance(BurstPhase.ABORTED)
+            self.out.aborted_reason = exc.reason.name.lower()
+            self.out.qber = exc.qber
+        self.out.elapsed_s = time.monotonic() - self.t0
+        return aborted
 
 
 # --- per-burst state machines ----------------------------------------------------
@@ -431,243 +511,153 @@ def unpack_offset_ack(payload: bytes) -> tuple[int, int, int, list[tuple[int, fl
 def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.KeyBuffer,
                     carry: np.ndarray) -> tuple[BurstOutcome, np.ndarray]:
     """Transmitter-side burst: generate, stream, disclose, sift, distill."""
-    t0 = time.monotonic()
     seed = cfg.rng_seed
-    state = BurstState()
-    state.advance(BurstPhase.HANDSHAKE)
+    with _Burst(k, chan, "alice") as burst:
+        out = burst.out
+        burst.state.advance(BurstPhase.HANDSHAKE)
+        burst.send(MsgType.BURST_START, k, cfg.n_pulses)
 
-    chan.send(MsgType.BURST_START, struct.pack(">IQ", k, cfg.n_pulses))
-    state.advance(BurstPhase.QUBIT_EXCHANGE)
-    tx = generate_burst(cfg, rng_stream(seed, f"txgen:{k}"))
-    transport.deliver(tx)
+        burst.state.advance(BurstPhase.QUBIT_EXCHANGE)
+        tx = generate_burst(cfg, rng_stream(seed, f"txgen:{k}"))
+        transport.deliver(tx)
 
-    state.advance(BurstPhase.FRAME_SYNC)
-    s = cfg.sync_subset_size
-    chan.send(MsgType.SYNC_SUBSET,
-              struct.pack(">I", s) + pack_bits(tx.bases[:s]) + pack_bits(tx.bits[:s]))
-    msg = recv_expect(chan, MsgType.FRAME_OFFSET_ACK, MsgType.ABORT)
-    if msg.msg_type == MsgType.ABORT:
-        reason, qber = _parse_abort(msg.payload)
-        state.advance(BurstPhase.ABORTED)
-        return _aborted_outcome(k, t0, reason, qber), carry
-    r_n, fifo_choice, central, sync_curve = unpack_offset_ack(msg.payload)
+        burst.state.advance(BurstPhase.FRAME_SYNC)
+        s = cfg.sync_subset_size
+        burst.send(MsgType.SYNC_SUBSET, tx.bases[:s], tx.bits[:s])
+        window = offset_window(cfg)
+        out.offset_frames, out.fifo_choice, central, curve = burst.recv(
+            MsgType.FRAME_OFFSET_ACK, MsgType.ABORT, n=len(window))
+        if (out.offset_frames not in window or out.fifo_choice not in tuple(FifoChoice)
+                or not 0 <= central < cfg.bins_per_frame):
+            raise ProtocolError(f"FRAME_OFFSET_ACK out of range: R_N {out.offset_frames}, "
+                                f"FIFO {out.fifo_choice}, central slot {central}")
+        out.sync_curve = list(zip(window, curve.tolist()))
 
-    state.advance(BurstPhase.SIFTING)
-    n_matched, (raw_idx, raw_bases) = _split_counted(
-        recv_expect(chan, MsgType.BASES).payload, "BASES", "indices", "bits")
-    idx = _indices(raw_idx, cfg.n_pulses, "BASES")
-    mask = postproc.sift_mask(tx.bases[idx], unpack_bits(raw_bases, n_matched))
-    chan.send(MsgType.BASES, struct.pack(">I", n_matched) + pack_bits(mask))
-    alice_sifted = tx.bits[idx][mask]
+        burst.state.advance(BurstPhase.SIFTING)
+        idx, bob_bases = burst.recv(MsgType.BASES, bound=cfg.n_pulses)
+        mask = postproc.sift_mask(tx.bases[idx], bob_bases)
+        burst.send(MsgType.BASES, mask)
+        alice_sifted = tx.bits[idx][mask]
 
-    state.advance(BurstPhase.QBER_CHECK)
-    n_sift = len(alice_sifted)
-    if n_sift < 2:
-        # degenerate burst: nothing to estimate on, treat as a failed QBER check
-        chan.send(MsgType.QBER_SAMPLE, struct.pack(">I", 0))
-        _parse_qber(recv_expect(chan, MsgType.QBER_SAMPLE).payload)
-        chan.send(MsgType.ABORT, _abort_payload(AbortReason.QBER, 1.0))
-        state.advance(BurstPhase.ABORTED)
-        return _aborted_outcome(k, t0, AbortReason.QBER, 1.0, sifted=n_sift,
-                                r_n=r_n, fifo=fifo_choice, sync_curve=sync_curve), carry
-    sample_idx = postproc.qber_sample_indices(n_sift, cfg.link.qber_sample_fraction,
-                                              rng_stream(seed, f"qber:{k}"))
-    chan.send(MsgType.QBER_SAMPLE,
-              struct.pack(">I", len(sample_idx)) + sample_idx.astype(">u4").tobytes()
-              + pack_bits(alice_sifted[sample_idx]))
-    qber = _parse_qber(recv_expect(chan, MsgType.QBER_SAMPLE).payload)
+        burst.state.advance(BurstPhase.QBER_CHECK)
+        out.sifted_bits = n_sift = len(alice_sifted)
+        sample_idx = np.empty(0, dtype=np.int64)
+        if n_sift >= 2:
+            sample_idx = postproc.qber_sample_indices(n_sift, cfg.link.qber_sample_fraction,
+                                                      rng_stream(seed, f"qber:{k}"))
+        burst.send(MsgType.QBER_SAMPLE, sample_idx, alice_sifted[sample_idx])
+        (out.qber,) = burst.recv(MsgType.QBER_SAMPLE)
+        if n_sift < 2 or postproc.check_abort(out.qber) is postproc.Decision.ABORT:
+            # a degenerate burst has nothing to estimate on: its QBER check fails
+            raise _Abort(AbortReason.QBER, out.qber if n_sift >= 2 else 1.0)
 
-    if postproc.check_abort(qber) is postproc.Decision.ABORT:
-        chan.send(MsgType.ABORT, _abort_payload(AbortReason.QBER, qber))
-        state.advance(BurstPhase.ABORTED)
-        return _aborted_outcome(k, t0, AbortReason.QBER, qber, sifted=n_sift,
-                                r_n=r_n, fifo=fifo_choice, sync_curve=sync_curve), carry
+        burst.state.advance(BurstPhase.ERROR_CORRECTION)
+        wrng = rng_stream(seed, f"winnow:{k}")
+        key = postproc.winnow_key(postproc.without(alice_sifted, sample_idx))
+        for p in range(postproc.WINNOW_MAX_PASSES):
+            perm_seed = postproc.draw_perm_seed(wrng)
+            burst.send(MsgType.PERM_SEED, p, perm_seed)
+            _, permuted, parities = postproc.winnow_pass(key, perm_seed)
+            burst.send(MsgType.WINNOW_PARITIES, parities)
+            (mism,) = burst.recv(MsgType.WINNOW_PARITIES, bound=len(parities))
+            out.disclosed_bits += postproc.winnow_disclosed(parities, mism)
+            if len(mism) == 0:
+                break
+            burst.send(MsgType.WINNOW_SYNDROMES, postproc.winnow_syndromes(permuted, mism))
 
-    state.advance(BurstPhase.ERROR_CORRECTION)
-    wrng = rng_stream(seed, f"winnow:{k}")
-    key = postproc.winnow_key(postproc.without(alice_sifted, sample_idx))
-    disclosed = 0
-    for p in range(postproc.WINNOW_MAX_PASSES):
-        perm_seed = postproc.draw_perm_seed(wrng)
-        chan.send(MsgType.PERM_SEED, struct.pack(">BQ", p, perm_seed))
-        _, permuted, parities = postproc.winnow_pass(key, perm_seed)
-        chan.send(MsgType.WINNOW_PARITIES,
-                  struct.pack(">I", len(parities)) + pack_bits(parities))
-        _, (raw_mism,) = _split_counted(recv_expect(chan, MsgType.WINNOW_PARITIES).payload,
-                                        "WINNOW_PARITIES", "indices")
-        mism = _indices(raw_mism, len(parities), "WINNOW_PARITIES")
-        disclosed += postproc.winnow_disclosed(parities, mism)
-        if len(mism) == 0:
-            break
-        syndromes = postproc.winnow_syndromes(permuted, mism)
-        chan.send(MsgType.WINNOW_SYNDROMES, syndromes.astype(np.uint8).tobytes())
+        # the hash covers the seed too, so a corrupted seed fails verification
+        pa_seed = rng_stream(seed, f"pa:{k}").integers(0, 2, postproc.PA_SEED_BITS, dtype=np.uint8)
+        burst.send(MsgType.PA_SEED, pa_seed)
+        out.disclosed_bits += postproc.KEY_HASH_BITS
+        digest = postproc.key_hash(np.concatenate([key, pa_seed]))
+        burst.send(MsgType.KEY_HASH, digest)
+        if burst.recv(MsgType.KEY_HASH, MsgType.ABORT) != (digest,):
+            raise ProtocolError("peer verification hash does not match local key")
 
-    disclosed += postproc.KEY_HASH_BITS
-    digest = postproc.key_hash(key)
-    chan.send(MsgType.KEY_HASH, digest)
-    msg = recv_expect(chan, MsgType.KEY_HASH, MsgType.ABORT)
-    if msg.msg_type == MsgType.ABORT:
-        reason, _ = _parse_abort(msg.payload)
-        state.advance(BurstPhase.ABORTED)
-        return _aborted_outcome(k, t0, reason, qber, sifted=n_sift,
-                                r_n=r_n, fifo=fifo_choice, sync_curve=sync_curve), carry
-    if msg.payload != digest:
-        raise ProtocolError("peer verification hash does not match local key")
-
-    state.advance(BurstPhase.PRIVACY_AMPLIFICATION)
-    pa_seed = rng_stream(seed, f"pa:{k}").integers(0, 2, postproc.PA_SEED_BITS, dtype=np.uint8)
-    chan.send(MsgType.PA_SEED, pack_bits(pa_seed))
-    secure, carry = postproc.amplify_with_carry(carry, key, pa_seed)
-    key_buffer.append(secure)
-
-    state.advance(BurstPhase.KEY_READY)
-    return BurstOutcome(
-        burst_id=k,
-        sifted_bits=n_sift,
-        qber=qber,
-        secure_bits=len(secure),
-        elapsed_s=time.monotonic() - t0,
-        offset_frames=r_n,
-        fifo_choice=fifo_choice,
-        disclosed_bits=disclosed,
-        sync_curve=sync_curve,
-    ), carry
+        burst.state.advance(BurstPhase.PRIVACY_AMPLIFICATION)
+        secure, carry = postproc.amplify_with_carry(carry, key, pa_seed)
+        key_buffer.append(secure)
+        out.secure_bits = len(secure)
+        burst.state.advance(BurstPhase.KEY_READY)
+    return out, carry
 
 
 def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.KeyBuffer,
                   carry: np.ndarray) -> tuple[BurstOutcome, np.ndarray]:
     """Receiver-side burst: detect, synchronize, match, sift, distill."""
-    t0 = time.monotonic()
     seed = cfg.rng_seed
-    state = BurstState()
-    state.advance(BurstPhase.HANDSHAKE)
+    with _Burst(k, chan, "bob") as burst:
+        out = burst.out
+        burst.state.advance(BurstPhase.HANDSHAKE)
+        burst_id, n_pulses = burst.recv(MsgType.BURST_START)
+        if burst_id != k or n_pulses != cfg.n_pulses:
+            raise ProtocolError(f"burst header mismatch: got burst {burst_id} x {n_pulses} pulses")
 
-    burst_id, n_pulses = _fields(">IQ", recv_expect(chan, MsgType.BURST_START).payload,
-                                 "BURST_START")
-    if burst_id != k or n_pulses != cfg.n_pulses:
-        raise ProtocolError(f"burst header mismatch: got burst {burst_id} x {n_pulses} pulses")
+        burst.state.advance(BurstPhase.QUBIT_EXCHANGE)
+        tx = transport.receive()
+        eavesdropper = None
+        if cfg.eve_enabled:
+            eavesdropper = Eavesdropper(rng_stream(seed, f"eve:{k}"), cfg.eve_fraction)
+        rx = transmit_and_detect(tx, cfg, eve=eavesdropper, rng=rng_stream(seed, f"channel:{k}"))
 
-    state.advance(BurstPhase.QUBIT_EXCHANGE)
-    tx = transport.receive()
-    eavesdropper = None
-    if cfg.eve_enabled:
-        eavesdropper = Eavesdropper(rng_stream(seed, f"eve:{k}"), cfg.eve_fraction)
-    rx = transmit_and_detect(tx, cfg, eve=eavesdropper, rng=rng_stream(seed, f"channel:{k}"))
+        burst.state.advance(BurstPhase.FRAME_SYNC)
+        s = cfg.sync_subset_size
+        sync_bases, sync_bits = burst.recv(MsgType.SYNC_SUBSET, n=s)
+        try:
+            sync = synchronize(sync_bases, sync_bits, rx, cfg)
+        except NoLockError as exc:
+            raise _Abort(AbortReason.NO_LOCK, exc.min_qber) from exc
+        out.offset_frames, out.fifo_choice, out.sync_curve = \
+            sync.r_n, int(sync.fifo_choice), sync.curve
+        burst.send(MsgType.FRAME_OFFSET_ACK, sync.r_n, out.fifo_choice, sync.central,
+                   [q for _, q in sync.curve])
 
-    state.advance(BurstPhase.FRAME_SYNC)
-    s, (raw_bases, raw_bits) = _split_counted(recv_expect(chan, MsgType.SYNC_SUBSET).payload,
-                                              "SYNC_SUBSET", "bits", "bits")
-    if s != cfg.sync_subset_size:
-        raise ProtocolError(f"sync subset of {s} pulses, configuration says {cfg.sync_subset_size}")
-    try:
-        sync = synchronize(unpack_bits(raw_bases, s), unpack_bits(raw_bits, s), rx, cfg)
-    except NoLockError as exc:
-        chan.send(MsgType.ABORT, _abort_payload(AbortReason.NO_LOCK, exc.min_qber))
-        state.advance(BurstPhase.ABORTED)
-        return _aborted_outcome(k, t0, AbortReason.NO_LOCK, exc.min_qber), carry
-    chan.send(MsgType.FRAME_OFFSET_ACK,
-              pack_offset_ack(sync.r_n, int(sync.fifo_choice), sync.central, sync.curve))
+        burst.state.advance(BurstPhase.SIFTING)
+        match = nnc_match(cfg.n_pulses, sync.fifo, sync.central, sync.r_n, first_tx=s)
+        bob_bases = ((match.channel - 1) >> 1).astype(np.uint8)
+        bob_bits = ((match.channel - 1) & 1).astype(np.uint8)
+        burst.send(MsgType.BASES, match.tx_index, bob_bases)
+        (mask,) = burst.recv(MsgType.BASES, n=len(match.tx_index))
+        bob_sifted = bob_bits[mask.astype(bool)]
 
-    state.advance(BurstPhase.SIFTING)
-    match = nnc_match(cfg.n_pulses, sync.fifo, sync.central, sync.r_n, first_tx=s)
-    bob_bases = ((match.channel - 1) >> 1).astype(np.uint8)
-    bob_bits = ((match.channel - 1) & 1).astype(np.uint8)
-    chan.send(MsgType.BASES,
-              struct.pack(">I", len(match.tx_index))
-              + match.tx_index.astype(">u4").tobytes() + pack_bits(bob_bases))
-    n_matched, (raw_mask,) = _split_counted(recv_expect(chan, MsgType.BASES).payload,
-                                            "BASES", "bits")
-    if n_matched != len(match.tx_index):
-        raise ProtocolError("agreement mask length mismatch")
-    bob_sifted = bob_bits[unpack_bits(raw_mask, n_matched).astype(bool)]
+        burst.state.advance(BurstPhase.QBER_CHECK)
+        out.sifted_bits = n_sift = len(bob_sifted)
+        sample_idx, alice_sample = burst.recv(MsgType.QBER_SAMPLE, bound=n_sift)
+        out.qber = postproc.sample_qber(bob_sifted, sample_idx, alice_sample)
+        burst.send(MsgType.QBER_SAMPLE, out.qber)
+        if postproc.check_abort(out.qber) is postproc.Decision.ABORT:
+            burst.recv(MsgType.ABORT)  # Alice's ABORT ends the burst
 
-    state.advance(BurstPhase.QBER_CHECK)
-    n_sift = len(bob_sifted)
-    n_sample, (raw_idx, raw_sample) = _split_counted(
-        recv_expect(chan, MsgType.QBER_SAMPLE).payload, "QBER_SAMPLE", "indices", "bits")
-    sample_idx = _indices(raw_idx, n_sift, "QBER_SAMPLE")
-    qber = postproc.sample_qber(bob_sifted, sample_idx, unpack_bits(raw_sample, n_sample))
-    chan.send(MsgType.QBER_SAMPLE, struct.pack(">d", qber))
+        burst.state.advance(BurstPhase.ERROR_CORRECTION)
+        key = postproc.winnow_key(postproc.without(bob_sifted, sample_idx))
+        for p in range(postproc.WINNOW_MAX_PASSES):
+            pass_no, perm_seed = burst.recv(MsgType.PERM_SEED)
+            if pass_no != p:
+                raise ProtocolError(f"Winnow pass {pass_no} arrived as pass {p}")
+            perm, permuted, parities = postproc.winnow_pass(key, perm_seed)
+            (alice_parities,) = burst.recv(MsgType.WINNOW_PARITIES, n=len(parities))
+            mism = postproc.mismatched_blocks(parities, alice_parities)
+            burst.send(MsgType.WINNOW_PARITIES, mism)
+            out.disclosed_bits += postproc.winnow_disclosed(parities, mism)
+            if len(mism) == 0:
+                break
+            (alice_syn,) = burst.recv(MsgType.WINNOW_SYNDROMES, n=len(mism),
+                                      bound=1 << postproc.SYNDROME_BITS)
+            postproc.winnow_repair(key, perm, permuted, mism, alice_syn)
 
-    if postproc.check_abort(qber) is postproc.Decision.ABORT:
-        _parse_abort(recv_expect(chan, MsgType.ABORT).payload)
-        state.advance(BurstPhase.ABORTED)
-        return _aborted_outcome(k, t0, AbortReason.QBER, qber, sifted=n_sift,
-                                r_n=sync.r_n, fifo=int(sync.fifo_choice),
-                                sync_curve=sync.curve), carry
+        (pa_seed,) = burst.recv(MsgType.PA_SEED, n=postproc.PA_SEED_BITS)
+        out.disclosed_bits += postproc.KEY_HASH_BITS
+        digest = postproc.key_hash(np.concatenate([key, pa_seed]))
+        if burst.recv(MsgType.KEY_HASH) != (digest,):
+            raise _Abort(AbortReason.BURST_REJECTED, out.qber)
+        burst.send(MsgType.KEY_HASH, digest)
 
-    state.advance(BurstPhase.ERROR_CORRECTION)
-    key = postproc.winnow_key(postproc.without(bob_sifted, sample_idx))
-    disclosed = 0
-    for p in range(postproc.WINNOW_MAX_PASSES):
-        pass_no, perm_seed = _fields(">BQ", recv_expect(chan, MsgType.PERM_SEED).payload,
-                                     "PERM_SEED")
-        if pass_no != p:
-            raise ProtocolError(f"Winnow pass {pass_no} arrived as pass {p}")
-        perm, permuted, parities = postproc.winnow_pass(key, perm_seed)
-        n_blocks, (raw_par,) = _split_counted(recv_expect(chan, MsgType.WINNOW_PARITIES).payload,
-                                              "WINNOW_PARITIES", "bits")
-        if n_blocks != len(parities):
-            raise ProtocolError(f"{n_blocks} peer parities for {len(parities)} blocks")
-        mism = postproc.mismatched_blocks(parities, unpack_bits(raw_par, n_blocks))
-        chan.send(MsgType.WINNOW_PARITIES,
-                  struct.pack(">I", len(mism)) + mism.astype(">u4").tobytes())
-        disclosed += postproc.winnow_disclosed(parities, mism)
-        if len(mism) == 0:
-            break
-        raw_syn = _exact(recv_expect(chan, MsgType.WINNOW_SYNDROMES).payload, len(mism),
-                         "WINNOW_SYNDROMES")
-        alice_syn = np.frombuffer(raw_syn, dtype=np.uint8).astype(np.int64)
-        if np.any(alice_syn >= 1 << postproc.SYNDROME_BITS):
-            raise ProtocolError("Winnow syndrome out of range")
-        postproc.winnow_repair(key, perm, permuted, mism, alice_syn)
-
-    disclosed += postproc.KEY_HASH_BITS
-    digest = postproc.key_hash(key)
-    msg = recv_expect(chan, MsgType.KEY_HASH)
-    if _exact(msg.payload, postproc.KEY_HASH_BITS // 8, "KEY_HASH") != digest:
-        chan.send(MsgType.ABORT, _abort_payload(AbortReason.BURST_REJECTED, qber))
-        state.advance(BurstPhase.ABORTED)
-        return _aborted_outcome(k, t0, AbortReason.BURST_REJECTED, qber, sifted=n_sift,
-                                r_n=sync.r_n, fifo=int(sync.fifo_choice),
-                                sync_curve=sync.curve), carry
-    chan.send(MsgType.KEY_HASH, digest)
-
-    state.advance(BurstPhase.PRIVACY_AMPLIFICATION)
-    raw_seed = _exact(recv_expect(chan, MsgType.PA_SEED).payload, -(-postproc.PA_SEED_BITS // 8),
-                      "PA_SEED")
-    secure, carry = postproc.amplify_with_carry(carry, key,
-                                                unpack_bits(raw_seed, postproc.PA_SEED_BITS))
-    key_buffer.append(secure)
-
-    state.advance(BurstPhase.KEY_READY)
-    return BurstOutcome(
-        burst_id=k,
-        sifted_bits=n_sift,
-        qber=qber,
-        secure_bits=len(secure),
-        elapsed_s=time.monotonic() - t0,
-        offset_frames=sync.r_n,
-        fifo_choice=int(sync.fifo_choice),
-        disclosed_bits=disclosed,
-        sync_curve=sync.curve,
-    ), carry
-
-
-def _aborted_outcome(k: int, t0: float, reason: AbortReason, qber: float,
-                     sifted: int = 0, r_n: int = -1, fifo: int = 0,
-                     sync_curve: list | None = None) -> BurstOutcome:
-    return BurstOutcome(
-        burst_id=k,
-        sifted_bits=sifted,
-        qber=qber,
-        secure_bits=0,
-        elapsed_s=time.monotonic() - t0,
-        offset_frames=r_n,
-        fifo_choice=fifo,
-        aborted_reason=reason.name.lower(),
-        sync_curve=sync_curve,
-    )
+        burst.state.advance(BurstPhase.PRIVACY_AMPLIFICATION)
+        secure, carry = postproc.amplify_with_carry(carry, key, pa_seed)
+        key_buffer.append(secure)
+        out.secure_bits = len(secure)
+        burst.state.advance(BurstPhase.KEY_READY)
+    return out, carry
 
 
 def run_burst(role: str, k: int, cfg: SimConfig, chan, transport,
@@ -680,20 +670,22 @@ def run_burst(role: str, k: int, cfg: SimConfig, chan, transport,
 
 
 def run_session(role: str, cfg: SimConfig, chan, transport, n_bursts: int,
-                hello_first: bool = False,
                 on_burst=None) -> SessionResult:
-    """HELLO handshake, then n bursts back to back.
+    """HELLO handshake (Bob speaks first), then n bursts back to back.
 
     A protocol abort inside a burst is recorded and the session moves on to
     the next burst; transport failures terminate the session.
     """
     cfg.validate()
-    if hello_first:
-        chan.send(MsgType.HELLO, pack_hello(cfg, n_bursts))
-        check_hello(recv_expect(chan, MsgType.HELLO).payload, cfg, n_bursts)
-    else:
-        check_hello(recv_expect(chan, MsgType.HELLO).payload, cfg, n_bursts)
-        chan.send(MsgType.HELLO, pack_hello(cfg, n_bursts))
+    peer = "bob" if role == "alice" else "alice"
+    hello = pack_payload(role, MsgType.HELLO, PROTOCOL_MAGIC, PROTOCOL_VERSION,
+                         config_fingerprint(cfg), n_bursts)
+    if role == "bob":
+        chan.send(MsgType.HELLO, hello)
+    check_hello(unpack_payload(peer, MsgType.HELLO, recv_expect(chan, MsgType.HELLO).payload),
+                cfg, n_bursts)
+    if role == "alice":
+        chan.send(MsgType.HELLO, hello)
 
     key_buffer = postproc.KeyBuffer()
     carry = np.empty(0, dtype=np.uint8)
@@ -729,8 +721,7 @@ def simulate_session(cfg: SimConfig, n_bursts: int,
 
     def bob_main():
         try:
-            bob_result.append(run_session("bob", cfg, chan_b, transport, n_bursts,
-                                          hello_first=True))
+            bob_result.append(run_session("bob", cfg, chan_b, transport, n_bursts))
         except BaseException as exc:  # re-raised on the main thread
             bob_error.append(exc)
             chan_b.close()
@@ -738,8 +729,7 @@ def simulate_session(cfg: SimConfig, n_bursts: int,
     worker = threading.Thread(target=bob_main, name="bob", daemon=True)
     worker.start()
     try:
-        alice = run_session("alice", cfg, chan_a, transport, n_bursts,
-                            hello_first=False, on_burst=on_burst)
+        alice = run_session("alice", cfg, chan_a, transport, n_bursts, on_burst=on_burst)
     finally:
         worker.join(timeout=timeout)
     if bob_error:

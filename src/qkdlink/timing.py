@@ -173,16 +173,14 @@ def nnc_match(n_tx: int, fifo: FifoView, central: int, frame_offset: int,
 
 
 def interim_qber(tx_bases: np.ndarray, tx_bits: np.ndarray, fifo: FifoView,
-                 central: int, candidate_offset_frames: int, sample_size: int,
-                 window: int = 1) -> float:
+                 central: int, candidate_offset_frames: int, window: int = 1) -> float:
     """Sifted mismatch fraction under a candidate frame offset.
 
-    Matches the first ``sample_size`` pulses, keeps basis-agreeing pairs and
-    compares bits.  Returns 0.5 by convention when nothing matches, which is
-    also the expected value at any wrong offset.
+    Matches the disclosed pulses, keeps basis-agreeing pairs and compares
+    bits.  Returns 0.5 by convention when nothing matches, which is also the
+    expected value at any wrong offset.
     """
-    res = nnc_match(len(tx_bases), fifo, central, candidate_offset_frames,
-                    window=window, last_tx=sample_size)
+    res = nnc_match(len(tx_bases), fifo, central, candidate_offset_frames, window=window)
     if len(res) == 0:
         return 0.5
     meas_basis = (res.channel - 1) >> 1
@@ -194,30 +192,44 @@ def interim_qber(tx_bases: np.ndarray, tx_bits: np.ndarray, fifo: FifoView,
     return float(np.mean(errors))
 
 
+# best interim QBER above which a burst counts as uncorrelated at every offset
+NOLOCK_THRESHOLD = 0.45
+
+
+def offset_window(cfg: SimConfig) -> range:
+    """Whole-frame offsets R_N consistent with time of flight +- the 1PPS cap.
+
+    The true bin offset lies in floor((tof +- cap) / bin_ns); the recovered
+    one is bins_per_frame * R_N + central - shift with central in
+    [0, bins_per_frame) and shift in {0, bins_per_frame // 2}.  R_N is
+    unsigned on the wire, so the window starts at 0 at the earliest.
+    """
+    b = cfg.bins_per_frame
+    lo = int(np.floor((cfg.tof_ns() - cfg.pps_jitter_cap_ns) / cfg.bin_ns)) - (b - 1)
+    hi = int(np.floor((cfg.tof_ns() + cfg.pps_jitter_cap_ns) / cfg.bin_ns)) + b // 2
+    return range(max(0, -(-lo // b)), hi // b + 1)
+
+
 def estimate_frame_offset(tx_bases: np.ndarray, tx_bits: np.ndarray, fifo: FifoView,
-                          central: int, cfg: SimConfig, max_offset_frames: int = 40,
-                          sample_size: int | None = None,
-                          nolock_threshold: float = 0.45) -> tuple[int, list[tuple[int, float]]]:
+                          central: int, cfg: SimConfig) -> tuple[int, list[tuple[int, float]]]:
     """Minimum-QBER search for the whole-frame receiver offset R_N.
 
-    Sweeps candidate delays of 0..max_offset_frames whole frames, evaluating
-    the interim QBER of each on the disclosed subset; the argmin wins, lowest
+    Sweeps the candidate delays of :func:`offset_window`, evaluating the
+    interim QBER of each on the disclosed pulses; the argmin wins, lowest
     offset on ties.  Raises :class:`NoLockError` when even the best candidate
-    looks uncorrelated (QBER above ``nolock_threshold``), meaning the burst
+    looks uncorrelated (QBER above ``NOLOCK_THRESHOLD``), meaning the burst
     cannot be aligned at all.
     """
-    if sample_size is None:
-        sample_size = len(tx_bases)
     curve = []
     best_offset = 0
     best_q = 1.1
-    for r in range(max_offset_frames + 1):
-        q = interim_qber(tx_bases, tx_bits, fifo, central, r, sample_size)
+    for r in offset_window(cfg):
+        q = interim_qber(tx_bases, tx_bits, fifo, central, r)
         curve.append((r, q))
         if q < best_q:
             best_q = q
             best_offset = r
-    if best_q > nolock_threshold:
+    if best_q > NOLOCK_THRESHOLD:
         raise NoLockError(best_q)
     return best_offset, curve
 
@@ -239,8 +251,7 @@ class SyncResult:
         return bins_per_frame * self.r_n + self.central - self.fifo.shift
 
 
-def synchronize(tx_bases: np.ndarray, tx_bits: np.ndarray, rx, cfg: SimConfig,
-                max_offset_frames: int = 40, sample_size: int | None = None) -> SyncResult:
+def synchronize(tx_bases: np.ndarray, tx_bits: np.ndarray, rx, cfg: SimConfig) -> SyncResult:
     """Full sync pipeline: dual-FIFO binning, boundary selection, offset search."""
     f1, f2 = build_dual_fifo(rx, cfg)
     h1 = frame_histogram(f1, cfg)
@@ -248,9 +259,7 @@ def synchronize(tx_bases: np.ndarray, tx_bits: np.ndarray, rx, cfg: SimConfig,
     choice = select_frame_boundary(h1, h2)
     fifo = f1 if choice == FifoChoice.FIFO1 else f2
     central = central_slot(h1 if choice == FifoChoice.FIFO1 else h2)
-    r_n, curve = estimate_frame_offset(tx_bases, tx_bits, fifo, central, cfg,
-                                       max_offset_frames=max_offset_frames,
-                                       sample_size=sample_size)
+    r_n, curve = estimate_frame_offset(tx_bases, tx_bits, fifo, central, cfg)
     return SyncResult(choice, fifo, central, r_n, curve, h1, h2)
 
 

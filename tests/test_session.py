@@ -18,20 +18,21 @@ from qkdlink.session import (
     BurstState,
     ChannelClosed,
     InProcessTransport,
+    LAYOUTS,
     Message,
     MsgType,
     NetworkTransport,
     ProtocolError,
     SocketChannel,
-    _parse_abort,
     decode_message,
     encode_message,
     make_loop_pair,
+    pack_payload,
     pack_tx_burst,
     recv_expect,
     run_burst,
     simulate_session,
-    unpack_offset_ack,
+    unpack_payload,
     unpack_tx_burst,
 )
 
@@ -240,7 +241,7 @@ def test_hello_mismatch_detected(small_cfg):
 
     def bob():
         try:
-            run_session("bob", other, cb, transport, 1, hello_first=True)
+            run_session("bob", other, cb, transport, 1)
         except ProtocolError as exc:
             errors.append(exc)
             cb.close()
@@ -248,7 +249,7 @@ def test_hello_mismatch_detected(small_cfg):
     t = threading.Thread(target=bob)
     t.start()
     with pytest.raises(ProtocolError):
-        run_session("alice", small_cfg, ca, transport, 1, hello_first=False)
+        run_session("alice", small_cfg, ca, transport, 1)
     t.join(timeout=5)
     assert errors
 
@@ -291,18 +292,64 @@ def test_aborted_burst_leaves_buffers_untouched():
     assert len(bob.key_buffer) == 0
 
 
+def test_burst_without_lock_aborts_and_session_continues():
+    # no photons and no dark counts: Bob has nothing to lock on in either burst
+    cfg = scaled_config(0.01, seed=33, mu=0.0, dark_cps=0.0)
+    alice, bob = simulate_session(cfg, 2)
+    for result in (alice, bob):
+        assert [o.aborted_reason for o in result.outcomes] == ["no_lock", "no_lock"]
+        assert len(result.key_buffer) == 0
+
+
 # --- hostile peer ------------------------------------------------------------------
 
 
-def test_short_or_unknown_payloads_are_protocol_errors():
+_BITS = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1], dtype=np.uint8)
+_POSITIONS = np.array([0, 3, 4, 70_000], dtype=np.int64)
+# one well-formed payload, as values, per (sender, message type) of the layout table
+SAMPLES = {
+    ("alice", MsgType.HELLO): (b"QKL1", 2, bytes(range(8)), 3),
+    ("bob", MsgType.HELLO): (b"QKL1", 2, bytes(range(8)), 3),
+    ("alice", MsgType.BURST_START): (4, 20_000_000),
+    ("alice", MsgType.SYNC_SUBSET): (_BITS, _BITS[::-1].copy()),
+    ("bob", MsgType.FRAME_OFFSET_ACK): (20, 2, 1, np.array([0.5, 0.02, 0.49])),
+    ("bob", MsgType.BASES): (_POSITIONS, _BITS[:4]),
+    ("alice", MsgType.BASES): (_BITS,),
+    ("alice", MsgType.QBER_SAMPLE): (_POSITIONS, _BITS[:4]),
+    ("bob", MsgType.QBER_SAMPLE): (0.03,),
+    ("alice", MsgType.ABORT): (1, 0.25),
+    ("bob", MsgType.ABORT): (2, 0.5),
+    ("alice", MsgType.PERM_SEED): (3, 2**63 + 5),
+    ("alice", MsgType.WINNOW_PARITIES): (_BITS,),
+    ("bob", MsgType.WINNOW_PARITIES): (_POSITIONS,),
+    ("alice", MsgType.WINNOW_SYNDROMES): (np.array([7, 0, 3], dtype=np.int64),),
+    ("alice", MsgType.PA_SEED): (_BITS,),
+    ("alice", MsgType.KEY_HASH): (b"12345678",),
+    ("bob", MsgType.KEY_HASH): (b"87654321",),
+}
+
+
+def test_every_layout_has_a_sample():
+    assert set(SAMPLES) == set(LAYOUTS)
+
+
+@pytest.mark.parametrize("sender,msg_type", list(LAYOUTS),
+                         ids=[f"{s}-{t.name}" for s, t in LAYOUTS])
+def test_layout_roundtrip_and_exact_length(sender, msg_type):
+    values = SAMPLES[sender, msg_type]
+    payload = pack_payload(sender, msg_type, *values)
+    again = unpack_payload(sender, msg_type, payload, bound=2**32)
+    assert len(again) == len(values)
+    for got, want in zip(again, values):
+        assert np.array_equal(got, want)
+    for bad in (payload[:-1], payload + b"\x00"):
+        with pytest.raises(ProtocolError):
+            unpack_payload(sender, msg_type, bad, bound=2**32)
+
+
+def test_unknown_abort_reason_is_a_protocol_error():
     with pytest.raises(ProtocolError):
-        unpack_offset_ack(b"\x00\x01")
-    with pytest.raises(ProtocolError):
-        unpack_offset_ack(struct.pack(">IBBH", 20, 1, 1, 3) + struct.pack(">Hd", 0, 0.5))
-    with pytest.raises(ProtocolError):
-        _parse_abort(b"\x01")
-    with pytest.raises(ProtocolError):
-        _parse_abort(struct.pack(">Bd", 9, 0.5))
+        unpack_payload("bob", MsgType.ABORT, struct.pack(">Bd", 9, 0.5))
 
 
 def truncated(msg_type, payload):
@@ -326,6 +373,14 @@ def unknown_abort_reason(msg_type, payload):
     return MsgType.ABORT, struct.pack(">Bd", 9, 0.0)
 
 
+def offset_outside_window(msg_type, payload):
+    return msg_type, b"\xff\xff\xff\xff" + payload[4:]
+
+
+def unknown_fifo_choice(msg_type, payload):
+    return msg_type, payload[:4] + bytes([9]) + payload[5:]
+
+
 # (sender, the message it sends, how it is rewritten); every message a burst receives
 HOSTILE = [
     ("alice", MsgType.BURST_START, truncated),
@@ -333,6 +388,8 @@ HOSTILE = [
     ("bob", MsgType.FRAME_OFFSET_ACK, truncated),
     ("bob", MsgType.FRAME_OFFSET_ACK, short_abort),
     ("bob", MsgType.FRAME_OFFSET_ACK, unknown_abort_reason),
+    ("bob", MsgType.FRAME_OFFSET_ACK, offset_outside_window),
+    ("bob", MsgType.FRAME_OFFSET_ACK, unknown_fifo_choice),
     ("bob", MsgType.BASES, truncated),
     ("bob", MsgType.BASES, last_index_too_large),
     ("alice", MsgType.BASES, truncated),
@@ -347,8 +404,8 @@ HOSTILE = [
     ("alice", MsgType.WINNOW_SYNDROMES, truncated),
     ("alice", MsgType.WINNOW_SYNDROMES, syndrome_too_large),
     ("alice", MsgType.KEY_HASH, truncated),
-    ("bob", MsgType.KEY_HASH, truncated),
     ("alice", MsgType.PA_SEED, truncated),
+    ("bob", MsgType.KEY_HASH, truncated),
 ]
 
 
@@ -409,9 +466,20 @@ def test_hostile_payload_is_a_protocol_error(sender, msg_type, rewrite):
     assert isinstance(ends[receiver], ProtocolError), ends
     assert not isinstance(ends[receiver], ChannelClosed), ends
     assert len(bufs[receiver]) == 0
-    # PA_SEED is a burst's last message: Alice has committed her key before sending it
-    if msg_type != MsgType.PA_SEED:
+    # Bob's KEY_HASH is a burst's last message: he has committed his key before sending it
+    if (sender, msg_type) != ("bob", MsgType.KEY_HASH):
         assert len(bufs[sender]) == 0
+
+
+def test_corrupted_pa_seed_rejects_the_burst():
+    def flip_first_seed_bit(msg_type, payload):
+        return msg_type, payload[:4] + bytes([payload[4] ^ 0x80]) + payload[5:]
+
+    ends, bufs = _run_tampered("alice", MsgType.PA_SEED, flip_first_seed_bit)
+    for role in ("alice", "bob"):
+        assert isinstance(ends[role], BurstOutcome), ends
+        assert ends[role].aborted_reason == "burst_rejected"
+        assert len(bufs[role]) == 0
 
 
 @settings(max_examples=100, deadline=None)

@@ -157,7 +157,7 @@ def test_interim_qber_zero_at_truth_noiseless():
     tx = generate_burst(cfg, rng_stream(5, "g"))
     rx = transmit_and_detect(tx, cfg, rng=rng_stream(5, "c"))
     f1, _ = build_dual_fifo(rx, cfg)
-    assert interim_qber(tx.bases, tx.bits, f1, 0, 0, len(tx)) == 0.0
+    assert interim_qber(tx.bases, tx.bits, f1, 0, 0) == 0.0
 
 
 def test_interim_qber_half_at_wrong_offset():
@@ -165,7 +165,7 @@ def test_interim_qber_half_at_wrong_offset():
     tx = generate_burst(cfg, rng_stream(6, "g"))
     rx = transmit_and_detect(tx, cfg, rng=rng_stream(6, "c"))
     f1, _ = build_dual_fifo(rx, cfg)
-    q = interim_qber(tx.bases, tx.bits, f1, 0, 7, len(tx))
+    q = interim_qber(tx.bases, tx.bits, f1, 0, 7)
     assert q == pytest.approx(0.5, abs=0.1)
 
 
@@ -173,21 +173,23 @@ def test_interim_qber_default_noise(small_cfg):
     tx = generate_burst(small_cfg, rng_stream(7, "g"))
     rx = transmit_and_detect(tx, small_cfg, rng=rng_stream(7, "c"))
     sync = synchronize(tx.bases, tx.bits, rx, small_cfg)
-    q = interim_qber(tx.bases, tx.bits, sync.fifo, sync.central, sync.r_n, len(tx))
+    q = interim_qber(tx.bases, tx.bits, sync.fifo, sync.central, sync.r_n)
     assert q == pytest.approx(0.026, abs=0.012)
 
 
 def test_interim_qber_no_pairs_convention(tiny_cfg):
     f1, _ = build_dual_fifo(_rx([]), tiny_cfg)
-    assert interim_qber(np.zeros(10, np.uint8), np.zeros(10, np.uint8), f1, 1, 0, 10) == 0.5
+    assert interim_qber(np.zeros(10, np.uint8), np.zeros(10, np.uint8), f1, 1, 0) == 0.5
 
 
 def test_offset_search_recovers_tof_1000ns():
-    cfg = scaled_config(0.001, seed=8, pps_jitter_sigma_ns=0.0, tof_override_ns=1000.0)
-    tx = generate_burst(cfg, rng_stream(8, "g"))
-    rx = transmit_and_detect(tx, cfg, rng=rng_stream(8, "c"))
-    sync = synchronize(tx.bases, tx.bits, rx, cfg)
-    assert sync.r_n == 20
+    # 2500 ns (50 frames) lies outside a fixed 40-frame search
+    for tof_ns, r_n in [(1000.0, 20), (2500.0, 50)]:
+        cfg = scaled_config(0.001, seed=8, pps_jitter_sigma_ns=0.0, tof_override_ns=tof_ns)
+        tx = generate_burst(cfg, rng_stream(8, "g"))
+        rx = transmit_and_detect(tx, cfg, rng=rng_stream(8, "c"))
+        sync = synchronize(tx.bases, tx.bits, rx, cfg)
+        assert sync.r_n == r_n
 
 
 def test_offset_search_zero_tof():
@@ -254,7 +256,8 @@ def test_boundary_selection_never_worse_than_best_fifo(tof_ns, worst):
 def test_sync_report_csv(tmp_path, small_cfg):
     tx = generate_burst(small_cfg, rng_stream(12, "g"))
     rx = transmit_and_detect(tx, small_cfg, rng=rng_stream(12, "c"))
-    sync = synchronize(tx.bases, tx.bits, rx, small_cfg, sample_size=small_cfg.sync_subset_size)
+    s = small_cfg.sync_subset_size
+    sync = synchronize(tx.bases[:s], tx.bits[:s], rx, small_cfg)
     path = tmp_path / "sync.csv"
     write_sync_report(sync.curve, path)
     lines = path.read_text().strip().splitlines()
