@@ -12,13 +12,14 @@ import dataclasses
 import socket
 import sys
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, securecomm, session, timing
-from .core import ConfigError, SimConfig, default_config, load_config
+from .core import ConfigError, SimConfig, default_config, load_config, rng_stream
+from .eve import Eavesdropper
+from .photonics import generate_burst
 from .session import (
     DEFAULT_PORT,
     BurstOutcome,
@@ -49,33 +50,11 @@ def log(**fields) -> None:
     print(" ".join(f"{k}={v}" for k, v in fields.items()), file=sys.stderr, flush=True)
 
 
-@dataclass
-class RunReport:
-    """Per-burst rows plus recomputable aggregates."""
-
-    burst_seconds: float
-    rows: list[BurstOutcome] = dataclasses.field(default_factory=list)
-
-    def add(self, outcome: BurstOutcome) -> None:
-        self.rows.append(outcome)
-
-    @property
-    def mean_sifted_kbps(self) -> float:
-        return float(np.mean([r.sifted_kbps(self.burst_seconds) for r in self.rows])) if self.rows else 0.0
-
-    @property
-    def mean_secure_kbps(self) -> float:
-        return float(np.mean([r.secure_kbps(self.burst_seconds) for r in self.rows])) if self.rows else 0.0
-
-    @property
-    def mean_qber(self) -> float:
-        return float(np.mean([r.qber for r in self.rows])) if self.rows else 0.0
-
-
 class ReportWriter:
     """Appends one CSV row per burst, flushed immediately so a crash leaves a prefix."""
 
-    COLUMNS = ["burst_id", "sifted_kbps", "qber", "secure_kbps", "offset_frames", "fifo_choice"]
+    COLUMNS = ["burst_id", "sifted_kbps", "qber", "secure_kbps", "offset_frames", "fifo_choice",
+               "abort_reason", "disclosed_bits"]
 
     def __init__(self, path: str | Path, burst_seconds: float):
         self.burst_seconds = burst_seconds
@@ -92,6 +71,8 @@ class ReportWriter:
             f"{o.secure_kbps(self.burst_seconds):.3f}",
             o.offset_frames,
             o.fifo_choice,
+            o.aborted_reason or "",
+            o.disclosed_bits,
         ])
         self._fh.flush()
 
@@ -101,12 +82,12 @@ class ReportWriter:
 
 def _load_cfg(args) -> SimConfig:
     cfg = default_config()
-    if getattr(args, "config", None):
+    if args.config:
         cfg = load_config(args.config, base=cfg)
     updates = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         updates["rng_seed"] = args.seed
-    if getattr(args, "eve", False):
+    if args.eve:
         updates["eve_enabled"] = True
     if updates:
         cfg = dataclasses.replace(cfg, **updates)
@@ -142,19 +123,15 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _session_outputs(args, result: session.SessionResult, cfg: SimConfig) -> None:
-    if getattr(args, "key_out", None):
+def _finish_session(args, result: session.SessionResult, cfg: SimConfig) -> int:
+    if args.key_out:
         Path(args.key_out).write_bytes(result.key_buffer.to_bytes())
         log(event="key_written", path=args.key_out, bits=len(result.key_buffer))
-
-
-def _finish_session(args, result: session.SessionResult, cfg: SimConfig) -> int:
-    _session_outputs(args, result, cfg)
-    report = RunReport(cfg.burst_seconds, list(result.outcomes))
-    log(event="session_done", role=result.role, bursts=len(result.outcomes),
-        mean_sifted_kbps=f"{report.mean_sifted_kbps:.1f}",
-        mean_secure_kbps=f"{report.mean_secure_kbps:.1f}",
-        mean_qber=f"{report.mean_qber:.4f}",
+    rows, seconds = result.outcomes, cfg.burst_seconds
+    log(event="session_done", role=result.role, bursts=len(rows),
+        mean_sifted_kbps=f"{np.mean([o.sifted_kbps(seconds) for o in rows] or [0.0]):.1f}",
+        mean_secure_kbps=f"{np.mean([o.secure_kbps(seconds) for o in rows] or [0.0]):.1f}",
+        mean_qber=f"{np.mean([o.qber for o in rows] or [0.0]):.4f}",
         key_bits=len(result.key_buffer))
     return EXIT_ABORT if result.any_aborted else EXIT_OK
 
@@ -191,65 +168,65 @@ def cmd_simulate(args) -> int:
     return _finish_session(args, alice, cfg)
 
 
+EVE_LOG_BLOCK_ROWS = 1 << 20  # rows laid out per write: ~16 MB of text at most
+
+
 def _dump_eve_log(cfg: SimConfig, path: str, burst_id: int = 0) -> None:
-    """Replay the (deterministic) interception of one burst and dump it."""
-    from .core import rng_stream
-    from .eve import Eavesdropper
-    from .photonics import generate_burst
+    """Replay the (deterministic) interception of one burst and write Eve's
+    re-prepared basis and bit per pulse as ``index,basis,bit`` CSV rows.
 
+    Rows are laid out as byte arrays, one block per run of indices with the
+    same number of digits, in the csv module's dialect (CRLF line ends): a
+    1-s burst has 20 M rows, too many to format one by one.
+    """
     tx = generate_burst(cfg, rng_stream(cfg.rng_seed, f"txgen:{burst_id}"))
-    eavesdropper = Eavesdropper(rng_stream(cfg.rng_seed, f"eve:{burst_id}"),
-                                cfg.eve_fraction, keep_log=True)
-    eavesdropper.transform(tx.bases, tx.bits, tx.photon_counts)
-    eavesdropper.log.dump_csv(path)
-    log(event="eve_log_written", path=path, intercepted=eavesdropper.log.intercepted)
+    eavesdropper = Eavesdropper(rng_stream(cfg.rng_seed, f"eve:{burst_id}"), cfg.eve_fraction)
+    bases, bits = eavesdropper.transform(tx.bases, tx.bits, tx.photon_counts)
+    n = len(bases)
+    digits = (10**w for w in range(1, 20) if 10**w < n)
+    edges = sorted({0, n, *range(EVE_LOG_BLOCK_ROWS, n, EVE_LOG_BLOCK_ROWS), *digits})
+    with open(path, "wb") as fh:
+        fh.write(b"index,basis,bit\r\n")
+        for lo, hi in zip(edges, edges[1:]):
+            width = len(str(hi - 1))  # every index in [lo, hi) has this many digits
+            index = np.arange(lo, hi)
+            rows = np.empty((hi - lo, width + 6), dtype=np.uint8)
+            for d in range(width):
+                rows[:, width - 1 - d] = ord("0") + index // 10**d % 10
+            rows[:, width:] = np.frombuffer(b",0,0\r\n", dtype=np.uint8)
+            rows[:, width + 1] += bases[lo:hi]
+            rows[:, width + 3] += bits[lo:hi]
+            fh.write(rows.tobytes())
+    log(event="eve_log_written", path=path, intercepted=eavesdropper.intercepted)
 
 
-def _wait_listener(port: int) -> socket.socket:
-    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    srv.bind(("", port))
-    srv.listen(1)
-    return srv
-
-
-def cmd_alice(args) -> int:
-    cfg = _load_cfg(args)
-    srv_c = _wait_listener(args.port)
-    srv_q = _wait_listener(args.port + 1)
-    log(event="listening", classical=args.port, quantum=args.port + 1)
-    conn_c, peer = srv_c.accept()
-    conn_q, _ = srv_q.accept()
-    log(event="connected", peer=f"{peer[0]}:{peer[1]}")
-    chan = SocketChannel(conn_c, timeout=args.timeout)
-    transport = NetworkTransport(SocketChannel(conn_q, timeout=args.timeout))
-    writer = ReportWriter(args.out, cfg.burst_seconds) if args.out else None
-    try:
-        result = run_session("alice", cfg, chan, transport, args.bursts,
-                             on_burst=writer.add if writer else None)
-        code = _finish_session(args, result, cfg)
-        if args.chat:
-            code = max(code, _run_chat(args, chan, result))
-        return code
-    finally:
-        if writer:
-            writer.close()
-        chan.close()
-        srv_c.close()
-        srv_q.close()
-
-
-def cmd_bob(args) -> int:
-    cfg = _load_cfg(args)
+def _connect(args, role: str) -> socket.socket:
+    """Alice accepts one connection on --port; Bob opens one to --connect."""
+    if role == "alice":
+        with socket.create_server(("", args.port)) as srv:
+            log(event="listening", port=args.port)
+            conn, peer = srv.accept()
+        log(event="connected", peer=f"{peer[0]}:{peer[1]}")
+        return conn
     host, _, port_text = args.connect.partition(":")
     port = int(port_text) if port_text else DEFAULT_PORT
-    conn_c = socket.create_connection((host, port), timeout=args.timeout)
-    conn_q = socket.create_connection((host, port + 1), timeout=args.timeout)
-    chan = SocketChannel(conn_c, timeout=args.timeout)
-    transport = NetworkTransport(SocketChannel(conn_q, timeout=args.timeout))
+    return socket.create_connection((host, port), timeout=args.timeout)
+
+
+def cmd_terminal(args) -> int:
+    """One terminal over one TCP connection: the bursts, then the OTP chat if asked.
+
+    The classical messages and the simulated pulse stream (SIM_PULSESTREAM)
+    share the connection.
+    """
+    if not (args.listen or args.connect):
+        raise UsageError("chat needs --listen or --connect host:port")
+    role = "alice" if args.listen else "bob"
+    cfg = _load_cfg(args)
+    chan = SocketChannel(_connect(args, role), timeout=args.timeout)
     writer = ReportWriter(args.out, cfg.burst_seconds) if args.out else None
     try:
-        result = run_session("bob", cfg, chan, transport, args.bursts,
+        result = run_session(role, cfg, chan, NetworkTransport(chan), args.bursts,
                              on_burst=writer.add if writer else None)
         code = _finish_session(args, result, cfg)
         if args.chat:
@@ -262,7 +239,11 @@ def cmd_bob(args) -> int:
 
 
 def _run_chat(args, chan, result: session.SessionResult) -> int:
-    """OTP messaging on the freshly distilled key: handshake, duplex transfer, EOF."""
+    """OTP messaging on the freshly distilled key: handshake, duplex transfer, EOF.
+
+    A receive that has not reached the peer's EOF within ``--timeout`` of the
+    local EOF raises TimeoutError, so truncated output never exits 0.
+    """
     endpoint = securecomm.ChatEndpoint(chan, result.key_buffer, result.role)
     try:
         endpoint.handshake()
@@ -272,9 +253,9 @@ def _run_chat(args, chan, result: session.SessionResult) -> int:
     log(event="chat_established", role=result.role)
 
     payload = b""
-    if getattr(args, "send_file", None):
+    if args.send_file:
         payload = Path(args.send_file).read_bytes()
-    elif getattr(args, "text", None):
+    elif args.text:
         payload = args.text.encode("utf-8")
 
     received = bytearray()
@@ -282,20 +263,22 @@ def _run_chat(args, chan, result: session.SessionResult) -> int:
 
     def receiver():
         try:
-            received.extend(endpoint.recv_all())
+            received.extend(endpoint.recv_all(timeout=args.timeout))
         except BaseException as exc:
             error.append(exc)
 
     rx_thread = threading.Thread(target=receiver, daemon=True)
     rx_thread.start()
-    timeout = getattr(args, "timeout", session.DEFAULT_PHASE_TIMEOUT)
-    endpoint.send_bytes(payload, timeout=timeout)  # raises if the key runs out
+    endpoint.send_bytes(payload, timeout=args.timeout)  # raises if the key runs out
     endpoint.send_eof()
-    rx_thread.join(timeout=timeout)
+    rx_thread.join(timeout=args.timeout)
     if error:
         raise error[0]
+    if rx_thread.is_alive():
+        raise TimeoutError(f"chat receive unfinished after {args.timeout} s "
+                           f"({len(received)} bytes so far)")
 
-    if getattr(args, "recv_out", None):
+    if args.recv_out:
         Path(args.recv_out).write_bytes(bytes(received))
         log(event="chat_received", bytes=len(received), path=args.recv_out)
     elif received:
@@ -304,16 +287,6 @@ def _run_chat(args, chan, result: session.SessionResult) -> int:
     log(event="chat_done", sent_bytes=len(payload), received_bytes=len(received),
         key_consumed_bits=result.key_buffer.consumed_total)
     return EXIT_OK
-
-
-def cmd_chat(args) -> int:
-    """Run a short QKD session, then the OTP chat on its key."""
-    args.chat = True
-    if args.listen:
-        return cmd_alice(args)
-    if not args.connect:
-        raise UsageError("chat needs --listen or --connect host:port")
-    return cmd_bob(args)
 
 
 def build_parser() -> _Parser:
@@ -343,39 +316,30 @@ def build_parser() -> _Parser:
                    help="with --eve: dump the interception record of burst 0 as CSV")
     p.set_defaults(func=cmd_simulate)
 
-    for name, fn in (("alice", cmd_alice), ("bob", cmd_bob)):
-        p = sub.add_parser(name, help=f"run the {name} terminal over TCP")
+    # one terminal, three spellings: --listen makes it Alice, --connect makes it Bob
+    for name, help_text in (("alice", "run the alice terminal over TCP"),
+                            ("bob", "run the bob terminal over TCP"),
+                            ("chat", "QKD session followed by OTP messaging")):
+        p = sub.add_parser(name, help=help_text)
         _add_common(p)
+        if name != "bob":
+            p.add_argument("--listen", action="store_true",
+                           help="accept a connection (alice's default)")
+            p.add_argument("--port", type=int, default=DEFAULT_PORT)
+        if name != "alice":
+            p.add_argument("--connect", required=name == "bob", metavar="HOST:PORT")
         p.add_argument("--bursts", type=int, default=1)
         p.add_argument("--out", help="per-burst report CSV")
-        p.add_argument("--key-out", dest="key_out")
+        p.add_argument("--key-out", dest="key_out", help="write the accumulated key bytes here")
         p.add_argument("--timeout", type=float, default=session.DEFAULT_PHASE_TIMEOUT)
-        p.add_argument("--chat", action="store_true", help="enter OTP chat after the bursts")
+        if name != "chat":
+            p.add_argument("--chat", action="store_true", help="enter OTP chat after the bursts")
         p.add_argument("--send-file", dest="send_file", help="file to transmit in chat mode")
         p.add_argument("--text", help="text message to transmit in chat mode")
         p.add_argument("--recv-out", dest="recv_out", help="write received chat bytes here")
-        if name == "alice":
-            p.add_argument("--listen", action="store_true", default=True,
-                           help="accept a connection (default)")
-            p.add_argument("--port", type=int, default=DEFAULT_PORT)
-        else:
-            p.add_argument("--connect", required=True, metavar="HOST:PORT")
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("chat", help="QKD session followed by OTP messaging")
-    _add_common(p)
-    p.add_argument("--listen", action="store_true")
-    p.add_argument("--connect", metavar="HOST:PORT")
-    p.add_argument("--port", type=int, default=DEFAULT_PORT)
-    p.add_argument("--bursts", type=int, default=1)
-    p.add_argument("--out")
-    p.add_argument("--key-out", dest="key_out")
-    p.add_argument("--timeout", type=float, default=session.DEFAULT_PHASE_TIMEOUT)
-    p.add_argument("--send-file", dest="send_file")
-    p.add_argument("--text")
-    p.add_argument("--recv-out", dest="recv_out")
-    p.set_defaults(func=cmd_chat)
-
+        # parser-level defaults: also the value of each option a subcommand does not declare
+        p.set_defaults(func=cmd_terminal, listen=name == "alice", connect=None,
+                       chat=name == "chat")
     return parser
 
 

@@ -9,9 +9,10 @@ sync (no lock), the QBER check (Eve suspected) or error correction
 (residual mismatch or a failed verification hash).
 
 The quantum channel of the real system is replaced by a simulation
-transport: in-process hand-off of the pulse arrays, or a dedicated side
-connection carrying them serialized.  That side channel is simulation
-plumbing only and is excluded from any security consideration.
+transport: in-process hand-off of the pulse arrays, or a SIM_PULSESTREAM
+message on the classical stream itself, between BURST_START and
+SYNC_SUBSET.  That message is simulation plumbing only and is excluded from
+any security consideration.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .photonics import TxBurst, generate_burst, transmit_and_detect
 from .timing import FifoChoice, NoLockError, nnc_match, offset_window, synchronize
 
 PROTOCOL_MAGIC = b"QKL1"
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 DEFAULT_PORT = 47000
 DEFAULT_PHASE_TIMEOUT = 30.0
 MAX_PAYLOAD = 2**32 - 2  # length field also covers the type byte
@@ -303,7 +304,8 @@ class InProcessTransport:
 
 
 class NetworkTransport:
-    """Pulse arrays serialized over the dedicated simulation side connection."""
+    """Pulse arrays serialized as one SIM_PULSESTREAM message on a channel; a
+    terminal passes its classical channel, so one connection carries both."""
 
     def __init__(self, chan):
         self.chan = chan

@@ -1,6 +1,7 @@
 """Shared fixtures and the acceptance-summary hook."""
 
 import dataclasses
+import socket
 
 import pytest
 
@@ -51,6 +52,13 @@ def noiseless_config(burst_seconds: float = 0.001, seed: int = 1, **overrides):
     )
     kw.update(overrides)
     return scaled_config(burst_seconds, seed, **kw)
+
+
+def free_port() -> int:
+    """A loopback port that was free a moment ago (a terminal needs one)."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
 
 
 @pytest.fixture

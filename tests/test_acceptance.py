@@ -7,7 +7,6 @@ lines appear in the terminal summary.
 import csv
 import dataclasses
 import os
-import socket
 import subprocess
 import sys
 import threading
@@ -19,7 +18,7 @@ import numpy as np
 import pytest
 
 import qkdlink
-from conftest import scaled_config
+from conftest import free_port, scaled_config
 from qkdlink.analysis import distance_sweep, estimate_rates
 from qkdlink.core import default_config, rng_stream
 from qkdlink.photonics import generate_burst, transmit_and_detect
@@ -227,24 +226,6 @@ def test_criterion_6_distance_sweep(acceptance_recorder):
 # --- criterion 7: networked protocol and OTP messaging -----------------------------
 
 
-def _free_port_pair() -> int:
-    for _ in range(20):
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        if port + 1 > 65535:
-            continue
-        try:
-            s2 = socket.socket()
-            s2.bind(("127.0.0.1", port + 1))
-            s2.close()
-            return port
-        except OSError:
-            continue
-    raise RuntimeError("no adjacent free port pair found")
-
-
 def _run_cli(args, cwd, stderr_path):
     # the child starts in cwd, where a relative PYTHONPATH would not find the package
     src = str(Path(qkdlink.__file__).resolve().parent.parent)
@@ -272,7 +253,7 @@ def test_criterion_7_networked_protocol_and_otp(acceptance_recorder, tmp_path):
     cfg_path.write_text("burst_seconds=0.01\n")
 
     # three bursts over loopback in two separate processes
-    port = _free_port_pair()
+    port = free_port()
     a_key, b_key = tmp_path / "a.key", tmp_path / "b.key"
     a_err, b_err = tmp_path / "a.err", tmp_path / "b.err"
     common = ["--config", str(cfg_path), "--seed", "33", "--bursts", "3"]
@@ -288,7 +269,7 @@ def test_criterion_7_networked_protocol_and_otp(acceptance_recorder, tmp_path):
         n_rows = len(list(csv.DictReader(fh)))
 
     # chat between two processes: arbitrary payloads round-trip both ways
-    port2 = _free_port_pair()
+    port2 = free_port()
     payload_a = bytes(rng_stream(71, "pa").integers(0, 256, 2000, dtype=np.uint8).tolist())
     payload_b = bytes(rng_stream(72, "pb").integers(0, 256, 1500, dtype=np.uint8).tolist())
     (tmp_path / "send_a.bin").write_bytes(payload_a)
@@ -375,7 +356,7 @@ def test_tcp_key_matches_in_process(tmp_path):
     # two terminal processes over loopback distill the same key as simulate_session
     cfg_path = tmp_path / "net.cfg"
     cfg_path.write_text("burst_seconds=0.01\n")
-    port = _free_port_pair()
+    port = free_port()
     a_key, b_key = tmp_path / "a.key", tmp_path / "b.key"
     a_err, b_err = tmp_path / "a.err", tmp_path / "b.err"
     common = ["--config", str(cfg_path), "--seed", "33", "--bursts", "2"]

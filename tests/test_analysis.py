@@ -16,7 +16,9 @@ from qkdlink.analysis import (
     trigger_prob,
     write_sweep_csv,
 )
+from conftest import scaled_config
 from qkdlink.core import default_config
+from qkdlink.session import simulate_session
 
 
 LINK = default_config().link
@@ -128,3 +130,16 @@ def test_rate_table_mentions_key_numbers():
     table = format_rate_table(LINK)
     assert "31.64%" in table
     assert "Kbps" in table
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("distance_m", [750.0, 2500.0])
+def test_monte_carlo_locks_at_sweep_anchor(distance_m, seed):
+    # the simulated link locks and sifts at the rate the analytic sweep assumes
+    cfg = scaled_config(0.1, seed=seed, distance_m=distance_m)
+    alice, _ = simulate_session(cfg, 1)
+    outcome = alice.outcomes[0]
+    assert outcome.aborted_reason is None
+    assert outcome.qber <= 0.05  # a wrong offset gives a QBER near 1/2
+    expected = estimate_rates(cfg.link).sifted_rate * cfg.burst_seconds
+    assert outcome.sifted_bits == pytest.approx(expected, rel=0.05)

@@ -1,9 +1,21 @@
 import csv
+import dataclasses
+import io
 import re
+import socket
+import threading
+import time
 
 import pytest
 
-from qkdlink.cli import main
+from conftest import free_port
+from qkdlink import cli
+from qkdlink.cli import ReportWriter, main
+from qkdlink.core import default_config, load_config, rng_stream
+from qkdlink.eve import Eavesdropper
+from qkdlink.photonics import generate_burst
+from qkdlink.securecomm import CipherFrame, ChatEndpoint, pack_chat_frame
+from qkdlink.session import MsgType, NetworkTransport, SocketChannel, run_session
 
 
 CFG_SMALL = "burst_seconds=0.01\n"
@@ -57,7 +69,13 @@ def test_simulate_writes_report_and_key(tmp_path):
         assert 0.0 <= float(row["qber"]) <= 0.05
         assert float(row["secure_kbps"]) > 0
         assert row["fifo_choice"] in ("1", "2")
+        assert row["abort_reason"] == ""
+        assert int(row["disclosed_bits"]) > 0
     assert key.stat().st_size > 0
+    # new columns are appended; the first six keep their order
+    assert report.read_text().splitlines()[0] == ",".join(ReportWriter.COLUMNS)
+    assert ReportWriter.COLUMNS[:6] == ["burst_id", "sifted_kbps", "qber", "secure_kbps",
+                                        "offset_frames", "fifo_choice"]
 
 
 def test_simulate_deterministic_reports(tmp_path):
@@ -90,6 +108,73 @@ def test_simulate_with_eve_aborts(tmp_path):
     assert len(rows) == 1
     assert float(rows[0]["qber"]) == pytest.approx(0.25, abs=0.05)
     assert float(rows[0]["secure_kbps"]) == 0.0
+    assert rows[0]["abort_reason"] == "qber"
+    assert rows[0]["disclosed_bits"] == "0"  # aborted before Winnow
+
+
+def test_simulate_eve_log_matches_replayed_interception(tmp_path, capsys, monkeypatch):
+    cfg_path = _write_cfg(tmp_path, "burst_seconds=0.001\neve_fraction=0.5\n")
+    log_path = tmp_path / "eve.csv"
+    # a 20K-pulse burst samples too few bits for a dependable QBER abort: the
+    # exit code is not what this test checks
+    main(["simulate", "--config", cfg_path, "--seed", "3", "--eve", "--eve-log", str(log_path)])
+    # the same interception, written row by row with the csv module
+    cfg = dataclasses.replace(load_config(cfg_path, base=default_config(3)), eve_enabled=True)
+    tx = generate_burst(cfg, rng_stream(3, "txgen:0"))
+    eve = Eavesdropper(rng_stream(3, "eve:0"), cfg.eve_fraction)
+    bases, bits = eve.transform(tx.bases, tx.bits, tx.photon_counts)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["index", "basis", "bit"])
+    writer.writerows(zip(range(len(bases)), bases.tolist(), bits.tolist()))
+    assert log_path.read_bytes() == expected.getvalue().encode()
+    assert f"intercepted={eve.intercepted}" in capsys.readouterr().err
+    assert 0 < eve.intercepted < len(bases)
+    # blocks that split within and across digit widths give the same bytes
+    monkeypatch.setattr(cli, "EVE_LOG_BLOCK_ROWS", 777)
+    cli._dump_eve_log(cfg, tmp_path / "chunked.csv")
+    assert (tmp_path / "chunked.csv").read_bytes() == log_path.read_bytes()
+
+
+def _connect_when_listening(port: int, timeout: float = 15.0) -> socket.socket:
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            return socket.create_connection(("127.0.0.1", port), timeout=timeout)
+        except ConnectionRefusedError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.05)
+
+
+def test_chat_receive_that_cannot_finish_exits_2(tmp_path, capsys):
+    # the peer seals a 100 KB frame at the right key offset, far more key than the
+    # receiver holds: the receive cannot finish, and the chat must not exit 0
+    cfg_path = _write_cfg(tmp_path)
+    port = free_port()
+    recv_out = tmp_path / "recv.bin"
+    codes = []
+    alice = threading.Thread(target=lambda: codes.append(main(
+        ["chat", "--listen", "--port", str(port), "--config", cfg_path, "--seed", "33",
+         "--timeout", "2", "--recv-out", str(recv_out)])), daemon=True)
+    alice.start()
+    chan = SocketChannel(_connect_when_listening(port), timeout=10.0)
+    try:
+        cfg = load_config(cfg_path, base=default_config(33))
+        result = run_session("bob", cfg, chan, NetworkTransport(chan), 1)
+        peer = ChatEndpoint(chan, result.key_buffer, "bob")
+        peer.handshake()
+        offset = result.key_buffer.next_range_start(peer.send_lane)
+        assert len(result.key_buffer) < 8 * 100_000
+        chan.send(MsgType.CHAT_DATA, pack_chat_frame(CipherFrame(0, offset, bytes(100_000))))
+        alice.join(timeout=30)
+    finally:
+        chan.close()
+    assert codes == [2]
+    err = capsys.readouterr().err
+    assert "error=TimeoutError" in err
+    assert "chat_done" not in err
+    assert not recv_out.exists()
 
 
 def test_unknown_flag_is_usage_error(capsys):

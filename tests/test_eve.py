@@ -73,16 +73,22 @@ def test_fraction_validation():
         Eavesdropper(rng_stream(4, "e"), fraction=1.5)
 
 
-def test_eve_log_counts(tmp_path):
+def test_eve_log_counts():
     rng = rng_stream(5, "e")
-    eve = Eavesdropper(rng_stream(5, "ee"), fraction=1.0, keep_log=True)
-    bases = rng.integers(0, 2, 100, dtype=np.uint8)
-    bits = rng.integers(0, 2, 100, dtype=np.uint8)
-    eve.transform(bases, bits, np.ones(100, np.uint8))
-    assert eve.log.intercepted == 100
-    path = tmp_path / "eve.csv"
-    eve.log.dump_csv(path)
-    assert len(path.read_text().strip().splitlines()) == 101
+    bases = rng.integers(0, 2, 10_000, dtype=np.uint8)
+    bits = rng.integers(0, 2, 10_000, dtype=np.uint8)
+    eve = Eavesdropper(rng_stream(5, "ee"), fraction=1.0)
+    eve.transform(bases[:100], bits[:100], np.ones(100, np.uint8))
+    eve.transform(bases[100:150], bits[100:150], np.ones(50, np.uint8))
+    assert eve.intercepted == 150  # counts accumulate over calls
+
+    half = Eavesdropper(rng_stream(5, "eh"), fraction=0.5)
+    out_bases, out_bits = half.transform(bases, bits, np.ones(10_000, np.uint8))
+    altered = np.count_nonzero((out_bases != bases) | (out_bits != bits))
+    # an intercepted pulse comes back altered iff Eve chose the other basis
+    assert altered <= half.intercepted
+    assert half.intercepted == pytest.approx(5000, abs=300)
+    assert altered == pytest.approx(0.5 * half.intercepted, rel=0.06)
 
 
 def test_simulated_qber_with_eve_in_band():
