@@ -181,7 +181,7 @@ def _dump_eve_log(cfg: SimConfig, path: str, burst_id: int = 0) -> None:
     """
     tx = generate_burst(cfg, rng_stream(cfg.rng_seed, f"txgen:{burst_id}"))
     eavesdropper = Eavesdropper(rng_stream(cfg.rng_seed, f"eve:{burst_id}"), cfg.eve_fraction)
-    bases, bits = eavesdropper.transform(tx.bases, tx.bits, tx.photon_counts)
+    bases, bits = eavesdropper.transform(tx.bases, tx.bits)
     n = len(bases)
     digits = (10**w for w in range(1, 20) if 10**w < n)
     edges = sorted({0, n, *range(EVE_LOG_BLOCK_ROWS, n, EVE_LOG_BLOCK_ROWS), *digits})

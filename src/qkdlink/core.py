@@ -183,15 +183,14 @@ def rng_stream(seed: int, stream_label: str) -> np.random.Generator:
 # paths ("link.mu=0.15").  Blank lines and lines starting with '#' are
 # ignored.  Unknown keys are an error.
 
+# field name -> declared type, as the annotation string ("float", "int", "bool")
 _LINK_FIELDS = {f.name: f.type for f in dataclasses.fields(LinkBudget)}
 _TOP_FIELDS = {f.name: f.type for f in dataclasses.fields(SimConfig) if f.name != "link"}
-_BOOL_FIELDS = {"eve_enabled"}
-_INT_FIELDS = {"bins_per_frame", "clock_spread_bins", "rng_seed"}
 
 
-def _coerce(key: str, raw: str):
-    field = key.split(".")[-1]
-    if field in _BOOL_FIELDS:
+def _coerce(key: str, raw: str, kind: str):
+    """``raw`` as the field's declared ``kind``; ints accept any base prefix (0x, 0o, 0b)."""
+    if kind == "bool":
         low = raw.strip().lower()
         if low in ("1", "true", "yes", "on"):
             return True
@@ -199,9 +198,7 @@ def _coerce(key: str, raw: str):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     try:
-        if field in _INT_FIELDS:
-            return int(raw, 0)
-        return float(raw)
+        return int(raw, 0) if kind == "int" else float(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
@@ -224,9 +221,9 @@ def parse_config(text: str, base: SimConfig | None = None) -> SimConfig:
             field = key[len("link."):]
             if field not in _LINK_FIELDS:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            link_updates[field] = _coerce(key, raw)
+            link_updates[field] = _coerce(key, raw, _LINK_FIELDS[field])
         elif key in _TOP_FIELDS:
-            top_updates[key] = _coerce(key, raw)
+            top_updates[key] = _coerce(key, raw, _TOP_FIELDS[key])
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     link = dataclasses.replace(cfg.link, **link_updates) if link_updates else cfg.link

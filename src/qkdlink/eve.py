@@ -25,9 +25,8 @@ class Eavesdropper:
         self.fraction = fraction
         self.intercepted = 0
 
-    def transform(self, bases: np.ndarray, bits: np.ndarray,
-                  photon_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return the re-prepared (bases, bits); photon counts pass through."""
+    def transform(self, bases: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Return the re-prepared (bases, bits); photon counts are left as they are."""
         n = len(bases)
         eve_basis = self.rng.integers(0, 2, n, dtype=np.uint8)
         guess = self.rng.integers(0, 2, n, dtype=np.uint8)

@@ -74,7 +74,6 @@ class RxBurst:
     channel: np.ndarray      # uint8, 1..4
     multi_click: np.ndarray  # bool, >=2 channels fired in this bin
     realized_pps_offset_ns: float
-    realized_tof_ns: float
     # ground-truth whole-bin alignment between Tx frame 0 and Rx bins
     true_bin_offset: int = 0
     source_index: np.ndarray = field(repr=False, default=None)
@@ -135,7 +134,7 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None,
 
     bases, bits = tx.bases, tx.bits
     if eve is not None:
-        bases, bits = eve.transform(bases, bits, tx.photon_counts)
+        bases, bits = eve.transform(bases, bits)
 
     # timing realization, shared by every click of the burst
     tof_ns = cfg.tof_ns()
@@ -197,7 +196,6 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None,
         channel=ch_u,
         multi_click=multi,
         realized_pps_offset_ns=pps_ns,
-        realized_tof_ns=tof_ns,
         true_bin_offset=base_bin,
         source_index=src_u,
     )

@@ -1,12 +1,13 @@
-"""Two-terminal protocol engine: wire format, channels, per-burst state machine.
+"""Two-terminal protocol engine: wire format, channels, the two burst engines.
 
 The classical channel carries length-prefixed binary messages (4-byte
 big-endian length of type+payload, 1-byte type, payload laid out as
-``LAYOUTS`` declares).  A burst walks a fixed phase sequence on both ends:
-handshake, qubit exchange, frame sync, sifting, QBER check, error
-correction, privacy amplification, key ready.  Aborts can occur at frame
-sync (no lock), the QBER check (Eve suspected) or error correction
-(residual mismatch or a failed verification hash).
+``LAYOUTS`` declares).  A burst runs one fixed sequence of phases on both
+ends: handshake, qubit exchange, frame sync, sifting, QBER check, error
+correction, privacy amplification.  The code order of :func:`run_burst_alice`
+and :func:`run_burst_bob` is that phase order, and each receive names the
+message types it accepts and the one ABORT reason the peer can send there:
+no lock at frame sync, a failed QBER check, or a rejected key hash.
 
 The quantum channel of the real system is replaced by a simulation
 transport: in-process hand-off of the pulse arrays, or a SIM_PULSESTREAM
@@ -21,9 +22,10 @@ import hashlib
 import queue
 import socket
 import struct
+import threading
 import time
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 
 import numpy as np
 
@@ -66,56 +68,6 @@ class AbortReason(IntEnum):
     QBER = 1
     NO_LOCK = 2
     BURST_REJECTED = 3
-    TRANSPORT = 4
-    TIMEOUT = 5
-
-
-class BurstPhase(Enum):
-    IDLE = "idle"
-    HANDSHAKE = "handshake"
-    QUBIT_EXCHANGE = "qubit_exchange"
-    FRAME_SYNC = "frame_sync"
-    SIFTING = "sifting"
-    QBER_CHECK = "qber_check"
-    ERROR_CORRECTION = "error_correction"
-    PRIVACY_AMPLIFICATION = "privacy_amplification"
-    KEY_READY = "key_ready"
-    ABORTED = "aborted"
-
-
-_PHASE_ORDER = [
-    BurstPhase.IDLE,
-    BurstPhase.HANDSHAKE,
-    BurstPhase.QUBIT_EXCHANGE,
-    BurstPhase.FRAME_SYNC,
-    BurstPhase.SIFTING,
-    BurstPhase.QBER_CHECK,
-    BurstPhase.ERROR_CORRECTION,
-    BurstPhase.PRIVACY_AMPLIFICATION,
-    BurstPhase.KEY_READY,
-]
-
-# phases from which an abort is a legal transition
-_ABORTABLE = {BurstPhase.FRAME_SYNC, BurstPhase.QBER_CHECK, BurstPhase.ERROR_CORRECTION}
-
-
-class BurstState:
-    """Tracks the phase sequence and rejects out-of-order transitions."""
-
-    def __init__(self):
-        self.phase = BurstPhase.IDLE
-
-    def advance(self, phase: BurstPhase) -> None:
-        if phase == BurstPhase.ABORTED:
-            if self.phase not in _ABORTABLE:
-                raise ProtocolError(f"abort is not legal from phase {self.phase.value}")
-        else:
-            want = _PHASE_ORDER.index(self.phase) + 1
-            if _PHASE_ORDER[want] is not phase:
-                raise ProtocolError(
-                    f"illegal transition {self.phase.value} -> {phase.value}"
-                )
-        self.phase = phase
 
 
 # --- wire format --------------------------------------------------------------
@@ -471,25 +423,30 @@ class _Abort(Exception):
 
 
 class _Burst:
-    """One terminal's side of a burst: its phase, its outcome, its messages, and
-    the single exit through which an :class:`_Abort` leaves it."""
+    """One terminal's side of a burst: its outcome, its messages, and the single
+    exit through which an :class:`_Abort` leaves it.  The engines' code order is
+    the phase order; each :meth:`recv` names the one ABORT reason it accepts."""
 
     def __init__(self, k: int, chan, role: str):
         self.chan, self.role = chan, role
         self.peer = "bob" if role == "alice" else "alice"
-        self.state = BurstState()
         self.out = BurstOutcome(burst_id=k)
         self.t0 = time.monotonic()
 
     def send(self, msg_type: MsgType, *values) -> None:
         self.chan.send(msg_type, pack_payload(self.role, msg_type, *values))
 
-    def recv(self, *types: MsgType, n: int | None = None, bound: int | None = None) -> tuple:
-        """The unpacked payload of one of ``types``; an ABORT among them ends the burst."""
-        msg = recv_expect(self.chan, *types)
+    def recv(self, *types: MsgType, n: int | None = None, bound: int | None = None,
+             abort: AbortReason | None = None) -> tuple:
+        """The unpacked payload of one of ``types``; the peer's ABORT with reason
+        ``abort`` ends the burst, and one with any other reason is a ProtocolError."""
+        msg = recv_expect(self.chan, *types, *(() if abort is None else (MsgType.ABORT,)))
         values = unpack_payload(self.peer, msg.msg_type, msg.payload, n, bound)
         if msg.msg_type == MsgType.ABORT:
-            raise _Abort(AbortReason(values[0]), values[1], notify=False)
+            if values[0] != abort:
+                raise ProtocolError(f"ABORT({AbortReason(values[0]).name}) from {self.peer} "
+                                    f"where only {abort.name} can occur")
+            raise _Abort(abort, values[1], notify=False)
         return values
 
     def __enter__(self) -> _Burst:
@@ -500,14 +457,13 @@ class _Burst:
         if aborted:
             if exc.notify:
                 self.send(MsgType.ABORT, exc.reason, exc.qber)
-            self.state.advance(BurstPhase.ABORTED)
             self.out.aborted_reason = exc.reason.name.lower()
             self.out.qber = exc.qber
         self.out.elapsed_s = time.monotonic() - self.t0
         return aborted
 
 
-# --- per-burst state machines ----------------------------------------------------
+# --- the two burst engines ----------------------------------------------------
 
 
 def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.KeyBuffer,
@@ -516,32 +472,27 @@ def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postpro
     seed = cfg.rng_seed
     with _Burst(k, chan, "alice") as burst:
         out = burst.out
-        burst.state.advance(BurstPhase.HANDSHAKE)
         burst.send(MsgType.BURST_START, k, cfg.n_pulses)
 
-        burst.state.advance(BurstPhase.QUBIT_EXCHANGE)
         tx = generate_burst(cfg, rng_stream(seed, f"txgen:{k}"))
         transport.deliver(tx)
 
-        burst.state.advance(BurstPhase.FRAME_SYNC)
         s = cfg.sync_subset_size
         burst.send(MsgType.SYNC_SUBSET, tx.bases[:s], tx.bits[:s])
         window = offset_window(cfg)
         out.offset_frames, out.fifo_choice, central, curve = burst.recv(
-            MsgType.FRAME_OFFSET_ACK, MsgType.ABORT, n=len(window))
+            MsgType.FRAME_OFFSET_ACK, n=len(window), abort=AbortReason.NO_LOCK)
         if (out.offset_frames not in window or out.fifo_choice not in tuple(FifoChoice)
                 or not 0 <= central < cfg.bins_per_frame):
             raise ProtocolError(f"FRAME_OFFSET_ACK out of range: R_N {out.offset_frames}, "
                                 f"FIFO {out.fifo_choice}, central slot {central}")
         out.sync_curve = list(zip(window, curve.tolist()))
 
-        burst.state.advance(BurstPhase.SIFTING)
         idx, bob_bases = burst.recv(MsgType.BASES, bound=cfg.n_pulses)
         mask = postproc.sift_mask(tx.bases[idx], bob_bases)
         burst.send(MsgType.BASES, mask)
         alice_sifted = tx.bits[idx][mask]
 
-        burst.state.advance(BurstPhase.QBER_CHECK)
         out.sifted_bits = n_sift = len(alice_sifted)
         sample_idx = np.empty(0, dtype=np.int64)
         if n_sift >= 2:
@@ -553,7 +504,6 @@ def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postpro
             # a degenerate burst has nothing to estimate on: its QBER check fails
             raise _Abort(AbortReason.QBER, out.qber if n_sift >= 2 else 1.0)
 
-        burst.state.advance(BurstPhase.ERROR_CORRECTION)
         wrng = rng_stream(seed, f"winnow:{k}")
         key = postproc.winnow_key(postproc.without(alice_sifted, sample_idx))
         for p in range(postproc.WINNOW_MAX_PASSES):
@@ -573,14 +523,12 @@ def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postpro
         out.disclosed_bits += postproc.KEY_HASH_BITS
         digest = postproc.key_hash(np.concatenate([key, pa_seed]))
         burst.send(MsgType.KEY_HASH, digest)
-        if burst.recv(MsgType.KEY_HASH, MsgType.ABORT) != (digest,):
+        if burst.recv(MsgType.KEY_HASH, abort=AbortReason.BURST_REJECTED) != (digest,):
             raise ProtocolError("peer verification hash does not match local key")
 
-        burst.state.advance(BurstPhase.PRIVACY_AMPLIFICATION)
         secure, carry = postproc.amplify_with_carry(carry, key, pa_seed)
         key_buffer.append(secure)
         out.secure_bits = len(secure)
-        burst.state.advance(BurstPhase.KEY_READY)
     return out, carry
 
 
@@ -590,19 +538,15 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
     seed = cfg.rng_seed
     with _Burst(k, chan, "bob") as burst:
         out = burst.out
-        burst.state.advance(BurstPhase.HANDSHAKE)
         burst_id, n_pulses = burst.recv(MsgType.BURST_START)
         if burst_id != k or n_pulses != cfg.n_pulses:
             raise ProtocolError(f"burst header mismatch: got burst {burst_id} x {n_pulses} pulses")
 
-        burst.state.advance(BurstPhase.QUBIT_EXCHANGE)
         tx = transport.receive()
-        eavesdropper = None
-        if cfg.eve_enabled:
-            eavesdropper = Eavesdropper(rng_stream(seed, f"eve:{k}"), cfg.eve_fraction)
+        eavesdropper = (Eavesdropper(rng_stream(seed, f"eve:{k}"), cfg.eve_fraction)
+                        if cfg.eve_enabled else None)
         rx = transmit_and_detect(tx, cfg, eve=eavesdropper, rng=rng_stream(seed, f"channel:{k}"))
 
-        burst.state.advance(BurstPhase.FRAME_SYNC)
         s = cfg.sync_subset_size
         sync_bases, sync_bits = burst.recv(MsgType.SYNC_SUBSET, n=s)
         try:
@@ -614,7 +558,6 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
         burst.send(MsgType.FRAME_OFFSET_ACK, sync.r_n, out.fifo_choice, sync.central,
                    [q for _, q in sync.curve])
 
-        burst.state.advance(BurstPhase.SIFTING)
         match = nnc_match(cfg.n_pulses, sync.fifo, sync.central, sync.r_n, first_tx=s)
         bob_bases = ((match.channel - 1) >> 1).astype(np.uint8)
         bob_bits = ((match.channel - 1) & 1).astype(np.uint8)
@@ -622,15 +565,13 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
         (mask,) = burst.recv(MsgType.BASES, n=len(match.tx_index))
         bob_sifted = bob_bits[mask.astype(bool)]
 
-        burst.state.advance(BurstPhase.QBER_CHECK)
         out.sifted_bits = n_sift = len(bob_sifted)
         sample_idx, alice_sample = burst.recv(MsgType.QBER_SAMPLE, bound=n_sift)
         out.qber = postproc.sample_qber(bob_sifted, sample_idx, alice_sample)
         burst.send(MsgType.QBER_SAMPLE, out.qber)
         if postproc.check_abort(out.qber) is postproc.Decision.ABORT:
-            burst.recv(MsgType.ABORT)  # Alice's ABORT ends the burst
+            burst.recv(abort=AbortReason.QBER)  # Alice's ABORT ends the burst
 
-        burst.state.advance(BurstPhase.ERROR_CORRECTION)
         key = postproc.winnow_key(postproc.without(bob_sifted, sample_idx))
         for p in range(postproc.WINNOW_MAX_PASSES):
             pass_no, perm_seed = burst.recv(MsgType.PERM_SEED)
@@ -654,21 +595,10 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
             raise _Abort(AbortReason.BURST_REJECTED, out.qber)
         burst.send(MsgType.KEY_HASH, digest)
 
-        burst.state.advance(BurstPhase.PRIVACY_AMPLIFICATION)
         secure, carry = postproc.amplify_with_carry(carry, key, pa_seed)
         key_buffer.append(secure)
         out.secure_bits = len(secure)
-        burst.state.advance(BurstPhase.KEY_READY)
     return out, carry
-
-
-def run_burst(role: str, k: int, cfg: SimConfig, chan, transport,
-              key_buffer: postproc.KeyBuffer, carry: np.ndarray):
-    if role == "alice":
-        return run_burst_alice(k, cfg, chan, transport, key_buffer, carry)
-    if role == "bob":
-        return run_burst_bob(k, cfg, chan, transport, key_buffer, carry)
-    raise ValueError(f"role must be alice or bob, got {role!r}")
 
 
 def run_session(role: str, cfg: SimConfig, chan, transport, n_bursts: int,
@@ -692,32 +622,27 @@ def run_session(role: str, cfg: SimConfig, chan, transport, n_bursts: int,
     key_buffer = postproc.KeyBuffer()
     carry = np.empty(0, dtype=np.uint8)
     outcomes = []
+    # looked up per session, so wrappers installed on the module attributes take effect
+    engine = run_burst_alice if role == "alice" else run_burst_bob
     for k in range(n_bursts):
-        outcome, carry = run_burst(role, k, cfg, chan, transport, key_buffer, carry)
+        outcome, carry = engine(k, cfg, chan, transport, key_buffer, carry)
         outcomes.append(outcome)
         if on_burst is not None:
             on_burst(outcome)
     return SessionResult(role=role, outcomes=outcomes, key_buffer=key_buffer)
 
 
-def simulate_session(cfg: SimConfig, n_bursts: int,
-                     on_burst=None,
-                     alice_tap: list | None = None,
-                     bob_tap: list | None = None,
-                     timeout: float = DEFAULT_PHASE_TIMEOUT,
-                     ) -> tuple[SessionResult, SessionResult]:
+def simulate_session(cfg: SimConfig, n_bursts: int, on_burst=None,
+                     alice_tap: list | None = None, bob_tap: list | None = None,
+                     timeout: float = DEFAULT_PHASE_TIMEOUT) -> tuple[SessionResult, SessionResult]:
     """Run both terminals in one process over loopback channels.
 
     Bob runs on a helper thread; his exceptions re-raise here after the join.
     The burst callback fires on Alice's outcomes (the canonical report).
     """
-    import threading
-
     chan_a, chan_b = make_loop_pair(timeout)
-    chan_a.tap = alice_tap
-    chan_b.tap = bob_tap
+    chan_a.tap, chan_b.tap = alice_tap, bob_tap
     transport = InProcessTransport(timeout)
-
     bob_result: list[SessionResult] = []
     bob_error: list[BaseException] = []
 
@@ -732,6 +657,9 @@ def simulate_session(cfg: SimConfig, n_bursts: int,
     worker.start()
     try:
         alice = run_session("alice", cfg, chan_a, transport, n_bursts, on_burst=on_burst)
+    except BaseException:
+        chan_a.close()  # Bob's pending receive ends now, not at the timeout
+        raise
     finally:
         worker.join(timeout=timeout)
     if bob_error:

@@ -122,7 +122,7 @@ def test_simulate_eve_log_matches_replayed_interception(tmp_path, capsys, monkey
     cfg = dataclasses.replace(load_config(cfg_path, base=default_config(3)), eve_enabled=True)
     tx = generate_burst(cfg, rng_stream(3, "txgen:0"))
     eve = Eavesdropper(rng_stream(3, "eve:0"), cfg.eve_fraction)
-    bases, bits = eve.transform(tx.bases, tx.bits, tx.photon_counts)
+    bases, bits = eve.transform(tx.bases, tx.bits)
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(["index", "basis", "bit"])

@@ -5,6 +5,7 @@ import pytest
 
 from qkdlink.core import (
     ConfigError,
+    SimConfig,
     default_config,
     format_config,
     parse_config,
@@ -64,6 +65,20 @@ def test_config_roundtrip():
     cfg = default_config(rng_seed=42)
     again = parse_config(format_config(cfg))
     assert again == cfg
+
+
+def test_config_fields_take_their_declared_types():
+    # a hex literal parses only as an int; == alone cannot tell 42.0 from 42
+    cfg = default_config(rng_seed=42)
+    int_fields = [f.name for f in dataclasses.fields(SimConfig) if f.type == "int"]
+    assert int_fields
+    text = "".join(f"{name}={hex(getattr(cfg, name))}\n" for name in int_fields)
+    again = parse_config(text + "eve_enabled=on\nburst_seconds=2\n")
+    for name in int_fields:
+        assert type(getattr(again, name)) is int
+        assert getattr(again, name) == getattr(cfg, name)
+    assert type(again.eve_enabled) is bool and again.eve_enabled
+    assert type(again.burst_seconds) is float
 
 
 def test_config_overrides():

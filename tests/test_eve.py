@@ -14,8 +14,7 @@ def test_matching_basis_reprepares_identically():
     i = np.arange(2000)
     bases = (i % 2).astype(np.uint8)
     bits = ((i // 2) % 2).astype(np.uint8)
-    out_bases, out_bits = Eavesdropper(rng_stream(1, "e")).transform(
-        bases, bits, np.ones(2000, np.uint8))
+    out_bases, out_bits = Eavesdropper(rng_stream(1, "e")).transform(bases, bits)
     matched = out_bases == bases
     assert np.array_equal(out_bits[matched], bits[matched])
     assert matched.sum() > 800  # half the pulses in expectation
@@ -54,7 +53,7 @@ def test_transform_identity_when_fraction_zero():
     bases = rng.integers(0, 2, 5000, dtype=np.uint8)
     bits = rng.integers(0, 2, 5000, dtype=np.uint8)
     eve = Eavesdropper(rng_stream(2, "ee"), fraction=0.0)
-    out_bases, out_bits = eve.transform(bases, bits, np.ones(5000, np.uint8))
+    out_bases, out_bits = eve.transform(bases, bits)
     assert np.array_equal(out_bases, bases)
     assert np.array_equal(out_bits, bits)
 
@@ -78,12 +77,12 @@ def test_eve_log_counts():
     bases = rng.integers(0, 2, 10_000, dtype=np.uint8)
     bits = rng.integers(0, 2, 10_000, dtype=np.uint8)
     eve = Eavesdropper(rng_stream(5, "ee"), fraction=1.0)
-    eve.transform(bases[:100], bits[:100], np.ones(100, np.uint8))
-    eve.transform(bases[100:150], bits[100:150], np.ones(50, np.uint8))
+    eve.transform(bases[:100], bits[:100])
+    eve.transform(bases[100:150], bits[100:150])
     assert eve.intercepted == 150  # counts accumulate over calls
 
     half = Eavesdropper(rng_stream(5, "eh"), fraction=0.5)
-    out_bases, out_bits = half.transform(bases, bits, np.ones(10_000, np.uint8))
+    out_bases, out_bits = half.transform(bases, bits)
     altered = np.count_nonzero((out_bases != bases) | (out_bits != bits))
     # an intercepted pulse comes back altered iff Eve chose the other basis
     assert altered <= half.intercepted

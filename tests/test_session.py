@@ -2,6 +2,7 @@ import dataclasses
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,9 +14,8 @@ from qkdlink.core import default_config, rng_stream
 from qkdlink.photonics import generate_burst, transmit_and_detect
 from qkdlink.postproc import KeyBuffer
 from qkdlink.session import (
+    AbortReason,
     BurstOutcome,
-    BurstPhase,
-    BurstState,
     ChannelClosed,
     InProcessTransport,
     LAYOUTS,
@@ -30,7 +30,8 @@ from qkdlink.session import (
     pack_payload,
     pack_tx_burst,
     recv_expect,
-    run_burst,
+    run_burst_alice,
+    run_burst_bob,
     simulate_session,
     unpack_payload,
     unpack_tx_burst,
@@ -106,34 +107,6 @@ def test_recv_expect_rejects_out_of_order():
     ca.send(MsgType.BASES, b"")
     with pytest.raises(ProtocolError):
         recv_expect(cb, MsgType.BURST_START)
-
-
-# --- state machine -----------------------------------------------------------------
-
-
-def test_phase_sequence_enforced():
-    st = BurstState()
-    for phase in [BurstPhase.HANDSHAKE, BurstPhase.QUBIT_EXCHANGE, BurstPhase.FRAME_SYNC,
-                  BurstPhase.SIFTING, BurstPhase.QBER_CHECK, BurstPhase.ERROR_CORRECTION,
-                  BurstPhase.PRIVACY_AMPLIFICATION, BurstPhase.KEY_READY]:
-        st.advance(phase)
-
-
-def test_phase_skip_rejected():
-    st = BurstState()
-    st.advance(BurstPhase.HANDSHAKE)
-    with pytest.raises(ProtocolError):
-        st.advance(BurstPhase.SIFTING)
-
-
-def test_abort_only_from_legal_phases():
-    st = BurstState()
-    st.advance(BurstPhase.HANDSHAKE)
-    with pytest.raises(ProtocolError):
-        st.advance(BurstPhase.ABORTED)
-    st.advance(BurstPhase.QUBIT_EXCHANGE)
-    st.advance(BurstPhase.FRAME_SYNC)
-    st.advance(BurstPhase.ABORTED)  # NoLock is legal here
 
 
 # --- pulse-stream transport ----------------------------------------------------------
@@ -292,6 +265,19 @@ def test_aborted_burst_leaves_buffers_untouched():
     assert len(bob.key_buffer) == 0
 
 
+def test_alice_failure_ends_bob_without_waiting_out_the_timeout():
+    class ReportFailed(Exception):
+        pass
+
+    def on_burst(outcome):
+        raise ReportFailed
+
+    t0 = time.monotonic()
+    with pytest.raises(ReportFailed):
+        simulate_session(scaled_config(0.01, seed=33), 2, on_burst=on_burst, timeout=5.0)
+    assert time.monotonic() - t0 < 3.0
+
+
 def test_burst_without_lock_aborts_and_session_continues():
     # no photons and no dark counts: Bob has nothing to lock on in either burst
     cfg = scaled_config(0.01, seed=33, mu=0.0, dark_cps=0.0)
@@ -373,6 +359,18 @@ def unknown_abort_reason(msg_type, payload):
     return MsgType.ABORT, struct.pack(">Bd", 9, 0.0)
 
 
+def abort_qber(msg_type, payload):
+    return MsgType.ABORT, struct.pack(">Bd", AbortReason.QBER, 0.02)
+
+
+def abort_reason_5(msg_type, payload):
+    return MsgType.ABORT, struct.pack(">Bd", 5, 0.0)
+
+
+def abort_no_lock(msg_type, payload):
+    return MsgType.ABORT, struct.pack(">Bd", AbortReason.NO_LOCK, 0.0)
+
+
 def offset_outside_window(msg_type, payload):
     return msg_type, b"\xff\xff\xff\xff" + payload[4:]
 
@@ -381,13 +379,16 @@ def unknown_fifo_choice(msg_type, payload):
     return msg_type, payload[:4] + bytes([9]) + payload[5:]
 
 
-# (sender, the message it sends, how it is rewritten); every message a burst receives
+# (sender, the message it sends, how it is rewritten); every message a burst receives,
+# and an ABORT whose reason that point of the burst cannot produce
 HOSTILE = [
     ("alice", MsgType.BURST_START, truncated),
     ("alice", MsgType.SYNC_SUBSET, truncated),
     ("bob", MsgType.FRAME_OFFSET_ACK, truncated),
     ("bob", MsgType.FRAME_OFFSET_ACK, short_abort),
     ("bob", MsgType.FRAME_OFFSET_ACK, unknown_abort_reason),
+    ("bob", MsgType.FRAME_OFFSET_ACK, abort_qber),
+    ("bob", MsgType.FRAME_OFFSET_ACK, abort_reason_5),
     ("bob", MsgType.FRAME_OFFSET_ACK, offset_outside_window),
     ("bob", MsgType.FRAME_OFFSET_ACK, unknown_fifo_choice),
     ("bob", MsgType.BASES, truncated),
@@ -397,6 +398,7 @@ HOSTILE = [
     ("alice", MsgType.QBER_SAMPLE, last_index_too_large),
     ("bob", MsgType.QBER_SAMPLE, truncated),
     ("alice", MsgType.ABORT, truncated),
+    ("alice", MsgType.ABORT, abort_no_lock),
     ("alice", MsgType.PERM_SEED, truncated),
     ("alice", MsgType.WINNOW_PARITIES, truncated),
     ("bob", MsgType.WINNOW_PARITIES, truncated),
@@ -406,6 +408,7 @@ HOSTILE = [
     ("alice", MsgType.KEY_HASH, truncated),
     ("alice", MsgType.PA_SEED, truncated),
     ("bob", MsgType.KEY_HASH, truncated),
+    ("bob", MsgType.KEY_HASH, abort_no_lock),
 ]
 
 
@@ -442,9 +445,10 @@ def _run_tampered(sender, msg_type, rewrite):
     ends = {}
 
     def run(role):
+        engine = run_burst_alice if role == "alice" else run_burst_bob
         try:
-            ends[role], _ = run_burst(role, 0, cfg, chans[role], transport, bufs[role],
-                                      np.empty(0, np.uint8))
+            ends[role], _ = engine(0, cfg, chans[role], transport, bufs[role],
+                                   np.empty(0, np.uint8))
         except Exception as exc:  # inspected by the caller
             ends[role] = exc
             chans[role].close()
