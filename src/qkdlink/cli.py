@@ -216,8 +216,8 @@ def _connect(args, role: str) -> socket.socket:
 def cmd_terminal(args) -> int:
     """One terminal over one TCP connection: the bursts, then the OTP chat if asked.
 
-    The classical messages and the simulated pulse stream (SIM_PULSESTREAM)
-    share the connection.
+    The classical messages and the simulated pulse stream (SIM_PULSESTREAM,
+    the bases and bits of every pulse) share the connection.
     """
     if not (args.listen or args.connect):
         raise UsageError("chat needs --listen or --connect host:port")

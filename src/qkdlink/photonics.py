@@ -1,11 +1,15 @@
 """Monte Carlo model of the WCP source, free-space channel and detection.
 
-One burst of pulses is generated with PRBS11-driven bases/bits and Poisson
-photon statistics, then pushed through path loss, a 50:50 basis splitter,
-polarization projection, detector efficiency, time-of-flight plus 1PPS
-offset, and per-click clock jitter.  Dark counts are added as uniformly
-placed spurious clicks.  All heavy lifting is vectorized; a full 1-second
-burst at 20 MHz simulates in a few seconds.
+One burst of pulses is generated with PRBS11-driven bases and bits.  Photon
+numbers are never materialized per pulse: thinning a Poisson(mu) photon
+number by the end-to-end efficiency eta gives exactly Poisson(mu * eta)
+detected photons, so only the pulses with at least one detected photon are
+drawn, as geometric gaps, each with a zero-truncated Poisson photon count.
+Those photons then get a 50:50 measurement basis, a polarization projection,
+a bin shifted by time of flight plus 1PPS offset, and per-click clock
+jitter.  Dark counts are added as uniformly placed spurious clicks.  The
+cost scales with the ~5% of pulses that click, not with the 20 M pulses of
+a 1-second burst.
 """
 
 from __future__ import annotations
@@ -51,11 +55,14 @@ def prbs11_sequence(state: int, n: int) -> np.ndarray:
 
 @dataclass
 class TxBurst:
-    """All pulses of one burst as parallel arrays (basis, bit, photon count)."""
+    """The encoding of every pulse of one burst as parallel arrays (basis, bit).
 
-    bases: np.ndarray          # uint8, 0=rectilinear 1=diagonal
-    bits: np.ndarray           # uint8
-    photon_counts: np.ndarray  # uint8, realized Poisson draws
+    Photon numbers are not part of it: :func:`transmit_and_detect` draws the
+    detected ones directly.
+    """
+
+    bases: np.ndarray  # uint8, 0=rectilinear 1=diagonal
+    bits: np.ndarray   # uint8
 
     def __len__(self) -> int:
         return len(self.bases)
@@ -83,14 +90,46 @@ class RxBurst:
 
 
 def generate_burst(cfg: SimConfig, rng: np.random.Generator) -> TxBurst:
-    """Draw one burst: PRBS11 bases and bits, Poisson(mu) photon numbers."""
+    """Draw one burst: the two PRBS11 seeds, and from them every pulse's basis and bit."""
     n = cfg.n_pulses
     seed_bases = int(rng.integers(1, PRBS11_MASK + 1))
     seed_bits = int(rng.integers(1, PRBS11_MASK + 1))
-    bases = prbs11_sequence(seed_bases, n)
-    bits = prbs11_sequence(seed_bits, n)
-    counts = np.minimum(rng.poisson(cfg.link.mu, n), 255).astype(np.uint8)
-    return TxBurst(bases, bits, counts)
+    return TxBurst(prbs11_sequence(seed_bases, n), prbs11_sequence(seed_bits, n))
+
+
+def detected_photons(n: int, mu: float, eta: float,
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Which of ``n`` pulses have >=1 detected photon, and how many each has.
+
+    Each pulse carries Poisson(mu) photons and each photon survives with
+    probability ``eta``, so a pulse has Poisson(lam) detected photons with
+    lam = mu * eta, and clicks with probability p = 1 - exp(-lam).  The
+    clicking pulses are drawn as geometric gaps with parameter p.  The count
+    of each is 1 + Poisson(lam * (1 - t)), where t is the arrival time of the
+    first photon of a unit-time Poisson process conditioned on at least one
+    arriving (an exponential truncated to [0, 1]), which makes it exactly
+    zero-truncated Poisson(lam).  Returns ascending int64 pulse indices and
+    int64 counts.
+    """
+    lam = mu * eta
+    p = -np.expm1(-lam)
+    if n <= 0 or p <= 0.0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    # enough gaps to pass the last pulse almost always, topped up otherwise; a
+    # gap is capped at n + 1, which passes the last pulse and cannot overflow
+    expect = n * p
+    size = int(expect + 6.0 * np.sqrt(expect) + 16)
+    last = -1
+    runs = []
+    while last < n - 1:
+        runs.append(last + np.cumsum(np.minimum(rng.geometric(p, size), n + 1)))
+        last = runs[-1][-1]
+    positions = np.concatenate(runs)
+    positions = positions[: np.searchsorted(positions, n)]
+    # lam * (1 - t) = lam + log(1 - p * u), clipped at 0 against rounding
+    rest = np.maximum(lam + np.log1p(-p * rng.random(len(positions))), 0.0)
+    return positions, 1 + rng.poisson(rest)
 
 
 def eta_geometric(distance_m: float, aperture_mm: float, footprint0_mm: float,
@@ -114,11 +153,13 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None,
                         rng: np.random.Generator | None = None) -> RxBurst:
     """Propagate one burst through the channel and produce receiver clicks.
 
-    Stages, per pulse: optional eavesdropper transform; per-photon path
-    survival (geometric collection x residual loss); 50:50 measurement basis
-    choice; polarization projection onto a channel (probability ``e_pol`` of
-    landing in the flipped channel when bases agree, uniform within the
-    measurement basis when they differ); detector-chain survival; bin
+    Stages: optional eavesdropper transform of every pulse; the 1PPS offset
+    of the burst; the pulses with >=1 photon surviving path loss (geometric
+    collection x residual loss) and the detector chain, with their detected
+    photon counts (:func:`detected_photons`); then per detected photon a
+    50:50 measurement basis choice, polarization projection onto a channel
+    (probability ``e_pol`` of landing in the flipped channel when bases
+    agree, uniform within the measurement basis when they differ), and bin
     placement shifted by time of flight + 1PPS offset and smeared by the
     3-bin clock spread; dark counts; multi-channel bins flagged.
 
@@ -145,11 +186,9 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None,
                            link.divergence_urad) * link.eta_residual
     p_det = link.detector_chain_efficiency()
     # Basis choice does not affect survival, so the two thinning stages fold
-    # into one binomial draw; surviving photons then get basis/channel/bin.
-    detected = rng.binomial(tx.photon_counts, p_path * p_det).astype(np.uint8)
-
-    hit = np.nonzero(detected)[0]
-    src = np.repeat(hit, detected[hit]).astype(np.int64)
+    # into one; surviving photons then get basis/channel/bin.
+    hit, detected = detected_photons(n, link.mu, p_path * p_det, rng)
+    src = np.repeat(hit, detected)
     m = len(src)
 
     meas_basis = rng.integers(0, 2, m, dtype=np.uint8)

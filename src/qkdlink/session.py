@@ -10,10 +10,11 @@ message types it accepts and the one ABORT reason the peer can send there:
 no lock at frame sync, a failed QBER check, or a rejected key hash.
 
 The quantum channel of the real system is replaced by a simulation
-transport: in-process hand-off of the pulse arrays, or a SIM_PULSESTREAM
-message on the classical stream itself, between BURST_START and
-SYNC_SUBSET.  That message is simulation plumbing only and is excluded from
-any security consideration.
+transport that hands Bob the encoding of every pulse (bases and bits; the
+receiver draws the detected photons itself): in process as the arrays, or
+as one SIM_PULSESTREAM message on the classical stream itself, between
+BURST_START and SYNC_SUBSET.  That message is simulation plumbing only and
+is excluded from any security consideration.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .photonics import TxBurst, generate_burst, transmit_and_detect
 from .timing import FifoChoice, NoLockError, nnc_match, offset_window, synchronize
 
 PROTOCOL_MAGIC = b"QKL1"
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 DEFAULT_PORT = 47000
 DEFAULT_PHASE_TIMEOUT = 30.0
 MAX_PAYLOAD = 2**32 - 2  # length field also covers the type byte
@@ -216,9 +217,8 @@ def check_hello(hello: tuple, cfg: SimConfig, n_bursts: int) -> None:
 
 
 def pack_tx_burst(tx: TxBurst) -> bytes:
-    n = len(tx)
-    return struct.pack(">Q", n) + pack_bits(tx.bases) + pack_bits(tx.bits) \
-        + tx.photon_counts.tobytes()
+    """Pulse count (u64), then every pulse's basis and bit, packed."""
+    return struct.pack(">Q", len(tx)) + pack_bits(tx.bases) + pack_bits(tx.bits)
 
 
 def unpack_tx_burst(payload: bytes) -> TxBurst:
@@ -226,13 +226,10 @@ def unpack_tx_burst(payload: bytes) -> TxBurst:
         raise ProtocolError("truncated pulse stream header")
     (n,) = struct.unpack(">Q", payload[:8])
     nbytes = -(-n // 8)
-    need = 8 + 2 * nbytes + n
+    need = 8 + 2 * nbytes
     if len(payload) != need:
         raise ProtocolError(f"pulse stream length {len(payload)} != expected {need}")
-    bases = unpack_bits(payload[8 : 8 + nbytes], n)
-    bits = unpack_bits(payload[8 + nbytes : 8 + 2 * nbytes], n)
-    counts = np.frombuffer(payload[8 + 2 * nbytes :], dtype=np.uint8).copy()
-    return TxBurst(bases, bits, counts)
+    return TxBurst(unpack_bits(payload[8 : 8 + nbytes], n), unpack_bits(payload[8 + nbytes :], n))
 
 
 # --- quantum transport ---------------------------------------------------------
@@ -250,9 +247,16 @@ class InProcessTransport:
 
     def receive(self) -> TxBurst:
         try:
-            return self._q.get(timeout=self.timeout)
+            tx = self._q.get(timeout=self.timeout)
         except queue.Empty as exc:
             raise ProtocolError("quantum transport timeout") from exc
+        if tx is None:
+            raise ChannelClosed("transmitter closed the quantum transport")
+        return tx
+
+    def close(self) -> None:
+        """Ends a pending or later :meth:`receive` at once."""
+        self._q.put(None)
 
 
 class NetworkTransport:
@@ -658,7 +662,9 @@ def simulate_session(cfg: SimConfig, n_bursts: int, on_burst=None,
     try:
         alice = run_session("alice", cfg, chan_a, transport, n_bursts, on_burst=on_burst)
     except BaseException:
-        chan_a.close()  # Bob's pending receive ends now, not at the timeout
+        # Bob's pending receive, classical or quantum, ends now, not at the timeout
+        chan_a.close()
+        transport.close()
         raise
     finally:
         worker.join(timeout=timeout)

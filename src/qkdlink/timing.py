@@ -63,6 +63,8 @@ class FifoView:
     ``shift`` bins are added to every global bin index before framing, so
     the two views disagree on where frames start by half a frame.  Slot and
     neighbor structure is preserved for the nearest-neighbor correlation.
+    ``frames`` is non-decreasing (the detections are sorted by bin), which
+    :func:`nnc_match` relies on.
     """
 
     shift: int
@@ -144,31 +146,23 @@ def nnc_match(n_tx: int, fifo: FifoView, central: int, frame_offset: int,
     """
     if last_tx is None:
         last_tx = n_tx
-    j = fifo.frames - frame_offset
-    in_win = np.abs(fifo.slots - central) <= window
-    valid = in_win & (j >= first_tx) & (j < last_tx)
-    vj = j[valid]
-    span = last_tx - first_tx
-    if span <= 0 or len(vj) == 0:
+    # frames are sorted: the clicks of pulses [first_tx, last_tx) are one slice
+    lo, hi = np.searchsorted(fifo.frames, (first_tx + frame_offset, last_tx + frame_offset))
+    valid = np.flatnonzero(np.abs(fifo.slots[lo:hi] - central) <= window) + lo
+    if len(valid) == 0:
         empty = np.empty(0, dtype=np.int64)
         return MatchResult(empty, empty.astype(np.uint8), 0, 0)
-    rel = vj - first_tx
-    cnt = np.bincount(rel, minlength=span)
-    multi_sel = fifo.multi[valid]
-    cnt_multi = np.bincount(rel[multi_sel], minlength=span)
-    ok = (cnt == 1) & (cnt_multi == 0)
-
-    ch_at = np.zeros(span, dtype=np.uint8)
-    ch_at[rel] = fifo.channel[valid]
-
-    matched_rel = np.nonzero(ok)[0]
-    n_multi = int(np.count_nonzero((cnt_multi > 0) & (cnt > 0)))
-    n_compete = int(np.count_nonzero((cnt > 1) & (cnt_multi == 0)))
+    vj = fifo.frames[valid] - frame_offset
+    # one run of equal pulse index per pulse with qualifying clicks
+    starts = np.flatnonzero(np.concatenate(([True], vj[1:] != vj[:-1])))
+    single = np.diff(np.append(starts, len(vj))) == 1
+    has_multi = np.logical_or.reduceat(fifo.multi[valid], starts)
+    ok = starts[single & ~has_multi]
     return MatchResult(
-        tx_index=matched_rel + first_tx,
-        channel=ch_at[matched_rel],
-        n_multi_discard=n_multi,
-        n_compete_discard=n_compete,
+        tx_index=vj[ok],
+        channel=fifo.channel[valid[ok]].astype(np.uint8),
+        n_multi_discard=int(np.count_nonzero(has_multi)),
+        n_compete_discard=int(np.count_nonzero(~single & ~has_multi)),
     )
 
 

@@ -91,9 +91,12 @@ def test_eve_log_counts():
 
 
 def test_simulated_qber_with_eve_in_band():
-    # 1M pulses, >=10K sifted; scaled bursts keep a realistically sized sync
-    # subset (the offset search needs enough pairs per candidate under Eve)
-    cfg = scaled_config(0.05, seed=6, eve_enabled=True, sync_efficiency=0.98)
+    # the expected QBER is 1/4 + e_pol/2 = 0.2625; 8M pulses and a half-key
+    # sample (~89K bits, sigma ~0.0015) put both band edges >=5 sigma away.
+    # Scaled bursts keep a realistically sized sync subset (the offset search
+    # needs enough pairs per candidate under Eve)
+    cfg = scaled_config(0.4, seed=6, eve_enabled=True, sync_efficiency=0.98,
+                        qber_sample_fraction=0.5)
     alice, _ = simulate_session(cfg, 1)
     outcome = alice.outcomes[0]
     assert outcome.aborted_reason == "qber"
@@ -103,8 +106,9 @@ def test_simulated_qber_with_eve_in_band():
 
 
 def test_partial_interception_scales_qber():
+    # a half-key sample (~11K bits, sigma ~0.0034) puts both edges >=7 sigma away
     cfg = scaled_config(0.05, seed=7, eve_enabled=True, eve_fraction=0.5,
-                        sync_efficiency=0.98)
+                        sync_efficiency=0.98, qber_sample_fraction=0.5)
     alice, _ = simulate_session(cfg, 1)
     # half interception halves the induced error: ~0.125 + intrinsic ~0.0125
     assert alice.outcomes[0].qber == pytest.approx(0.144, abs=0.025)

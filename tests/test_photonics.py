@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import noiseless_config, scaled_config
+from qkdlink import photonics
 from qkdlink.core import rng_stream
 from qkdlink.photonics import (
     PRBS11_PERIOD,
+    detected_photons,
     eta_geometric,
     generate_burst,
     prbs11_next,
@@ -58,16 +60,23 @@ def test_prbs11_sequence_matches_scalar_iteration():
 
 
 def test_generate_burst_mu_zero_all_dark():
-    cfg = scaled_config(0.001, mu=0.0)
+    # no photons leave the source: every click is a dark count
+    cfg = scaled_config(0.01, mu=0.0, dark_cps=1e5)
     tx = generate_burst(cfg, rng_stream(1, "g"))
-    assert int(tx.photon_counts.sum()) == 0
+    rx = transmit_and_detect(tx, cfg, rng=rng_stream(1, "c"))
+    assert len(rx) == pytest.approx(1000, abs=150)
+    assert np.all(rx.source_index == -1)
 
 
 def test_generate_burst_photon_fraction():
-    # fraction of pulses with >=1 photon approximates 1 - exp(-mu)
-    cfg = scaled_config(0.1, seed=5)  # 2M pulses
+    # through a lossless channel, the fraction of pulses that click is the
+    # fraction of source pulses with >=1 photon, 1 - exp(-mu)
+    lossless = dict(eta_frontend=1.0, eta_decode=1.0, eta_detector=1.0, eta_residual=1.0,
+                    dark_cps=0.0)
+    cfg = scaled_config(0.1, seed=5, **lossless)  # 2M pulses
     tx = generate_burst(cfg, rng_stream(5, "g"))
-    frac = np.count_nonzero(tx.photon_counts) / len(tx)
+    rx = transmit_and_detect(tx, cfg, rng=rng_stream(5, "c"))
+    frac = len(np.unique(rx.source_index)) / len(tx)
     assert frac == pytest.approx(1 - np.exp(-0.15), abs=1e-3)
 
 
@@ -188,3 +197,77 @@ def test_pps_cap_respected_in_realization(small_cfg):
     rx = transmit_and_detect(tx, small_cfg, rng=rng_stream(11, "c"))
     assert abs(rx.realized_pps_offset_ns) <= small_cfg.pps_jitter_cap_ns
 
+
+# --- sparse photon sampling against the dense per-pulse model -------------------------
+
+
+def _dense_detected_photons(n, mu, eta, rng):
+    """Reference sampler: Poisson(mu) photons in every pulse, each kept with probability eta."""
+    counts = rng.binomial(rng.poisson(mu, n), eta)
+    hit = np.flatnonzero(counts)
+    return hit, counts[hit]
+
+
+def _chi2_homogeneity(a, b):
+    """Pearson chi^2 of two count vectors over the same categories, and its degrees of freedom."""
+    table = np.array([a, b], dtype=float)
+    expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / table.sum()
+    return float(((table - expected) ** 2 / expected).sum()), len(a) - 1
+
+
+# chi^2 at a 0.1% false-alarm rate, by degrees of freedom
+CHI2_999 = {1: 10.83, 3: 16.27}
+
+# the default 300 m link, and a bright, low-loss one where multi-photon hits are common
+OPERATING_POINTS = [dict(), dict(mu=0.6, eta_residual=1.0, dark_cps=0.0)]
+
+
+@pytest.mark.parametrize("overrides", OPERATING_POINTS, ids=["300m", "bright"])
+def test_detected_photon_counts_match_dense_model(overrides):
+    cfg = scaled_config(0.1, **overrides)  # 2M pulses: ~35 hits with >=3 photons at 300 m
+    link = cfg.link
+    eta = link.eta_residual * link.detector_chain_efficiency()
+    hit, counts = detected_photons(cfg.n_pulses, link.mu, eta, rng_stream(1, "sparse"))
+    ref_hit, ref_counts = _dense_detected_photons(cfg.n_pulses, link.mu, eta,
+                                                  rng_stream(1, "dense"))
+    assert np.all(np.diff(hit) > 0) and hit[0] >= 0 and hit[-1] < cfg.n_pulses
+    assert np.all(counts >= 1)
+
+    def categories(c):  # hits with 1, 2 and >=3 detected photons, then pulses without any
+        k = [np.count_nonzero(c == 1), np.count_nonzero(c == 2), np.count_nonzero(c >= 3)]
+        return k + [cfg.n_pulses - len(c)]
+
+    got, want = categories(counts), categories(ref_counts)
+    assert min(want) >= 20  # every category is populated enough for the chi^2 test
+    chi2, dof = _chi2_homogeneity(got, want)
+    assert chi2 < CHI2_999[dof], (got, want)
+
+
+@pytest.mark.parametrize("overrides", OPERATING_POINTS, ids=["300m", "bright"])
+def test_multi_click_share_matches_dense_model(overrides, monkeypatch):
+    cfg = scaled_config(0.02, **overrides)
+    tx = generate_burst(cfg, rng_stream(2, "g"))
+    rx = transmit_and_detect(tx, cfg, rng=rng_stream(2, "c"))
+    monkeypatch.setattr(photonics, "detected_photons", _dense_detected_photons)
+    ref = transmit_and_detect(tx, cfg, rng=rng_stream(2, "c"))
+
+    def categories(r):
+        multi = int(np.count_nonzero(r.multi_click))
+        return [multi, len(r) - multi]
+
+    got, want = categories(rx), categories(ref)
+    assert min(want) >= 20
+    chi2, dof = _chi2_homogeneity(got, want)
+    assert chi2 < CHI2_999[dof], (got, want)
+
+
+def test_detected_photons_degenerate_rates():
+    rng = rng_stream(3, "sparse")
+    for mu, eta in ((0.0, 0.5), (0.5, 0.0)):
+        hit, counts = detected_photons(1000, mu, eta, rng)
+        assert len(hit) == 0 and len(counts) == 0
+    hit, counts = detected_photons(1000, 60.0, 1.0, rng)  # every pulse clicks
+    assert np.array_equal(hit, np.arange(1000))
+    assert counts.mean() == pytest.approx(60.0, abs=1.0)
+    hit, counts = detected_photons(1000, 1e-30, 1.0, rng)  # gaps far beyond the burst
+    assert len(hit) == 0

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import scaled_config
+from qkdlink import session
 from qkdlink.core import default_config, rng_stream
 from qkdlink.photonics import generate_burst, transmit_and_detect
 from qkdlink.postproc import KeyBuffer
@@ -115,29 +116,31 @@ def test_recv_expect_rejects_out_of_order():
 def test_tx_burst_codec_roundtrip():
     cfg = scaled_config(0.001, seed=2)
     tx = generate_burst(cfg, rng_stream(2, "g"))
-    again = unpack_tx_burst(pack_tx_burst(tx))
+    blob = pack_tx_burst(tx)
+    assert len(blob) == 8 + 2 * -(-len(tx) // 8)  # header, packed bases, packed bits
+    again = unpack_tx_burst(blob)
     assert np.array_equal(again.bases, tx.bases)
     assert np.array_equal(again.bits, tx.bits)
-    assert np.array_equal(again.photon_counts, tx.photon_counts)
 
 
 def test_tx_burst_codec_full_scale():
-    # a complete 1-second burst serializes and parses losslessly
+    # a complete 1-second burst serializes and parses losslessly, in 5 MB
     cfg = default_config(3)
     tx = generate_burst(cfg, rng_stream(3, "g"))
     blob = pack_tx_burst(tx)
-    assert len(blob) < 2**32 - 1
+    assert len(blob) == 5_000_008
     again = unpack_tx_burst(blob)
     assert np.array_equal(again.bases, tx.bases)
-    assert np.array_equal(again.photon_counts, tx.photon_counts)
+    assert np.array_equal(again.bits, tx.bits)
 
 
 def test_tx_burst_codec_rejects_truncation():
     cfg = scaled_config(0.0005, seed=4)
     tx = generate_burst(cfg, rng_stream(4, "g"))
     blob = pack_tx_burst(tx)
-    with pytest.raises(ProtocolError):
-        unpack_tx_burst(blob[: len(blob) // 2])
+    for bad in (blob[:4], blob[: len(blob) // 2], blob[:-1], blob + b"\x00"):
+        with pytest.raises(ProtocolError):
+            unpack_tx_burst(bad)
 
 
 def test_network_transport_over_loopback_sockets():
@@ -275,6 +278,21 @@ def test_alice_failure_ends_bob_without_waiting_out_the_timeout():
     t0 = time.monotonic()
     with pytest.raises(ReportFailed):
         simulate_session(scaled_config(0.01, seed=33), 2, on_burst=on_burst, timeout=5.0)
+    assert time.monotonic() - t0 < 3.0
+
+
+def test_source_failure_ends_bob_without_waiting_out_the_timeout(monkeypatch):
+    # Alice fails after BURST_START, before the pulses reach Bob's quantum transport
+    class SourceFailed(Exception):
+        pass
+
+    def generate_burst(cfg, rng):
+        raise SourceFailed
+
+    monkeypatch.setattr(session, "generate_burst", generate_burst)
+    t0 = time.monotonic()
+    with pytest.raises(SourceFailed):
+        simulate_session(scaled_config(0.01, seed=33), 2, timeout=5.0)
     assert time.monotonic() - t0 < 3.0
 
 

@@ -3,12 +3,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import noiseless_config, scaled_config
 from qkdlink.core import default_config, rng_stream
 from qkdlink.photonics import generate_burst, transmit_and_detect
 from qkdlink.timing import (
     FifoChoice,
+    FifoView,
     FrameHistogram,
     NoLockError,
     build_dual_fifo,
@@ -133,6 +136,62 @@ def test_nnc_multi_click_discards_frame(tiny_cfg):
     res = nnc_match(10, f1, central=1, frame_offset=0)
     assert len(res) == 0
     assert res.n_multi_discard == 1
+
+
+def _nnc_match_by_bincount(n_tx, fifo, central, frame_offset, window=1, first_tx=0,
+                           last_tx=None):
+    """Reference matcher: per-pulse click and multi-click counts over the whole span."""
+    if last_tx is None:
+        last_tx = n_tx
+    j = fifo.frames - frame_offset
+    valid = (np.abs(fifo.slots - central) <= window) & (j >= first_tx) & (j < last_tx)
+    span = last_tx - first_tx
+    if span <= 0 or not np.any(valid):
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8), 0, 0
+    rel = j[valid] - first_tx
+    cnt = np.bincount(rel, minlength=span)
+    cnt_multi = np.bincount(rel[fifo.multi[valid]], minlength=span)
+    ch_at = np.zeros(span, dtype=np.uint8)
+    ch_at[rel] = fifo.channel[valid]
+    matched = np.nonzero((cnt == 1) & (cnt_multi == 0))[0]
+    return (matched + first_tx, ch_at[matched],
+            int(np.count_nonzero((cnt_multi > 0) & (cnt > 0))),
+            int(np.count_nonzero((cnt > 1) & (cnt_multi == 0))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 3), st.integers(1, 4),
+                          st.booleans()), max_size=80),
+       st.integers(0, 3), st.integers(-5, 12), st.integers(0, 2),
+       st.integers(-3, 40), st.one_of(st.none(), st.integers(-3, 60)))
+def test_nnc_match_equals_bincount_reference(clicks, central, frame_offset, window,
+                                             first_tx, last_tx):
+    clicks.sort()
+    frames, slots, channel, multi = (np.array([c[i] for c in clicks]) for i in range(4))
+    fifo = FifoView(shift=0, frames=frames.astype(np.int64), slots=slots.astype(np.int64),
+                    channel=channel.astype(np.uint8), multi=multi.astype(bool))
+    n_tx = 50
+    res = nnc_match(n_tx, fifo, central, frame_offset, window, first_tx, last_tx)
+    tx_index, ch, n_multi, n_compete = _nnc_match_by_bincount(
+        n_tx, fifo, central, frame_offset, window, first_tx, last_tx)
+    assert res.tx_index.dtype == tx_index.dtype and res.channel.dtype == ch.dtype
+    assert np.array_equal(res.tx_index, tx_index)
+    assert np.array_equal(res.channel, ch)
+    assert (res.n_multi_discard, res.n_compete_discard) == (n_multi, n_compete)
+
+
+def test_nnc_match_equals_bincount_reference_on_a_burst(small_cfg):
+    tx = generate_burst(small_cfg, rng_stream(14, "g"))
+    rx = transmit_and_detect(tx, small_cfg, rng=rng_stream(14, "c"))
+    sync = synchronize(tx.bases, tx.bits, rx, small_cfg)
+    for fifo in build_dual_fifo(rx, small_cfg):
+        for offset, first_tx in ((sync.r_n, 0), (sync.r_n, 500), (sync.r_n + 1, 0)):
+            res = nnc_match(len(tx), fifo, sync.central, offset, first_tx=first_tx)
+            ref = _nnc_match_by_bincount(len(tx), fifo, sync.central, offset, first_tx=first_tx)
+            assert len(res) > 0
+            assert np.array_equal(res.tx_index, ref[0])
+            assert np.array_equal(res.channel, ref[1])
+            assert (res.n_multi_discard, res.n_compete_discard) == ref[2:]
 
 
 def test_nnc_injective_on_detections(small_cfg):
