@@ -1,15 +1,17 @@
 """Monte Carlo model of the WCP source, free-space channel and detection.
 
-One burst of pulses is generated with PRBS11-driven bases and bits.  Photon
-numbers are never materialized per pulse: thinning a Poisson(mu) photon
-number by the end-to-end efficiency eta gives exactly Poisson(mu * eta)
-detected photons, so only the pulses with at least one detected photon are
-drawn, as geometric gaps, each with a zero-truncated Poisson photon count.
-Those photons then get a 50:50 measurement basis, a polarization projection,
-a bin shifted by time of flight plus 1PPS offset, and per-click clock
-jitter.  Dark counts are added as uniformly placed spurious clicks.  The
-cost scales with the ~5% of pulses that click, not with the 20 M pulses of
-a 1-second burst.
+One burst of pulses is generated with PRBS11-driven bases and bits, cut from
+one precomputed PRBS11 cycle.  Photon numbers are never materialized per
+pulse: thinning a Poisson(mu) photon number by the end-to-end efficiency eta
+gives exactly Poisson(mu * eta) detected photons per pulse, independently,
+which is what one Poisson process of rate mu * eta per pulse gives, so only
+the detected photons are drawn, as its exponential gaps.  Those photons then
+get a 50:50 measurement basis, a polarization projection, a bin shifted by
+time of flight plus 1PPS offset, and per-click clock jitter.  Dark counts
+are added as uniformly placed spurious clicks, and a stable sort of the
+nearly sorted (bin, channel) keys merges coinciding entries into clicks.
+The cost scales with the ~5% of pulses that click, not with the 20 M pulses
+of a 1-second burst.
 """
 
 from __future__ import annotations
@@ -25,31 +27,47 @@ PRBS11_MASK = 0x7FF
 PRBS11_PERIOD = 2047
 
 
+def _check_prbs11_state(state: int) -> None:
+    if not 0 < state <= PRBS11_MASK:
+        raise ValueError(f"PRBS11 state must be a nonzero 11-bit integer, got {state}")
+
+
 def prbs11_next(state: int) -> tuple[int, int]:
     """Advance a PRBS11 linear-feedback shift register (x^11 + x^9 + 1).
 
     Returns ``(output_bit, next_state)``.  The all-zero state is a fixed
     point of the recurrence and is rejected.
     """
-    if not 0 < state <= PRBS11_MASK:
-        raise ValueError(f"PRBS11 state must be a nonzero 11-bit integer, got {state}")
+    _check_prbs11_state(state)
     bit = ((state >> 10) ^ (state >> 8)) & 1
     return bit, ((state << 1) & PRBS11_MASK) | bit
+
+
+def _prbs11_cycle() -> tuple[np.ndarray, np.ndarray]:
+    """The output cycle from state 1, and the step at which the cycle reaches each state."""
+    cycle = np.empty(PRBS11_PERIOD, dtype=np.uint8)
+    phase = np.zeros(PRBS11_MASK + 1, dtype=np.int64)
+    s = 1
+    for i in range(PRBS11_PERIOD):
+        phase[s] = i
+        cycle[i], s = prbs11_next(s)
+    assert s == 1  # maximal-length sequence returns to its seed
+    return cycle, phase
+
+
+_CYCLE, _PHASE = _prbs11_cycle()
 
 
 def prbs11_sequence(state: int, n: int) -> np.ndarray:
     """n successive PRBS11 output bits starting from ``state``.
 
-    The period is 2047, so one full cycle is materialized once and tiled.
+    Every nonzero state lies on the one cycle of period 2047, so the output
+    is the precomputed cycle rotated to ``state``'s phase, then tiled.
     """
-    period = np.empty(PRBS11_PERIOD, dtype=np.uint8)
-    s = state
-    for i in range(PRBS11_PERIOD):
-        bit, s = prbs11_next(s)
-        period[i] = bit
-    assert s == state  # maximal-length sequence returns to its seed
+    _check_prbs11_state(state)
     if n <= 0:
         return np.empty(0, dtype=np.uint8)
+    period = np.roll(_CYCLE, -_PHASE[state])
     return np.tile(period, -(-n // PRBS11_PERIOD))[:n]
 
 
@@ -97,39 +115,34 @@ def generate_burst(cfg: SimConfig, rng: np.random.Generator) -> TxBurst:
     return TxBurst(prbs11_sequence(seed_bases, n), prbs11_sequence(seed_bits, n))
 
 
-def detected_photons(n: int, mu: float, eta: float,
-                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Which of ``n`` pulses have >=1 detected photon, and how many each has.
+def detected_photons(n: int, mu: float, eta: float, rng: np.random.Generator) -> np.ndarray:
+    """The pulse index of every photon detected from ``n`` pulses, ascending.
 
     Each pulse carries Poisson(mu) photons and each photon survives with
     probability ``eta``, so a pulse has Poisson(lam) detected photons with
-    lam = mu * eta, and clicks with probability p = 1 - exp(-lam).  The
-    clicking pulses are drawn as geometric gaps with parameter p.  The count
-    of each is 1 + Poisson(lam * (1 - t)), where t is the arrival time of the
-    first photon of a unit-time Poisson process conditioned on at least one
-    arriving (an exponential truncated to [0, 1]), which makes it exactly
-    zero-truncated Poisson(lam).  Returns ascending int64 pulse indices and
-    int64 counts.
+    lam = mu * eta, independently of the others.  Those are exactly the
+    arrivals of a Poisson process of rate lam per pulse, counted per unit
+    interval: a photon arrives at the cumulative sum of exponential gaps of
+    mean 1 / lam and belongs to the pulse ``floor`` of that time.  A pulse
+    with k detected photons appears k times.  Returns int64 indices.
     """
     lam = mu * eta
-    p = -np.expm1(-lam)
-    if n <= 0 or p <= 0.0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    # enough gaps to pass the last pulse almost always, topped up otherwise; a
-    # gap is capped at n + 1, which passes the last pulse and cannot overflow
-    expect = n * p
+    if n <= 0 or lam <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    # enough gaps to pass the last pulse almost always, topped up otherwise;
+    # times stay float until cut at n, so a tiny lam cannot overflow int64
+    expect = n * lam
     size = int(expect + 6.0 * np.sqrt(expect) + 16)
-    last = -1
+    last = 0.0
     runs = []
-    while last < n - 1:
-        runs.append(last + np.cumsum(np.minimum(rng.geometric(p, size), n + 1)))
-        last = runs[-1][-1]
-    positions = np.concatenate(runs)
-    positions = positions[: np.searchsorted(positions, n)]
-    # lam * (1 - t) = lam + log(1 - p * u), clipped at 0 against rounding
-    rest = np.maximum(lam + np.log1p(-p * rng.random(len(positions))), 0.0)
-    return positions, 1 + rng.poisson(rest)
+    while last < n:
+        t = np.cumsum(rng.standard_exponential(size))
+        t *= 1.0 / lam
+        t += last
+        runs.append(t)
+        last = t[-1]
+    times = runs[0] if len(runs) == 1 else np.concatenate(runs)
+    return times[: np.searchsorted(times, n)].astype(np.int64)
 
 
 def eta_geometric(distance_m: float, aperture_mm: float, footprint0_mm: float,
@@ -154,14 +167,15 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None,
     """Propagate one burst through the channel and produce receiver clicks.
 
     Stages: optional eavesdropper transform of every pulse; the 1PPS offset
-    of the burst; the pulses with >=1 photon surviving path loss (geometric
-    collection x residual loss) and the detector chain, with their detected
-    photon counts (:func:`detected_photons`); then per detected photon a
-    50:50 measurement basis choice, polarization projection onto a channel
+    of the burst; the photons surviving path loss (geometric collection x
+    residual loss) and the detector chain, as the pulse index of each
+    (:func:`detected_photons`); then per detected photon a 50:50
+    measurement basis choice, polarization projection onto a channel
     (probability ``e_pol`` of landing in the flipped channel when bases
     agree, uniform within the measurement basis when they differ), and bin
     placement shifted by time of flight + 1PPS offset and smeared by the
-    3-bin clock spread; dark counts; multi-channel bins flagged.
+    3-bin clock spread; dark counts; the merge of coinciding entries into
+    clicks, with multi-channel bins flagged (:func:`merge_clicks`).
 
     A click's channel is ``1 + 2 * basis + bit``: ch1=H, ch2=V (rectilinear
     basis 0, bits 0 and 1), ch3=D, ch4=A (diagonal basis 1, bits 0 and 1).
@@ -187,25 +201,23 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None,
     p_det = link.detector_chain_efficiency()
     # Basis choice does not affect survival, so the two thinning stages fold
     # into one; surviving photons then get basis/channel/bin.
-    hit, detected = detected_photons(n, link.mu, p_path * p_det, rng)
-    src = np.repeat(hit, detected)
+    src = detected_photons(n, link.mu, p_path * p_det, rng)
     m = len(src)
 
     meas_basis = rng.integers(0, 2, m, dtype=np.uint8)
     same = meas_basis == bases[src]
     flip = rng.random(m) < link.e_pol
     rand_bit = rng.integers(0, 2, m, dtype=np.uint8)
-    meas_bit = np.where(same, bits[src] ^ flip, rand_bit).astype(np.uint8)
-    channel = (1 + 2 * meas_basis + meas_bit).astype(np.uint8)
+    channel = np.where(same, bits[src] ^ flip, rand_bit)
+    channel += 1
+    channel += 2 * meas_basis
 
-    jitter = np.zeros(m, dtype=np.int64)
+    bins = cfg.bins_per_frame * src + base_bin
     if cfg.clock_spread_bins > 0:
+        # one bin early with probability (1 - center) / 2, one bin late likewise
         u = rng.random(m)
-        off_center = u >= cfg.clock_center_prob
-        late = u >= cfg.clock_center_prob + (1.0 - cfg.clock_center_prob) / 2.0
-        jitter[off_center] = -1
-        jitter[late] = 1
-    bins = cfg.bins_per_frame * src + base_bin + jitter
+        bins -= u >= cfg.clock_center_prob
+        bins += 2 * (u >= cfg.clock_center_prob + (1.0 - cfg.clock_center_prob) / 2.0)
 
     # dark + background counts, uniform over the burst's bin span
     n_dark = rng.poisson(link.dark_cps * cfg.burst_seconds)
@@ -213,29 +225,43 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None,
     dark_bins = rng.integers(0, span, n_dark, dtype=np.int64)
     dark_ch = rng.integers(1, 5, n_dark, dtype=np.uint8)
 
-    all_bins = np.concatenate([bins, dark_bins])
-    all_ch = np.concatenate([channel, dark_ch])
-    all_src = np.concatenate([src, np.full(n_dark, -1, dtype=np.int64)])
-
-    # merge same (bin, channel) pairs into a single click; signal entries come
-    # first in the concatenation so they win the merge over dark counts
-    key = all_bins * 8 + all_ch
-    uniq, first = np.unique(key, return_index=True)
-    bin_u = uniq // 8  # sorted by bin, then channel
-    ch_u = (uniq % 8).astype(np.uint8)
-    src_u = all_src[first]
-
-    # multi_click: more than one channel fired in the same bin; events with
-    # equal bins are consecutive because the unique keys are sorted
-    _, bin_count = np.unique(bin_u, return_counts=True)
-    multi = np.repeat(bin_count > 1, bin_count)
-
+    # signal entries come first, so they win the merge over dark counts
+    bin_index, channel, multi, source_index = merge_clicks(
+        np.concatenate([bins, dark_bins]),
+        np.concatenate([channel, dark_ch]),
+        np.concatenate([src, np.full(n_dark, -1, dtype=np.int64)]),
+    )
     return RxBurst(
-        bin_index=bin_u,
-        channel=ch_u,
+        bin_index=bin_index,
+        channel=channel,
         multi_click=multi,
         realized_pps_offset_ns=pps_ns,
         true_bin_offset=base_bin,
-        source_index=src_u,
+        source_index=source_index,
     )
 
+
+def merge_clicks(bins: np.ndarray, channel: np.ndarray, src: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Merge detector entries with equal (bin, channel) into one click each.
+
+    Of equal entries the earliest in the input wins and gives the click its
+    ``src``.  Returns the clicks sorted by bin, then channel, as ``(bins,
+    channel, multi_click, src)``; ``multi_click`` flags every click whose bin
+    holds another.  Channels must lie in 0..7.  The stable sort is cheap
+    because the keys arrive nearly sorted: signal entries in pulse order up
+    to the clock jitter, then the few dark counts.
+    """
+    key = bins * 8 + channel
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    order = order[first]
+    bins = bins[order]
+    # equal bins are adjacent: flag each click that shares its bin with a neighbour
+    multi = np.zeros(len(bins), dtype=bool)
+    shared = bins[1:] == bins[:-1]
+    multi[1:] = shared
+    multi[:-1] |= shared
+    return bins, channel[order], multi, src[order]

@@ -112,6 +112,11 @@ class SocketChannel:
                  tap: list | None = None):
         self.sock = sock
         self.sock.settimeout(timeout)
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            # Alice sends some messages back to back (WINNOW_SYNDROMES then
+            # PERM_SEED, PA_SEED then KEY_HASH); with Nagle's algorithm the
+            # second waits for the peer's delayed ACK, tens of ms each time
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.tap = tap
 
     def send(self, msg_type: int, payload: bytes = b"") -> None:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import noiseless_config, scaled_config
 from qkdlink import photonics
@@ -9,6 +11,7 @@ from qkdlink.photonics import (
     detected_photons,
     eta_geometric,
     generate_burst,
+    merge_clicks,
     prbs11_next,
     prbs11_sequence,
     transmit_and_detect,
@@ -41,19 +44,26 @@ def test_prbs11_balance_over_period():
 def test_prbs11_zero_state_rejected():
     with pytest.raises(ValueError):
         prbs11_next(0)
-    with pytest.raises(ValueError):
-        prbs11_sequence(0, 10)
+    # out-of-range states must not reach a table lookup
+    for state in (0, PRBS11_PERIOD + 1, -1):
+        with pytest.raises(ValueError):
+            prbs11_sequence(state, 10)
 
 
 def test_prbs11_sequence_matches_scalar_iteration():
-    state = 0x3F1
-    expect = []
-    s = state
-    for _ in range(5000):
+    # The bits that follow a state do not depend on where the register
+    # started, so one scalar walk gives the reference for every state it visits.
+    n = 2 * PRBS11_PERIOD + 5
+    states, expect = [], []
+    s = 0x3F1
+    for _ in range(PRBS11_PERIOD + n):
+        states.append(s)
         bit, s = prbs11_next(s)
         expect.append(bit)
-    bits = prbs11_sequence(state, 5000)
-    assert np.array_equal(bits, np.array(expect, dtype=np.uint8))
+    expect = np.array(expect, dtype=np.uint8)
+    assert sorted(states[:PRBS11_PERIOD]) == list(range(1, PRBS11_PERIOD + 1))
+    for i, state in enumerate(states[:PRBS11_PERIOD]):
+        assert np.array_equal(prbs11_sequence(state, n), expect[i:i + n]), state
 
 
 # --- burst generation -----------------------------------------------------------
@@ -204,8 +214,7 @@ def test_pps_cap_respected_in_realization(small_cfg):
 def _dense_detected_photons(n, mu, eta, rng):
     """Reference sampler: Poisson(mu) photons in every pulse, each kept with probability eta."""
     counts = rng.binomial(rng.poisson(mu, n), eta)
-    hit = np.flatnonzero(counts)
-    return hit, counts[hit]
+    return np.repeat(np.arange(n), counts)
 
 
 def _chi2_homogeneity(a, b):
@@ -227,17 +236,17 @@ def test_detected_photon_counts_match_dense_model(overrides):
     cfg = scaled_config(0.1, **overrides)  # 2M pulses: ~35 hits with >=3 photons at 300 m
     link = cfg.link
     eta = link.eta_residual * link.detector_chain_efficiency()
-    hit, counts = detected_photons(cfg.n_pulses, link.mu, eta, rng_stream(1, "sparse"))
-    ref_hit, ref_counts = _dense_detected_photons(cfg.n_pulses, link.mu, eta,
-                                                  rng_stream(1, "dense"))
-    assert np.all(np.diff(hit) > 0) and hit[0] >= 0 and hit[-1] < cfg.n_pulses
-    assert np.all(counts >= 1)
+    photons = detected_photons(cfg.n_pulses, link.mu, eta, rng_stream(1, "sparse"))
+    ref = _dense_detected_photons(cfg.n_pulses, link.mu, eta, rng_stream(1, "dense"))
+    assert photons.dtype == np.int64
+    assert np.all(np.diff(photons) >= 0) and photons[0] >= 0 and photons[-1] < cfg.n_pulses
 
-    def categories(c):  # hits with 1, 2 and >=3 detected photons, then pulses without any
+    def categories(hits):  # pulses with 1, 2 and >=3 detected photons, then without any
+        c = np.unique(hits, return_counts=True)[1]
         k = [np.count_nonzero(c == 1), np.count_nonzero(c == 2), np.count_nonzero(c >= 3)]
         return k + [cfg.n_pulses - len(c)]
 
-    got, want = categories(counts), categories(ref_counts)
+    got, want = categories(photons), categories(ref)
     assert min(want) >= 20  # every category is populated enough for the chi^2 test
     chi2, dof = _chi2_homogeneity(got, want)
     assert chi2 < CHI2_999[dof], (got, want)
@@ -264,10 +273,56 @@ def test_multi_click_share_matches_dense_model(overrides, monkeypatch):
 def test_detected_photons_degenerate_rates():
     rng = rng_stream(3, "sparse")
     for mu, eta in ((0.0, 0.5), (0.5, 0.0)):
-        hit, counts = detected_photons(1000, mu, eta, rng)
-        assert len(hit) == 0 and len(counts) == 0
-    hit, counts = detected_photons(1000, 60.0, 1.0, rng)  # every pulse clicks
-    assert np.array_equal(hit, np.arange(1000))
-    assert counts.mean() == pytest.approx(60.0, abs=1.0)
-    hit, counts = detected_photons(1000, 1e-30, 1.0, rng)  # gaps far beyond the burst
-    assert len(hit) == 0
+        assert len(detected_photons(1000, mu, eta, rng)) == 0
+    photons = detected_photons(1000, 60.0, 1.0, rng)  # every pulse clicks
+    assert np.array_equal(np.unique(photons), np.arange(1000))
+    assert len(photons) / 1000 == pytest.approx(60.0, abs=1.0)
+    assert len(detected_photons(1000, 1e-30, 1.0, rng)) == 0  # gaps far beyond the burst
+
+
+# --- click merge against the np.unique reference ---------------------------------------
+
+
+def _merge_by_unique(bins, channel, src):
+    """Reference merge: one np.unique over the keys, a second over the merged bins."""
+    key = bins * 8 + channel
+    uniq, first = np.unique(key, return_index=True)
+    bin_u = uniq // 8
+    _, bin_count = np.unique(bin_u, return_counts=True)
+    return bin_u, (uniq % 8).astype(np.uint8), np.repeat(bin_count > 1, bin_count), src[first]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 30), st.integers(-1, 1), st.integers(1, 4)),
+                max_size=60),
+       st.lists(st.tuples(st.integers(-4, 130), st.integers(1, 4)), max_size=20),
+       st.integers(2, 4), st.integers(-6, 6))
+def test_merge_clicks_equals_unique_reference(photons, darks, bins_per_frame, base_bin):
+    # photons in pulse order as transmit_and_detect makes them: at 2 bins per
+    # frame a jittered bin can precede the one before it; small ranges make
+    # signal-signal and signal-dark collisions common, and base_bin < 0 gives
+    # negative bins
+    photons.sort(key=lambda p: p[0])
+    src = np.array([p[0] for p in photons], dtype=np.int64)
+    jitter = np.array([p[1] for p in photons], dtype=np.int64)
+    bins = np.concatenate([bins_per_frame * src + base_bin + jitter,
+                           np.array([d[0] for d in darks], dtype=np.int64)])
+    channel = np.array([p[2] for p in photons] + [d[1] for d in darks], dtype=np.uint8)
+    src = np.concatenate([src, np.full(len(darks), -1, dtype=np.int64)])
+    got = merge_clicks(bins, channel, src)
+    want = _merge_by_unique(bins, channel, src)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+def test_merge_clicks_equals_unique_reference_on_a_burst(monkeypatch):
+    cfg = scaled_config(0.02, seed=8, dark_cps=50000.0, bins_per_frame=2)
+    tx = generate_burst(cfg, rng_stream(8, "g"))
+    rx = transmit_and_detect(tx, cfg, rng=rng_stream(8, "c"))
+    monkeypatch.setattr(photonics, "merge_clicks", _merge_by_unique)
+    ref = transmit_and_detect(tx, cfg, rng=rng_stream(8, "c"))
+    assert np.count_nonzero(rx.multi_click) > 0 and np.count_nonzero(rx.source_index < 0) > 0
+    assert rx.channel.dtype == np.uint8
+    for name in ("bin_index", "channel", "multi_click", "source_index"):
+        assert np.array_equal(getattr(rx, name), getattr(ref, name)), name

@@ -103,6 +103,19 @@ def test_socket_channel_roundtrip():
     cb.close()
 
 
+def test_socket_channel_disables_nagle_on_tcp():
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        client = socket.create_connection(server.getsockname())
+        accepted, _ = server.accept()
+    ends = [SocketChannel(client, timeout=2.0), SocketChannel(accepted, timeout=2.0)]
+    try:
+        for chan in ends:
+            assert chan.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+    finally:
+        for chan in ends:
+            chan.close()
+
+
 def test_recv_expect_rejects_out_of_order():
     ca, cb = make_loop_pair(timeout=1.0)
     ca.send(MsgType.BASES, b"")
