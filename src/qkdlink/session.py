@@ -666,13 +666,16 @@ def simulate_session(cfg: SimConfig, n_bursts: int, on_burst=None,
     worker.start()
     try:
         alice = run_session("alice", cfg, chan_a, transport, n_bursts, on_burst=on_burst)
-    except BaseException:
+    except BaseException as exc:
         # Bob's pending receive, classical or quantum, ends now, not at the timeout
         chan_a.close()
         transport.close()
-        raise
-    finally:
         worker.join(timeout=timeout)
+        if isinstance(exc, ChannelClosed) and bob_error:
+            # Alice saw Bob's end close because Bob failed: his error is the cause
+            raise bob_error[0] from exc
+        raise
+    worker.join(timeout=timeout)
     if bob_error:
         raise bob_error[0]
     if not bob_result:

@@ -6,10 +6,12 @@ three layers, coarse to fine:
 1. whole-frame offset (time of flight plus most of the 1PPS error), found
    by a minimum-QBER search over candidate frame delays on a disclosed
    subset of the burst;
-2. half-frame ambiguity, resolved by binning the detections twice (the
-   second copy delayed by half a frame) and keeping whichever framing has
-   fewer counts in its edge bins, which also prevents clicks from
-   straddling frame boundaries;
+2. half-frame ambiguity, resolved by dual-boundary ("dual-FIFO") binning:
+   of the nominal framing and one delayed by half a frame, keep whichever
+   has fewer counts in its edge bins, which also prevents clicks from
+   straddling frame boundaries.  The delayed framing's slot histogram is
+   the nominal one rotated by half a frame, so one histogram decides and
+   only the chosen framing is built;
 3. residual one-bin clock spread, absorbed by nearest-neighbor correlation:
    a click matches its pulse if it falls in the expected bin or either
    adjacent bin.
@@ -40,29 +42,13 @@ class FifoChoice(IntEnum):
     FIFO2 = 2
 
 
-@dataclass(frozen=True)
-class FrameHistogram:
-    """Bin-wise totals folded over all frames of one binning."""
-
-    counts: np.ndarray
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def edge_fraction(self) -> float:
-        if self.total == 0:
-            return 0.0
-        return float(self.counts[0] + self.counts[-1]) / self.total
-
-
 @dataclass
 class FifoView:
     """Detections binned into frames under one boundary alignment.
 
-    ``shift`` bins are added to every global bin index before framing, so
-    the two views disagree on where frames start by half a frame.  Slot and
-    neighbor structure is preserved for the nearest-neighbor correlation.
+    ``shift`` bins are added to every global bin index before framing: 0
+    for FIFO1, half a frame for FIFO2.  Slot and neighbor structure is
+    preserved for the nearest-neighbor correlation.
     ``frames`` is non-decreasing (the detections are sorted by bin), which
     :func:`nnc_match` relies on.
     """
@@ -86,40 +72,30 @@ def sample_pps_offset(cfg: SimConfig, rng: np.random.Generator) -> float:
             return float(x)
 
 
-def build_dual_fifo(rx, cfg: SimConfig) -> tuple[FifoView, FifoView]:
-    """Bin detections twice: once at the nominal boundary, once delayed half a frame."""
-    b = cfg.bins_per_frame
-    half = b // 2
-    out = []
-    for shift in (0, half):
-        shifted = rx.bin_index + shift
-        out.append(
-            FifoView(
-                shift=shift,
-                frames=shifted // b,
-                slots=shifted % b,
-                channel=rx.channel,
-                multi=rx.multi_click,
-            )
-        )
-    return out[0], out[1]
+def frame_clicks(rx, shift: int, cfg: SimConfig) -> FifoView:
+    """Bin detections into frames with ``shift`` bins added to every bin index."""
+    shifted = rx.bin_index + shift
+    return FifoView(
+        shift=shift,
+        frames=shifted // cfg.bins_per_frame,
+        slots=shifted % cfg.bins_per_frame,
+        channel=rx.channel,
+        multi=rx.multi_click,
+    )
 
 
-def frame_histogram(fifo: FifoView, cfg: SimConfig) -> FrameHistogram:
-    counts = np.bincount(fifo.slots, minlength=cfg.bins_per_frame)
-    return FrameHistogram(counts=counts)
+def choose_framing(counts: np.ndarray) -> tuple[FifoChoice, int]:
+    """Frame boundary and central slot from the nominal (FIFO1) slot histogram.
 
-
-def select_frame_boundary(h1: FrameHistogram, h2: FrameHistogram) -> FifoChoice:
-    """Keep the framing with the smaller edge-bin fraction; ties go to FIFO1."""
-    if h2.edge_fraction() < h1.edge_fraction():
-        return FifoChoice.FIFO2
-    return FifoChoice.FIFO1
-
-
-def central_slot(hist: FrameHistogram) -> int:
-    """The expected in-frame slot of a click, read off the histogram peak."""
-    return int(np.argmax(hist.counts))
+    FIFO2's histogram is ``counts`` rotated by half a frame.  The framing
+    with fewer counts in its edge slots wins (both hold the same clicks,
+    so this is the smaller edge fraction); ties go to FIFO1.  The central
+    slot is the peak of the winning histogram.
+    """
+    delayed = np.roll(counts, len(counts) // 2)
+    if delayed[0] + delayed[-1] < counts[0] + counts[-1]:
+        return FifoChoice.FIFO2, int(np.argmax(delayed))
+    return FifoChoice.FIFO1, int(np.argmax(counts))
 
 
 @dataclass
@@ -235,26 +211,21 @@ class SyncResult:
     central: int
     r_n: int
     curve: list[tuple[int, float]]
-    hist1: FrameHistogram
-    hist2: FrameHistogram
+    bins_per_frame: int
 
     @property
     def recovered_bin_offset(self) -> int:
         """Whole-bin alignment implied by (FIFO, R_N, central slot)."""
-        bins_per_frame = len(self.hist1.counts)
-        return bins_per_frame * self.r_n + self.central - self.fifo.shift
+        return self.bins_per_frame * self.r_n + self.central - self.fifo.shift
 
 
 def synchronize(tx_bases: np.ndarray, tx_bits: np.ndarray, rx, cfg: SimConfig) -> SyncResult:
-    """Full sync pipeline: dual-FIFO binning, boundary selection, offset search."""
-    f1, f2 = build_dual_fifo(rx, cfg)
-    h1 = frame_histogram(f1, cfg)
-    h2 = frame_histogram(f2, cfg)
-    choice = select_frame_boundary(h1, h2)
-    fifo = f1 if choice == FifoChoice.FIFO1 else f2
-    central = central_slot(h1 if choice == FifoChoice.FIFO1 else h2)
+    """Full sync pipeline: boundary choice, framing, offset search."""
+    b = cfg.bins_per_frame
+    choice, central = choose_framing(np.bincount(rx.bin_index % b, minlength=b))
+    fifo = frame_clicks(rx, 0 if choice == FifoChoice.FIFO1 else b // 2, cfg)
     r_n, curve = estimate_frame_offset(tx_bases, tx_bits, fifo, central, cfg)
-    return SyncResult(choice, fifo, central, r_n, curve, h1, h2)
+    return SyncResult(choice, fifo, central, r_n, curve, b)
 
 
 def count_split_events(rx, fifo: FifoView, cfg: SimConfig) -> int:

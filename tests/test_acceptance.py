@@ -31,11 +31,8 @@ from qkdlink.postproc import (
 from qkdlink.securecomm import HANDSHAKE_BITS, ChatEndpoint
 from qkdlink.session import make_loop_pair, simulate_session
 from qkdlink.timing import (
-    FifoChoice,
-    build_dual_fifo,
     count_split_events,
-    frame_histogram,
-    select_frame_boundary,
+    frame_clicks,
     synchronize,
 )
 
@@ -135,11 +132,8 @@ def test_criterion_4_synchronization_recovery(acceptance_recorder):
     sync0 = synchronize(tx0.bases, tx0.bits, rx0, cfg0)
 
     # worst boundary alignment: clicks sit on the FIFO1 frame edge
-    f1, f2 = build_dual_fifo(rx0, cfg0)
-    chosen = f1 if select_frame_boundary(frame_histogram(f1, cfg0),
-                                         frame_histogram(f2, cfg0)) == FifoChoice.FIFO1 else f2
-    s1 = count_split_events(rx0, f1, cfg0)
-    s_chosen = count_split_events(rx0, chosen, cfg0)
+    s1 = count_split_events(rx0, frame_clicks(rx0, 0, cfg0), cfg0)
+    s_chosen = count_split_events(rx0, sync0.fifo, cfg0)
     reduction = (s1 - s_chosen) / s1 if s1 else 0.0
 
     ok = hits >= 0.99 * trials and sync0.r_n == 20 and s1 > 0 and reduction >= 0.40

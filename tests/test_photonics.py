@@ -16,7 +16,7 @@ from qkdlink.photonics import (
     prbs11_sequence,
     transmit_and_detect,
 )
-from qkdlink.timing import build_dual_fifo, nnc_match
+from qkdlink.timing import frame_clicks, nnc_match, synchronize
 
 
 # --- PRBS11 -------------------------------------------------------------------
@@ -134,7 +134,7 @@ def test_noiseless_same_basis_decodes_exactly():
     cfg = noiseless_config(0.002, seed=3)
     tx = generate_burst(cfg, rng_stream(3, "g"))
     rx = transmit_and_detect(tx, cfg, rng=rng_stream(3, "c"))
-    f1, _ = build_dual_fifo(rx, cfg)
+    f1 = frame_clicks(rx, 0, cfg)
     res = nnc_match(len(tx), f1, central=0, frame_offset=0)
     meas_basis = (res.channel - 1) >> 1
     meas_bit = (res.channel - 1) & 1
@@ -159,10 +159,7 @@ def test_full_burst_total_clicks():
     cfg = scaled_config(1.0, seed=3)
     tx = generate_burst(cfg, rng_stream(3, "g"))
     rx = transmit_and_detect(tx, cfg, rng=rng_stream(3, "c"))
-    f1, f2 = build_dual_fifo(rx, cfg)
-    from qkdlink.timing import FifoChoice, frame_histogram, select_frame_boundary
-    choice = select_frame_boundary(frame_histogram(f1, cfg), frame_histogram(f2, cfg))
-    fifo = f1 if choice == FifoChoice.FIFO1 else f2
+    fifo = synchronize(tx.bases, tx.bits, rx, cfg).fifo
     clicked_frames = len(np.unique(fifo.frames))
     expected = cfg.n_pulses * (1 - np.exp(-cfg.link.channel_efficiency() * cfg.link.mu))
     assert abs(clicked_frames - expected) < 3000

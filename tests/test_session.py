@@ -309,6 +309,22 @@ def test_source_failure_ends_bob_without_waiting_out_the_timeout(monkeypatch):
     assert time.monotonic() - t0 < 3.0
 
 
+def test_receiver_failure_surfaces_as_itself_not_as_peer_closed(monkeypatch):
+    # Bob fails; Alice only sees his end of the channel close
+    class ReceiverFailed(Exception):
+        pass
+
+    def transmit_and_detect(*args, **kwargs):
+        raise ReceiverFailed
+
+    monkeypatch.setattr(session, "transmit_and_detect", transmit_and_detect)
+    t0 = time.monotonic()
+    with pytest.raises(ReceiverFailed) as info:
+        simulate_session(scaled_config(0.01, seed=33), 2, timeout=5.0)
+    assert time.monotonic() - t0 < 3.0
+    assert isinstance(info.value.__cause__, ChannelClosed)
+
+
 def test_burst_without_lock_aborts_and_session_continues():
     # no photons and no dark counts: Bob has nothing to lock on in either burst
     cfg = scaled_config(0.01, seed=33, mu=0.0, dark_cps=0.0)

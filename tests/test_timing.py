@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import noiseless_config, scaled_config
@@ -12,17 +12,14 @@ from qkdlink.photonics import generate_burst, transmit_and_detect
 from qkdlink.timing import (
     FifoChoice,
     FifoView,
-    FrameHistogram,
     NoLockError,
-    build_dual_fifo,
-    central_slot,
+    choose_framing,
     count_split_events,
     estimate_frame_offset,
-    frame_histogram,
+    frame_clicks,
     interim_qber,
     nnc_match,
     sample_pps_offset,
-    select_frame_boundary,
     synchronize,
     write_sync_report,
 )
@@ -71,39 +68,74 @@ def test_pps_offset_zero_sigma(tiny_cfg):
 
 def test_dual_fifo_index_arithmetic(tiny_cfg):
     k = 37
-    f1, f2 = build_dual_fifo(_rx([4 * k]), tiny_cfg)
+    f1, f2 = (frame_clicks(_rx([4 * k]), shift, tiny_cfg) for shift in (0, 2))
     assert f1.frames[0] == k and f1.slots[0] == 0
     assert f2.frames[0] == k and f2.slots[0] == 2
 
 
 def test_dual_fifo_empty_input(tiny_cfg):
-    f1, f2 = build_dual_fifo(_rx([]), tiny_cfg)
+    f1, f2 = (frame_clicks(_rx([]), shift, tiny_cfg) for shift in (0, 2))
     assert len(f1.frames) == 0 and len(f2.frames) == 0
 
 
 def test_straddling_pair_whole_in_exactly_one_fifo(tiny_cfg):
     # jitter-spread pair around a FIFO1 boundary: bins 4k-1 and 4k
     k = 10
-    f1, f2 = build_dual_fifo(_rx([4 * k - 1, 4 * k]), tiny_cfg)
+    f1, f2 = (frame_clicks(_rx([4 * k - 1, 4 * k]), shift, tiny_cfg) for shift in (0, 2))
     whole1 = f1.frames[0] == f1.frames[1]
     whole2 = f2.frames[0] == f2.frames[1]
     assert whole1 != whole2 and whole2
 
 
-def test_select_frame_boundary_prefers_center_heavy():
-    edge_heavy = FrameHistogram(np.array([40, 10, 10, 40]))
-    center_heavy = FrameHistogram(np.array([5, 45, 45, 5]))
-    assert select_frame_boundary(edge_heavy, center_heavy) == FifoChoice.FIFO2
-    assert select_frame_boundary(center_heavy, edge_heavy) == FifoChoice.FIFO1
+def test_choose_framing_prefers_center_heavy():
+    # FIFO2 sees each histogram rotated by half a frame: edge-heavy becomes center-heavy
+    edge_heavy = np.array([40, 10, 10, 40])
+    center_heavy = np.array([5, 45, 45, 5])
+    assert choose_framing(edge_heavy)[0] == FifoChoice.FIFO2
+    assert choose_framing(center_heavy)[0] == FifoChoice.FIFO1
 
 
-def test_select_frame_boundary_tie_goes_fifo1():
-    h = FrameHistogram(np.array([10, 10, 10, 10]))
-    assert select_frame_boundary(h, FrameHistogram(h.counts.copy())) == FifoChoice.FIFO1
+def test_choose_framing_tie_goes_fifo1():
+    h = np.array([10, 10, 10, 10])
+    assert choose_framing(h)[0] == FifoChoice.FIFO1
 
 
-def test_central_slot_is_histogram_peak():
-    assert central_slot(FrameHistogram(np.array([3, 50, 20, 2]))) == 1
+def test_choose_framing_central_is_histogram_peak():
+    assert choose_framing(np.array([3, 50, 20, 2])) == (FifoChoice.FIFO1, 1)
+    # the peak of the winning, rotated histogram
+    assert choose_framing(np.array([30, 2, 5, 40])) == (FifoChoice.FIFO2, 1)
+
+
+def _dual_fifo_reference(bins, b):
+    """Reference boundary choice: frame twice, compare edge fractions, argmax the winner."""
+    views = []
+    for shift in (0, b // 2):
+        shifted = bins + shift
+        counts = np.bincount(shifted % b, minlength=b)
+        total = int(counts.sum())
+        edge = float(counts[0] + counts[-1]) / total if total else 0.0
+        views.append((edge, int(np.argmax(counts)), shifted // b, shifted % b))
+    choice = FifoChoice.FIFO2 if views[1][0] < views[0][0] else FifoChoice.FIFO1
+    return (choice,) + views[choice - 1][1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-40, 200), max_size=60), st.integers(2, 8))
+@example([], 4)
+@example([-9, -5, -4, -1, 0, 3], 4)
+def test_synchronize_framing_equals_dual_fifo_reference(bins, b):
+    bins = np.sort(np.array(bins, dtype=np.int64))
+    cfg = dataclasses.replace(default_config(), bins_per_frame=b)
+    with pytest.MonkeyPatch.context() as mp:
+        # the offset search is tested elsewhere; here only the framing matters
+        mp.setattr("qkdlink.timing.estimate_frame_offset", lambda *args: (0, []))
+        sync = synchronize(np.zeros(0, np.uint8), np.zeros(0, np.uint8), _rx(bins), cfg)
+    choice, central, frames, slots = _dual_fifo_reference(bins, b)
+    assert (sync.fifo_choice, sync.central) == (choice, central)
+    assert sync.fifo.shift == (0 if choice == FifoChoice.FIFO1 else b // 2)
+    assert sync.fifo.frames.dtype == frames.dtype and sync.fifo.slots.dtype == slots.dtype
+    assert np.array_equal(sync.fifo.frames, frames)
+    assert np.array_equal(sync.fifo.slots, slots)
 
 
 # --- nearest-neighbor correlation ----------------------------------------------------
@@ -111,28 +143,26 @@ def test_central_slot_is_histogram_peak():
 
 @pytest.mark.parametrize("slot", [1, 2], ids=["central", "adjacent"])
 def test_nnc_matches_central_or_adjacent_bin(tiny_cfg, slot):
-    f1, _ = build_dual_fifo(_rx([4 * 5 + slot]), tiny_cfg)
+    f1 = frame_clicks(_rx([4 * 5 + slot]), 0, tiny_cfg)
     res = nnc_match(10, f1, central=1, frame_offset=0)
     assert list(res.tx_index) == [5]
 
 
 def test_nnc_two_bins_away_unmatched(tiny_cfg):
-    f1, _ = build_dual_fifo(_rx([4 * 5 + 3]), tiny_cfg)
+    f1 = frame_clicks(_rx([4 * 5 + 3]), 0, tiny_cfg)
     res = nnc_match(10, f1, central=1, frame_offset=0)
     assert len(res) == 0
 
 
 def test_nnc_competing_detections_discard_frame(tiny_cfg):
-    f1, _ = build_dual_fifo(_rx([4 * 5 + 1, 4 * 5 + 2], channels=[1, 3]), tiny_cfg)
+    f1 = frame_clicks(_rx([4 * 5 + 1, 4 * 5 + 2], channels=[1, 3]), 0, tiny_cfg)
     res = nnc_match(10, f1, central=1, frame_offset=0)
     assert len(res) == 0
     assert res.n_compete_discard == 1
 
 
 def test_nnc_multi_click_discards_frame(tiny_cfg):
-    f1, _ = build_dual_fifo(
-        _rx([4 * 5 + 1], channels=[2], multi=[True]), tiny_cfg
-    )
+    f1 = frame_clicks(_rx([4 * 5 + 1], channels=[2], multi=[True]), 0, tiny_cfg)
     res = nnc_match(10, f1, central=1, frame_offset=0)
     assert len(res) == 0
     assert res.n_multi_discard == 1
@@ -184,7 +214,7 @@ def test_nnc_match_equals_bincount_reference_on_a_burst(small_cfg):
     tx = generate_burst(small_cfg, rng_stream(14, "g"))
     rx = transmit_and_detect(tx, small_cfg, rng=rng_stream(14, "c"))
     sync = synchronize(tx.bases, tx.bits, rx, small_cfg)
-    for fifo in build_dual_fifo(rx, small_cfg):
+    for fifo in (frame_clicks(rx, shift, small_cfg) for shift in (0, 2)):
         for offset, first_tx in ((sync.r_n, 0), (sync.r_n, 500), (sync.r_n + 1, 0)):
             res = nnc_match(len(tx), fifo, sync.central, offset, first_tx=first_tx)
             ref = _nnc_match_by_bincount(len(tx), fifo, sync.central, offset, first_tx=first_tx)
@@ -203,7 +233,7 @@ def test_nnc_injective_on_detections(small_cfg):
 
 
 def test_nnc_frame_offset_applies(tiny_cfg):
-    f1, _ = build_dual_fifo(_rx([4 * 25 + 1]), tiny_cfg)
+    f1 = frame_clicks(_rx([4 * 25 + 1]), 0, tiny_cfg)
     res = nnc_match(10, f1, central=1, frame_offset=20)
     assert list(res.tx_index) == [5]
 
@@ -215,7 +245,7 @@ def test_interim_qber_zero_at_truth_noiseless():
     cfg = noiseless_config(0.002, seed=5)
     tx = generate_burst(cfg, rng_stream(5, "g"))
     rx = transmit_and_detect(tx, cfg, rng=rng_stream(5, "c"))
-    f1, _ = build_dual_fifo(rx, cfg)
+    f1 = frame_clicks(rx, 0, cfg)
     assert interim_qber(tx.bases, tx.bits, f1, 0, 0) == 0.0
 
 
@@ -223,7 +253,7 @@ def test_interim_qber_half_at_wrong_offset():
     cfg = noiseless_config(0.01, seed=6)
     tx = generate_burst(cfg, rng_stream(6, "g"))
     rx = transmit_and_detect(tx, cfg, rng=rng_stream(6, "c"))
-    f1, _ = build_dual_fifo(rx, cfg)
+    f1 = frame_clicks(rx, 0, cfg)
     q = interim_qber(tx.bases, tx.bits, f1, 0, 7)
     assert q == pytest.approx(0.5, abs=0.1)
 
@@ -237,7 +267,7 @@ def test_interim_qber_default_noise(small_cfg):
 
 
 def test_interim_qber_no_pairs_convention(tiny_cfg):
-    f1, _ = build_dual_fifo(_rx([]), tiny_cfg)
+    f1 = frame_clicks(_rx([]), 0, tiny_cfg)
     assert interim_qber(np.zeros(10, np.uint8), np.zeros(10, np.uint8), f1, 1, 0) == 0.5
 
 
@@ -255,13 +285,13 @@ def test_offset_search_zero_tof():
     cfg = noiseless_config(0.001, seed=9)
     tx = generate_burst(cfg, rng_stream(9, "g"))
     rx = transmit_and_detect(tx, cfg, rng=rng_stream(9, "c"))
-    f1, _ = build_dual_fifo(rx, cfg)
+    f1 = frame_clicks(rx, 0, cfg)
     r_n, _ = estimate_frame_offset(tx.bases, tx.bits, f1, 0, cfg)
     assert r_n == 0
 
 
 def test_offset_search_no_lock_on_empty(tiny_cfg):
-    f1, _ = build_dual_fifo(_rx([]), tiny_cfg)
+    f1 = frame_clicks(_rx([]), 0, tiny_cfg)
     with pytest.raises(NoLockError):
         estimate_frame_offset(np.zeros(100, np.uint8), np.zeros(100, np.uint8), f1, 1, tiny_cfg)
 
@@ -275,17 +305,28 @@ def test_true_offset_strictly_minimal(small_cfg):
     assert all(q_true < q for q in qs.values())
 
 
-def test_alignment_recovery_mini_trials():
+def _recovery_hits(seeds, **overrides):
+    """1-ms bursts at 1000 ns of flight whose whole-bin offset sync recovers exactly."""
     hits = 0
-    trials = 100
-    for t in range(trials):
-        cfg = scaled_config(0.001, seed=1000 + t, tof_override_ns=1000.0)
+    for seed in seeds:
+        cfg = scaled_config(0.001, seed=seed, tof_override_ns=1000.0, **overrides)
         tx = generate_burst(cfg, rng_stream(cfg.rng_seed, "g"))
         rx = transmit_and_detect(tx, cfg, rng=rng_stream(cfg.rng_seed, "c"))
         sync = synchronize(tx.bases, tx.bits, rx, cfg)
         if sync.recovered_bin_offset == rx.true_bin_offset:
             hits += 1
-    assert hits >= trials - 2
+    return hits
+
+
+def test_alignment_recovery_mini_trials():
+    trials = 100
+    assert _recovery_hits(range(1000, 1000 + trials)) >= trials - 2
+
+
+@pytest.mark.parametrize("bins_per_frame", [2, 3, 5, 8])
+def test_alignment_recovery_other_frame_sizes(bins_per_frame):
+    trials = 100
+    assert _recovery_hits(range(trials), bins_per_frame=bins_per_frame) >= trials - 2
 
 
 # --- boundary selection vs splits -------------------------------------------------------
@@ -301,9 +342,8 @@ def test_boundary_selection_never_worse_than_best_fifo(tof_ns, worst):
     cfg = scaled_config(0.002, seed=11, pps_jitter_sigma_ns=0.0, tof_override_ns=tof_ns)
     tx = generate_burst(cfg, rng_stream(11, "g"))
     rx = transmit_and_detect(tx, cfg, rng=rng_stream(11, "c"))
-    f1, f2 = build_dual_fifo(rx, cfg)
-    h1, h2 = frame_histogram(f1, cfg), frame_histogram(f2, cfg)
-    chosen = f1 if select_frame_boundary(h1, h2) == FifoChoice.FIFO1 else f2
+    f1, f2 = (frame_clicks(rx, shift, cfg) for shift in (0, 2))
+    chosen = synchronize(tx.bases, tx.bits, rx, cfg).fifo
     s1 = count_split_events(rx, f1, cfg)
     s2 = count_split_events(rx, f2, cfg)
     s_chosen = count_split_events(rx, chosen, cfg)
