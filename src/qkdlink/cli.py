@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis, securecomm, session, timing
 from .core import ConfigError, SimConfig, default_config, load_config, rng_stream
 from .eve import Eavesdropper
-from .photonics import generate_burst
+from .photonics import generate_burst, transmit_and_detect
 from .session import (
     DEFAULT_PORT,
     BurstOutcome,
@@ -69,7 +69,7 @@ class ReportWriter:
             f"{o.sifted_kbps(self.burst_seconds):.3f}",
             f"{o.qber:.6f}",
             f"{o.secure_kbps(self.burst_seconds):.3f}",
-            o.offset_frames,
+            "" if o.offset_frames is None else o.offset_frames,
             o.fifo_choice,
             o.aborted_reason or "",
             o.disclosed_bits,
@@ -172,27 +172,32 @@ EVE_LOG_BLOCK_ROWS = 1 << 20  # rows laid out per write: ~16 MB of text at most
 
 
 def _dump_eve_log(cfg: SimConfig, path: str, burst_id: int = 0) -> None:
-    """Replay the (deterministic) interception of one burst and write Eve's
-    re-prepared basis and bit per pulse as ``index,basis,bit`` CSV rows.
+    """Replay the (deterministic) photonics of one burst and write, as
+    ``index,basis,bit`` CSV rows in ascending index order, Eve's re-prepared
+    basis and bit of each intercepted pulse that holds a detected photon:
+    the states the receiver's photons were drawn from.
 
     Rows are laid out as byte arrays, one block per run of indices with the
     same number of digits, in the csv module's dialect (CRLF line ends): a
-    1-s burst has 20 M rows, too many to format one by one.
+    1-s burst has ~1 M rows, too many to format one by one.
     """
-    tx = generate_burst(cfg, rng_stream(cfg.rng_seed, f"txgen:{burst_id}"))
-    eavesdropper = Eavesdropper(rng_stream(cfg.rng_seed, f"eve:{burst_id}"), cfg.eve_fraction)
-    bases, bits = eavesdropper.transform(tx.bases, tx.bits)
-    n = len(bases)
-    digits = (10**w for w in range(1, 20) if 10**w < n)
+    seed = cfg.rng_seed
+    tx = generate_burst(cfg, rng_stream(seed, f"txgen:{burst_id}"))
+    log_parts: list = []
+    eavesdropper = Eavesdropper(rng_stream(seed, f"eve:{burst_id}"), cfg.eve_fraction,
+                                log=log_parts)
+    transmit_and_detect(tx, cfg, eve=eavesdropper, rng=rng_stream(seed, f"channel:{burst_id}"))
+    ((index, bases, bits),) = log_parts
+    n = len(index)
+    digits = np.searchsorted(index, [10**w for w in range(1, 19)]).tolist()
     edges = sorted({0, n, *range(EVE_LOG_BLOCK_ROWS, n, EVE_LOG_BLOCK_ROWS), *digits})
     with open(path, "wb") as fh:
         fh.write(b"index,basis,bit\r\n")
         for lo, hi in zip(edges, edges[1:]):
-            width = len(str(hi - 1))  # every index in [lo, hi) has this many digits
-            index = np.arange(lo, hi)
+            width = len(str(index[hi - 1]))  # every index in [lo, hi) has this many digits
             rows = np.empty((hi - lo, width + 6), dtype=np.uint8)
             for d in range(width):
-                rows[:, width - 1 - d] = ord("0") + index // 10**d % 10
+                rows[:, width - 1 - d] = ord("0") + index[lo:hi] // 10**d % 10
             rows[:, width:] = np.frombuffer(b",0,0\r\n", dtype=np.uint8)
             rows[:, width + 1] += bases[lo:hi]
             rows[:, width + 3] += bits[lo:hi]
@@ -217,7 +222,8 @@ def cmd_terminal(args) -> int:
     """One terminal over one TCP connection: the bursts, then the OTP chat if asked.
 
     The classical messages and the simulated pulse stream (SIM_PULSESTREAM,
-    the bases and bits of every pulse) share the connection.
+    the pulse count and the two PRBS11 states of each burst) share the
+    connection.
     """
     if not (args.listen or args.connect):
         raise UsageError("chat needs --listen or --connect host:port")
@@ -313,7 +319,8 @@ def build_parser() -> _Parser:
     p.add_argument("--sync-report", dest="sync_report",
                    help="write each burst's offset->QBER search curve as CSV (one file per burst)")
     p.add_argument("--eve-log", dest="eve_log",
-                   help="with --eve: dump the interception record of burst 0 as CSV")
+                   help="with --eve: dump Eve's state of each intercepted pulse of burst 0 "
+                        "that reached the receiver, as CSV")
     p.set_defaults(func=cmd_simulate)
 
     # one terminal, three spellings: --listen makes it Alice, --connect makes it Bob

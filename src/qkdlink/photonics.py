@@ -1,11 +1,13 @@
 """Monte Carlo model of the WCP source, free-space channel and detection.
 
-One burst of pulses is generated with PRBS11-driven bases and bits, cut from
-one precomputed PRBS11 cycle.  Photon numbers are never materialized per
-pulse: thinning a Poisson(mu) photon number by the end-to-end efficiency eta
-gives exactly Poisson(mu * eta) detected photons per pulse, independently,
-which is what one Poisson process of rate mu * eta per pulse gives, so only
-the detected photons are drawn, as its exponential gaps.  Those photons then
+The bases and bits of a burst's pulses are two PRBS11 sequences, so the
+burst is its pulse count and the two PRBS11 states; the basis and bit of any
+pulse are read from one precomputed PRBS11 cycle.  Photon numbers are never
+materialized per pulse: thinning a Poisson(mu) photon number by the
+end-to-end efficiency eta gives exactly Poisson(mu * eta) detected photons
+per pulse, independently, which is what one Poisson process of rate mu * eta
+per pulse gives, so only the detected photons are drawn, as its exponential
+gaps.  Those photons then
 get a 50:50 measurement basis, a polarization projection, a bin shifted by
 time of flight plus 1PPS offset, and per-click clock jitter.  Dark counts
 are added as uniformly placed spurious clicks, and a stable sort of the
@@ -56,6 +58,7 @@ def _prbs11_cycle() -> tuple[np.ndarray, np.ndarray]:
 
 
 _CYCLE, _PHASE = _prbs11_cycle()
+_CYCLE2 = np.concatenate([_CYCLE, _CYCLE])  # read at phase + (j % period) without a wrap
 
 
 def prbs11_sequence(state: int, n: int) -> np.ndarray:
@@ -71,19 +74,42 @@ def prbs11_sequence(state: int, n: int) -> np.ndarray:
     return np.tile(period, -(-n // PRBS11_PERIOD))[:n]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TxBurst:
-    """The encoding of every pulse of one burst as parallel arrays (basis, bit).
+    """The encoding of one burst: ``n`` pulses whose bases and bits are the
+    PRBS11 sequences from ``state_bases`` and ``state_bits``.
 
-    Photon numbers are not part of it: :func:`transmit_and_detect` draws the
-    detected ones directly.
+    Pulse j's basis is cycle bit ``(phase(state_bases) + j) % 2047``, and
+    likewise its bit, so :meth:`at` reads any set of pulses without
+    materializing the burst.  Photon numbers are not part of it:
+    :func:`transmit_and_detect` draws the detected ones directly.
     """
 
-    bases: np.ndarray  # uint8, 0=rectilinear 1=diagonal
-    bits: np.ndarray   # uint8
+    n: int
+    state_bases: int
+    state_bits: int
+
+    def __post_init__(self):
+        _check_prbs11_state(self.state_bases)
+        _check_prbs11_state(self.state_bits)
 
     def __len__(self) -> int:
-        return len(self.bases)
+        return self.n
+
+    def at(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(bases, bits) of the pulses at ``idx``, as uint8 arrays (0=rectilinear 1=diagonal)."""
+        r = np.asarray(idx) % PRBS11_PERIOD
+        return _CYCLE2[r + _PHASE[self.state_bases]], _CYCLE2[r + _PHASE[self.state_bits]]
+
+    @property
+    def bases(self) -> np.ndarray:
+        """Every pulse's basis: an n-element array, for tests and diagnostics."""
+        return prbs11_sequence(self.state_bases, self.n)
+
+    @property
+    def bits(self) -> np.ndarray:
+        """Every pulse's bit: an n-element array, for tests and diagnostics."""
+        return prbs11_sequence(self.state_bits, self.n)
 
 
 @dataclass
@@ -108,11 +134,10 @@ class RxBurst:
 
 
 def generate_burst(cfg: SimConfig, rng: np.random.Generator) -> TxBurst:
-    """Draw one burst: the two PRBS11 seeds, and from them every pulse's basis and bit."""
-    n = cfg.n_pulses
+    """Draw one burst: the two PRBS11 states that fix every pulse's basis and bit."""
     seed_bases = int(rng.integers(1, PRBS11_MASK + 1))
     seed_bits = int(rng.integers(1, PRBS11_MASK + 1))
-    return TxBurst(prbs11_sequence(seed_bases, n), prbs11_sequence(seed_bits, n))
+    return TxBurst(cfg.n_pulses, seed_bases, seed_bits)
 
 
 def detected_photons(n: int, mu: float, eta: float, rng: np.random.Generator) -> np.ndarray:
@@ -166,10 +191,11 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None,
                         rng: np.random.Generator | None = None) -> RxBurst:
     """Propagate one burst through the channel and produce receiver clicks.
 
-    Stages: optional eavesdropper transform of every pulse; the 1PPS offset
-    of the burst; the photons surviving path loss (geometric collection x
-    residual loss) and the detector chain, as the pulse index of each
-    (:func:`detected_photons`); then per detected photon a 50:50
+    Stages: the 1PPS offset of the burst; the photons surviving path loss
+    (geometric collection x residual loss) and the detector chain, as the
+    pulse index of each (:func:`detected_photons`); the encoding of those
+    pulses, as the optional eavesdropper re-prepared them
+    (:meth:`Eavesdropper.intercept`); then per detected photon a 50:50
     measurement basis choice, polarization projection onto a channel
     (probability ``e_pol`` of landing in the flipped channel when bases
     agree, uniform within the measurement basis when they differ), and bin
@@ -187,10 +213,6 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None,
     link = cfg.link
     n = len(tx)
 
-    bases, bits = tx.bases, tx.bits
-    if eve is not None:
-        bases, bits = eve.transform(bases, bits)
-
     # timing realization, shared by every click of the burst
     tof_ns = cfg.tof_ns()
     pps_ns = sample_pps_offset(cfg, rng)
@@ -203,12 +225,14 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None,
     # into one; surviving photons then get basis/channel/bin.
     src = detected_photons(n, link.mu, p_path * p_det, rng)
     m = len(src)
+    # intercept-resend keeps photon numbers, so Eve needs only the pulses that reach Bob
+    bases, bits = tx.at(src) if eve is None else eve.intercept(tx, src)
 
     meas_basis = rng.integers(0, 2, m, dtype=np.uint8)
-    same = meas_basis == bases[src]
+    same = meas_basis == bases
     flip = rng.random(m) < link.e_pol
     rand_bit = rng.integers(0, 2, m, dtype=np.uint8)
-    channel = np.where(same, bits[src] ^ flip, rand_bit)
+    channel = np.where(same, bits ^ flip, rand_bit)
     channel += 1
     channel += 2 * meas_basis
 

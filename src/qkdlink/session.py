@@ -10,11 +10,12 @@ message types it accepts and the one ABORT reason the peer can send there:
 no lock at frame sync, a failed QBER check, or a rejected key hash.
 
 The quantum channel of the real system is replaced by a simulation
-transport that hands Bob the encoding of every pulse (bases and bits; the
-receiver draws the detected photons itself): in process as the arrays, or
-as one SIM_PULSESTREAM message on the classical stream itself, between
-BURST_START and SYNC_SUBSET.  That message is simulation plumbing only and
-is excluded from any security consideration.
+transport that hands Bob the encoding of the burst: its pulse count and the
+two PRBS11 states that fix every pulse's basis and bit (the receiver draws
+the detected photons itself).  In process that is the :class:`TxBurst`
+itself; between two terminals it is one 12-byte SIM_PULSESTREAM message on
+the classical stream, between BURST_START and SYNC_SUBSET.  That message is
+simulation plumbing only and is excluded from any security consideration.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .photonics import TxBurst, generate_burst, transmit_and_detect
 from .timing import FifoChoice, NoLockError, nnc_match, offset_window, synchronize
 
 PROTOCOL_MAGIC = b"QKL1"
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 DEFAULT_PORT = 47000
 DEFAULT_PHASE_TIMEOUT = 30.0
 MAX_PAYLOAD = 2**32 - 2  # length field also covers the type byte
@@ -221,27 +222,27 @@ def check_hello(hello: tuple, cfg: SimConfig, n_bursts: int) -> None:
         raise ProtocolError(f"burst count mismatch: peer wants {bursts}, local {n_bursts}")
 
 
+PULSE_STREAM = struct.Struct(">QHH")  # pulse count, PRBS11 states of the bases and the bits
+
+
 def pack_tx_burst(tx: TxBurst) -> bytes:
-    """Pulse count (u64), then every pulse's basis and bit, packed."""
-    return struct.pack(">Q", len(tx)) + pack_bits(tx.bases) + pack_bits(tx.bits)
+    return PULSE_STREAM.pack(tx.n, tx.state_bases, tx.state_bits)
 
 
 def unpack_tx_burst(payload: bytes) -> TxBurst:
-    if len(payload) < 8:
-        raise ProtocolError("truncated pulse stream header")
-    (n,) = struct.unpack(">Q", payload[:8])
-    nbytes = -(-n // 8)
-    need = 8 + 2 * nbytes
-    if len(payload) != need:
-        raise ProtocolError(f"pulse stream length {len(payload)} != expected {need}")
-    return TxBurst(unpack_bits(payload[8 : 8 + nbytes], n), unpack_bits(payload[8 + nbytes :], n))
+    if len(payload) != PULSE_STREAM.size:
+        raise ProtocolError(f"pulse stream of {len(payload)} bytes, expected {PULSE_STREAM.size}")
+    try:
+        return TxBurst(*PULSE_STREAM.unpack(payload))
+    except ValueError as exc:
+        raise ProtocolError(f"pulse stream: {exc}") from exc
 
 
 # --- quantum transport ---------------------------------------------------------
 
 
 class InProcessTransport:
-    """Direct hand-off of the pulse arrays between two threads."""
+    """Direct hand-off of the :class:`TxBurst` between two threads."""
 
     def __init__(self, timeout: float = DEFAULT_PHASE_TIMEOUT):
         self._q: queue.Queue = queue.Queue()
@@ -265,8 +266,8 @@ class InProcessTransport:
 
 
 class NetworkTransport:
-    """Pulse arrays serialized as one SIM_PULSESTREAM message on a channel; a
-    terminal passes its classical channel, so one connection carries both."""
+    """The :class:`TxBurst` serialized as one SIM_PULSESTREAM message on a channel;
+    a terminal passes its classical channel, so one connection carries both."""
 
     def __init__(self, chan):
         self.chan = chan
@@ -312,7 +313,7 @@ LAYOUTS = {
     # bases and bits of the first n pulses
     ("alice", MsgType.SYNC_SUBSET): Layout(">I", ("bits", "bits")),
     # R_N, FIFO choice, central slot; interim QBER at each offset of timing.offset_window
-    ("bob", MsgType.FRAME_OFFSET_ACK): Layout(">IBBI", ("floats",)),
+    ("bob", MsgType.FRAME_OFFSET_ACK): Layout(">iBBI", ("floats",)),
     # matched pulse indices and Bob's bases there; Alice's basis-agreement mask
     ("bob", MsgType.BASES): Layout(">I", ("positions", "bits")),
     ("alice", MsgType.BASES): Layout(">I", ("bits",)),
@@ -399,7 +400,7 @@ class BurstOutcome:
     qber: float = float("nan")
     secure_bits: int = 0
     elapsed_s: float = 0.0
-    offset_frames: int = -1
+    offset_frames: int | None = None  # R_N, signed; None until frame sync locks
     fifo_choice: int = 0
     disclosed_bits: int = 0
     aborted_reason: str | None = None
@@ -487,7 +488,7 @@ def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postpro
         transport.deliver(tx)
 
         s = cfg.sync_subset_size
-        burst.send(MsgType.SYNC_SUBSET, tx.bases[:s], tx.bits[:s])
+        burst.send(MsgType.SYNC_SUBSET, *tx.at(np.arange(s)))
         window = offset_window(cfg)
         out.offset_frames, out.fifo_choice, central, curve = burst.recv(
             MsgType.FRAME_OFFSET_ACK, n=len(window), abort=AbortReason.NO_LOCK)
@@ -498,9 +499,10 @@ def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postpro
         out.sync_curve = list(zip(window, curve.tolist()))
 
         idx, bob_bases = burst.recv(MsgType.BASES, bound=cfg.n_pulses)
-        mask = postproc.sift_mask(tx.bases[idx], bob_bases)
+        alice_bases, alice_bits = tx.at(idx)
+        mask = postproc.sift_mask(alice_bases, bob_bases)
         burst.send(MsgType.BASES, mask)
-        alice_sifted = tx.bits[idx][mask]
+        alice_sifted = alice_bits[mask]
 
         out.sifted_bits = n_sift = len(alice_sifted)
         sample_idx = np.empty(0, dtype=np.int64)
@@ -552,6 +554,8 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
             raise ProtocolError(f"burst header mismatch: got burst {burst_id} x {n_pulses} pulses")
 
         tx = transport.receive()
+        if len(tx) != cfg.n_pulses:
+            raise ProtocolError(f"pulse stream of {len(tx)} pulses, expected {cfg.n_pulses}")
         eavesdropper = (Eavesdropper(rng_stream(seed, f"eve:{k}"), cfg.eve_fraction)
                         if cfg.eve_enabled else None)
         rx = transmit_and_detect(tx, cfg, eve=eavesdropper, rng=rng_stream(seed, f"channel:{k}"))

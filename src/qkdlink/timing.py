@@ -172,12 +172,12 @@ def offset_window(cfg: SimConfig) -> range:
     The true bin offset lies in floor((tof +- cap) / bin_ns); the recovered
     one is bins_per_frame * R_N + central - shift with central in
     [0, bins_per_frame) and shift in {0, bins_per_frame // 2}.  R_N is
-    unsigned on the wire, so the window starts at 0 at the earliest.
+    signed: a negative 1PPS offset can outweigh a short time of flight.
     """
     b = cfg.bins_per_frame
     lo = int(np.floor((cfg.tof_ns() - cfg.pps_jitter_cap_ns) / cfg.bin_ns)) - (b - 1)
     hi = int(np.floor((cfg.tof_ns() + cfg.pps_jitter_cap_ns) / cfg.bin_ns)) + b // 2
-    return range(max(0, -(-lo // b)), hi // b + 1)
+    return range(-(-lo // b), hi // b + 1)
 
 
 def estimate_frame_offset(tx_bases: np.ndarray, tx_bits: np.ndarray, fifo: FifoView,

@@ -133,7 +133,7 @@ def test_rate_table_mentions_key_numbers():
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("distance_m", [750.0, 2500.0])
+@pytest.mark.parametrize("distance_m", [0.0, 750.0, 2500.0])
 def test_monte_carlo_locks_at_sweep_anchor(distance_m, seed):
     # the simulated link locks and sifts at the rate the analytic sweep assumes
     cfg = scaled_config(0.1, seed=seed, distance_m=distance_m)

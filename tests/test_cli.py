@@ -3,19 +3,31 @@ import dataclasses
 import io
 import re
 import socket
+import struct
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from conftest import free_port
-from qkdlink import cli
+from qkdlink import cli, photonics, session
 from qkdlink.cli import ReportWriter, main
 from qkdlink.core import default_config, load_config, rng_stream
 from qkdlink.eve import Eavesdropper
-from qkdlink.photonics import generate_burst
+from qkdlink.photonics import generate_burst, transmit_and_detect
 from qkdlink.securecomm import CipherFrame, ChatEndpoint, pack_chat_frame
-from qkdlink.session import MsgType, NetworkTransport, SocketChannel, run_session
+from qkdlink.session import (
+    PROTOCOL_MAGIC,
+    PROTOCOL_VERSION,
+    MsgType,
+    NetworkTransport,
+    SocketChannel,
+    config_fingerprint,
+    pack_payload,
+    recv_expect,
+    run_session,
+)
 
 
 CFG_SMALL = "burst_seconds=0.01\n"
@@ -121,19 +133,83 @@ def test_simulate_eve_log_matches_replayed_interception(tmp_path, capsys, monkey
     # the same interception, written row by row with the csv module
     cfg = dataclasses.replace(load_config(cfg_path, base=default_config(3)), eve_enabled=True)
     tx = generate_burst(cfg, rng_stream(3, "txgen:0"))
-    eve = Eavesdropper(rng_stream(3, "eve:0"), cfg.eve_fraction)
-    bases, bits = eve.transform(tx.bases, tx.bits)
+    parts = []
+    eve = Eavesdropper(rng_stream(3, "eve:0"), cfg.eve_fraction, log=parts)
+    transmit_and_detect(tx, cfg, eve=eve, rng=rng_stream(3, "channel:0"))
+    ((index, bases, bits),) = parts
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(["index", "basis", "bit"])
-    writer.writerows(zip(range(len(bases)), bases.tolist(), bits.tolist()))
+    writer.writerows(zip(index.tolist(), bases.tolist(), bits.tolist()))
     assert log_path.read_bytes() == expected.getvalue().encode()
     assert f"intercepted={eve.intercepted}" in capsys.readouterr().err
-    assert 0 < eve.intercepted < len(bases)
+    assert 0 < eve.intercepted == len(index) < len(tx)
+    assert len(str(index[0])) < len(str(index[-1]))
     # blocks that split within and across digit widths give the same bytes
-    monkeypatch.setattr(cli, "EVE_LOG_BLOCK_ROWS", 777)
+    monkeypatch.setattr(cli, "EVE_LOG_BLOCK_ROWS", 77)
     cli._dump_eve_log(cfg, tmp_path / "chunked.csv")
     assert (tmp_path / "chunked.csv").read_bytes() == log_path.read_bytes()
+
+
+def test_eve_log_holds_the_states_the_receiver_measured(tmp_path, capsys, monkeypatch):
+    # full interception, no polarization error and no dark counts: a photon Bob
+    # measures in Eve's basis reads Eve's bit
+    cfg_path = _write_cfg(tmp_path, "burst_seconds=0.002\nlink.e_pol=0.0\nlink.dark_cps=0.0\n")
+    received = []
+
+    def detect(*args, **kwargs):
+        received.append(photonics.transmit_and_detect(*args, **kwargs))
+        return received[-1]
+
+    monkeypatch.setattr(session, "transmit_and_detect", detect)
+    log_path = tmp_path / "eve.csv"
+    main(["simulate", "--config", cfg_path, "--seed", "4", "--eve", "--eve-log", str(log_path)])
+    (rx,) = received  # the clicks of Bob's own burst
+    index, basis, bit = np.loadtxt(log_path, delimiter=",", skiprows=1, dtype=np.int64,
+                                   ndmin=2).T
+    assert f"intercepted={len(index)}" in capsys.readouterr().err
+    src = rx.source_index
+    assert np.all(src >= 0)
+    # the logged pulses are the pulses that reached Bob, in ascending order
+    assert np.array_equal(index, np.unique(src))
+    row = np.searchsorted(index, src)
+    meas_basis = (rx.channel - 1) >> 1
+    same = meas_basis == basis[row]
+    assert np.count_nonzero(same) > 0.4 * len(src)
+    assert np.array_equal(((rx.channel - 1) & 1)[same], bit[row][same])
+
+
+@pytest.mark.parametrize("fields", [(0, 0, 5), (0, 5, 2048), (1, 5, 7)],
+                         ids=["state_0", "state_2048", "one_pulse_more"])
+def test_bob_exits_2_on_a_hostile_pulse_stream(tmp_path, capsys, fields):
+    # a peer posing as Alice sends a valid BURST_START, then SIM_PULSESTREAM
+    # (pulse count over BURST_START's, PRBS11 state of the bases, of the bits)
+    cfg_path = _write_cfg(tmp_path)
+    cfg = load_config(cfg_path, base=default_config(33))
+    extra, state_bases, state_bits = fields
+    codes = []
+    with socket.create_server(("127.0.0.1", 0)) as srv:
+        port = srv.getsockname()[1]
+        bob = threading.Thread(target=lambda: codes.append(main(
+            ["bob", "--connect", f"127.0.0.1:{port}", "--config", cfg_path, "--seed", "33",
+             "--timeout", "5"])), daemon=True)
+        bob.start()
+        srv.settimeout(15.0)
+        conn, _ = srv.accept()
+    chan = SocketChannel(conn, timeout=10.0)
+    try:
+        recv_expect(chan, MsgType.HELLO)
+        chan.send(MsgType.HELLO, pack_payload("alice", MsgType.HELLO, PROTOCOL_MAGIC,
+                                              PROTOCOL_VERSION, config_fingerprint(cfg), 1))
+        chan.send(MsgType.BURST_START,
+                  pack_payload("alice", MsgType.BURST_START, 0, cfg.n_pulses))
+        chan.send(MsgType.SIM_PULSESTREAM,
+                  struct.pack(">QHH", cfg.n_pulses + extra, state_bases, state_bits))
+        bob.join(timeout=30)
+    finally:
+        chan.close()
+    assert codes == [2]
+    assert "error=ProtocolError" in capsys.readouterr().err
 
 
 def _connect_when_listening(port: int, timeout: float = 15.0) -> socket.socket:

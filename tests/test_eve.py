@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from conftest import scaled_config
 from qkdlink.core import rng_stream
 from qkdlink.eve import Eavesdropper
-from qkdlink.photonics import generate_burst, transmit_and_detect
+from qkdlink.photonics import TxBurst, generate_burst, transmit_and_detect
 from qkdlink.session import simulate_session
 
 
@@ -56,6 +57,25 @@ def test_transform_identity_when_fraction_zero():
     out_bases, out_bits = eve.transform(bases, bits)
     assert np.array_equal(out_bases, bases)
     assert np.array_equal(out_bits, bits)
+
+
+def test_intercept_measures_each_detected_pulse_once():
+    tx = TxBurst(1000, 0x155, 0x2AA)
+    src = np.array([0, 0, 3, 7, 7, 7, 999], dtype=np.int64)
+    log = []
+    eve = Eavesdropper(rng_stream(8, "e"), log=log)
+    bases, bits = eve.intercept(tx, src)
+    assert eve.intercepted == 4  # pulses, not photons
+    ((pulses, eve_bases, eve_bits),) = log
+    assert pulses.tolist() == [0, 3, 7, 999]
+    # every photon of a pulse carries the one state Eve re-prepared it in
+    row = np.searchsorted(pulses, src)
+    assert np.array_equal(bases, eve_bases[row])
+    assert np.array_equal(bits, eve_bits[row])
+    # a pulse measured in its own basis keeps its bit
+    alice_bases, alice_bits = tx.at(pulses)
+    kept = eve_bases == alice_bases
+    assert np.array_equal(eve_bits[kept], alice_bits[kept])
 
 
 def test_no_eavesdropper_channel_is_identity():
@@ -113,3 +133,30 @@ def test_partial_interception_scales_qber():
     # half interception halves the induced error: ~0.125 + intrinsic ~0.0125
     assert alice.outcomes[0].qber == pytest.approx(0.144, abs=0.025)
     assert alice.outcomes[0].aborted_reason == "qber"
+
+
+# seeds of the sweep below: enough bursts for a standard error of ~0.001 on the mean
+SWEEP_SEEDS = range(20)
+
+
+@pytest.mark.parametrize("fraction", [1.0, 0.5])
+def test_eavesdropped_qber_mean_over_seeds(fraction):
+    # Intercept-resend with interception share f: a pulse Eve measured in Alice's
+    # basis keeps the clean error q, one measured in the other basis errs with
+    # probability 1/2, so the sifted QBER is f/4 + q - f*q/2 in expectation.  The
+    # mean over 0.05-s bursts must lie within 3 standard errors of that, q being
+    # the clean mean over the same seeds
+    clean, eaves = [], []
+    for seed in SWEEP_SEEDS:
+        cfg = scaled_config(0.05, seed=seed, sync_efficiency=0.98, qber_sample_fraction=0.5)
+        (o_clean,) = simulate_session(cfg, 1)[0].outcomes
+        cfg_eve = dataclasses.replace(cfg, eve_enabled=True, eve_fraction=fraction)
+        (o_eve,) = simulate_session(cfg_eve, 1)[0].outcomes
+        assert o_clean.aborted_reason is None and o_eve.aborted_reason == "qber"
+        clean.append(o_clean.qber)
+        eaves.append(o_eve.qber)
+    q = np.mean(clean)
+    expected = fraction / 4 + q - fraction * q / 2
+    se = np.hypot(np.std(eaves, ddof=1), (1 - fraction / 2) * np.std(clean, ddof=1))
+    se /= np.sqrt(len(SWEEP_SEEDS))
+    assert abs(np.mean(eaves) - expected) <= 3 * se, (np.mean(eaves), expected, se)

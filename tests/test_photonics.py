@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import noiseless_config, scaled_config
 from qkdlink import photonics
-from qkdlink.core import rng_stream
+from qkdlink.core import default_config, rng_stream
 from qkdlink.photonics import (
     PRBS11_PERIOD,
+    TxBurst,
     detected_photons,
     eta_geometric,
     generate_burst,
@@ -95,6 +98,38 @@ def test_generate_burst_basis_balance():
     tx = generate_burst(cfg, rng_stream(6, "g"))
     assert np.mean(tx.bases) == pytest.approx(0.5, abs=1e-3)
     assert np.mean(tx.bits) == pytest.approx(0.5, abs=1e-3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, PRBS11_PERIOD), st.integers(1, PRBS11_PERIOD), st.integers(1, 3 * PRBS11_PERIOD),
+       st.data())
+def test_tx_burst_at_gathers_the_dense_sequences(state_bases, state_bits, n, data):
+    tx = TxBurst(n, state_bases, state_bits)
+    idx = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=50)), dtype=np.int64)
+    bases, bits = tx.at(idx)
+    assert np.array_equal(bases, prbs11_sequence(state_bases, n)[idx])
+    assert np.array_equal(bits, prbs11_sequence(state_bits, n)[idx])
+    assert bases.dtype == bits.dtype == np.uint8
+
+
+def test_tx_burst_rejects_states_outside_prbs11():
+    for states in ((0, 1), (1, 0), (PRBS11_PERIOD + 1, 1), (1, PRBS11_PERIOD + 1)):
+        with pytest.raises(ValueError):
+            TxBurst(100, *states)
+
+
+def test_generate_burst_allocates_no_pulse_arrays():
+    # a 1-s burst is 20 M pulses: the burst is its two PRBS11 states, not two arrays
+    cfg = default_config(3)
+    rng = rng_stream(3, "g")
+    tracemalloc.start()
+    try:
+        tx = generate_burst(cfg, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tx) == cfg.n_pulses == 20_000_000
+    assert peak < 1024
 
 
 # --- geometric collection ---------------------------------------------------------

@@ -130,21 +130,26 @@ def test_tx_burst_codec_roundtrip():
     cfg = scaled_config(0.001, seed=2)
     tx = generate_burst(cfg, rng_stream(2, "g"))
     blob = pack_tx_burst(tx)
-    assert len(blob) == 8 + 2 * -(-len(tx) // 8)  # header, packed bases, packed bits
+    assert blob == struct.pack(">QHH", len(tx), tx.state_bases, tx.state_bits)
     again = unpack_tx_burst(blob)
+    assert again == tx
     assert np.array_equal(again.bases, tx.bases)
     assert np.array_equal(again.bits, tx.bits)
 
 
 def test_tx_burst_codec_full_scale():
-    # a complete 1-second burst serializes and parses losslessly, in 5 MB
+    # a complete 1-second burst of 20 M pulses serializes and parses losslessly, in 12 bytes
     cfg = default_config(3)
     tx = generate_burst(cfg, rng_stream(3, "g"))
     blob = pack_tx_burst(tx)
-    assert len(blob) == 5_000_008
+    assert len(blob) == 12
     again = unpack_tx_burst(blob)
-    assert np.array_equal(again.bases, tx.bases)
-    assert np.array_equal(again.bits, tx.bits)
+    assert len(again) == cfg.n_pulses == 20_000_000
+    idx = np.concatenate([np.arange(5000), rng_stream(3, "i").integers(0, len(tx), 5000),
+                          np.arange(len(tx) - 5000, len(tx))])
+    bases, bits = again.at(idx)
+    assert np.array_equal(bases, tx.bases[idx])
+    assert np.array_equal(bits, tx.bits[idx])
 
 
 def test_tx_burst_codec_rejects_truncation():
@@ -154,6 +159,23 @@ def test_tx_burst_codec_rejects_truncation():
     for bad in (blob[:4], blob[: len(blob) // 2], blob[:-1], blob + b"\x00"):
         with pytest.raises(ProtocolError):
             unpack_tx_burst(bad)
+
+
+@pytest.mark.parametrize("states", [(0, 5), (5, 0), (2048, 5), (5, 2048), (0xFFFF, 5)])
+def test_tx_burst_codec_rejects_a_state_outside_prbs11(states):
+    with pytest.raises(ProtocolError):
+        unpack_tx_burst(struct.pack(">QHH", 20_000, *states))
+
+
+def test_pulse_stream_of_another_length_than_burst_start_is_a_protocol_error():
+    # Bob takes BURST_START's pulse count; a stream of one pulse more ends the burst
+    cfg = scaled_config(0.001, seed=4)
+    chan_a, chan_b = make_loop_pair(timeout=5.0)
+    transport = InProcessTransport(5.0)
+    chan_a.send(MsgType.BURST_START, pack_payload("alice", MsgType.BURST_START, 0, cfg.n_pulses))
+    transport.deliver(unpack_tx_burst(struct.pack(">QHH", cfg.n_pulses + 1, 5, 7)))
+    with pytest.raises(ProtocolError, match="pulse stream"):
+        run_burst_bob(0, cfg, chan_b, transport, KeyBuffer(), np.empty(0, np.uint8))
 
 
 def test_network_transport_over_loopback_sockets():
@@ -331,6 +353,8 @@ def test_burst_without_lock_aborts_and_session_continues():
     alice, bob = simulate_session(cfg, 2)
     for result in (alice, bob):
         assert [o.aborted_reason for o in result.outcomes] == ["no_lock", "no_lock"]
+        # R_N is signed, so no value of it can stand for "no lock"
+        assert [o.offset_frames for o in result.outcomes] == [None, None]
         assert len(result.key_buffer) == 0
 
 
