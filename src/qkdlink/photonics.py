@@ -65,13 +65,13 @@ def prbs11_sequence(state: int, n: int) -> np.ndarray:
     """n successive PRBS11 output bits starting from ``state``.
 
     Every nonzero state lies on the one cycle of period 2047, so the output
-    is the precomputed cycle rotated to ``state``'s phase, then tiled.
+    is one period of the doubled cycle read from ``state``'s phase, tiled.
     """
     _check_prbs11_state(state)
     if n <= 0:
         return np.empty(0, dtype=np.uint8)
-    period = np.roll(_CYCLE, -_PHASE[state])
-    return np.tile(period, -(-n // PRBS11_PERIOD))[:n]
+    phase = _PHASE[state]
+    return np.tile(_CYCLE2[phase:phase + PRBS11_PERIOD], -(-n // PRBS11_PERIOD))[:n]
 
 
 @dataclass(frozen=True)

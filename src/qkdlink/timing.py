@@ -5,7 +5,8 @@ three layers, coarse to fine:
 
 1. whole-frame offset (time of flight plus most of the 1PPS error), found
    by a minimum-QBER search over candidate frame delays on a disclosed
-   subset of the burst;
+   subset of the burst; a frame's match does not depend on the delay, so
+   one nearest-neighbor match scores every candidate;
 2. half-frame ambiguity, resolved by dual-boundary ("dual-FIFO") binning:
    of the nominal framing and one delayed by half a frame, keep whichever
    has fewer counts in its edge bins, which also prevents clicks from
@@ -20,6 +21,7 @@ three layers, coarse to fine:
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -75,13 +77,9 @@ def sample_pps_offset(cfg: SimConfig, rng: np.random.Generator) -> float:
 def frame_clicks(rx, shift: int, cfg: SimConfig) -> FifoView:
     """Bin detections into frames with ``shift`` bins added to every bin index."""
     shifted = rx.bin_index + shift
-    return FifoView(
-        shift=shift,
-        frames=shifted // cfg.bins_per_frame,
-        slots=shifted % cfg.bins_per_frame,
-        channel=rx.channel,
-        multi=rx.multi_click,
-    )
+    frames = shifted // cfg.bins_per_frame
+    slots = shifted - cfg.bins_per_frame * frames  # shifted % bins_per_frame, without a division
+    return FifoView(shift, frames, slots, rx.channel, rx.multi_click)
 
 
 def choose_framing(counts: np.ndarray) -> tuple[FifoChoice, int]:
@@ -143,23 +141,28 @@ def nnc_match(n_tx: int, fifo: FifoView, central: int, frame_offset: int,
 
 
 def interim_qber(tx_bases: np.ndarray, tx_bits: np.ndarray, fifo: FifoView,
-                 central: int, candidate_offset_frames: int, window: int = 1) -> float:
-    """Sifted mismatch fraction under a candidate frame offset.
+                 central: int, offsets: Sequence[int], window: int = 1) -> np.ndarray:
+    """Sifted mismatch fraction of the disclosed pulses under each candidate frame offset.
 
-    Matches the disclosed pulses, keeps basis-agreeing pairs and compares
-    bits.  Returns 0.5 by convention when nothing matches, which is also the
-    expected value at any wrong offset.
+    Whether a frame matches does not depend on the offset, so one match at
+    offset 0 over the frames any candidate reaches serves them all: under
+    offset r, matched frame f is disclosed pulse f - r.  Basis-agreeing pairs
+    are compared bit by bit.  A candidate with no pairs reads 0.5 by
+    convention, which is also the expected value at any wrong offset.
     """
-    res = nnc_match(len(tx_bases), fifo, central, candidate_offset_frames, window=window)
-    if len(res) == 0:
-        return 0.5
-    meas_basis = (res.channel - 1) >> 1
-    meas_bit = (res.channel - 1) & 1
-    agree = meas_basis == tx_bases[res.tx_index]
-    if not np.any(agree):
-        return 0.5
-    errors = meas_bit[agree] != tx_bits[res.tx_index][agree]
-    return float(np.mean(errors))
+    n = len(tx_bases)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if n == 0:
+        return np.full(len(offsets), 0.5)
+    res = nnc_match(n, fifo, central, 0, window, offsets.min(), offsets.max() + n)
+    pulse = res.tx_index - offsets[:, None]  # (candidates, matched frames)
+    disclosed = (pulse >= 0) & (pulse < n)
+    pulse[~disclosed] = 0
+    meas = res.channel - 1
+    agree = disclosed & ((meas >> 1) == tx_bases[pulse])
+    errors = np.count_nonzero(agree & ((meas & 1) != tx_bits[pulse]), axis=1)
+    pairs = np.count_nonzero(agree, axis=1)
+    return np.where(pairs > 0, errors / np.maximum(pairs, 1), 0.5)
 
 
 # best interim QBER above which a burst counts as uncorrelated at every offset
@@ -184,24 +187,18 @@ def estimate_frame_offset(tx_bases: np.ndarray, tx_bits: np.ndarray, fifo: FifoV
                           central: int, cfg: SimConfig) -> tuple[int, list[tuple[int, float]]]:
     """Minimum-QBER search for the whole-frame receiver offset R_N.
 
-    Sweeps the candidate delays of :func:`offset_window`, evaluating the
-    interim QBER of each on the disclosed pulses; the argmin wins, lowest
-    offset on ties.  Raises :class:`NoLockError` when even the best candidate
-    looks uncorrelated (QBER above ``NOLOCK_THRESHOLD``), meaning the burst
-    cannot be aligned at all.
+    Scores every candidate delay of :func:`offset_window` with one
+    :func:`interim_qber` call, which is one NNC match; the argmin wins,
+    lowest offset on ties.  Raises :class:`NoLockError` when even the best
+    candidate looks uncorrelated (QBER above ``NOLOCK_THRESHOLD``), meaning
+    the burst cannot be aligned at all.
     """
-    curve = []
-    best_offset = 0
-    best_q = 1.1
-    for r in offset_window(cfg):
-        q = interim_qber(tx_bases, tx_bits, fifo, central, r)
-        curve.append((r, q))
-        if q < best_q:
-            best_q = q
-            best_offset = r
-    if best_q > NOLOCK_THRESHOLD:
-        raise NoLockError(best_q)
-    return best_offset, curve
+    candidates = offset_window(cfg)
+    qber = interim_qber(tx_bases, tx_bits, fifo, central, candidates)
+    best = int(np.argmin(qber))
+    if qber[best] > NOLOCK_THRESHOLD:
+        raise NoLockError(float(qber[best]))
+    return candidates[best], list(zip(candidates, qber.tolist()))
 
 
 @dataclass
@@ -222,25 +219,12 @@ class SyncResult:
 def synchronize(tx_bases: np.ndarray, tx_bits: np.ndarray, rx, cfg: SimConfig) -> SyncResult:
     """Full sync pipeline: boundary choice, framing, offset search."""
     b = cfg.bins_per_frame
-    choice, central = choose_framing(np.bincount(rx.bin_index % b, minlength=b))
-    fifo = frame_clicks(rx, 0 if choice == FifoChoice.FIFO1 else b // 2, cfg)
+    fifo = frame_clicks(rx, 0, cfg)
+    choice, central = choose_framing(np.bincount(fifo.slots, minlength=b))
+    if choice == FifoChoice.FIFO2:
+        fifo = frame_clicks(rx, b // 2, cfg)
     r_n, curve = estimate_frame_offset(tx_bases, tx_bits, fifo, central, cfg)
     return SyncResult(choice, fifo, central, r_n, curve, b)
-
-
-def count_split_events(rx, fifo: FifoView, cfg: SimConfig) -> int:
-    """Clicks whose jitter pushed them across a frame edge under this framing.
-
-    Uses simulator ground truth (source pulse and injected bin offset), so it
-    is a diagnostic for tests and reports, not part of the protocol.
-    """
-    if rx.source_index is None:
-        raise ValueError("split counting requires simulator ground truth")
-    signal = rx.source_index >= 0
-    nominal = cfg.bins_per_frame * rx.source_index[signal] + rx.true_bin_offset
-    actual_frame = fifo.frames[signal]
-    nominal_frame = (nominal + fifo.shift) // cfg.bins_per_frame
-    return int(np.count_nonzero(actual_frame != nominal_frame))
 
 
 def write_sync_report(curve: list[tuple[int, float]], path: str | Path) -> None:

@@ -3,9 +3,11 @@
 import dataclasses
 import socket
 
+import numpy as np
 import pytest
 
-from qkdlink.core import default_config
+from qkdlink.core import SimConfig, default_config
+from qkdlink.timing import FifoView
 
 # (criterion number, label, passed, detail) tuples collected by test_acceptance
 _ACCEPTANCE_RESULTS: list[tuple[int, str, bool, str]] = []
@@ -52,6 +54,21 @@ def noiseless_config(burst_seconds: float = 0.001, seed: int = 1, **overrides):
     )
     kw.update(overrides)
     return scaled_config(burst_seconds, seed, **kw)
+
+
+def count_split_events(rx, fifo: FifoView, cfg: SimConfig) -> int:
+    """Clicks whose jitter pushed them across a frame edge under this framing.
+
+    Uses simulator ground truth (source pulse and injected bin offset), so it
+    is a diagnostic for tests and reports, not part of the protocol.
+    """
+    if rx.source_index is None:
+        raise ValueError("split counting requires simulator ground truth")
+    signal = rx.source_index >= 0
+    nominal = cfg.bins_per_frame * rx.source_index[signal] + rx.true_bin_offset
+    actual_frame = fifo.frames[signal]
+    nominal_frame = (nominal + fifo.shift) // cfg.bins_per_frame
+    return int(np.count_nonzero(actual_frame != nominal_frame))
 
 
 def free_port() -> int:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import qkdlink
-from conftest import free_port, scaled_config
+from conftest import count_split_events, free_port, scaled_config
 from qkdlink.analysis import distance_sweep, estimate_rates
 from qkdlink.core import default_config, rng_stream
 from qkdlink.photonics import generate_burst, transmit_and_detect
@@ -31,7 +31,6 @@ from qkdlink.postproc import (
 from qkdlink.securecomm import HANDSHAKE_BITS, ChatEndpoint
 from qkdlink.session import make_loop_pair, simulate_session
 from qkdlink.timing import (
-    count_split_events,
     frame_clicks,
     synchronize,
 )

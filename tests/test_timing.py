@@ -6,19 +6,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import noiseless_config, scaled_config
+from conftest import count_split_events, noiseless_config, scaled_config
 from qkdlink.core import default_config, rng_stream
 from qkdlink.photonics import generate_burst, transmit_and_detect
 from qkdlink.timing import (
+    NOLOCK_THRESHOLD,
     FifoChoice,
     FifoView,
     NoLockError,
     choose_framing,
-    count_split_events,
     estimate_frame_offset,
     frame_clicks,
     interim_qber,
     nnc_match,
+    offset_window,
     sample_pps_offset,
     synchronize,
     write_sync_report,
@@ -246,7 +247,7 @@ def test_interim_qber_zero_at_truth_noiseless():
     tx = generate_burst(cfg, rng_stream(5, "g"))
     rx = transmit_and_detect(tx, cfg, rng=rng_stream(5, "c"))
     f1 = frame_clicks(rx, 0, cfg)
-    assert interim_qber(tx.bases, tx.bits, f1, 0, 0) == 0.0
+    assert interim_qber(tx.bases, tx.bits, f1, 0, [0])[0] == 0.0
 
 
 def test_interim_qber_half_at_wrong_offset():
@@ -254,7 +255,7 @@ def test_interim_qber_half_at_wrong_offset():
     tx = generate_burst(cfg, rng_stream(6, "g"))
     rx = transmit_and_detect(tx, cfg, rng=rng_stream(6, "c"))
     f1 = frame_clicks(rx, 0, cfg)
-    q = interim_qber(tx.bases, tx.bits, f1, 0, 7)
+    (q,) = interim_qber(tx.bases, tx.bits, f1, 0, [7])
     assert q == pytest.approx(0.5, abs=0.1)
 
 
@@ -262,13 +263,13 @@ def test_interim_qber_default_noise(small_cfg):
     tx = generate_burst(small_cfg, rng_stream(7, "g"))
     rx = transmit_and_detect(tx, small_cfg, rng=rng_stream(7, "c"))
     sync = synchronize(tx.bases, tx.bits, rx, small_cfg)
-    q = interim_qber(tx.bases, tx.bits, sync.fifo, sync.central, sync.r_n)
+    (q,) = interim_qber(tx.bases, tx.bits, sync.fifo, sync.central, [sync.r_n])
     assert q == pytest.approx(0.026, abs=0.012)
 
 
 def test_interim_qber_no_pairs_convention(tiny_cfg):
     f1 = frame_clicks(_rx([]), 0, tiny_cfg)
-    assert interim_qber(np.zeros(10, np.uint8), np.zeros(10, np.uint8), f1, 1, 0) == 0.5
+    assert interim_qber(np.zeros(10, np.uint8), np.zeros(10, np.uint8), f1, 1, [0])[0] == 0.5
 
 
 def test_offset_search_recovers_tof_1000ns():
@@ -294,6 +295,73 @@ def test_offset_search_no_lock_on_empty(tiny_cfg):
     f1 = frame_clicks(_rx([]), 0, tiny_cfg)
     with pytest.raises(NoLockError):
         estimate_frame_offset(np.zeros(100, np.uint8), np.zeros(100, np.uint8), f1, 1, tiny_cfg)
+
+
+def _estimate_frame_offset_per_candidate(tx_bases, tx_bits, fifo, central, cfg):
+    """Reference search: one NNC match and one interim QBER per candidate offset."""
+    curve = []
+    best_offset, best_q = 0, 1.1
+    for r in offset_window(cfg):
+        res = nnc_match(len(tx_bases), fifo, central, r)
+        q = 0.5
+        if len(res):
+            agree = ((res.channel - 1) >> 1) == tx_bases[res.tx_index]
+            if np.any(agree):
+                errors = ((res.channel - 1) & 1)[agree] != tx_bits[res.tx_index][agree]
+                q = float(np.mean(errors))
+        curve.append((r, q))
+        if q < best_q:
+            best_offset, best_q = r, q
+    if best_q > NOLOCK_THRESHOLD:
+        raise NoLockError(best_q)
+    return best_offset, curve
+
+
+def _search_outcome(search, *args):
+    try:
+        return search(*args)
+    except NoLockError as exc:
+        return ("no_lock", exc.min_qber)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.integers(-12, 80), st.integers(0, 3), st.integers(1, 4),
+                          st.booleans()), max_size=80),
+       st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=60),
+       st.integers(0, 3), st.integers(0, 40), st.integers(0, 24))
+# one click in each of frames 3 and 4, so R_N 3 and 4 both read 0 on pulse 0: a tie
+@example([(3, 1, 1, False), (4, 1, 1, False)], [(0, 0)], 1, 12, 24)
+# window -3..9: only the first frame of R_N -3 and the last frame of R_N 9 pair
+@example([(-3, 1, 2, False), (10, 1, 1, False)], [(0, 1), (0, 0)], 1, 12, 24)
+def test_offset_search_equals_per_candidate_reference(clicks, sample, central, tof_bins,
+                                                      cap_bins):
+    clicks.sort()
+    frames, slots, channel, multi = (np.array([c[i] for c in clicks]) for i in range(4))
+    fifo = FifoView(shift=0, frames=frames.astype(np.int64), slots=slots.astype(np.int64),
+                    channel=channel.astype(np.uint8), multi=multi.astype(bool))
+    bases, bits = (np.array([p[i] for p in sample], dtype=np.uint8) for i in range(2))
+    # a window of 1-14 candidates between R_N -6 and 16, negative when the cap exceeds the flight
+    cfg = dataclasses.replace(default_config(), pps_jitter_sigma_ns=0.0,
+                              tof_override_ns=12.5 * tof_bins, pps_jitter_cap_ns=12.5 * cap_bins)
+    args = (bases, bits, fifo, central, cfg)
+    expected = _search_outcome(_estimate_frame_offset_per_candidate, *args)
+    assert _search_outcome(estimate_frame_offset, *args) == expected
+
+
+def test_offset_search_runs_one_match(small_cfg):
+    tx = generate_burst(small_cfg, rng_stream(15, "g"))
+    rx = transmit_and_detect(tx, small_cfg, rng=rng_stream(15, "c"))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return nnc_match(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("qkdlink.timing.nnc_match", counted)
+        sync = synchronize(tx.bases, tx.bits, rx, small_cfg)
+    assert len(sync.curve) == len(offset_window(small_cfg)) > 1
+    assert len(calls) == 1
 
 
 def test_true_offset_strictly_minimal(small_cfg):
