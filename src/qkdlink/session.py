@@ -650,38 +650,48 @@ def simulate_session(cfg: SimConfig, n_bursts: int, on_burst=None,
                      timeout: float = DEFAULT_PHASE_TIMEOUT) -> tuple[SessionResult, SessionResult]:
     """Run both terminals in one process over loopback channels.
 
-    Bob runs on a helper thread; his exceptions re-raise here after the join.
-    The burst callback fires on Alice's outcomes (the canonical report).
+    Alice runs on a helper thread and Bob on the calling one.  Bob holds the
+    burst-sized arrays (~60 MB at a 1-s burst), and the allocator keeps what a
+    thread freed in that thread's arena; a helper that has not yet handed its
+    arena back when the next session's helper starts leaves that one a fresh
+    arena.  On the calling thread Bob's memory is reused from session to
+    session, and a stray arena holds only Alice's few MB.
+    The burst callback fires on Alice's outcomes (the canonical report), on
+    her thread.  A terminal's exception re-raises here after the join.
     """
     chan_a, chan_b = make_loop_pair(timeout)
     chan_a.tap, chan_b.tap = alice_tap, bob_tap
     transport = InProcessTransport(timeout)
-    bob_result: list[SessionResult] = []
-    bob_error: list[BaseException] = []
+    alice_result: list[SessionResult] = []
+    alice_error: list[BaseException] = []
 
-    def bob_main():
+    def alice_main():
         try:
-            bob_result.append(run_session("bob", cfg, chan_b, transport, n_bursts))
-        except BaseException as exc:  # re-raised on the main thread
-            bob_error.append(exc)
-            chan_b.close()
+            alice_result.append(run_session("alice", cfg, chan_a, transport, n_bursts,
+                                            on_burst=on_burst))
+        except BaseException as exc:  # re-raised on the calling thread
+            alice_error.append(exc)
+            # Bob's pending receive, classical or quantum, ends now, not at the timeout
+            chan_a.close()
+            transport.close()
 
-    worker = threading.Thread(target=bob_main, name="bob", daemon=True)
+    worker = threading.Thread(target=alice_main, name="alice", daemon=True)
     worker.start()
     try:
-        alice = run_session("alice", cfg, chan_a, transport, n_bursts, on_burst=on_burst)
+        bob = run_session("bob", cfg, chan_b, transport, n_bursts)
     except BaseException as exc:
-        # Bob's pending receive, classical or quantum, ends now, not at the timeout
-        chan_a.close()
-        transport.close()
+        chan_b.close()
         worker.join(timeout=timeout)
-        if isinstance(exc, ChannelClosed) and bob_error:
-            # Alice saw Bob's end close because Bob failed: his error is the cause
-            raise bob_error[0] from exc
+        if isinstance(exc, ChannelClosed) and alice_error:
+            # Bob saw Alice's end close because Alice failed: her error is the cause
+            raise alice_error[0] from exc
+        if alice_error and isinstance(alice_error[0], ChannelClosed):
+            # Alice only saw Bob's end close: his error stands, chained to what she saw
+            raise exc from alice_error[0]
         raise
     worker.join(timeout=timeout)
-    if bob_error:
-        raise bob_error[0]
-    if not bob_result:
-        raise ProtocolError("receiver thread produced no result")
-    return alice, bob_result[0]
+    if alice_error:
+        raise alice_error[0]
+    if not alice_result:
+        raise ProtocolError("transmitter thread produced no result")
+    return alice_result[0], bob

@@ -347,6 +347,23 @@ def test_receiver_failure_surfaces_as_itself_not_as_peer_closed(monkeypatch):
     assert isinstance(info.value.__cause__, ChannelClosed)
 
 
+def test_receiver_runs_on_the_calling_thread(monkeypatch):
+    # Bob's burst arrays stay in the caller's allocator arena from session to session
+    threads = {}
+
+    def recording(role, engine):
+        def run(*args, **kwargs):
+            threads[role] = threading.current_thread()
+            return engine(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(session, "run_burst_alice", recording("alice", run_burst_alice))
+    monkeypatch.setattr(session, "run_burst_bob", recording("bob", run_burst_bob))
+    simulate_session(scaled_config(0.01, seed=33), 1)
+    assert threads["bob"] is threading.current_thread()
+    assert threads["alice"] is not threading.current_thread()
+
+
 def test_burst_without_lock_aborts_and_session_continues():
     # no photons and no dark counts: Bob has nothing to lock on in either burst
     cfg = scaled_config(0.01, seed=33, mu=0.0, dark_cps=0.0)
