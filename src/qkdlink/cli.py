@@ -171,8 +171,8 @@ def cmd_simulate(args) -> int:
 EVE_LOG_BLOCK_ROWS = 1 << 20  # rows laid out per write: ~16 MB of text at most
 
 
-def _dump_eve_log(cfg: SimConfig, path: str, burst_id: int = 0) -> None:
-    """Replay the (deterministic) photonics of one burst and write, as
+def _dump_eve_log(cfg: SimConfig, path: str) -> None:
+    """Replay the (deterministic) photonics of burst 0 and write, as
     ``index,basis,bit`` CSV rows in ascending index order, Eve's re-prepared
     basis and bit of each intercepted pulse that holds a detected photon:
     the states the receiver's photons were drawn from.
@@ -182,11 +182,10 @@ def _dump_eve_log(cfg: SimConfig, path: str, burst_id: int = 0) -> None:
     1-s burst has ~1 M rows, too many to format one by one.
     """
     seed = cfg.rng_seed
-    tx = generate_burst(cfg, rng_stream(seed, f"txgen:{burst_id}"))
+    tx = generate_burst(cfg, rng_stream(seed, "txgen:0"))
     log_parts: list = []
-    eavesdropper = Eavesdropper(rng_stream(seed, f"eve:{burst_id}"), cfg.eve_fraction,
-                                log=log_parts)
-    transmit_and_detect(tx, cfg, eve=eavesdropper, rng=rng_stream(seed, f"channel:{burst_id}"))
+    eavesdropper = Eavesdropper(rng_stream(seed, "eve:0"), cfg.eve_fraction, log=log_parts)
+    transmit_and_detect(tx, cfg, eve=eavesdropper, rng=rng_stream(seed, "channel:0"))
     ((index, bases, bits),) = log_parts
     n = len(index)
     digits = np.searchsorted(index, [10**w for w in range(1, 19)]).tolist()

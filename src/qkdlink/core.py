@@ -134,6 +134,9 @@ class SimConfig:
             raise ConfigError("clock_center_prob must be in [0, 1]")
         if not 0.0 <= self.eve_fraction <= 1.0:
             raise ConfigError("eve_fraction must be in [0, 1]")
+        if self.sync_subset_size < 1:
+            raise ConfigError("the sync subset holds 0 pulses: lower link.sync_efficiency "
+                              "or lengthen the burst")
 
 
 def default_config(rng_seed: int = 1) -> SimConfig:

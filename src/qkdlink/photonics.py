@@ -187,8 +187,8 @@ def _true_bin_offset(cfg: SimConfig, tof_ns: float, pps_ns: float) -> int:
     return int(np.floor((tof_ns + pps_ns) / cfg.bin_ns))
 
 
-def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None,
-                        rng: np.random.Generator | None = None) -> RxBurst:
+def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None, *,
+                        rng: np.random.Generator) -> RxBurst:
     """Propagate one burst through the channel and produce receiver clicks.
 
     Stages: the 1PPS offset of the burst; the photons surviving path loss
@@ -208,8 +208,6 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None,
     Downstream code recovers basis and bit as ``(channel - 1) >> 1`` and
     ``(channel - 1) & 1``.
     """
-    if rng is None:
-        raise ValueError("transmit_and_detect requires an explicit rng stream")
     link = cfg.link
     n = len(tx)
 

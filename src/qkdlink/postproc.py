@@ -6,7 +6,7 @@ so both terminals of :mod:`qkdlink.session` call the same code:
 * sifting: :func:`sift_mask` keeps the positions where the bases agree;
 * QBER check: :func:`qber_sample_indices` draws the disclosed sample,
   :func:`sample_qber` compares it, :func:`without` strips it from the key and
-  :func:`check_abort` applies the threshold;
+  :func:`check_abort` is true strictly above ``QBER_ABORT_THRESHOLD``;
 * Winnow: per pass, :func:`winnow_pass` (both sides) permutes the key and
   computes block parities, :func:`mismatched_blocks` compares them,
   :func:`winnow_syndromes` (Alice) answers with the mismatched blocks'
@@ -32,7 +32,6 @@ import bisect
 import hashlib
 import threading
 import time
-from enum import Enum
 
 import numpy as np
 
@@ -44,11 +43,6 @@ PA_OUT_BITS = 11
 PA_SEED_BITS = PA_IN_BITS + PA_OUT_BITS - 1  # 26
 QBER_ABORT_THRESHOLD = 0.11
 KEY_HASH_BITS = 64
-
-
-class Decision(Enum):
-    CONTINUE = "continue"
-    ABORT = "abort"
 
 
 # --- sifting and QBER estimate ---------------------------------------------------
@@ -85,9 +79,9 @@ def without(bits: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return bits[keep]
 
 
-def check_abort(qber: float, threshold: float = QBER_ABORT_THRESHOLD) -> Decision:
-    """Abort strictly above the threshold; the boundary itself continues."""
-    return Decision.ABORT if qber > threshold else Decision.CONTINUE
+def check_abort(qber: float) -> bool:
+    """Abort strictly above ``QBER_ABORT_THRESHOLD``; the boundary itself continues."""
+    return qber > QBER_ABORT_THRESHOLD
 
 
 # --- Winnow -----------------------------------------------------------------
@@ -355,9 +349,9 @@ class KeyBuffer:
             self._consumed_total += nbits
             return ranges, np.concatenate([self._slice(a, b) for a, b in ranges])
 
-    def peek(self, start: int, nbits: int) -> np.ndarray:
-        """Read without consuming; only for protocol checks like the chat parity."""
+    def peek(self, nbits: int) -> np.ndarray:
+        """The first ``nbits`` buffered bits, not consumed; only for the chat parity."""
         with self._cond:
-            if start + nbits > self._length:
+            if nbits > self._length:
                 raise ValueError("peek beyond buffered key")
-            return self._slice(start, start + nbits)
+            return self._slice(0, nbits)

@@ -73,23 +73,18 @@ def otp_open(frame: CipherFrame, buf: KeyBuffer, lane: int = 0,
     return _xor(frame.ciphertext, bits)
 
 
-def buffer_parity(buf: KeyBuffer, nbits: int = HANDSHAKE_BITS) -> int:
-    """Parity of the first ``nbits`` unconsumed bits."""
-    if len(buf) < nbits or buf.consumed_total > 0:
-        raise ChatRefused(
-            f"need {nbits} fresh key bits for the handshake, have {len(buf)} "
-            f"(consumed {buf.consumed_total})"
-        )
-    return int(buf.peek(0, nbits).sum() & 1)
-
-
 def chat_handshake(chan, buf: KeyBuffer) -> None:
-    """Exchange the 64-bit parity; establish iff it matches, then burn those bits.
+    """Exchange the parity of the first 64 key bits; establish iff it matches, then burn them.
 
     A single flipped bit anywhere in the window flips the parity, so
     desynchronized buffers are refused before any key is spent on traffic.
     """
-    parity = buffer_parity(buf)
+    if len(buf) < HANDSHAKE_BITS or buf.consumed_total > 0:
+        raise ChatRefused(
+            f"need {HANDSHAKE_BITS} fresh key bits for the handshake, have {len(buf)} "
+            f"(consumed {buf.consumed_total})"
+        )
+    parity = int(buf.peek(HANDSHAKE_BITS).sum() & 1)
     chan.send(MsgType.CHAT_HANDSHAKE, bytes([parity]))
     msg = recv_expect(chan, MsgType.CHAT_HANDSHAKE)
     if len(msg.payload) != 1:

@@ -2,7 +2,8 @@
 
 The classical channel carries length-prefixed binary messages (4-byte
 big-endian length of type+payload, 1-byte type, payload laid out as
-``LAYOUTS`` declares).  A burst runs one fixed sequence of phases on both
+``LAYOUTS`` declares for every message the burst engines exchange, the
+pulse stream included).  A burst runs one fixed sequence of phases on both
 ends: handshake, qubit exchange, frame sync, sifting, QBER check, error
 correction, privacy amplification.  The code order of :func:`run_burst_alice`
 and :func:`run_burst_bob` is that phase order, and each receive names the
@@ -34,7 +35,7 @@ import numpy as np
 from . import postproc
 from .core import SimConfig, format_config, rng_stream
 from .eve import Eavesdropper
-from .photonics import TxBurst, generate_burst, transmit_and_detect
+from .photonics import PRBS11_MASK, TxBurst, generate_burst, transmit_and_detect
 from .timing import FifoChoice, NoLockError, nnc_match, offset_window, synchronize
 
 PROTOCOL_MAGIC = b"QKL1"
@@ -109,8 +110,7 @@ class ChannelClosed(ProtocolError):
 class SocketChannel:
     """Length-prefixed message stream over a TCP socket."""
 
-    def __init__(self, sock: socket.socket, timeout: float = DEFAULT_PHASE_TIMEOUT,
-                 tap: list | None = None):
+    def __init__(self, sock: socket.socket, timeout: float = DEFAULT_PHASE_TIMEOUT):
         self.sock = sock
         self.sock.settimeout(timeout)
         if sock.family in (socket.AF_INET, socket.AF_INET6):
@@ -118,7 +118,7 @@ class SocketChannel:
             # PERM_SEED, PA_SEED then KEY_HASH); with Nagle's algorithm the
             # second waits for the peer's delayed ACK, tens of ms each time
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.tap = tap
+        self.tap: list | None = None  # if set, every sent (type, payload) is appended
 
     def send(self, msg_type: int, payload: bytes = b"") -> None:
         if self.tap is not None:
@@ -156,12 +156,11 @@ class SocketChannel:
 class LoopChannel:
     """In-process channel endpoint; frames still pass through the codec."""
 
-    def __init__(self, rx: queue.Queue, tx: queue.Queue, timeout: float = DEFAULT_PHASE_TIMEOUT,
-                 tap: list | None = None):
+    def __init__(self, rx: queue.Queue, tx: queue.Queue, timeout: float = DEFAULT_PHASE_TIMEOUT):
         self._rx = rx
         self._tx = tx
         self.timeout = timeout
-        self.tap = tap
+        self.tap: list | None = None
 
     def send(self, msg_type: int, payload: bytes = b"") -> None:
         if self.tap is not None:
@@ -222,22 +221,6 @@ def check_hello(hello: tuple, cfg: SimConfig, n_bursts: int) -> None:
         raise ProtocolError(f"burst count mismatch: peer wants {bursts}, local {n_bursts}")
 
 
-PULSE_STREAM = struct.Struct(">QHH")  # pulse count, PRBS11 states of the bases and the bits
-
-
-def pack_tx_burst(tx: TxBurst) -> bytes:
-    return PULSE_STREAM.pack(tx.n, tx.state_bases, tx.state_bits)
-
-
-def unpack_tx_burst(payload: bytes) -> TxBurst:
-    if len(payload) != PULSE_STREAM.size:
-        raise ProtocolError(f"pulse stream of {len(payload)} bytes, expected {PULSE_STREAM.size}")
-    try:
-        return TxBurst(*PULSE_STREAM.unpack(payload))
-    except ValueError as exc:
-        raise ProtocolError(f"pulse stream: {exc}") from exc
-
-
 # --- quantum transport ---------------------------------------------------------
 
 
@@ -290,7 +273,8 @@ class Layout:
     u32, strictly increasing, below the receiver's bound), "bits" (n bits,
     packed), "bytes" (n u8, below the receiver's bound) and "floats" (n
     big-endian f64).  ``limits`` holds a closed (lo, hi) range for each leading
-    fixed field.
+    fixed field.  Every message the burst engines exchange, SIM_PULSESTREAM
+    included, has one.
     """
 
     fields: str
@@ -302,6 +286,7 @@ _ITEM = {"positions": ">u4", "bytes": "u1", "floats": ">f8"}  # "bits" are packe
 _QBER = (0.0, 1.0)
 _REASON = (min(AbortReason), max(AbortReason))  # AbortReason values are contiguous
 _HASH = f"{postproc.KEY_HASH_BITS // 8}s"
+_PRBS11 = (1, PRBS11_MASK)  # the nonzero PRBS11 states
 
 # (sender, message type) -> layout
 LAYOUTS = {
@@ -334,6 +319,8 @@ LAYOUTS = {
     # verification hash of the corrected key and the Toeplitz seed
     ("alice", MsgType.KEY_HASH): Layout(">" + _HASH),
     ("bob", MsgType.KEY_HASH): Layout(">" + _HASH),
+    # the simulated quantum channel: pulse count, PRBS11 states of the bases and the bits
+    ("alice", MsgType.SIM_PULSESTREAM): Layout(">QHH", limits=((0, 2**64 - 1), _PRBS11, _PRBS11)),
 }
 
 
@@ -386,6 +373,14 @@ def unpack_payload(sender: str, msg_type: MsgType, payload: bytes, n: int | None
                 raise ProtocolError(f"{what}: {kind} out of order or not below {bound}")
         values.append(section)
     return tuple(values)
+
+
+def pack_tx_burst(tx: TxBurst) -> bytes:
+    return pack_payload("alice", MsgType.SIM_PULSESTREAM, tx.n, tx.state_bases, tx.state_bits)
+
+
+def unpack_tx_burst(payload: bytes) -> TxBurst:
+    return TxBurst(*unpack_payload("alice", MsgType.SIM_PULSESTREAM, payload))
 
 
 # --- burst outcome --------------------------------------------------------------
@@ -511,7 +506,7 @@ def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postpro
                                                       rng_stream(seed, f"qber:{k}"))
         burst.send(MsgType.QBER_SAMPLE, sample_idx, alice_sifted[sample_idx])
         (out.qber,) = burst.recv(MsgType.QBER_SAMPLE)
-        if n_sift < 2 or postproc.check_abort(out.qber) is postproc.Decision.ABORT:
+        if n_sift < 2 or postproc.check_abort(out.qber):
             # a degenerate burst has nothing to estimate on: its QBER check fails
             raise _Abort(AbortReason.QBER, out.qber if n_sift >= 2 else 1.0)
 
@@ -582,7 +577,7 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
         sample_idx, alice_sample = burst.recv(MsgType.QBER_SAMPLE, bound=n_sift)
         out.qber = postproc.sample_qber(bob_sifted, sample_idx, alice_sample)
         burst.send(MsgType.QBER_SAMPLE, out.qber)
-        if postproc.check_abort(out.qber) is postproc.Decision.ABORT:
+        if postproc.check_abort(out.qber):
             burst.recv(abort=AbortReason.QBER)  # Alice's ABORT ends the burst
 
         key = postproc.winnow_key(postproc.without(bob_sifted, sample_idx))

@@ -14,8 +14,8 @@ three layers, coarse to fine:
    the nominal one rotated by half a frame, so one histogram decides and
    only the chosen framing is built;
 3. residual one-bin clock spread, absorbed by nearest-neighbor correlation:
-   a click matches its pulse if it falls in the expected bin or either
-   adjacent bin.
+   a click matches its pulse if it falls within ``NNC_WINDOW`` (one) slot of
+   the expected bin.
 """
 
 from __future__ import annotations
@@ -109,20 +109,23 @@ class MatchResult:
         return len(self.tx_index)
 
 
+# slots either side of the central one in which a click still matches its pulse
+NNC_WINDOW = 1
+
+
 def nnc_match(n_tx: int, fifo: FifoView, central: int, frame_offset: int,
-              window: int = 1, first_tx: int = 0, last_tx: int | None = None) -> MatchResult:
-    """Nearest-neighbor correlation between pulses and framed detections.
+              first_tx: int = 0) -> MatchResult:
+    """Nearest-neighbor correlation between pulses ``[first_tx, n_tx)`` and framed detections.
 
     Pulse ``j`` is expected in frame ``j + frame_offset`` at slot ``central``;
-    clicks within ``window`` slots qualify.  Frames containing a multi-channel
-    bin or more than one qualifying click are discarded entirely, so each
-    click is consumed at most once and every match is unambiguous.
+    clicks within ``NNC_WINDOW`` slots qualify.  Frames containing a
+    multi-channel bin or more than one qualifying click are discarded
+    entirely, so each click is consumed at most once and every match is
+    unambiguous.
     """
-    if last_tx is None:
-        last_tx = n_tx
-    # frames are sorted: the clicks of pulses [first_tx, last_tx) are one slice
-    lo, hi = np.searchsorted(fifo.frames, (first_tx + frame_offset, last_tx + frame_offset))
-    valid = np.flatnonzero(np.abs(fifo.slots[lo:hi] - central) <= window) + lo
+    # frames are sorted: the clicks of pulses [first_tx, n_tx) are one slice
+    lo, hi = np.searchsorted(fifo.frames, (first_tx + frame_offset, n_tx + frame_offset))
+    valid = np.flatnonzero(np.abs(fifo.slots[lo:hi] - central) <= NNC_WINDOW) + lo
     if len(valid) == 0:
         empty = np.empty(0, dtype=np.int64)
         return MatchResult(empty, empty.astype(np.uint8), 0, 0)
@@ -141,7 +144,7 @@ def nnc_match(n_tx: int, fifo: FifoView, central: int, frame_offset: int,
 
 
 def interim_qber(tx_bases: np.ndarray, tx_bits: np.ndarray, fifo: FifoView,
-                 central: int, offsets: Sequence[int], window: int = 1) -> np.ndarray:
+                 central: int, offsets: Sequence[int]) -> np.ndarray:
     """Sifted mismatch fraction of the disclosed pulses under each candidate frame offset.
 
     Whether a frame matches does not depend on the offset, so one match at
@@ -154,7 +157,7 @@ def interim_qber(tx_bases: np.ndarray, tx_bits: np.ndarray, fifo: FifoView,
     offsets = np.asarray(offsets, dtype=np.int64)
     if n == 0:
         return np.full(len(offsets), 0.5)
-    res = nnc_match(n, fifo, central, 0, window, offsets.min(), offsets.max() + n)
+    res = nnc_match(offsets.max() + n, fifo, central, 0, offsets.min())
     pulse = res.tx_index - offsets[:, None]  # (candidates, matched frames)
     disclosed = (pulse >= 0) & (pulse < n)
     pulse[~disclosed] = 0

@@ -114,3 +114,16 @@ def test_validate_catches_bad_fractions():
     bad = dataclasses.replace(cfg, link=dataclasses.replace(cfg.link, eta_detector=1.5))
     with pytest.raises(ConfigError):
         bad.validate()
+
+
+@pytest.mark.parametrize("text", ["burst_seconds=0.01\nlink.sync_efficiency=1.0\n",
+                                  "burst_seconds=0.000001\n"],  # 20 pulses: 0.1 sync pulses
+                         ids=["all_pulses_keyed", "burst_too_short"])
+def test_config_without_a_sync_pulse_is_refused(text):
+    # frame sync could never lock: every burst would abort as no_lock
+    with pytest.raises(ConfigError, match="sync subset holds 0 pulses"):
+        parse_config(text)
+
+
+def test_config_with_one_sync_pulse_is_accepted():
+    assert parse_config("burst_seconds=0.00001\n").sync_subset_size == 1  # 200 pulses

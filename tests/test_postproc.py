@@ -11,7 +11,6 @@ from qkdlink.postproc import (
     PA_IN_BITS,
     PA_OUT_BITS,
     PA_SEED_BITS,
-    Decision,
     KeyBuffer,
     amplify_with_carry,
     block_parities,
@@ -103,14 +102,14 @@ def test_estimate_qber_too_short_rejected():
     empty = qber_sample_indices(0, 0.05, rng)
     q = sample_qber(np.zeros(0, np.uint8), empty, np.zeros(0, np.uint8))
     assert len(empty) == 0 and q == 0.5
-    assert check_abort(q) is Decision.ABORT
+    assert check_abort(q)
 
 
 def test_check_abort_thresholds():
-    assert check_abort(0.026) is Decision.CONTINUE
-    assert check_abort(0.25) is Decision.ABORT
-    assert check_abort(0.11) is Decision.CONTINUE  # strict inequality
-    assert check_abort(0.1101) is Decision.ABORT
+    assert not check_abort(0.026)
+    assert check_abort(0.25)
+    assert not check_abort(0.11)  # strict inequality
+    assert check_abort(0.1101)
 
 
 # --- Winnow -----------------------------------------------------------------------
@@ -273,7 +272,7 @@ def test_distill_aborts_on_high_qber():
     bob = alice.copy()
     bob[rng.random(20_000) < 0.25] ^= 1
     q, _ = _sample_qber(alice, bob, 0.05, rng)
-    assert check_abort(q) is Decision.ABORT
+    assert check_abort(q)
 
 
 def test_distill_rejects_uncorrectable_burst():

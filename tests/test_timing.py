@@ -193,18 +193,15 @@ def _nnc_match_by_bincount(n_tx, fifo, central, frame_offset, window=1, first_tx
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 3), st.integers(1, 4),
                           st.booleans()), max_size=80),
-       st.integers(0, 3), st.integers(-5, 12), st.integers(0, 2),
-       st.integers(-3, 40), st.one_of(st.none(), st.integers(-3, 60)))
-def test_nnc_match_equals_bincount_reference(clicks, central, frame_offset, window,
-                                             first_tx, last_tx):
+       st.integers(0, 3), st.integers(-5, 12), st.integers(-3, 40), st.integers(-3, 60))
+def test_nnc_match_equals_bincount_reference(clicks, central, frame_offset, first_tx, n_tx):
     clicks.sort()
     frames, slots, channel, multi = (np.array([c[i] for c in clicks]) for i in range(4))
     fifo = FifoView(shift=0, frames=frames.astype(np.int64), slots=slots.astype(np.int64),
                     channel=channel.astype(np.uint8), multi=multi.astype(bool))
-    n_tx = 50
-    res = nnc_match(n_tx, fifo, central, frame_offset, window, first_tx, last_tx)
+    res = nnc_match(n_tx, fifo, central, frame_offset, first_tx)
     tx_index, ch, n_multi, n_compete = _nnc_match_by_bincount(
-        n_tx, fifo, central, frame_offset, window, first_tx, last_tx)
+        n_tx, fifo, central, frame_offset, first_tx=first_tx)
     assert res.tx_index.dtype == tx_index.dtype and res.channel.dtype == ch.dtype
     assert np.array_equal(res.tx_index, tx_index)
     assert np.array_equal(res.channel, ch)
