@@ -97,9 +97,16 @@ class TxBurst:
         return self.n
 
     def at(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(bases, bits) of the pulses at ``idx``, as uint8 arrays (0=rectilinear 1=diagonal)."""
-        r = np.asarray(idx) % PRBS11_PERIOD
-        return _CYCLE2[r + _PHASE[self.state_bases]], _CYCLE2[r + _PHASE[self.state_bits]]
+        """(bases, bits) of the pulses at ``idx``, as uint8 arrays (0=rectilinear 1=diagonal).
+
+        One gather from this burst's 2047-entry ``basis << 1 | bit`` table.
+        """
+        pb, pv = _PHASE[self.state_bases], _PHASE[self.state_bits]
+        table = _CYCLE2[pb:pb + PRBS11_PERIOD] << 1 | _CYCLE2[pv:pv + PRBS11_PERIOD]
+        state = table[np.asarray(idx) % PRBS11_PERIOD]
+        bits = state & 1
+        state >>= 1
+        return state, bits
 
     @property
     def bases(self) -> np.ndarray:
@@ -203,6 +210,12 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None, *,
     3-bin clock spread; dark counts; the merge of coinciding entries into
     clicks, with multi-channel bins flagged (:func:`merge_clicks`).
 
+    The draws come in that order, each once per photon or dark count.  The
+    detector entries are then built in two arrays, the merge keys
+    ``bin * 8 + channel`` and the source pulses, signal entries first and dark
+    counts after, so a 1-s burst of ~0.95 M clicks holds ~43 bytes per click
+    at its peak.
+
     A click's channel is ``1 + 2 * basis + bit``: ch1=H, ch2=V (rectilinear
     basis 0, bits 0 and 1), ch3=D, ch4=A (diagonal basis 1, bits 0 and 1).
     Downstream code recovers basis and bit as ``(channel - 1) >> 1`` and
@@ -226,33 +239,42 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None, *,
     # intercept-resend keeps photon numbers, so Eve needs only the pulses that reach Bob
     bases, bits = tx.at(src) if eve is None else eve.intercept(tx, src)
 
+    # per photon: measurement basis, polarization flip, outcome when the bases differ
     meas_basis = rng.integers(0, 2, m, dtype=np.uint8)
     same = meas_basis == bases
-    flip = rng.random(m) < link.e_pol
+    bits ^= rng.random(m) < link.e_pol
     rand_bit = rng.integers(0, 2, m, dtype=np.uint8)
-    channel = np.where(same, bits ^ flip, rand_bit)
-    channel += 1
-    channel += 2 * meas_basis
-
-    bins = cfg.bins_per_frame * src + base_bin
-    if cfg.clock_spread_bins > 0:
-        # one bin early with probability (1 - center) / 2, one bin late likewise
-        u = rng.random(m)
-        bins -= u >= cfg.clock_center_prob
-        bins += 2 * (u >= cfg.clock_center_prob + (1.0 - cfg.clock_center_prob) / 2.0)
+    jitter = _clock_jitter(m, cfg.clock_center_prob, rng) if cfg.clock_spread_bins > 0 else 0
 
     # dark + background counts, uniform over the burst's bin span
     n_dark = rng.poisson(link.dark_cps * cfg.burst_seconds)
     span = cfg.bins_per_frame * n + base_bin + 2
-    dark_bins = rng.integers(0, span, n_dark, dtype=np.int64)
-    dark_ch = rng.integers(1, 5, n_dark, dtype=np.uint8)
 
-    # signal entries come first, so they win the merge over dark counts
-    bin_index, channel, multi, source_index = merge_clicks(
-        np.concatenate([bins, dark_bins]),
-        np.concatenate([channel, dark_ch]),
-        np.concatenate([src, np.full(n_dark, -1, dtype=np.int64)]),
-    )
+    # one array each for merge keys (bin * 8 + channel) and source pulses:
+    # signal entries first, so they win the merge over dark counts, then the dark counts
+    key = np.empty(m + n_dark, dtype=np.int64)
+    signal = key[:m]
+    np.multiply(src, cfg.bins_per_frame, out=signal)
+    signal += base_bin
+    signal += jitter
+    key[m:] = rng.integers(0, span, n_dark, dtype=np.int64)
+    key *= 8
+    # channel 1 + 2 * basis + bit: the sent bit (flipped with probability e_pol)
+    # when the bases agree, else a random one
+    channel = rand_bit
+    np.copyto(channel, bits, where=same)
+    meas_basis <<= 1
+    channel += meas_basis
+    channel += 1
+    signal += channel
+    key[m:] += rng.integers(1, 5, n_dark, dtype=np.uint8)
+
+    source = np.empty(m + n_dark, dtype=np.int64)
+    source[:m] = src
+    source[m:] = -1
+    del src, bases, bits, same, meas_basis, channel, rand_bit, jitter
+
+    bin_index, channel, multi, source_index = merge_clicks(key, source)
     return RxBurst(
         bin_index=bin_index,
         channel=channel,
@@ -263,27 +285,43 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None, *,
     )
 
 
-def merge_clicks(bins: np.ndarray, channel: np.ndarray, src: np.ndarray
+def _clock_jitter(m: int, center_prob: float, rng: np.random.Generator) -> np.ndarray:
+    """Bin shift of ``m`` clicks, as int8: -1 (one bin early) with probability
+    (1 - center) / 2, +1 (one bin late) likewise, else 0."""
+    u = rng.random(m)
+    shift = (u >= center_prob + (1.0 - center_prob) / 2.0).astype(np.int8)
+    shift += shift
+    shift -= u >= center_prob
+    return shift
+
+
+def merge_clicks(key: np.ndarray, src: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Merge detector entries with equal (bin, channel) into one click each.
+    """Merge detector entries with equal ``key = bin * 8 + channel`` into one click each.
 
     Of equal entries the earliest in the input wins and gives the click its
     ``src``.  Returns the clicks sorted by bin, then channel, as ``(bins,
     channel, multi_click, src)``; ``multi_click`` flags every click whose bin
-    holds another.  Channels must lie in 0..7.  The stable sort is cheap
-    because the keys arrive nearly sorted: signal entries in pulse order up
-    to the clock jitter, then the few dark counts.
+    holds another.  Channels must lie in 0..7.  ``key`` is sorted in place.
+    The stable sort is cheap because the keys arrive nearly sorted: signal
+    entries in pulse order up to the clock jitter, then the few dark counts.
     """
-    key = bins * 8 + channel
     order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.ones(len(key), dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    order = order[first]
-    bins = bins[order]
+    key.sort(kind="stable")  # cheaper than key[order] on nearly sorted keys, and in place
+    keep = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    keep = np.flatnonzero(keep)  # the first entry of each run of equal keys
+    # the merged keys hold each click's bin and channel: only src needs the order
+    order = order[keep]
+    src = src[order]
+    del order
+    bins = key[keep]
+    channel = bins.astype(np.uint8)
+    channel &= 7
+    bins >>= 3  # floor division by 8, so negative bins come back exactly
     # equal bins are adjacent: flag each click that shares its bin with a neighbour
     multi = np.zeros(len(bins), dtype=bool)
     shared = bins[1:] == bins[:-1]
     multi[1:] = shared
     multi[:-1] |= shared
-    return bins, channel[order], multi, src[order]
+    return bins, channel, multi, src

@@ -76,7 +76,7 @@ def without(bits: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """``bits`` with the positions ``idx`` removed, order preserved."""
     keep = np.ones(len(bits), dtype=bool)
     keep[idx] = False
-    return bits[keep]
+    return np.compress(keep, bits)
 
 
 def check_abort(qber: float) -> bool:
@@ -87,11 +87,14 @@ def check_abort(qber: float) -> bool:
 # --- Winnow -----------------------------------------------------------------
 
 _SYNDROME_WEIGHTS = np.arange(1, WINNOW_BLOCK, dtype=np.int64)  # positions 1..7
+# row v: the bits of byte value v, most significant first, as np.packbits orders them
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+_BYTE_PARITY = (_BYTE_BITS.sum(axis=1) & 1).astype(np.uint8)
 
 
 def block_parities(bits: np.ndarray) -> np.ndarray:
-    """Per-block parity of an 8-aligned bit array."""
-    return bits.reshape(-1, WINNOW_BLOCK).sum(axis=1) & 1
+    """Per-block parity of an 8-aligned bit array: each block packs into one byte."""
+    return _BYTE_PARITY[np.packbits(bits)]
 
 
 def block_syndromes(blocks: np.ndarray) -> np.ndarray:
@@ -138,10 +141,12 @@ def winnow_syndromes(permuted: np.ndarray, mismatched: np.ndarray) -> np.ndarray
 
 def winnow_repair(key: np.ndarray, perm: np.ndarray, permuted: np.ndarray,
                   mismatched: np.ndarray, peer_syndromes: np.ndarray) -> None:
-    """Bob's side: flip, in ``key`` itself, the bit each syndrome difference locates."""
+    """Bob's side: flip, in ``key`` itself, the bit each syndrome difference locates.
+
+    ``permuted`` is read for Bob's syndromes and left as it was.
+    """
     diff = winnow_syndromes(permuted, mismatched) ^ peer_syndromes
-    permuted[mismatched * WINNOW_BLOCK + syndrome_error_positions(diff)] ^= 1
-    key[perm] = permuted
+    key[perm[mismatched * WINNOW_BLOCK + syndrome_error_positions(diff)]] ^= 1
 
 
 def winnow_disclosed(parities: np.ndarray, mismatched: np.ndarray) -> int:
@@ -200,14 +205,21 @@ def toeplitz_matrix(seed_bits: np.ndarray) -> np.ndarray:
 
 
 def privacy_amplify(key: np.ndarray, toeplitz_seed: np.ndarray) -> np.ndarray:
-    """Compress each 16-bit block to 11 bits via the seeded Toeplitz hash."""
+    """Compress each 16-bit block to 11 bits via the seeded Toeplitz hash.
+
+    The hash is GF(2)-linear, so a block's 11 bits are the XOR of what its two
+    bytes give alone; each byte's share is read from a 256-entry table, its
+    11 bits the top bits of a 16-bit word.
+    """
     key = np.asarray(key, dtype=np.uint8)
     if len(key) % PA_IN_BITS != 0:
         raise ValueError(f"key length must be a multiple of {PA_IN_BITS}, got {len(key)}")
-    t = toeplitz_matrix(toeplitz_seed)
-    blocks = key.reshape(-1, PA_IN_BITS)
-    out = (blocks.astype(np.int64) @ t.T.astype(np.int64)) & 1
-    return out.astype(np.uint8).ravel()
+    t = toeplitz_matrix(toeplitz_seed).astype(np.int64)
+    high, low = (np.packbits((_BYTE_BITS @ half.T) & 1, axis=1).view(">u2").ravel()
+                 for half in (t[:, :8], t[:, 8:]))
+    blocks = np.packbits(key)
+    out = (high[blocks[0::2]] ^ low[blocks[1::2]]).astype(">u2")
+    return np.unpackbits(out.view(np.uint8)).reshape(-1, PA_IN_BITS)[:, :PA_OUT_BITS].ravel()
 
 
 def amplify_with_carry(carry: np.ndarray, key: np.ndarray,
@@ -322,8 +334,11 @@ class KeyBuffer:
 
         Returns the absolute bit ranges consumed (one per page spanned) and
         the bits themselves.  ``timeout`` bounds the whole wait, however many
-        appends arrive in it.
+        appends arrive in it.  A negative ``nbits`` raises ``ValueError`` and
+        changes nothing; ``take(0)`` returns no range and no bits.
         """
+        if nbits < 0:
+            raise ValueError(f"cannot take a negative number of bits: {nbits}")
         with self._cond:
             deadline = None if timeout is None else time.monotonic() + timeout
             while self.available(lane) < nbits:
@@ -347,6 +362,8 @@ class KeyBuffer:
             self.issued_ranges.extend(ranges)
             self._lane_used[lane] = end
             self._consumed_total += nbits
+            if not ranges:
+                return ranges, np.empty(0, dtype=np.uint8)
             return ranges, np.concatenate([self._slice(a, b) for a, b in ranges])
 
     def peek(self, nbits: int) -> np.ndarray:

@@ -497,7 +497,7 @@ def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postpro
         alice_bases, alice_bits = tx.at(idx)
         mask = postproc.sift_mask(alice_bases, bob_bases)
         burst.send(MsgType.BASES, mask)
-        alice_sifted = alice_bits[mask]
+        alice_sifted = np.compress(mask, alice_bits)
 
         out.sifted_bits = n_sift = len(alice_sifted)
         sample_idx = np.empty(0, dtype=np.int64)
@@ -561,17 +561,19 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
             sync = synchronize(sync_bases, sync_bits, rx, cfg)
         except NoLockError as exc:
             raise _Abort(AbortReason.NO_LOCK, exc.min_qber) from exc
+        del rx  # the framed clicks are all the rest needs: frees bin_index and source_index
         out.offset_frames, out.fifo_choice, out.sync_curve = \
             sync.r_n, int(sync.fifo_choice), sync.curve
         burst.send(MsgType.FRAME_OFFSET_ACK, sync.r_n, out.fifo_choice, sync.central,
                    [q for _, q in sync.curve])
 
         match = nnc_match(cfg.n_pulses, sync.fifo, sync.central, sync.r_n, first_tx=s)
-        bob_bases = ((match.channel - 1) >> 1).astype(np.uint8)
-        bob_bits = ((match.channel - 1) & 1).astype(np.uint8)
+        bob_bits = match.channel - 1
+        bob_bases = bob_bits >> 1
+        bob_bits &= 1
         burst.send(MsgType.BASES, match.tx_index, bob_bases)
         (mask,) = burst.recv(MsgType.BASES, n=len(match.tx_index))
-        bob_sifted = bob_bits[mask.astype(bool)]
+        bob_sifted = np.compress(mask.astype(bool), bob_bits)
 
         out.sifted_bits = n_sift = len(bob_sifted)
         sample_idx, alice_sample = burst.recv(MsgType.QBER_SAMPLE, bound=n_sift)

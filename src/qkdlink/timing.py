@@ -52,7 +52,9 @@ class FifoView:
     for FIFO1, half a frame for FIFO2.  Slot and neighbor structure is
     preserved for the nearest-neighbor correlation.
     ``frames`` is non-decreasing (the detections are sorted by bin), which
-    :func:`nnc_match` relies on.
+    :func:`nnc_match` relies on.  ``channel`` and ``multi`` are the
+    detections' own arrays, not copies, so once the detections are framed the
+    receiver keeps only this view: its ``bin_index`` and ``source_index`` can go.
     """
 
     shift: int
@@ -76,9 +78,13 @@ def sample_pps_offset(cfg: SimConfig, rng: np.random.Generator) -> float:
 
 def frame_clicks(rx, shift: int, cfg: SimConfig) -> FifoView:
     """Bin detections into frames with ``shift`` bins added to every bin index."""
-    shifted = rx.bin_index + shift
-    frames = shifted // cfg.bins_per_frame
-    slots = shifted - cfg.bins_per_frame * frames  # shifted % bins_per_frame, without a division
+    b = cfg.bins_per_frame
+    slots = rx.bin_index + shift
+    frames = slots // b
+    # slots becomes shifted % b in place, with no third array of the clicks' size
+    frames *= b
+    slots -= frames
+    frames //= b
     return FifoView(shift, frames, slots, rx.channel, rx.multi_click)
 
 
@@ -121,25 +127,40 @@ def nnc_match(n_tx: int, fifo: FifoView, central: int, frame_offset: int,
     clicks within ``NNC_WINDOW`` slots qualify.  Frames containing a
     multi-channel bin or more than one qualifying click are discarded
     entirely, so each click is consumed at most once and every match is
-    unambiguous.
+    unambiguous.  The qualifying clicks of one pulse are adjacent, so a pulse
+    matches exactly when its one qualifying click is alone in its run and not
+    multi-channel; the multi-click discards are the distinct pulses among the
+    multi-channel clicks, and the competing-click discards the remaining
+    runs of two or more.  Works on the ~1 M clicks of a burst with a few
+    arrays of their size live at once.
     """
     # frames are sorted: the clicks of pulses [first_tx, n_tx) are one slice
     lo, hi = np.searchsorted(fifo.frames, (first_tx + frame_offset, n_tx + frame_offset))
-    valid = np.flatnonzero(np.abs(fifo.slots[lo:hi] - central) <= NNC_WINDOW) + lo
-    if len(valid) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return MatchResult(empty, empty.astype(np.uint8), 0, 0)
-    vj = fifo.frames[valid] - frame_offset
-    # one run of equal pulse index per pulse with qualifying clicks
-    starts = np.flatnonzero(np.concatenate(([True], vj[1:] != vj[:-1])))
-    single = np.diff(np.append(starts, len(vj))) == 1
-    has_multi = np.logical_or.reduceat(fifo.multi[valid], starts)
-    ok = starts[single & ~has_multi]
+    dist = fifo.slots[lo:hi] - central
+    np.abs(dist, out=dist)
+    valid = np.flatnonzero(dist <= NNC_WINDOW)
+    del dist
+    valid += lo
+    tx = fifo.frames[valid]
+    tx -= frame_offset  # the pulse of each qualifying click, non-decreasing
+    channel = fifo.channel[valid]
+    multi = fifo.multi[valid]
+    del valid
+    # edge[i]: click i opens a run of equal pulses; edge[i + 1]: click i closes one
+    edge = np.ones(len(tx) + 1, dtype=bool)
+    np.not_equal(tx[1:], tx[:-1], out=edge[1:-1])
+    lone = edge[:-1] & edge[1:]
+    n_runs = np.count_nonzero(edge[:-1])
+    n_lone = np.count_nonzero(lone)
+    n_lone_multi = np.count_nonzero(lone & multi)
+    multi_tx = np.compress(multi, tx)
+    n_multi = np.count_nonzero(multi_tx[1:] != multi_tx[:-1]) + (len(multi_tx) > 0)
+    lone &= ~multi
     return MatchResult(
-        tx_index=vj[ok],
-        channel=fifo.channel[valid[ok]].astype(np.uint8),
-        n_multi_discard=int(np.count_nonzero(has_multi)),
-        n_compete_discard=int(np.count_nonzero(~single & ~has_multi)),
+        tx_index=np.compress(lone, tx),
+        channel=np.compress(lone, channel),
+        n_multi_discard=int(n_multi),
+        n_compete_discard=int(n_runs - n_lone - (n_multi - n_lone_multi)),
     )
 
 

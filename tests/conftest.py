@@ -2,6 +2,7 @@
 
 import dataclasses
 import socket
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,17 @@ def count_split_events(rx, fifo: FifoView, cfg: SimConfig) -> int:
     actual_frame = fifo.frames[signal]
     nominal_frame = (nominal + fifo.shift) // cfg.bins_per_frame
     return int(np.count_nonzero(actual_frame != nominal_frame))
+
+
+def traced_peak(call):
+    """``(call(), peak bytes that call allocated)``, measured by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def free_port() -> int:

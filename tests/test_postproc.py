@@ -146,6 +146,12 @@ def test_winnow_double_errors_invisible_to_parity():
             assert block_parities(damaged) == block_parities(base)
 
 
+def test_block_parities_of_every_byte():
+    blocks = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    got = block_parities(blocks.ravel())
+    assert np.array_equal(got, blocks.sum(axis=1) % 2)
+
+
 def test_winnow_double_error_fixed_after_reshuffle():
     rng = rng_stream(9, "t")
     alice = _bits(rng, 512)
@@ -227,6 +233,14 @@ def test_pa_matches_naive_oracle():
         seed = _bits(rng, PA_SEED_BITS)
         block = _bits(rng, PA_IN_BITS)
         assert np.array_equal(privacy_amplify(block, seed), _naive_toeplitz_apply(seed, block))
+
+
+def test_pa_of_a_key_is_the_oracle_block_by_block():
+    rng = rng_stream(16, "t")
+    seed = _bits(rng, PA_SEED_BITS)
+    key = _bits(rng, 64 * PA_IN_BITS)
+    want = [_naive_toeplitz_apply(seed, block) for block in key.reshape(-1, PA_IN_BITS)]
+    assert np.array_equal(privacy_amplify(key, seed), np.concatenate(want))
 
 
 def test_pa_compression_ratio_exact():
@@ -344,6 +358,33 @@ def test_key_buffer_append_and_take():
     assert ranges == [(0, 40)]
     assert np.array_equal(got, bits[:40])
     assert buf.consumed_total == 40
+
+
+def _key_buffer_state(buf):
+    return ([buf.available(lane) for lane in (0, 1)], [buf.next_range_start(lane) for lane in (0, 1)],
+            buf.consumed_total, list(buf.issued_ranges))
+
+
+def test_key_buffer_negative_take_is_refused_and_changes_nothing():
+    buf = KeyBuffer()
+    buf.append(np.ones(100, dtype=np.uint8))
+    buf.take(40)
+    before = _key_buffer_state(buf)
+    with pytest.raises(ValueError, match="negative"):
+        buf.take(-8)
+    assert _key_buffer_state(buf) == before
+    ranges, got = buf.take(60)
+    assert ranges == [(40, 100)] and len(got) == 60
+
+
+def test_key_buffer_take_zero_returns_nothing_and_changes_nothing():
+    buf = KeyBuffer()
+    for _ in range(2):  # empty, then holding bits
+        before = _key_buffer_state(buf)
+        ranges, got = buf.take(0)
+        assert ranges == [] and got.dtype == np.uint8 and len(got) == 0
+        assert _key_buffer_state(buf) == before
+        buf.append(np.ones(100, dtype=np.uint8))
 
 
 def test_key_buffer_issued_ranges_disjoint():

@@ -245,7 +245,8 @@ def test_session_reproducible(small_cfg):
 
 
 @pytest.mark.parametrize("seed,burst_seconds,digest", [(33, 0.01, "b7de37dac37334c6"),
-                                                       (7, 0.05, "9c6a0e9cae6e6fbc")])
+                                                       (7, 0.05, "9c6a0e9cae6e6fbc"),
+                                                       (7, 1.0, "4b8cbd525fbe5d27")])
 def test_reference_keys_are_bit_identical(seed, burst_seconds, digest):
     # a change that reorders or alters any random draw shows here; one that does
     # so on purpose updates these digests

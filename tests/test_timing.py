@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import count_split_events, noiseless_config, scaled_config
+from conftest import count_split_events, noiseless_config, scaled_config, traced_peak
 from qkdlink.core import default_config, rng_stream
 from qkdlink.photonics import generate_burst, transmit_and_detect
 from qkdlink.timing import (
@@ -220,6 +220,18 @@ def test_nnc_match_equals_bincount_reference_on_a_burst(small_cfg):
             assert np.array_equal(res.tx_index, ref[0])
             assert np.array_equal(res.channel, ref[1])
             assert (res.n_multi_discard, res.n_compete_discard) == ref[2:]
+
+
+def test_full_nnc_match_peak_memory_is_bounded_per_click():
+    # a few arrays of the qualifying clicks' size at once: 28.5 bytes per click;
+    # matching through run starts, run lengths and a reduceat took 50
+    cfg = scaled_config(0.05, seed=7)
+    tx = generate_burst(cfg, rng_stream(7, "g"))
+    rx = transmit_and_detect(tx, cfg, rng=rng_stream(7, "c"))
+    sync = synchronize(tx.bases[:1000], tx.bits[:1000], rx, cfg)
+    res, peak = traced_peak(lambda: nnc_match(len(tx), sync.fifo, sync.central, sync.r_n))
+    assert len(res) > 0.9 * len(rx)
+    assert peak <= 36 * len(rx)
 
 
 def test_nnc_injective_on_detections(small_cfg):
