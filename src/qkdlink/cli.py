@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis, securecomm, session, timing
 from .core import ConfigError, SimConfig, default_config, load_config, rng_stream
 from .eve import Eavesdropper
-from .photonics import generate_burst, transmit_and_detect
+from .photonics import detector_entries, generate_burst
 from .session import (
     DEFAULT_PORT,
     BurstOutcome,
@@ -172,7 +172,7 @@ EVE_LOG_BLOCK_ROWS = 1 << 20  # rows laid out per write: ~16 MB of text at most
 
 
 def _dump_eve_log(cfg: SimConfig, path: str) -> None:
-    """Replay the (deterministic) photonics of burst 0 and write, as
+    """Replay the (deterministic) detector entries of burst 0 and write, as
     ``index,basis,bit`` CSV rows in ascending index order, Eve's re-prepared
     basis and bit of each intercepted pulse that holds a detected photon:
     the states the receiver's photons were drawn from.
@@ -185,7 +185,7 @@ def _dump_eve_log(cfg: SimConfig, path: str) -> None:
     tx = generate_burst(cfg, rng_stream(seed, "txgen:0"))
     log_parts: list = []
     eavesdropper = Eavesdropper(rng_stream(seed, "eve:0"), cfg.eve_fraction, log=log_parts)
-    transmit_and_detect(tx, cfg, eve=eavesdropper, rng=rng_stream(seed, "channel:0"))
+    detector_entries(tx, cfg, eve=eavesdropper, rng=rng_stream(seed, "channel:0"))
     ((index, bases, bits),) = log_parts
     n = len(index)
     digits = np.searchsorted(index, [10**w for w in range(1, 19)]).tolist()

@@ -10,15 +10,17 @@ per pulse gives, so only the detected photons are drawn, as its exponential
 gaps.  Those photons then
 get a 50:50 measurement basis, a polarization projection, a bin shifted by
 time of flight plus 1PPS offset, and per-click clock jitter.  Dark counts
-are added as uniformly placed spurious clicks, and a stable sort of the
+are added as uniformly placed spurious entries, and one in-place sort of the
 nearly sorted (bin, channel) keys merges coinciding entries into clicks.
+The receiver keeps only the keys; the pulse behind each entry is simulator
+ground truth, returned by :func:`detector_entries` and dropped by the merge.
 The cost scales with the ~5% of pulses that click, not with the 20 M pulses
 of a 1-second burst.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,7 +84,7 @@ class TxBurst:
     Pulse j's basis is cycle bit ``(phase(state_bases) + j) % 2047``, and
     likewise its bit, so :meth:`at` reads any set of pulses without
     materializing the burst.  Photon numbers are not part of it:
-    :func:`transmit_and_detect` draws the detected ones directly.
+    :func:`detector_entries` draws the detected ones directly.
     """
 
     n: int
@@ -121,11 +123,10 @@ class TxBurst:
 
 @dataclass
 class RxBurst:
-    """All detections of one burst, sorted by bin, plus the realized timing offsets.
+    """All clicks of one burst, sorted by bin, plus the realized timing offsets.
 
-    ``source_index`` is simulator ground truth (-1 for dark counts); it never
-    leaves the process and exists so synchronization tests can compare the
-    recovered alignment against the injected one.
+    A click is a detector channel firing in a time bin: what the receiver
+    sees, with no record of the pulse behind it.
     """
 
     bin_index: np.ndarray    # int64, global receiver bins at bin_ns resolution
@@ -134,7 +135,6 @@ class RxBurst:
     realized_pps_offset_ns: float
     # ground-truth whole-bin alignment between Tx frame 0 and Rx bins
     true_bin_offset: int = 0
-    source_index: np.ndarray = field(repr=False, default=None)
 
     def __len__(self) -> int:
         return len(self.bin_index)
@@ -194,9 +194,9 @@ def _true_bin_offset(cfg: SimConfig, tof_ns: float, pps_ns: float) -> int:
     return int(np.floor((tof_ns + pps_ns) / cfg.bin_ns))
 
 
-def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None, *,
-                        rng: np.random.Generator) -> RxBurst:
-    """Propagate one burst through the channel and produce receiver clicks.
+def detector_entries(tx: TxBurst, cfg: SimConfig, eve=None, *,
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Propagate one burst through the channel to its detector entries.
 
     Stages: the 1PPS offset of the burst; the photons surviving path loss
     (geometric collection x residual loss) and the detector chain, as the
@@ -207,16 +207,15 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None, *,
     (probability ``e_pol`` of landing in the flipped channel when bases
     agree, uniform within the measurement basis when they differ), and bin
     placement shifted by time of flight + 1PPS offset and smeared by the
-    3-bin clock spread; dark counts; the merge of coinciding entries into
-    clicks, with multi-channel bins flagged (:func:`merge_clicks`).
+    3-bin clock spread; then the dark counts.  The draws come in that order,
+    each once per photon or dark count.
 
-    The draws come in that order, each once per photon or dark count.  The
-    detector entries are then built in two arrays, the merge keys
-    ``bin * 8 + channel`` and the source pulses, signal entries first and dark
-    counts after, so a 1-s burst of ~0.95 M clicks holds ~43 bytes per click
-    at its peak.
+    Returns ``(key, src, pps_ns, base_bin)``: the merge key ``bin * 8 +
+    channel`` of every entry, the m detected photons first and the dark
+    counts after; the pulse of each of those m photons, ascending; the
+    realized 1PPS offset; and the true whole-bin offset.
 
-    A click's channel is ``1 + 2 * basis + bit``: ch1=H, ch2=V (rectilinear
+    A channel is ``1 + 2 * basis + bit``: ch1=H, ch2=V (rectilinear
     basis 0, bits 0 and 1), ch3=D, ch4=A (diagonal basis 1, bits 0 and 1).
     Downstream code recovers basis and bit as ``(channel - 1) >> 1`` and
     ``(channel - 1) & 1``.
@@ -250,8 +249,7 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None, *,
     n_dark = rng.poisson(link.dark_cps * cfg.burst_seconds)
     span = cfg.bins_per_frame * n + base_bin + 2
 
-    # one array each for merge keys (bin * 8 + channel) and source pulses:
-    # signal entries first, so they win the merge over dark counts, then the dark counts
+    # one array of merge keys (bin * 8 + channel): the signal entries, then the dark counts
     key = np.empty(m + n_dark, dtype=np.int64)
     signal = key[:m]
     np.multiply(src, cfg.bins_per_frame, out=signal)
@@ -268,21 +266,20 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None, *,
     channel += 1
     signal += channel
     key[m:] += rng.integers(1, 5, n_dark, dtype=np.uint8)
+    return key, src, pps_ns, base_bin
 
-    source = np.empty(m + n_dark, dtype=np.int64)
-    source[:m] = src
-    source[m:] = -1
-    del src, bases, bits, same, meas_basis, channel, rand_bit, jitter
 
-    bin_index, channel, multi, source_index = merge_clicks(key, source)
-    return RxBurst(
-        bin_index=bin_index,
-        channel=channel,
-        multi_click=multi,
-        realized_pps_offset_ns=pps_ns,
-        true_bin_offset=base_bin,
-        source_index=source_index,
-    )
+def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None, *,
+                        rng: np.random.Generator) -> RxBurst:
+    """The receiver's clicks of one burst: its :func:`detector_entries`,
+    merged into clicks with multi-channel bins flagged (:func:`merge_clicks`).
+
+    Only the merge keys are kept, so a 1-s burst of ~0.95 M clicks holds ~27
+    bytes per click at its peak.
+    """
+    key, src, pps_ns, base_bin = detector_entries(tx, cfg, eve, rng=rng)
+    del src  # ground truth: the receiver merges the keys alone
+    return RxBurst(*merge_clicks(key), realized_pps_offset_ns=pps_ns, true_bin_offset=base_bin)
 
 
 def _clock_jitter(m: int, center_prob: float, rng: np.random.Generator) -> np.ndarray:
@@ -295,26 +292,23 @@ def _clock_jitter(m: int, center_prob: float, rng: np.random.Generator) -> np.nd
     return shift
 
 
-def merge_clicks(key: np.ndarray, src: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def merge_clicks(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Merge detector entries with equal ``key = bin * 8 + channel`` into one click each.
 
-    Of equal entries the earliest in the input wins and gives the click its
-    ``src``.  Returns the clicks sorted by bin, then channel, as ``(bins,
-    channel, multi_click, src)``; ``multi_click`` flags every click whose bin
-    holds another.  Channels must lie in 0..7.  ``key`` is sorted in place.
-    The stable sort is cheap because the keys arrive nearly sorted: signal
-    entries in pulse order up to the clock jitter, then the few dark counts.
+    Returns the clicks sorted by bin, then channel, as ``(bins, channel,
+    multi_click)``; ``multi_click`` flags every click whose bin holds
+    another.  Channels must lie in 0..7.  ``key`` is sorted in place, and
+    each click's bin and channel are read back from its merged key, so the
+    order of the entries does not matter.
     """
-    order = np.argsort(key, kind="stable")
-    key.sort(kind="stable")  # cheaper than key[order] on nearly sorted keys, and in place
+    # stable for speed, not for a tie rule (equal keys make one click): on the
+    # nearly sorted keys (signal entries in pulse order up to the clock
+    # jitter, then the few dark counts) it takes ~3.5 ms on a 1-s burst, the
+    # default sort ~9.5 ms
+    key.sort(kind="stable")
     keep = np.ones(len(key), dtype=bool)
     np.not_equal(key[1:], key[:-1], out=keep[1:])
     keep = np.flatnonzero(keep)  # the first entry of each run of equal keys
-    # the merged keys hold each click's bin and channel: only src needs the order
-    order = order[keep]
-    src = src[order]
-    del order
     bins = key[keep]
     channel = bins.astype(np.uint8)
     channel &= 7
@@ -324,4 +318,4 @@ def merge_clicks(key: np.ndarray, src: np.ndarray
     shared = bins[1:] == bins[:-1]
     multi[1:] = shared
     multi[:-1] |= shared
-    return bins, channel, multi, src
+    return bins, channel, multi

@@ -561,7 +561,7 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
             sync = synchronize(sync_bases, sync_bits, rx, cfg)
         except NoLockError as exc:
             raise _Abort(AbortReason.NO_LOCK, exc.min_qber) from exc
-        del rx  # the framed clicks are all the rest needs: frees bin_index and source_index
+        del rx  # the framed clicks are all the rest needs: frees bin_index
         out.offset_frames, out.fifo_choice, out.sync_curve = \
             sync.r_n, int(sync.fifo_choice), sync.curve
         burst.send(MsgType.FRAME_OFFSET_ACK, sync.r_n, out.fifo_choice, sync.central,

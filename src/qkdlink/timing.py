@@ -54,7 +54,7 @@ class FifoView:
     ``frames`` is non-decreasing (the detections are sorted by bin), which
     :func:`nnc_match` relies on.  ``channel`` and ``multi`` are the
     detections' own arrays, not copies, so once the detections are framed the
-    receiver keeps only this view: its ``bin_index`` and ``source_index`` can go.
+    receiver keeps only this view: its ``bin_index`` can go.
     """
 
     shift: int

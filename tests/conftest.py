@@ -1,5 +1,6 @@
 """Shared fixtures and the acceptance-summary hook."""
 
+import copy
 import dataclasses
 import socket
 import tracemalloc
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from qkdlink.core import SimConfig, default_config
+from qkdlink.photonics import detector_entries, transmit_and_detect
 from qkdlink.timing import FifoView
 
 # (criterion number, label, passed, detail) tuples collected by test_acceptance
@@ -57,16 +59,46 @@ def noiseless_config(burst_seconds: float = 0.001, seed: int = 1, **overrides):
     return scaled_config(burst_seconds, seed, **kw)
 
 
-def count_split_events(rx, fifo: FifoView, cfg: SimConfig) -> int:
+def merge_by_unique(key, src):
+    """Reference merge: one np.unique over the keys, a second over the merged bins.
+
+    ``src`` holds the pulses of the signal entries, which come first in
+    ``key``; the entries after them are dark counts.  Returns ``(bins,
+    channel, multi_click, source)``, where of equal keys the first entry gives
+    the click its source pulse (-1 for a dark count).
+    """
+    src = np.concatenate([src, np.full(len(key) - len(src), -1, dtype=np.int64)])
+    uniq, first = np.unique(key, return_index=True)
+    bin_u = uniq // 8
+    _, bin_count = np.unique(bin_u, return_counts=True)
+    return bin_u, (uniq % 8).astype(np.uint8), np.repeat(bin_count > 1, bin_count), src[first]
+
+
+def detect_with_sources(tx, cfg: SimConfig, *, rng):
+    """``(rx, source)``: the shipped ``transmit_and_detect`` clicks and the
+    pulse behind each (-1 for a dark count).
+
+    The source pulses are simulator ground truth.  They come from the same
+    detector entries, merged by :func:`merge_by_unique` with signal entries
+    ahead of dark counts, and that merge must give the shipped clicks.
+    """
+    rx = transmit_and_detect(tx, cfg, rng=copy.deepcopy(rng))
+    key, src, _, _ = detector_entries(tx, cfg, rng=rng)
+    bins, channel, multi, source = merge_by_unique(key, src)
+    assert np.array_equal(bins, rx.bin_index)
+    assert np.array_equal(channel, rx.channel) and np.array_equal(multi, rx.multi_click)
+    return rx, source
+
+
+def count_split_events(rx, source, fifo: FifoView, cfg: SimConfig) -> int:
     """Clicks whose jitter pushed them across a frame edge under this framing.
 
-    Uses simulator ground truth (source pulse and injected bin offset), so it
-    is a diagnostic for tests and reports, not part of the protocol.
+    Uses simulator ground truth (each click's source pulse, from
+    :func:`detect_with_sources`, and the injected bin offset), so it is a
+    diagnostic for tests, not part of the protocol.
     """
-    if rx.source_index is None:
-        raise ValueError("split counting requires simulator ground truth")
-    signal = rx.source_index >= 0
-    nominal = cfg.bins_per_frame * rx.source_index[signal] + rx.true_bin_offset
+    signal = source >= 0
+    nominal = cfg.bins_per_frame * source[signal] + rx.true_bin_offset
     actual_frame = fifo.frames[signal]
     nominal_frame = (nominal + fifo.shift) // cfg.bins_per_frame
     return int(np.count_nonzero(actual_frame != nominal_frame))

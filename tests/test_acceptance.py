@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import qkdlink
-from conftest import count_split_events, free_port, scaled_config
+from conftest import count_split_events, detect_with_sources, free_port, scaled_config
 from qkdlink.analysis import distance_sweep, estimate_rates
 from qkdlink.core import default_config, rng_stream
 from qkdlink.photonics import generate_burst, transmit_and_detect
@@ -127,12 +127,12 @@ def test_criterion_4_synchronization_recovery(acceptance_recorder):
     # the reference geometry: 1000 ns of flight is exactly 20 frames
     cfg0 = scaled_config(0.002, seed=41, tof_override_ns=1000.0, pps_jitter_sigma_ns=0.0)
     tx0 = generate_burst(cfg0, rng_stream(41, "g"))
-    rx0 = transmit_and_detect(tx0, cfg0, rng=rng_stream(41, "c"))
+    rx0, source0 = detect_with_sources(tx0, cfg0, rng=rng_stream(41, "c"))
     sync0 = synchronize(tx0.bases, tx0.bits, rx0, cfg0)
 
     # worst boundary alignment: clicks sit on the FIFO1 frame edge
-    s1 = count_split_events(rx0, frame_clicks(rx0, 0, cfg0), cfg0)
-    s_chosen = count_split_events(rx0, sync0.fifo, cfg0)
+    s1 = count_split_events(rx0, source0, frame_clicks(rx0, 0, cfg0), cfg0)
+    s_chosen = count_split_events(rx0, source0, sync0.fifo, cfg0)
     reduction = (s1 - s_chosen) / s1 if s1 else 0.0
 
     ok = hits >= 0.99 * trials and sync0.r_n == 20 and s1 > 0 and reduction >= 0.40

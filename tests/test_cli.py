@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import free_port
-from qkdlink import cli, photonics, session
+from qkdlink import cli, photonics
 from qkdlink.cli import ReportWriter, main
 from qkdlink.core import default_config, load_config, rng_stream
 from qkdlink.eve import Eavesdropper
@@ -156,27 +156,29 @@ def test_eve_log_holds_the_states_the_receiver_measured(tmp_path, capsys, monkey
     # measures in Eve's basis reads Eve's bit
     cfg_path = _write_cfg(tmp_path, "burst_seconds=0.002\nlink.e_pol=0.0\nlink.dark_cps=0.0\n")
     received = []
+    detect = photonics.detector_entries
 
-    def detect(*args, **kwargs):
-        received.append(photonics.transmit_and_detect(*args, **kwargs))
-        return received[-1]
+    def entries(*args, **kwargs):
+        out = detect(*args, **kwargs)
+        received.append((out[0].copy(), out[1]))  # the merge sorts the keys in place
+        return out
 
-    monkeypatch.setattr(session, "transmit_and_detect", detect)
+    monkeypatch.setattr(photonics, "detector_entries", entries)
     log_path = tmp_path / "eve.csv"
     main(["simulate", "--config", cfg_path, "--seed", "4", "--eve", "--eve-log", str(log_path)])
-    (rx,) = received  # the clicks of Bob's own burst
+    ((key, src),) = received  # the detector entries of Bob's own burst
+    assert len(key) == len(src)  # no dark counts: every entry is a detected photon
+    channel = key & 7
     index, basis, bit = np.loadtxt(log_path, delimiter=",", skiprows=1, dtype=np.int64,
                                    ndmin=2).T
     assert f"intercepted={len(index)}" in capsys.readouterr().err
-    src = rx.source_index
-    assert np.all(src >= 0)
     # the logged pulses are the pulses that reached Bob, in ascending order
     assert np.array_equal(index, np.unique(src))
     row = np.searchsorted(index, src)
-    meas_basis = (rx.channel - 1) >> 1
+    meas_basis = (channel - 1) >> 1
     same = meas_basis == basis[row]
     assert np.count_nonzero(same) > 0.4 * len(src)
-    assert np.array_equal(((rx.channel - 1) & 1)[same], bit[row][same])
+    assert np.array_equal(((channel - 1) & 1)[same], bit[row][same])
 
 
 @pytest.mark.parametrize("fields", [(0, 0, 5), (0, 5, 2048), (1, 5, 7)],

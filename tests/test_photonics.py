@@ -5,13 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import noiseless_config, scaled_config, traced_peak
+from conftest import (
+    detect_with_sources,
+    merge_by_unique,
+    noiseless_config,
+    scaled_config,
+    traced_peak,
+)
 from qkdlink import photonics
 from qkdlink.core import default_config, rng_stream
 from qkdlink.photonics import (
     PRBS11_PERIOD,
     TxBurst,
     detected_photons,
+    detector_entries,
     eta_geometric,
     generate_burst,
     merge_clicks,
@@ -76,9 +83,9 @@ def test_generate_burst_mu_zero_all_dark():
     # no photons leave the source: every click is a dark count
     cfg = scaled_config(0.01, mu=0.0, dark_cps=1e5)
     tx = generate_burst(cfg, rng_stream(1, "g"))
-    rx = transmit_and_detect(tx, cfg, rng=rng_stream(1, "c"))
+    rx, source = detect_with_sources(tx, cfg, rng=rng_stream(1, "c"))
     assert len(rx) == pytest.approx(1000, abs=150)
-    assert np.all(rx.source_index == -1)
+    assert np.all(source == -1)
 
 
 def test_generate_burst_photon_fraction():
@@ -88,8 +95,8 @@ def test_generate_burst_photon_fraction():
                     dark_cps=0.0)
     cfg = scaled_config(0.1, seed=5, **lossless)  # 2M pulses
     tx = generate_burst(cfg, rng_stream(5, "g"))
-    rx = transmit_and_detect(tx, cfg, rng=rng_stream(5, "c"))
-    frac = len(np.unique(rx.source_index)) / len(tx)
+    _, source = detect_with_sources(tx, cfg, rng=rng_stream(5, "c"))
+    frac = len(np.unique(source)) / len(tx)
     assert frac == pytest.approx(1 - np.exp(-0.15), abs=1e-3)
 
 
@@ -133,14 +140,15 @@ def test_generate_burst_allocates_no_pulse_arrays():
 
 
 def test_transmit_and_detect_peak_memory_is_bounded_per_click():
-    # the merge keys and source pulses in one array each, sorted and compacted
-    # in place: 43 bytes per click; concatenating the signal and dark entries
-    # field by field and gathering every field through the sort order took 76
+    # the merge keys alone in one array, sorted and compacted in place: ~27
+    # bytes per click; a source-pulse array beside them, gathered through the
+    # sort order, took 43, and concatenating the signal and dark entries field
+    # by field and gathering every field through the order took 76
     cfg = scaled_config(0.05, seed=7)
     tx = generate_burst(cfg, rng_stream(7, "g"))
     rx, peak = traced_peak(lambda: transmit_and_detect(tx, cfg, rng=rng_stream(7, "c")))
     assert len(rx) > 40_000
-    assert peak <= 50 * len(rx)
+    assert peak <= 32 * len(rx)
 
 
 # --- geometric collection ---------------------------------------------------------
@@ -192,8 +200,8 @@ def test_noiseless_same_basis_decodes_exactly():
 def test_click_rate_matches_poisson_thinning():
     cfg = scaled_config(0.05, seed=4)  # 1M pulses
     tx = generate_burst(cfg, rng_stream(4, "g"))
-    rx = transmit_and_detect(tx, cfg, rng=rng_stream(4, "c"))
-    clicked = len(np.unique(rx.source_index[rx.source_index >= 0]))
+    _, source = detect_with_sources(tx, cfg, rng=rng_stream(4, "c"))
+    clicked = len(np.unique(source[source >= 0]))
     p = 1 - np.exp(-cfg.link.channel_efficiency() * cfg.link.mu)
     sigma = np.sqrt(len(tx) * p * (1 - p))
     assert abs(clicked - len(tx) * p) < 3 * sigma
@@ -326,45 +334,39 @@ def test_detected_photons_degenerate_rates():
 # --- click merge against the np.unique reference ---------------------------------------
 
 
-def _merge_by_unique(key, src):
-    """Reference merge: one np.unique over the keys, a second over the merged bins."""
-    uniq, first = np.unique(key, return_index=True)
-    bin_u = uniq // 8
-    _, bin_count = np.unique(bin_u, return_counts=True)
-    return bin_u, (uniq % 8).astype(np.uint8), np.repeat(bin_count > 1, bin_count), src[first]
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 30), st.integers(-1, 1), st.integers(1, 4)),
                 max_size=60),
        st.lists(st.tuples(st.integers(-4, 130), st.integers(1, 4)), max_size=20),
-       st.integers(2, 4), st.integers(-6, 6))
-def test_merge_clicks_equals_unique_reference(photons, darks, bins_per_frame, base_bin):
-    # photons in pulse order as transmit_and_detect makes them: at 2 bins per
+       st.integers(2, 4), st.integers(-6, 6), st.randoms(use_true_random=False))
+def test_merge_clicks_equals_unique_reference(photons, darks, bins_per_frame, base_bin, order):
+    # photons in pulse order as detector_entries makes them: at 2 bins per
     # frame a jittered bin can precede the one before it; small ranges make
     # signal-signal and signal-dark collisions common, and base_bin < 0 gives
-    # negative bins
+    # negative bins; the merge must not depend on the entries' order, so they
+    # are shuffled before it
     photons.sort(key=lambda p: p[0])
     src = np.array([p[0] for p in photons], dtype=np.int64)
     jitter = np.array([p[1] for p in photons], dtype=np.int64)
     bins = np.concatenate([bins_per_frame * src + base_bin + jitter,
                            np.array([d[0] for d in darks], dtype=np.int64)])
     channel = np.array([p[2] for p in photons] + [d[1] for d in darks], dtype=np.uint8)
-    src = np.concatenate([src, np.full(len(darks), -1, dtype=np.int64)])
-    want = _merge_by_unique(bins * 8 + channel, src)
-    got = merge_clicks(bins * 8 + channel, src)
-    for g, w in zip(got, want):
+    key = bins * 8 + channel
+    want = merge_by_unique(key, src)[:3]
+    order.shuffle(key)
+    got = merge_clicks(key)
+    for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
 
 
-def test_merge_clicks_equals_unique_reference_on_a_burst(monkeypatch):
+def test_merge_clicks_equals_unique_reference_on_a_burst():
     cfg = scaled_config(0.02, seed=8, dark_cps=50000.0, bins_per_frame=2)
     tx = generate_burst(cfg, rng_stream(8, "g"))
     rx = transmit_and_detect(tx, cfg, rng=rng_stream(8, "c"))
-    monkeypatch.setattr(photonics, "merge_clicks", _merge_by_unique)
-    ref = transmit_and_detect(tx, cfg, rng=rng_stream(8, "c"))
-    assert np.count_nonzero(rx.multi_click) > 0 and np.count_nonzero(rx.source_index < 0) > 0
+    key, src, _, _ = detector_entries(tx, cfg, rng=rng_stream(8, "c"))
+    *ref, source = merge_by_unique(key, src)
+    assert np.count_nonzero(rx.multi_click) > 0 and np.count_nonzero(source < 0) > 0
     assert rx.channel.dtype == np.uint8
-    for name in ("bin_index", "channel", "multi_click", "source_index"):
-        assert np.array_equal(getattr(rx, name), getattr(ref, name)), name
+    for name, want in zip(("bin_index", "channel", "multi_click"), ref, strict=True):
+        assert np.array_equal(getattr(rx, name), want), name

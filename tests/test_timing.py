@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import count_split_events, noiseless_config, scaled_config, traced_peak
+from conftest import (
+    count_split_events,
+    detect_with_sources,
+    noiseless_config,
+    scaled_config,
+    traced_peak,
+)
 from qkdlink.core import default_config, rng_stream
 from qkdlink.photonics import generate_burst, transmit_and_detect
 from qkdlink.timing import (
@@ -418,12 +424,12 @@ def test_alignment_recovery_other_frame_sizes(bins_per_frame):
 def test_boundary_selection_never_worse_than_best_fifo(tof_ns, worst):
     cfg = scaled_config(0.002, seed=11, pps_jitter_sigma_ns=0.0, tof_override_ns=tof_ns)
     tx = generate_burst(cfg, rng_stream(11, "g"))
-    rx = transmit_and_detect(tx, cfg, rng=rng_stream(11, "c"))
+    rx, source = detect_with_sources(tx, cfg, rng=rng_stream(11, "c"))
     f1, f2 = (frame_clicks(rx, shift, cfg) for shift in (0, 2))
     chosen = synchronize(tx.bases, tx.bits, rx, cfg).fifo
-    s1 = count_split_events(rx, f1, cfg)
-    s2 = count_split_events(rx, f2, cfg)
-    s_chosen = count_split_events(rx, chosen, cfg)
+    s1 = count_split_events(rx, source, f1, cfg)
+    s2 = count_split_events(rx, source, f2, cfg)
+    s_chosen = count_split_events(rx, source, chosen, cfg)
     assert s_chosen <= min(s1, s2)
     if worst:
         assert s1 > 0 and s_chosen == 0
