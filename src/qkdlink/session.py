@@ -561,13 +561,13 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
             sync = synchronize(sync_bases, sync_bits, rx, cfg)
         except NoLockError as exc:
             raise _Abort(AbortReason.NO_LOCK, exc.min_qber) from exc
-        del rx  # the framed clicks are all the rest needs: frees bin_index
         out.offset_frames, out.fifo_choice, out.sync_curve = \
             sync.r_n, int(sync.fifo_choice), sync.curve
         burst.send(MsgType.FRAME_OFFSET_ACK, sync.r_n, out.fifo_choice, sync.central,
                    [q for _, q in sync.curve])
 
-        match = nnc_match(cfg.n_pulses, sync.fifo, sync.central, sync.r_n, first_tx=s)
+        match = nnc_match(cfg.n_pulses, rx, cfg.bins_per_frame, sync.shift, sync.central,
+                          sync.r_n, first_tx=s)
         bob_bits = match.channel - 1
         bob_bases = bob_bits >> 1
         bob_bits &= 1

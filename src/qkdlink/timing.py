@@ -11,8 +11,9 @@ three layers, coarse to fine:
    of the nominal framing and one delayed by half a frame, keep whichever
    has fewer counts in its edge bins, which also prevents clicks from
    straddling frame boundaries.  The delayed framing's slot histogram is
-   the nominal one rotated by half a frame, so one histogram decides and
-   only the chosen framing is built;
+   the nominal one rotated by half a frame, so one histogram decides.  A
+   framing is a bin shift, not a copy of the clicks: the matcher finds each
+   click's frame and slot from its bin as it goes;
 3. residual one-bin clock spread, absorbed by nearest-neighbor correlation:
    a click matches its pulse if it falls within ``NNC_WINDOW`` (one) slot of
    the expected bin.
@@ -44,26 +45,6 @@ class FifoChoice(IntEnum):
     FIFO2 = 2
 
 
-@dataclass
-class FifoView:
-    """Detections binned into frames under one boundary alignment.
-
-    ``shift`` bins are added to every global bin index before framing: 0
-    for FIFO1, half a frame for FIFO2.  Slot and neighbor structure is
-    preserved for the nearest-neighbor correlation.
-    ``frames`` is non-decreasing (the detections are sorted by bin), which
-    :func:`nnc_match` relies on.  ``channel`` and ``multi`` are the
-    detections' own arrays, not copies, so once the detections are framed the
-    receiver keeps only this view: its ``bin_index`` can go.
-    """
-
-    shift: int
-    frames: np.ndarray   # int64
-    slots: np.ndarray    # int64, 0..bins_per_frame-1
-    channel: np.ndarray  # uint8
-    multi: np.ndarray    # bool
-
-
 def sample_pps_offset(cfg: SimConfig, rng: np.random.Generator) -> float:
     """Zero-mean Gaussian 1PPS offset, sigma = pps_jitter_sigma_ns, truncated to the cap."""
     sigma = cfg.pps_jitter_sigma_ns
@@ -74,18 +55,6 @@ def sample_pps_offset(cfg: SimConfig, rng: np.random.Generator) -> float:
         x = rng.normal(0.0, sigma)
         if abs(x) <= cap:
             return float(x)
-
-
-def frame_clicks(rx, shift: int, cfg: SimConfig) -> FifoView:
-    """Bin detections into frames with ``shift`` bins added to every bin index."""
-    b = cfg.bins_per_frame
-    slots = rx.bin_index + shift
-    frames = slots // b
-    # slots becomes shifted % b in place, with no third array of the clicks' size
-    frames *= b
-    slots -= frames
-    frames //= b
-    return FifoView(shift, frames, slots, rx.channel, rx.multi_click)
 
 
 def choose_framing(counts: np.ndarray) -> tuple[FifoChoice, int]:
@@ -119,32 +88,40 @@ class MatchResult:
 NNC_WINDOW = 1
 
 
-def nnc_match(n_tx: int, fifo: FifoView, central: int, frame_offset: int,
+def nnc_match(n_tx: int, rx, b: int, shift: int, central: int, frame_offset: int,
               first_tx: int = 0) -> MatchResult:
-    """Nearest-neighbor correlation between pulses ``[first_tx, n_tx)`` and framed detections.
+    """Nearest-neighbor correlation between pulses ``[first_tx, n_tx)`` and detections ``rx``.
 
-    Pulse ``j`` is expected in frame ``j + frame_offset`` at slot ``central``;
-    clicks within ``NNC_WINDOW`` slots qualify.  Frames containing a
-    multi-channel bin or more than one qualifying click are discarded
-    entirely, so each click is consumed at most once and every match is
-    unambiguous.  The qualifying clicks of one pulse are adjacent, so a pulse
-    matches exactly when its one qualifying click is alone in its run and not
-    multi-channel; the multi-click discards are the distinct pulses among the
-    multi-channel clicks, and the competing-click discards the remaining
-    runs of two or more.  Works on the ~1 M clicks of a burst with a few
-    arrays of their size live at once.
+    Pulse ``j``'s frame of ``b`` bins starts at bin ``b * (j + frame_offset)
+    - shift``, with ``shift`` 0 for FIFO1 and ``b // 2`` for FIFO2; clicks
+    within ``NNC_WINDOW`` slots of slot ``central`` in that frame qualify.
+    Frames containing a multi-channel bin or more than one qualifying click
+    are discarded entirely, so each click is consumed at most once and every
+    match is unambiguous.  The qualifying clicks of one pulse are adjacent,
+    so a pulse matches exactly when its one qualifying click is alone in its
+    run and not multi-channel; the multi-click discards are the distinct
+    pulses among the multi-channel clicks, and the competing-click discards
+    the remaining runs of two or more.  Works on the ~1 M clicks of a burst
+    with a few arrays of their size live at once, and frames and slots only
+    the clicks of the pulses asked for.
     """
-    # frames are sorted: the clicks of pulses [first_tx, n_tx) are one slice
-    lo, hi = np.searchsorted(fifo.frames, (first_tx + frame_offset, n_tx + frame_offset))
-    dist = fifo.slots[lo:hi] - central
+    origin = b * frame_offset - shift  # first bin of pulse 0's frame
+    # bins are sorted: the clicks of pulses [first_tx, n_tx) are one slice
+    lo, hi = np.searchsorted(rx.bin_index, (origin + b * first_tx, origin + b * n_tx))
+    dist = rx.bin_index[lo:hi] - origin
+    # each click's frame start: a floor division by a scalar is cheaper than a remainder
+    start = dist // b
+    start *= b
+    dist -= start  # the click's slot in its frame
+    dist -= central
     np.abs(dist, out=dist)
     valid = np.flatnonzero(dist <= NNC_WINDOW)
     del dist
-    valid += lo
-    tx = fifo.frames[valid]
-    tx -= frame_offset  # the pulse of each qualifying click, non-decreasing
-    channel = fifo.channel[valid]
-    multi = fifo.multi[valid]
+    tx = start[valid]
+    del start
+    tx //= b  # the pulse of each qualifying click, non-decreasing
+    channel = rx.channel[lo:hi][valid]
+    multi = rx.multi_click[lo:hi][valid]
     del valid
     # edge[i]: click i opens a run of equal pulses; edge[i + 1]: click i closes one
     edge = np.ones(len(tx) + 1, dtype=bool)
@@ -164,13 +141,14 @@ def nnc_match(n_tx: int, fifo: FifoView, central: int, frame_offset: int,
     )
 
 
-def interim_qber(tx_bases: np.ndarray, tx_bits: np.ndarray, fifo: FifoView,
+def interim_qber(tx_bases: np.ndarray, tx_bits: np.ndarray, rx, b: int, shift: int,
                  central: int, offsets: Sequence[int]) -> np.ndarray:
     """Sifted mismatch fraction of the disclosed pulses under each candidate frame offset.
 
-    Whether a frame matches does not depend on the offset, so one match at
-    offset 0 over the frames any candidate reaches serves them all: under
-    offset r, matched frame f is disclosed pulse f - r.  Basis-agreeing pairs
+    The clicks ``rx`` are framed as :func:`nnc_match` frames them.  Whether
+    a frame matches does not depend on the offset, so one match at offset 0
+    over the frames any candidate reaches serves them all: under offset r,
+    matched frame f is disclosed pulse f - r.  Basis-agreeing pairs
     are compared bit by bit.  A candidate with no pairs reads 0.5 by
     convention, which is also the expected value at any wrong offset.
     """
@@ -178,7 +156,7 @@ def interim_qber(tx_bases: np.ndarray, tx_bits: np.ndarray, fifo: FifoView,
     offsets = np.asarray(offsets, dtype=np.int64)
     if n == 0:
         return np.full(len(offsets), 0.5)
-    res = nnc_match(offsets.max() + n, fifo, central, 0, offsets.min())
+    res = nnc_match(offsets.max() + n, rx, b, shift, central, 0, offsets.min())
     pulse = res.tx_index - offsets[:, None]  # (candidates, matched frames)
     disclosed = (pulse >= 0) & (pulse < n)
     pulse[~disclosed] = 0
@@ -207,7 +185,7 @@ def offset_window(cfg: SimConfig) -> range:
     return range(-(-lo // b), hi // b + 1)
 
 
-def estimate_frame_offset(tx_bases: np.ndarray, tx_bits: np.ndarray, fifo: FifoView,
+def estimate_frame_offset(tx_bases: np.ndarray, tx_bits: np.ndarray, rx, shift: int,
                           central: int, cfg: SimConfig) -> tuple[int, list[tuple[int, float]]]:
     """Minimum-QBER search for the whole-frame receiver offset R_N.
 
@@ -218,7 +196,8 @@ def estimate_frame_offset(tx_bases: np.ndarray, tx_bits: np.ndarray, fifo: FifoV
     the burst cannot be aligned at all.
     """
     candidates = offset_window(cfg)
-    qber = interim_qber(tx_bases, tx_bits, fifo, central, candidates)
+    qber = interim_qber(tx_bases, tx_bits, rx, cfg.bins_per_frame, shift, central,
+                        candidates)
     best = int(np.argmin(qber))
     if qber[best] > NOLOCK_THRESHOLD:
         raise NoLockError(float(qber[best]))
@@ -227,28 +206,36 @@ def estimate_frame_offset(tx_bases: np.ndarray, tx_bits: np.ndarray, fifo: FifoV
 
 @dataclass
 class SyncResult:
+    """The receiver's alignment: boundary choice, central slot and R_N.
+
+    It holds no framed copy of the clicks: with ``bins_per_frame`` and
+    :attr:`shift` these scalars are all :func:`nnc_match` needs.
+    """
+
     fifo_choice: FifoChoice
-    fifo: FifoView
     central: int
     r_n: int
     curve: list[tuple[int, float]]
     bins_per_frame: int
 
     @property
+    def shift(self) -> int:
+        """Bins added to every bin index before framing: 0 (FIFO1) or half a frame (FIFO2)."""
+        return 0 if self.fifo_choice == FifoChoice.FIFO1 else self.bins_per_frame // 2
+
+    @property
     def recovered_bin_offset(self) -> int:
         """Whole-bin alignment implied by (FIFO, R_N, central slot)."""
-        return self.bins_per_frame * self.r_n + self.central - self.fifo.shift
+        return self.bins_per_frame * self.r_n + self.central - self.shift
 
 
 def synchronize(tx_bases: np.ndarray, tx_bits: np.ndarray, rx, cfg: SimConfig) -> SyncResult:
-    """Full sync pipeline: boundary choice, framing, offset search."""
+    """Full sync pipeline: boundary choice from the slot histogram, offset search."""
     b = cfg.bins_per_frame
-    fifo = frame_clicks(rx, 0, cfg)
-    choice, central = choose_framing(np.bincount(fifo.slots, minlength=b))
-    if choice == FifoChoice.FIFO2:
-        fifo = frame_clicks(rx, b // 2, cfg)
-    r_n, curve = estimate_frame_offset(tx_bases, tx_bits, fifo, central, cfg)
-    return SyncResult(choice, fifo, central, r_n, curve, b)
+    choice, central = choose_framing(np.bincount(rx.bin_index % b, minlength=b))
+    sync = SyncResult(choice, central, 0, [], b)
+    sync.r_n, sync.curve = estimate_frame_offset(tx_bases, tx_bits, rx, sync.shift, central, cfg)
+    return sync
 
 
 def write_sync_report(curve: list[tuple[int, float]], path: str | Path) -> None:

@@ -10,7 +10,6 @@ import pytest
 
 from qkdlink.core import SimConfig, default_config
 from qkdlink.photonics import detector_entries, transmit_and_detect
-from qkdlink.timing import FifoView
 
 # (criterion number, label, passed, detail) tuples collected by test_acceptance
 _ACCEPTANCE_RESULTS: list[tuple[int, str, bool, str]] = []
@@ -90,8 +89,9 @@ def detect_with_sources(tx, cfg: SimConfig, *, rng):
     return rx, source
 
 
-def count_split_events(rx, source, fifo: FifoView, cfg: SimConfig) -> int:
-    """Clicks whose jitter pushed them across a frame edge under this framing.
+def count_split_events(rx, source, shift: int, cfg: SimConfig) -> int:
+    """Clicks whose jitter pushed them across a frame edge under the framing
+    whose boundaries come ``shift`` bins early.
 
     Uses simulator ground truth (each click's source pulse, from
     :func:`detect_with_sources`, and the injected bin offset), so it is a
@@ -99,8 +99,8 @@ def count_split_events(rx, source, fifo: FifoView, cfg: SimConfig) -> int:
     """
     signal = source >= 0
     nominal = cfg.bins_per_frame * source[signal] + rx.true_bin_offset
-    actual_frame = fifo.frames[signal]
-    nominal_frame = (nominal + fifo.shift) // cfg.bins_per_frame
+    actual_frame = (rx.bin_index[signal] + shift) // cfg.bins_per_frame
+    nominal_frame = (nominal + shift) // cfg.bins_per_frame
     return int(np.count_nonzero(actual_frame != nominal_frame))
 
 

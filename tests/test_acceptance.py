@@ -30,10 +30,7 @@ from qkdlink.postproc import (
 )
 from qkdlink.securecomm import HANDSHAKE_BITS, ChatEndpoint
 from qkdlink.session import make_loop_pair, simulate_session
-from qkdlink.timing import (
-    frame_clicks,
-    synchronize,
-)
+from qkdlink.timing import synchronize
 
 
 def test_criterion_1_analytic_estimator(acceptance_recorder):
@@ -131,8 +128,8 @@ def test_criterion_4_synchronization_recovery(acceptance_recorder):
     sync0 = synchronize(tx0.bases, tx0.bits, rx0, cfg0)
 
     # worst boundary alignment: clicks sit on the FIFO1 frame edge
-    s1 = count_split_events(rx0, source0, frame_clicks(rx0, 0, cfg0), cfg0)
-    s_chosen = count_split_events(rx0, source0, sync0.fifo, cfg0)
+    s1 = count_split_events(rx0, source0, 0, cfg0)
+    s_chosen = count_split_events(rx0, source0, sync0.shift, cfg0)
     reduction = (s1 - s_chosen) / s1 if s1 else 0.0
 
     ok = hits >= 0.99 * trials and sync0.r_n == 20 and s1 > 0 and reduction >= 0.40

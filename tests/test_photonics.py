@@ -26,7 +26,7 @@ from qkdlink.photonics import (
     prbs11_sequence,
     transmit_and_detect,
 )
-from qkdlink.timing import frame_clicks, nnc_match, synchronize
+from qkdlink.timing import nnc_match, synchronize
 
 
 # --- PRBS11 -------------------------------------------------------------------
@@ -188,8 +188,7 @@ def test_noiseless_same_basis_decodes_exactly():
     cfg = noiseless_config(0.002, seed=3)
     tx = generate_burst(cfg, rng_stream(3, "g"))
     rx = transmit_and_detect(tx, cfg, rng=rng_stream(3, "c"))
-    f1 = frame_clicks(rx, 0, cfg)
-    res = nnc_match(len(tx), f1, central=0, frame_offset=0)
+    res = nnc_match(len(tx), rx, cfg.bins_per_frame, 0, central=0, frame_offset=0)
     meas_basis = (res.channel - 1) >> 1
     meas_bit = (res.channel - 1) & 1
     same = meas_basis == tx.bases[res.tx_index]
@@ -213,8 +212,8 @@ def test_full_burst_total_clicks():
     cfg = scaled_config(1.0, seed=3)
     tx = generate_burst(cfg, rng_stream(3, "g"))
     rx = transmit_and_detect(tx, cfg, rng=rng_stream(3, "c"))
-    fifo = synchronize(tx.bases, tx.bits, rx, cfg).fifo
-    clicked_frames = len(np.unique(fifo.frames))
+    shift = synchronize(tx.bases, tx.bits, rx, cfg).shift
+    clicked_frames = len(np.unique((rx.bin_index + shift) // cfg.bins_per_frame))
     expected = cfg.n_pulses * (1 - np.exp(-cfg.link.channel_efficiency() * cfg.link.mu))
     assert abs(clicked_frames - expected) < 3000
 

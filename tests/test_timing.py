@@ -18,11 +18,9 @@ from qkdlink.photonics import generate_burst, transmit_and_detect
 from qkdlink.timing import (
     NOLOCK_THRESHOLD,
     FifoChoice,
-    FifoView,
     NoLockError,
     choose_framing,
     estimate_frame_offset,
-    frame_clicks,
     interim_qber,
     nnc_match,
     offset_window,
@@ -73,25 +71,28 @@ def test_pps_offset_zero_sigma(tiny_cfg):
 # --- dual-FIFO binning -------------------------------------------------------------
 
 
-def test_dual_fifo_index_arithmetic(tiny_cfg):
+def test_dual_fifo_index_arithmetic():
+    # bin 4k is slot 0 of frame k under FIFO1 and slot 2 of frame k under FIFO2
     k = 37
-    f1, f2 = (frame_clicks(_rx([4 * k]), shift, tiny_cfg) for shift in (0, 2))
-    assert f1.frames[0] == k and f1.slots[0] == 0
-    assert f2.frames[0] == k and f2.slots[0] == 2
+    for shift, slot in ((0, 0), (2, 2)):
+        for central in range(4):
+            res = nnc_match(100, _rx([4 * k]), 4, shift, central, frame_offset=0)
+            assert list(res.tx_index) == ([k] if abs(central - slot) <= 1 else [])
 
 
-def test_dual_fifo_empty_input(tiny_cfg):
-    f1, f2 = (frame_clicks(_rx([]), shift, tiny_cfg) for shift in (0, 2))
-    assert len(f1.frames) == 0 and len(f2.frames) == 0
+def test_dual_fifo_empty_input():
+    for shift in (0, 2):
+        res = nnc_match(100, _rx([]), 4, shift, central=1, frame_offset=0)
+        assert len(res) == 0 and res.n_multi_discard == res.n_compete_discard == 0
 
 
-def test_straddling_pair_whole_in_exactly_one_fifo(tiny_cfg):
-    # jitter-spread pair around a FIFO1 boundary: bins 4k-1 and 4k
+def test_straddling_pair_whole_in_exactly_one_fifo():
+    # jitter-spread pair around a FIFO1 boundary: bins 4k-1 and 4k compete for
+    # one pulse under FIFO2's framing at some central slot, and never under FIFO1's
     k = 10
-    f1, f2 = (frame_clicks(_rx([4 * k - 1, 4 * k]), shift, tiny_cfg) for shift in (0, 2))
-    whole1 = f1.frames[0] == f1.frames[1]
-    whole2 = f2.frames[0] == f2.frames[1]
-    assert whole1 != whole2 and whole2
+    competes = [[nnc_match(100, _rx([4 * k - 1, 4 * k]), 4, shift, central, 0).n_compete_discard
+                 for central in range(4)] for shift in (0, 2)]
+    assert competes == [[0, 0, 0, 0], [0, 1, 1, 0]]
 
 
 def test_choose_framing_prefers_center_heavy():
@@ -117,11 +118,10 @@ def _dual_fifo_reference(bins, b):
     """Reference boundary choice: frame twice, compare edge fractions, argmax the winner."""
     views = []
     for shift in (0, b // 2):
-        shifted = bins + shift
-        counts = np.bincount(shifted % b, minlength=b)
+        counts = np.bincount((bins + shift) % b, minlength=b)
         total = int(counts.sum())
         edge = float(counts[0] + counts[-1]) / total if total else 0.0
-        views.append((edge, int(np.argmax(counts)), shifted // b, shifted % b))
+        views.append((edge, int(np.argmax(counts)), shift))
     choice = FifoChoice.FIFO2 if views[1][0] < views[0][0] else FifoChoice.FIFO1
     return (choice,) + views[choice - 1][1:]
 
@@ -137,77 +137,89 @@ def test_synchronize_framing_equals_dual_fifo_reference(bins, b):
         # the offset search is tested elsewhere; here only the framing matters
         mp.setattr("qkdlink.timing.estimate_frame_offset", lambda *args: (0, []))
         sync = synchronize(np.zeros(0, np.uint8), np.zeros(0, np.uint8), _rx(bins), cfg)
-    choice, central, frames, slots = _dual_fifo_reference(bins, b)
-    assert (sync.fifo_choice, sync.central) == (choice, central)
-    assert sync.fifo.shift == (0 if choice == FifoChoice.FIFO1 else b // 2)
-    assert sync.fifo.frames.dtype == frames.dtype and sync.fifo.slots.dtype == slots.dtype
-    assert np.array_equal(sync.fifo.frames, frames)
-    assert np.array_equal(sync.fifo.slots, slots)
+    assert (sync.fifo_choice, sync.central, sync.shift) == _dual_fifo_reference(bins, b)
 
 
 # --- nearest-neighbor correlation ----------------------------------------------------
 
 
 @pytest.mark.parametrize("slot", [1, 2], ids=["central", "adjacent"])
-def test_nnc_matches_central_or_adjacent_bin(tiny_cfg, slot):
-    f1 = frame_clicks(_rx([4 * 5 + slot]), 0, tiny_cfg)
-    res = nnc_match(10, f1, central=1, frame_offset=0)
+def test_nnc_matches_central_or_adjacent_bin(slot):
+    res = nnc_match(10, _rx([4 * 5 + slot]), 4, 0, central=1, frame_offset=0)
     assert list(res.tx_index) == [5]
 
 
-def test_nnc_two_bins_away_unmatched(tiny_cfg):
-    f1 = frame_clicks(_rx([4 * 5 + 3]), 0, tiny_cfg)
-    res = nnc_match(10, f1, central=1, frame_offset=0)
+def test_nnc_two_bins_away_unmatched():
+    res = nnc_match(10, _rx([4 * 5 + 3]), 4, 0, central=1, frame_offset=0)
     assert len(res) == 0
 
 
-def test_nnc_competing_detections_discard_frame(tiny_cfg):
-    f1 = frame_clicks(_rx([4 * 5 + 1, 4 * 5 + 2], channels=[1, 3]), 0, tiny_cfg)
-    res = nnc_match(10, f1, central=1, frame_offset=0)
+def test_nnc_competing_detections_discard_frame():
+    res = nnc_match(10, _rx([4 * 5 + 1, 4 * 5 + 2], channels=[1, 3]), 4, 0, central=1,
+                    frame_offset=0)
     assert len(res) == 0
     assert res.n_compete_discard == 1
 
 
-def test_nnc_multi_click_discards_frame(tiny_cfg):
-    f1 = frame_clicks(_rx([4 * 5 + 1], channels=[2], multi=[True]), 0, tiny_cfg)
-    res = nnc_match(10, f1, central=1, frame_offset=0)
+def test_nnc_multi_click_discards_frame():
+    res = nnc_match(10, _rx([4 * 5 + 1], channels=[2], multi=[True]), 4, 0, central=1,
+                    frame_offset=0)
     assert len(res) == 0
     assert res.n_multi_discard == 1
 
 
-def _nnc_match_by_bincount(n_tx, fifo, central, frame_offset, window=1, first_tx=0,
+def _nnc_match_by_bincount(n_tx, rx, b, shift, central, frame_offset, window=1, first_tx=0,
                            last_tx=None):
-    """Reference matcher: per-pulse click and multi-click counts over the whole span."""
+    """Reference matcher: frame every click, then per-pulse click and multi-click
+    counts over the whole span."""
     if last_tx is None:
         last_tx = n_tx
-    j = fifo.frames - frame_offset
-    valid = (np.abs(fifo.slots - central) <= window) & (j >= first_tx) & (j < last_tx)
+    frames, slots = np.divmod(rx.bin_index + shift, b)
+    j = frames - frame_offset
+    valid = (np.abs(slots - central) <= window) & (j >= first_tx) & (j < last_tx)
     span = last_tx - first_tx
     if span <= 0 or not np.any(valid):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8), 0, 0
     rel = j[valid] - first_tx
     cnt = np.bincount(rel, minlength=span)
-    cnt_multi = np.bincount(rel[fifo.multi[valid]], minlength=span)
+    cnt_multi = np.bincount(rel[rx.multi_click[valid]], minlength=span)
     ch_at = np.zeros(span, dtype=np.uint8)
-    ch_at[rel] = fifo.channel[valid]
+    ch_at[rel] = rx.channel[valid]
     matched = np.nonzero((cnt == 1) & (cnt_multi == 0))[0]
     return (matched + first_tx, ch_at[matched],
             int(np.count_nonzero((cnt_multi > 0) & (cnt > 0))),
             int(np.count_nonzero((cnt > 1) & (cnt_multi == 0))))
 
 
+def _clicks_rx(clicks):
+    """Receiver clicks from ``(bin, channel, multi)`` tuples, sorted by bin."""
+    clicks = sorted(clicks)
+    return _rx([c[0] for c in clicks], [c[1] for c in clicks], [c[2] for c in clicks])
+
+
+@st.composite
+def _framing(draw):
+    """Bins per frame, a central slot in [0, b) and the shift of FIFO1 or FIFO2."""
+    b = draw(st.integers(2, 6))
+    return b, draw(st.integers(0, b - 1)), draw(st.sampled_from((0, b // 2)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 3), st.integers(1, 4),
-                          st.booleans()), max_size=80),
-       st.integers(0, 3), st.integers(-5, 12), st.integers(-3, 40), st.integers(-3, 60))
-def test_nnc_match_equals_bincount_reference(clicks, central, frame_offset, first_tx, n_tx):
-    clicks.sort()
-    frames, slots, channel, multi = (np.array([c[i] for c in clicks]) for i in range(4))
-    fifo = FifoView(shift=0, frames=frames.astype(np.int64), slots=slots.astype(np.int64),
-                    channel=channel.astype(np.uint8), multi=multi.astype(bool))
-    res = nnc_match(n_tx, fifo, central, frame_offset, first_tx)
+@given(st.lists(st.tuples(st.integers(-10, 250), st.integers(1, 4), st.booleans()),
+                max_size=80),
+       _framing(), st.integers(-5, 12), st.integers(-3, 40), st.integers(-3, 60))
+# central 0 and b - 1: the frame edge clips the window, so the click one bin
+# before (after) the frame is the previous (next) pulse's and does not match
+@example([(19, 1, False)], (4, 0, 0), 0, 0, 10)
+@example([(20, 1, False)], (4, 3, 0), 0, 0, 10)
+@example([(17, 1, False), (22, 2, False)], (4, 0, 2), 1, 0, 10)
+@example([(21, 1, False), (26, 2, False)], (4, 3, 2), 1, 0, 10)
+def test_nnc_match_equals_bincount_reference(clicks, framing, frame_offset, first_tx, n_tx):
+    b, central, shift = framing
+    rx = _clicks_rx(clicks)
+    res = nnc_match(n_tx, rx, b, shift, central, frame_offset, first_tx)
     tx_index, ch, n_multi, n_compete = _nnc_match_by_bincount(
-        n_tx, fifo, central, frame_offset, first_tx=first_tx)
+        n_tx, rx, b, shift, central, frame_offset, first_tx=first_tx)
     assert res.tx_index.dtype == tx_index.dtype and res.channel.dtype == ch.dtype
     assert np.array_equal(res.tx_index, tx_index)
     assert np.array_equal(res.channel, ch)
@@ -218,10 +230,12 @@ def test_nnc_match_equals_bincount_reference_on_a_burst(small_cfg):
     tx = generate_burst(small_cfg, rng_stream(14, "g"))
     rx = transmit_and_detect(tx, small_cfg, rng=rng_stream(14, "c"))
     sync = synchronize(tx.bases, tx.bits, rx, small_cfg)
-    for fifo in (frame_clicks(rx, shift, small_cfg) for shift in (0, 2)):
+    b = small_cfg.bins_per_frame
+    for shift in (0, b // 2):
         for offset, first_tx in ((sync.r_n, 0), (sync.r_n, 500), (sync.r_n + 1, 0)):
-            res = nnc_match(len(tx), fifo, sync.central, offset, first_tx=first_tx)
-            ref = _nnc_match_by_bincount(len(tx), fifo, sync.central, offset, first_tx=first_tx)
+            args = (len(tx), rx, b, shift, sync.central, offset)
+            res = nnc_match(*args, first_tx=first_tx)
+            ref = _nnc_match_by_bincount(*args, first_tx=first_tx)
             assert len(res) > 0
             assert np.array_equal(res.tx_index, ref[0])
             assert np.array_equal(res.channel, ref[1])
@@ -235,22 +249,36 @@ def test_full_nnc_match_peak_memory_is_bounded_per_click():
     tx = generate_burst(cfg, rng_stream(7, "g"))
     rx = transmit_and_detect(tx, cfg, rng=rng_stream(7, "c"))
     sync = synchronize(tx.bases[:1000], tx.bits[:1000], rx, cfg)
-    res, peak = traced_peak(lambda: nnc_match(len(tx), sync.fifo, sync.central, sync.r_n))
+    res, peak = traced_peak(lambda: nnc_match(len(tx), rx, cfg.bins_per_frame, sync.shift,
+                                              sync.central, sync.r_n))
     assert len(res) > 0.9 * len(rx)
     assert peak <= 36 * len(rx)
+
+
+def test_synchronize_peak_memory_is_bounded_per_click():
+    # the slot histogram from one array of the clicks' size, and no framed copy
+    # of them: 8 bytes per click; framing every click took 16.7 (FIFO1) and,
+    # when FIFO2 won and the clicks were framed again, 32
+    cfg = scaled_config(0.05, seed=3)
+    tx = generate_burst(cfg, rng_stream(3, "g"))
+    rx = transmit_and_detect(tx, cfg, rng=rng_stream(3, "c"))
+    bases, bits = tx.at(np.arange(cfg.sync_subset_size))
+    sync, peak = traced_peak(lambda: synchronize(bases, bits, rx, cfg))
+    assert sync.fifo_choice == FifoChoice.FIFO2
+    assert sync.recovered_bin_offset == rx.true_bin_offset
+    assert peak <= 12 * len(rx)
 
 
 def test_nnc_injective_on_detections(small_cfg):
     tx = generate_burst(small_cfg, rng_stream(4, "g"))
     rx = transmit_and_detect(tx, small_cfg, rng=rng_stream(4, "c"))
     sync = synchronize(tx.bases, tx.bits, rx, small_cfg)
-    res = nnc_match(len(tx), sync.fifo, sync.central, sync.r_n)
+    res = nnc_match(len(tx), rx, small_cfg.bins_per_frame, sync.shift, sync.central, sync.r_n)
     assert len(np.unique(res.tx_index)) == len(res.tx_index)
 
 
-def test_nnc_frame_offset_applies(tiny_cfg):
-    f1 = frame_clicks(_rx([4 * 25 + 1]), 0, tiny_cfg)
-    res = nnc_match(10, f1, central=1, frame_offset=20)
+def test_nnc_frame_offset_applies():
+    res = nnc_match(10, _rx([4 * 25 + 1]), 4, 0, central=1, frame_offset=20)
     assert list(res.tx_index) == [5]
 
 
@@ -261,16 +289,14 @@ def test_interim_qber_zero_at_truth_noiseless():
     cfg = noiseless_config(0.002, seed=5)
     tx = generate_burst(cfg, rng_stream(5, "g"))
     rx = transmit_and_detect(tx, cfg, rng=rng_stream(5, "c"))
-    f1 = frame_clicks(rx, 0, cfg)
-    assert interim_qber(tx.bases, tx.bits, f1, 0, [0])[0] == 0.0
+    assert interim_qber(tx.bases, tx.bits, rx, cfg.bins_per_frame, 0, 0, [0])[0] == 0.0
 
 
 def test_interim_qber_half_at_wrong_offset():
     cfg = noiseless_config(0.01, seed=6)
     tx = generate_burst(cfg, rng_stream(6, "g"))
     rx = transmit_and_detect(tx, cfg, rng=rng_stream(6, "c"))
-    f1 = frame_clicks(rx, 0, cfg)
-    (q,) = interim_qber(tx.bases, tx.bits, f1, 0, [7])
+    (q,) = interim_qber(tx.bases, tx.bits, rx, cfg.bins_per_frame, 0, 0, [7])
     assert q == pytest.approx(0.5, abs=0.1)
 
 
@@ -278,13 +304,14 @@ def test_interim_qber_default_noise(small_cfg):
     tx = generate_burst(small_cfg, rng_stream(7, "g"))
     rx = transmit_and_detect(tx, small_cfg, rng=rng_stream(7, "c"))
     sync = synchronize(tx.bases, tx.bits, rx, small_cfg)
-    (q,) = interim_qber(tx.bases, tx.bits, sync.fifo, sync.central, [sync.r_n])
+    (q,) = interim_qber(tx.bases, tx.bits, rx, small_cfg.bins_per_frame, sync.shift,
+                        sync.central, [sync.r_n])
     assert q == pytest.approx(0.026, abs=0.012)
 
 
-def test_interim_qber_no_pairs_convention(tiny_cfg):
-    f1 = frame_clicks(_rx([]), 0, tiny_cfg)
-    assert interim_qber(np.zeros(10, np.uint8), np.zeros(10, np.uint8), f1, 1, [0])[0] == 0.5
+def test_interim_qber_no_pairs_convention():
+    assert interim_qber(np.zeros(10, np.uint8), np.zeros(10, np.uint8), _rx([]), 4, 0, 1,
+                        [0])[0] == 0.5
 
 
 def test_offset_search_recovers_tof_1000ns():
@@ -301,23 +328,22 @@ def test_offset_search_zero_tof():
     cfg = noiseless_config(0.001, seed=9)
     tx = generate_burst(cfg, rng_stream(9, "g"))
     rx = transmit_and_detect(tx, cfg, rng=rng_stream(9, "c"))
-    f1 = frame_clicks(rx, 0, cfg)
-    r_n, _ = estimate_frame_offset(tx.bases, tx.bits, f1, 0, cfg)
+    r_n, _ = estimate_frame_offset(tx.bases, tx.bits, rx, 0, 0, cfg)
     assert r_n == 0
 
 
 def test_offset_search_no_lock_on_empty(tiny_cfg):
-    f1 = frame_clicks(_rx([]), 0, tiny_cfg)
     with pytest.raises(NoLockError):
-        estimate_frame_offset(np.zeros(100, np.uint8), np.zeros(100, np.uint8), f1, 1, tiny_cfg)
+        estimate_frame_offset(np.zeros(100, np.uint8), np.zeros(100, np.uint8), _rx([]), 0, 1,
+                              tiny_cfg)
 
 
-def _estimate_frame_offset_per_candidate(tx_bases, tx_bits, fifo, central, cfg):
+def _estimate_frame_offset_per_candidate(tx_bases, tx_bits, rx, shift, central, cfg):
     """Reference search: one NNC match and one interim QBER per candidate offset."""
     curve = []
     best_offset, best_q = 0, 1.1
     for r in offset_window(cfg):
-        res = nnc_match(len(tx_bases), fifo, central, r)
+        res = nnc_match(len(tx_bases), rx, cfg.bins_per_frame, shift, central, r)
         q = 0.5
         if len(res):
             agree = ((res.channel - 1) >> 1) == tx_bases[res.tx_index]
@@ -343,22 +369,21 @@ def _search_outcome(search, *args):
 @given(st.lists(st.tuples(st.integers(-12, 80), st.integers(0, 3), st.integers(1, 4),
                           st.booleans()), max_size=80),
        st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=60),
-       st.integers(0, 3), st.integers(0, 40), st.integers(0, 24))
+       st.integers(0, 3), st.integers(0, 40), st.integers(0, 24), st.sampled_from((0, 2)))
 # one click in each of frames 3 and 4, so R_N 3 and 4 both read 0 on pulse 0: a tie
-@example([(3, 1, 1, False), (4, 1, 1, False)], [(0, 0)], 1, 12, 24)
+@example([(3, 1, 1, False), (4, 1, 1, False)], [(0, 0)], 1, 12, 24, 0)
 # window -3..9: only the first frame of R_N -3 and the last frame of R_N 9 pair
-@example([(-3, 1, 2, False), (10, 1, 1, False)], [(0, 1), (0, 0)], 1, 12, 24)
+@example([(-3, 1, 2, False), (10, 1, 1, False)], [(0, 1), (0, 0)], 1, 12, 24, 0)
 def test_offset_search_equals_per_candidate_reference(clicks, sample, central, tof_bins,
-                                                      cap_bins):
-    clicks.sort()
-    frames, slots, channel, multi = (np.array([c[i] for c in clicks]) for i in range(4))
-    fifo = FifoView(shift=0, frames=frames.astype(np.int64), slots=slots.astype(np.int64),
-                    channel=channel.astype(np.uint8), multi=multi.astype(bool))
+                                                      cap_bins, shift):
+    # clicks are drawn as (frame, slot) under the framing of ``shift``
+    rx = _clicks_rx([(4 * frame + slot - shift, channel, multi)
+                     for frame, slot, channel, multi in clicks])
     bases, bits = (np.array([p[i] for p in sample], dtype=np.uint8) for i in range(2))
     # a window of 1-14 candidates between R_N -6 and 16, negative when the cap exceeds the flight
     cfg = dataclasses.replace(default_config(), pps_jitter_sigma_ns=0.0,
                               tof_override_ns=12.5 * tof_bins, pps_jitter_cap_ns=12.5 * cap_bins)
-    args = (bases, bits, fifo, central, cfg)
+    args = (bases, bits, rx, shift, central, cfg)
     expected = _search_outcome(_estimate_frame_offset_per_candidate, *args)
     assert _search_outcome(estimate_frame_offset, *args) == expected
 
@@ -425,11 +450,8 @@ def test_boundary_selection_never_worse_than_best_fifo(tof_ns, worst):
     cfg = scaled_config(0.002, seed=11, pps_jitter_sigma_ns=0.0, tof_override_ns=tof_ns)
     tx = generate_burst(cfg, rng_stream(11, "g"))
     rx, source = detect_with_sources(tx, cfg, rng=rng_stream(11, "c"))
-    f1, f2 = (frame_clicks(rx, shift, cfg) for shift in (0, 2))
-    chosen = synchronize(tx.bases, tx.bits, rx, cfg).fifo
-    s1 = count_split_events(rx, source, f1, cfg)
-    s2 = count_split_events(rx, source, f2, cfg)
-    s_chosen = count_split_events(rx, source, chosen, cfg)
+    chosen = synchronize(tx.bases, tx.bits, rx, cfg).shift
+    s1, s2, s_chosen = (count_split_events(rx, source, shift, cfg) for shift in (0, 2, chosen))
     assert s_chosen <= min(s1, s2)
     if worst:
         assert s1 > 0 and s_chosen == 0
