@@ -152,15 +152,15 @@ def cmd_simulate(args) -> int:
             aborted=o.aborted_reason or "no", r_n=o.offset_frames, fifo=o.fifo_choice)
         if writer:
             writer.add(o)
-        if args.sync_report and o.sync_curve:
-            path = _sync_report_path(args.sync_report, o.burst_id)
-            timing.write_sync_report(o.sync_curve, path)
 
     try:
         alice, bob = simulate_session(cfg, args.bursts, on_burst=on_burst)
     finally:
         if writer:
             writer.close()
+    for o in bob.outcomes:  # the offset search, and so its curve, is the receiver's
+        if args.sync_report and o.sync_curve:
+            timing.write_sync_report(o.sync_curve, _sync_report_path(args.sync_report, o.burst_id))
     if alice.key_buffer.to_bytes() != bob.key_buffer.to_bytes():
         raise ProtocolError("terminal key buffers diverged")
     if args.eve_log and cfg.eve_enabled:
@@ -218,7 +218,7 @@ def _connect(args, role: str) -> socket.socket:
 
 
 def cmd_terminal(args) -> int:
-    """One terminal over one TCP connection: the bursts, then the OTP chat if asked.
+    """One terminal over one TCP connection: the bursts, then, as ``chat``, the OTP chat.
 
     The classical messages and the simulated pulse stream (SIM_PULSESTREAM,
     the pulse count and the two PRBS11 states of each burst) share the
@@ -338,11 +338,10 @@ def build_parser() -> _Parser:
         p.add_argument("--out", help="per-burst report CSV")
         p.add_argument("--key-out", dest="key_out", help="write the accumulated key bytes here")
         p.add_argument("--timeout", type=float, default=session.DEFAULT_PHASE_TIMEOUT)
-        if name != "chat":
-            p.add_argument("--chat", action="store_true", help="enter OTP chat after the bursts")
-        p.add_argument("--send-file", dest="send_file", help="file to transmit in chat mode")
-        p.add_argument("--text", help="text message to transmit in chat mode")
-        p.add_argument("--recv-out", dest="recv_out", help="write received chat bytes here")
+        if name == "chat":
+            p.add_argument("--send-file", dest="send_file", help="file to transmit")
+            p.add_argument("--text", help="text message to transmit")
+            p.add_argument("--recv-out", dest="recv_out", help="write received chat bytes here")
         # parser-level defaults: also the value of each option a subcommand does not declare
         p.set_defaults(func=cmd_terminal, listen=name == "alice", connect=None,
                        chat=name == "chat")

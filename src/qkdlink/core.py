@@ -89,8 +89,7 @@ class SimConfig:
     bins_per_frame: int = 4
     pps_jitter_sigma_ns: float = 50.0
     pps_jitter_cap_ns: float = 100.0
-    clock_spread_bins: int = 1       # 0 disables clock jitter, 1 gives the 3-bin spread
-    clock_center_prob: float = 0.6   # probability a click stays in its nominal bin
+    clock_center_prob: float = 0.6   # probability a click stays in its nominal bin (1: no jitter)
     eve_enabled: bool = False
     eve_fraction: float = 1.0        # fraction of pulses intercepted when Eve is on
     tof_override_ns: float = -1.0    # <0: derive time of flight from link.distance_m
@@ -128,8 +127,6 @@ class SimConfig:
             raise ConfigError("pps_jitter_cap_ns must be >= pps_jitter_sigma_ns")
         if self.pps_jitter_sigma_ns < 0:
             raise ConfigError("pps_jitter_sigma_ns must be >= 0")
-        if self.clock_spread_bins not in (0, 1):
-            raise ConfigError("clock_spread_bins must be 0 or 1")
         if not 0.0 <= self.clock_center_prob <= 1.0:
             raise ConfigError("clock_center_prob must be in [0, 1]")
         if not 0.0 <= self.eve_fraction <= 1.0:

@@ -207,8 +207,9 @@ def detector_entries(tx: TxBurst, cfg: SimConfig, eve=None, *,
     (probability ``e_pol`` of landing in the flipped channel when bases
     agree, uniform within the measurement basis when they differ), and bin
     placement shifted by time of flight + 1PPS offset and smeared by the
-    3-bin clock spread; then the dark counts.  The draws come in that order,
-    each once per photon or dark count.
+    3-bin clock spread (not drawn when ``clock_center_prob`` is 1); then the
+    dark counts.  The draws come in that order, each once per photon or dark
+    count.
 
     Returns ``(key, src, pps_ns, base_bin)``: the merge key ``bin * 8 +
     channel`` of every entry, the m detected photons first and the dark
@@ -243,7 +244,7 @@ def detector_entries(tx: TxBurst, cfg: SimConfig, eve=None, *,
     same = meas_basis == bases
     bits ^= rng.random(m) < link.e_pol
     rand_bit = rng.integers(0, 2, m, dtype=np.uint8)
-    jitter = _clock_jitter(m, cfg.clock_center_prob, rng) if cfg.clock_spread_bins > 0 else 0
+    jitter = _clock_jitter(m, cfg.clock_center_prob, rng) if cfg.clock_center_prob < 1 else 0
 
     # dark + background counts, uniform over the burst's bin span
     n_dark = rng.poisson(link.dark_cps * cfg.burst_seconds)

@@ -8,7 +8,11 @@ ends: handshake, qubit exchange, frame sync, sifting, QBER check, error
 correction, privacy amplification.  The code order of :func:`run_burst_alice`
 and :func:`run_burst_bob` is that phase order, and each receive names the
 message types it accepts and the one ABORT reason the peer can send there:
-no lock at frame sync, a failed QBER check, or a rejected key hash.
+no lock at frame sync, a failed QBER check, or a rejected key hash.  A
+message carries only what its receiver uses and cannot take from the shared
+configuration, which HELLO's fingerprint pins: BURST_START is the burst id
+alone, FRAME_OFFSET_ACK the FIFO choice and R_N, and each Winnow pass's
+WINNOW_PARITIES from Alice also carries that pass's permutation seed.
 
 The quantum channel of the real system is replaced by a simulation
 transport that hands Bob the encoding of the burst: its pulse count and the
@@ -39,7 +43,7 @@ from .photonics import PRBS11_MASK, TxBurst, generate_burst, transmit_and_detect
 from .timing import FifoChoice, NoLockError, nnc_match, offset_window, synchronize
 
 PROTOCOL_MAGIC = b"QKL1"
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 DEFAULT_PORT = 47000
 DEFAULT_PHASE_TIMEOUT = 30.0
 MAX_PAYLOAD = 2**32 - 2  # length field also covers the type byte
@@ -59,7 +63,6 @@ class MsgType(IntEnum):
     ABORT = 0x07
     WINNOW_PARITIES = 0x08
     WINNOW_SYNDROMES = 0x09
-    PERM_SEED = 0x0A
     PA_SEED = 0x0B
     KEY_HASH = 0x0C
     CHAT_DATA = 0x0D
@@ -114,9 +117,9 @@ class SocketChannel:
         self.sock = sock
         self.sock.settimeout(timeout)
         if sock.family in (socket.AF_INET, socket.AF_INET6):
-            # Alice sends some messages back to back (WINNOW_SYNDROMES then
-            # PERM_SEED, PA_SEED then KEY_HASH); with Nagle's algorithm the
-            # second waits for the peer's delayed ACK, tens of ms each time
+            # Alice sends some messages back to back (WINNOW_SYNDROMES then the
+            # next pass's WINNOW_PARITIES, PA_SEED then KEY_HASH); with Nagle's
+            # algorithm the second waits for the peer's delayed ACK, tens of ms each time
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.tap: list | None = None  # if set, every sent (type, payload) is appended
 
@@ -271,10 +274,9 @@ class Layout:
     """Fixed struct fields, then n entries per section, where n is the last field
     (a u32) when there are sections.  Section kinds: "positions" (n big-endian
     u32, strictly increasing, below the receiver's bound), "bits" (n bits,
-    packed), "bytes" (n u8, below the receiver's bound) and "floats" (n
-    big-endian f64).  ``limits`` holds a closed (lo, hi) range for each leading
-    fixed field.  Every message the burst engines exchange, SIM_PULSESTREAM
-    included, has one.
+    packed) and "bytes" (n u8, below the receiver's bound).  ``limits`` holds a
+    closed (lo, hi) range for each leading fixed field.  Every message the burst
+    engines exchange, SIM_PULSESTREAM included, has one.
     """
 
     fields: str
@@ -282,23 +284,24 @@ class Layout:
     limits: tuple[tuple[float, float], ...] = ()
 
 
-_ITEM = {"positions": ">u4", "bytes": "u1", "floats": ">f8"}  # "bits" are packed
+_ITEM = {"positions": ">u4", "bytes": "u1"}  # "bits" are packed
 _QBER = (0.0, 1.0)
 _REASON = (min(AbortReason), max(AbortReason))  # AbortReason values are contiguous
 _HASH = f"{postproc.KEY_HASH_BITS // 8}s"
 _PRBS11 = (1, PRBS11_MASK)  # the nonzero PRBS11 states
+_FIFO = (min(FifoChoice), max(FifoChoice))
 
 # (sender, message type) -> layout
 LAYOUTS = {
     # magic, protocol version, configuration fingerprint, bursts
     ("alice", MsgType.HELLO): Layout(">4sH8sI"),
     ("bob", MsgType.HELLO): Layout(">4sH8sI"),
-    # burst id, pulses
-    ("alice", MsgType.BURST_START): Layout(">IQ"),
+    # burst id
+    ("alice", MsgType.BURST_START): Layout(">I"),
     # bases and bits of the first n pulses
     ("alice", MsgType.SYNC_SUBSET): Layout(">I", ("bits", "bits")),
-    # R_N, FIFO choice, central slot; interim QBER at each offset of timing.offset_window
-    ("bob", MsgType.FRAME_OFFSET_ACK): Layout(">iBBI", ("floats",)),
+    # FIFO choice, R_N
+    ("bob", MsgType.FRAME_OFFSET_ACK): Layout(">Bi", limits=(_FIFO,)),
     # matched pulse indices and Bob's bases there; Alice's basis-agreement mask
     ("bob", MsgType.BASES): Layout(">I", ("positions", "bits")),
     ("alice", MsgType.BASES): Layout(">I", ("bits",)),
@@ -308,10 +311,9 @@ LAYOUTS = {
     # reason, QBER
     ("alice", MsgType.ABORT): Layout(">Bd", limits=(_REASON, _QBER)),
     ("bob", MsgType.ABORT): Layout(">Bd", limits=(_REASON, _QBER)),
-    # Winnow pass, permutation seed
-    ("alice", MsgType.PERM_SEED): Layout(">BQ"),
-    # Alice's block parities; the blocks whose parities differ; Alice's syndromes of those
-    ("alice", MsgType.WINNOW_PARITIES): Layout(">I", ("bits",)),
+    # Winnow pass, its permutation seed and Alice's block parities; the blocks whose
+    # parities differ; Alice's syndromes of those
+    ("alice", MsgType.WINNOW_PARITIES): Layout(">BQI", ("bits",)),
     ("bob", MsgType.WINNOW_PARITIES): Layout(">I", ("positions",)),
     ("alice", MsgType.WINNOW_SYNDROMES): Layout(">I", ("bytes",)),
     # Toeplitz seed
@@ -341,7 +343,7 @@ def unpack_payload(sender: str, msg_type: MsgType, payload: bytes, n: int | None
     ``n`` is the section count the receiver expects of a layout with sections
     (a layout without any, such as ABORT, ignores it), ``bound`` the exclusive
     upper limit of positions and bytes.  Sections come back as int64 arrays
-    (positions, bytes), uint8 arrays (bits) or float arrays.
+    (positions, bytes) or uint8 arrays (bits).
     """
     layout = LAYOUTS[sender, msg_type]
     what = f"{MsgType(msg_type).name} from {sender}"
@@ -365,12 +367,10 @@ def unpack_payload(sender: str, msg_type: MsgType, payload: bytes, n: int | None
         if kind == "bits":
             values.append(unpack_bits(raw, count))
             continue
-        section = np.frombuffer(raw, dtype=_ITEM[kind])
-        if kind != "floats":
-            section = section.astype(np.int64)
-            if count and (section.max() >= bound
-                          or kind == "positions" and np.any(section[1:] <= section[:-1])):
-                raise ProtocolError(f"{what}: {kind} out of order or not below {bound}")
+        section = np.frombuffer(raw, dtype=_ITEM[kind]).astype(np.int64)
+        if count and (section.max() >= bound
+                      or kind == "positions" and np.any(section[1:] <= section[:-1])):
+            raise ProtocolError(f"{what}: {kind} out of order or not below {bound}")
         values.append(section)
     return tuple(values)
 
@@ -399,7 +399,7 @@ class BurstOutcome:
     fifo_choice: int = 0
     disclosed_bits: int = 0
     aborted_reason: str | None = None
-    sync_curve: list | None = None  # (offset_frames, interim qber) diagnostics
+    sync_curve: list | None = None  # (offset_frames, interim qber) of Bob's search
 
     def sifted_kbps(self, burst_seconds: float) -> float:
         return self.sifted_bits / burst_seconds / 1e3
@@ -477,21 +477,17 @@ def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postpro
     seed = cfg.rng_seed
     with _Burst(k, chan, "alice") as burst:
         out = burst.out
-        burst.send(MsgType.BURST_START, k, cfg.n_pulses)
+        burst.send(MsgType.BURST_START, k)
 
         tx = generate_burst(cfg, rng_stream(seed, f"txgen:{k}"))
         transport.deliver(tx)
 
         s = cfg.sync_subset_size
         burst.send(MsgType.SYNC_SUBSET, *tx.at(np.arange(s)))
-        window = offset_window(cfg)
-        out.offset_frames, out.fifo_choice, central, curve = burst.recv(
-            MsgType.FRAME_OFFSET_ACK, n=len(window), abort=AbortReason.NO_LOCK)
-        if (out.offset_frames not in window or out.fifo_choice not in tuple(FifoChoice)
-                or not 0 <= central < cfg.bins_per_frame):
-            raise ProtocolError(f"FRAME_OFFSET_ACK out of range: R_N {out.offset_frames}, "
-                                f"FIFO {out.fifo_choice}, central slot {central}")
-        out.sync_curve = list(zip(window, curve.tolist()))
+        out.fifo_choice, out.offset_frames = burst.recv(MsgType.FRAME_OFFSET_ACK,
+                                                        abort=AbortReason.NO_LOCK)
+        if out.offset_frames not in offset_window(cfg):
+            raise ProtocolError(f"FRAME_OFFSET_ACK: R_N {out.offset_frames} outside the window")
 
         idx, bob_bases = burst.recv(MsgType.BASES, bound=cfg.n_pulses)
         alice_bases, alice_bits = tx.at(idx)
@@ -512,11 +508,14 @@ def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postpro
 
         wrng = rng_stream(seed, f"winnow:{k}")
         key = postproc.winnow_key(postproc.without(alice_sifted, sample_idx))
-        for p in range(postproc.WINNOW_MAX_PASSES):
-            perm_seed = postproc.draw_perm_seed(wrng)
-            burst.send(MsgType.PERM_SEED, p, perm_seed)
-            _, permuted, parities = postproc.winnow_pass(key, perm_seed)
-            burst.send(MsgType.WINNOW_PARITIES, parities)
+        seeds = [postproc.draw_perm_seed(wrng) for _ in range(postproc.WINNOW_MAX_PASSES)]
+        # Alice's key does not change: she works out pass p + 1 while Bob works through pass p
+        passes = (postproc.winnow_pass(key, perm_seed)[1:] for perm_seed in seeds)
+        ahead = next(passes)
+        for p, perm_seed in enumerate(seeds):
+            permuted, parities = ahead
+            burst.send(MsgType.WINNOW_PARITIES, p, perm_seed, parities)
+            ahead = next(passes, None)
             (mism,) = burst.recv(MsgType.WINNOW_PARITIES, bound=len(parities))
             out.disclosed_bits += postproc.winnow_disclosed(parities, mism)
             if len(mism) == 0:
@@ -544,9 +543,9 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
     seed = cfg.rng_seed
     with _Burst(k, chan, "bob") as burst:
         out = burst.out
-        burst_id, n_pulses = burst.recv(MsgType.BURST_START)
-        if burst_id != k or n_pulses != cfg.n_pulses:
-            raise ProtocolError(f"burst header mismatch: got burst {burst_id} x {n_pulses} pulses")
+        (burst_id,) = burst.recv(MsgType.BURST_START)
+        if burst_id != k:
+            raise ProtocolError(f"BURST_START of burst {burst_id}, expected {k}")
 
         tx = transport.receive()
         if len(tx) != cfg.n_pulses:
@@ -563,8 +562,7 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
             raise _Abort(AbortReason.NO_LOCK, exc.min_qber) from exc
         out.offset_frames, out.fifo_choice, out.sync_curve = \
             sync.r_n, int(sync.fifo_choice), sync.curve
-        burst.send(MsgType.FRAME_OFFSET_ACK, sync.r_n, out.fifo_choice, sync.central,
-                   [q for _, q in sync.curve])
+        burst.send(MsgType.FRAME_OFFSET_ACK, out.fifo_choice, sync.r_n)
 
         match = nnc_match(cfg.n_pulses, rx, cfg.bins_per_frame, sync.shift, sync.central,
                           sync.r_n, first_tx=s)
@@ -584,11 +582,11 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
 
         key = postproc.winnow_key(postproc.without(bob_sifted, sample_idx))
         for p in range(postproc.WINNOW_MAX_PASSES):
-            pass_no, perm_seed = burst.recv(MsgType.PERM_SEED)
+            pass_no, perm_seed, alice_parities = burst.recv(
+                MsgType.WINNOW_PARITIES, n=len(key) // postproc.WINNOW_BLOCK)
             if pass_no != p:
                 raise ProtocolError(f"Winnow pass {pass_no} arrived as pass {p}")
             perm, permuted, parities = postproc.winnow_pass(key, perm_seed)
-            (alice_parities,) = burst.recv(MsgType.WINNOW_PARITIES, n=len(parities))
             mism = postproc.mismatched_blocks(parities, alice_parities)
             burst.send(MsgType.WINNOW_PARITIES, mism)
             out.disclosed_bits += postproc.winnow_disclosed(parities, mism)

@@ -51,7 +51,7 @@ def noiseless_config(burst_seconds: float = 0.001, seed: int = 1, **overrides):
         e_pol=0.0,
         dark_cps=0.0,
         pps_jitter_sigma_ns=0.0,
-        clock_spread_bins=0,
+        clock_center_prob=1.0,
         tof_override_ns=0.0,
     )
     kw.update(overrides)

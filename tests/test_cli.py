@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import re
 import socket
@@ -108,6 +109,17 @@ def test_simulate_seed_changes_report(tmp_path):
     assert r1.read_bytes() != r2.read_bytes()
 
 
+def test_simulate_writes_one_sync_report_per_burst(tmp_path):
+    # the receiver's offset search curve of each burst; a change to the search or
+    # to the draws before it shows in the digest
+    cfg = _write_cfg(tmp_path)
+    assert main(["simulate", "--config", cfg, "--seed", "1", "--bursts", "2",
+                 "--sync-report", str(tmp_path / "sync.csv")]) == 0
+    assert sorted(p.name for p in tmp_path.glob("sync-*.csv")) == ["sync-0.csv", "sync-1.csv"]
+    digest = hashlib.sha256((tmp_path / "sync-0.csv").read_bytes()).hexdigest()[:16]
+    assert digest == "51146aa8769c9262"
+
+
 def test_simulate_with_eve_aborts(tmp_path):
     # a realistically sized sync subset so the offset search stays solid under Eve
     cfg = _write_cfg(tmp_path, CFG_SMALL + "link.sync_efficiency=0.9\n")
@@ -185,7 +197,7 @@ def test_eve_log_holds_the_states_the_receiver_measured(tmp_path, capsys, monkey
                          ids=["state_0", "state_2048", "one_pulse_more"])
 def test_bob_exits_2_on_a_hostile_pulse_stream(tmp_path, capsys, fields):
     # a peer posing as Alice sends a valid BURST_START, then SIM_PULSESTREAM
-    # (pulse count over BURST_START's, PRBS11 state of the bases, of the bits)
+    # (pulse count over the configuration's, PRBS11 state of the bases, of the bits)
     cfg_path = _write_cfg(tmp_path)
     cfg = load_config(cfg_path, base=default_config(33))
     extra, state_bases, state_bits = fields
@@ -203,8 +215,7 @@ def test_bob_exits_2_on_a_hostile_pulse_stream(tmp_path, capsys, fields):
         recv_expect(chan, MsgType.HELLO)
         chan.send(MsgType.HELLO, pack_payload("alice", MsgType.HELLO, PROTOCOL_MAGIC,
                                               PROTOCOL_VERSION, config_fingerprint(cfg), 1))
-        chan.send(MsgType.BURST_START,
-                  pack_payload("alice", MsgType.BURST_START, 0, cfg.n_pulses))
+        chan.send(MsgType.BURST_START, pack_payload("alice", MsgType.BURST_START, 0))
         chan.send(MsgType.SIM_PULSESTREAM,
                   struct.pack(">QHH", cfg.n_pulses + extra, state_bases, state_bits))
         bob.join(timeout=30)
@@ -257,6 +268,15 @@ def test_chat_receive_that_cannot_finish_exits_2(tmp_path, capsys):
 
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["simulate", "--frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("argv", [["alice"], ["bob", "--connect", "127.0.0.1:1"]],
+                         ids=["alice", "bob"])
+@pytest.mark.parametrize("option", ["--chat", "--send-file=f", "--text=t", "--recv-out=f"])
+def test_chat_options_belong_to_chat_alone(argv, option):
+    cli.build_parser().parse_args(argv)
+    with pytest.raises(cli.UsageError):
+        cli.build_parser().parse_args([*argv, option])
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -98,6 +98,8 @@ def test_config_unknown_key_rejected():
         parse_config("link.not_a_field=1\n")
     with pytest.raises(ConfigError):
         parse_config("mystery=1\n")
+    with pytest.raises(ConfigError):
+        parse_config("clock_spread_bins=0\n")
 
 
 def test_config_bad_values_rejected():

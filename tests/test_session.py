@@ -168,12 +168,12 @@ def test_tx_burst_codec_rejects_a_state_outside_prbs11(states):
         unpack_tx_burst(struct.pack(">QHH", 20_000, *states))
 
 
-def test_pulse_stream_of_another_length_than_burst_start_is_a_protocol_error():
-    # Bob takes BURST_START's pulse count; a stream of one pulse more ends the burst
+def test_pulse_stream_of_another_length_than_configured_is_a_protocol_error():
+    # the configuration fixes the pulse count; a stream of one pulse more ends the burst
     cfg = scaled_config(0.001, seed=4)
     chan_a, chan_b = make_loop_pair(timeout=5.0)
     transport = InProcessTransport(5.0)
-    chan_a.send(MsgType.BURST_START, pack_payload("alice", MsgType.BURST_START, 0, cfg.n_pulses))
+    chan_a.send(MsgType.BURST_START, pack_payload("alice", MsgType.BURST_START, 0))
     transport.deliver(unpack_tx_burst(struct.pack(">QHH", cfg.n_pulses + 1, 5, 7)))
     with pytest.raises(ProtocolError, match="pulse stream"):
         run_burst_bob(0, cfg, chan_b, transport, KeyBuffer(), np.empty(0, np.uint8))
@@ -279,7 +279,7 @@ def test_hello_mismatch_detected(small_cfg):
 ALLOWED_TYPES = {
     MsgType.HELLO, MsgType.BURST_START, MsgType.SYNC_SUBSET, MsgType.FRAME_OFFSET_ACK,
     MsgType.BASES, MsgType.QBER_SAMPLE, MsgType.ABORT, MsgType.WINNOW_PARITIES,
-    MsgType.WINNOW_SYNDROMES, MsgType.PERM_SEED, MsgType.PA_SEED, MsgType.KEY_HASH,
+    MsgType.WINNOW_SYNDROMES, MsgType.PA_SEED, MsgType.KEY_HASH,
 }
 
 
@@ -395,17 +395,16 @@ _POSITIONS = np.array([0, 3, 4, 70_000], dtype=np.int64)
 SAMPLES = {
     ("alice", MsgType.HELLO): (b"QKL1", 2, bytes(range(8)), 3),
     ("bob", MsgType.HELLO): (b"QKL1", 2, bytes(range(8)), 3),
-    ("alice", MsgType.BURST_START): (4, 20_000_000),
+    ("alice", MsgType.BURST_START): (4,),
     ("alice", MsgType.SYNC_SUBSET): (_BITS, _BITS[::-1].copy()),
-    ("bob", MsgType.FRAME_OFFSET_ACK): (20, 2, 1, np.array([0.5, 0.02, 0.49])),
+    ("bob", MsgType.FRAME_OFFSET_ACK): (2, -20),
     ("bob", MsgType.BASES): (_POSITIONS, _BITS[:4]),
     ("alice", MsgType.BASES): (_BITS,),
     ("alice", MsgType.QBER_SAMPLE): (_POSITIONS, _BITS[:4]),
     ("bob", MsgType.QBER_SAMPLE): (0.03,),
     ("alice", MsgType.ABORT): (1, 0.25),
     ("bob", MsgType.ABORT): (2, 0.5),
-    ("alice", MsgType.PERM_SEED): (3, 2**63 + 5),
-    ("alice", MsgType.WINNOW_PARITIES): (_BITS,),
+    ("alice", MsgType.WINNOW_PARITIES): (3, 2**63 + 5, _BITS),
     ("bob", MsgType.WINNOW_PARITIES): (_POSITIONS,),
     ("alice", MsgType.WINNOW_SYNDROMES): (np.array([7, 0, 3], dtype=np.int64),),
     ("alice", MsgType.PA_SEED): (_BITS,),
@@ -472,17 +471,27 @@ def abort_no_lock(msg_type, payload):
 
 
 def offset_outside_window(msg_type, payload):
-    return msg_type, b"\xff\xff\xff\xff" + payload[4:]
+    return msg_type, payload[:1] + b"\xff\xff\xff\xff"
 
 
 def unknown_fifo_choice(msg_type, payload):
-    return msg_type, payload[:4] + bytes([9]) + payload[5:]
+    return msg_type, bytes([3]) + payload[1:]
+
+
+def burst_id_off(msg_type, payload):
+    (burst_id,) = struct.unpack(">I", payload)
+    return msg_type, struct.pack(">I", burst_id + 1)
+
+
+def wrong_pass(msg_type, payload):
+    return msg_type, bytes([payload[0] + 1]) + payload[1:]
 
 
 # (sender, the message it sends, how it is rewritten); every message a burst receives,
 # and an ABORT whose reason that point of the burst cannot produce
 HOSTILE = [
     ("alice", MsgType.BURST_START, truncated),
+    ("alice", MsgType.BURST_START, burst_id_off),
     ("alice", MsgType.SYNC_SUBSET, truncated),
     ("bob", MsgType.FRAME_OFFSET_ACK, truncated),
     ("bob", MsgType.FRAME_OFFSET_ACK, short_abort),
@@ -499,8 +508,8 @@ HOSTILE = [
     ("bob", MsgType.QBER_SAMPLE, truncated),
     ("alice", MsgType.ABORT, truncated),
     ("alice", MsgType.ABORT, abort_no_lock),
-    ("alice", MsgType.PERM_SEED, truncated),
     ("alice", MsgType.WINNOW_PARITIES, truncated),
+    ("alice", MsgType.WINNOW_PARITIES, wrong_pass),
     ("bob", MsgType.WINNOW_PARITIES, truncated),
     ("bob", MsgType.WINNOW_PARITIES, last_index_too_large),
     ("alice", MsgType.WINNOW_SYNDROMES, truncated),
