@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import LinkBudget
-from .photonics import eta_geometric
+from .photonics import total_efficiency
 from .postproc import PA_IN_BITS, PA_OUT_BITS
 
 SIFT_FRACTION = 0.5                   # the receiver draws each basis 50:50
@@ -54,18 +54,6 @@ def click_prob(mu: float, eta: float) -> float:
     return 1.0 - math.exp(-eta * mu)
 
 
-def click_prob_series(mu: float, eta: float, terms: int = 100) -> float:
-    """The same quantity as a truncated photon-number sum, kept as a cross-check."""
-    return sum(trigger_prob(i, eta) * poisson_pmf(i, mu) for i in range(terms + 1))
-
-
-def total_efficiency(link: LinkBudget, distance_m: float | None = None) -> float:
-    """Channel efficiency including the geometric collection loss at a distance."""
-    d = link.distance_m if distance_m is None else distance_m
-    geo = eta_geometric(d, link.aperture_mm, link.footprint0_mm, link.divergence_urad)
-    return link.channel_efficiency() * geo
-
-
 def estimate_rates(link: LinkBudget, distance_m: float | None = None) -> RateEstimate:
     """Expected click and key rates for a link budget at its operating distance."""
     q = click_prob(link.mu, total_efficiency(link, distance_m))
@@ -83,13 +71,8 @@ def estimate_rates(link: LinkBudget, distance_m: float | None = None) -> RateEst
 
 
 def distance_sweep(link: LinkBudget, distances_m: list[float]) -> list[tuple[float, float]]:
-    """Secure rate at each distance, holding everything but geometry fixed."""
-    out = []
-    for d in distances_m:
-        if d < 0:
-            raise ValueError("distances must be >= 0")
-        out.append((d, estimate_rates(link, distance_m=d).secure_rate))
-    return out
+    """Secure rate at each distance (>= 0), holding everything but geometry fixed."""
+    return [(d, estimate_rates(link, distance_m=d).secure_rate) for d in distances_m]
 
 
 def write_sweep_csv(rows: list[tuple[float, float]], path: str | Path) -> None:

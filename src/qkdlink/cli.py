@@ -1,6 +1,6 @@
 """Command-line entry points: estimate, sweep, simulate, alice, bob, chat.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 protocol abort.
+Exit codes: 0 success, 1 usage/configuration error (bad arguments too), 2 protocol abort.
 Diagnostics go to standard error as key=value lines; reports to --out.
 """
 
@@ -17,9 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, securecomm, session, timing
-from .core import ConfigError, SimConfig, default_config, load_config, rng_stream
-from .eve import Eavesdropper
-from .photonics import detector_entries, generate_burst
+from .core import ConfigError, SimConfig, default_config, load_config
 from .session import (
     DEFAULT_PORT,
     BurstOutcome,
@@ -95,6 +93,13 @@ def _load_cfg(args) -> SimConfig:
     return cfg
 
 
+def _count(text: str) -> int:
+    """argparse type of --bursts: a whole number >= 1."""
+    if (n := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"needs a count >= 1, got {n}")
+    return n
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="configuration file (key=value lines)")
     p.add_argument("--seed", type=int, help="root RNG seed (shared by both terminals)")
@@ -109,8 +114,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
-    if args.step <= 0 or args.to < args.from_m:
-        raise UsageError("sweep needs --step > 0 and --to >= --from")
+    if args.from_m < 0 or args.step <= 0 or args.to < args.from_m:
+        raise UsageError("sweep needs --from >= 0, --step > 0 and --to >= --from")
     distances = list(np.arange(args.from_m, args.to + args.step / 2, args.step))
     rows = analysis.distance_sweep(cfg.link, distances)
     if args.out:
@@ -143,6 +148,8 @@ def _sync_report_path(base: str, burst_id: int) -> Path:
 
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
+    if args.eve_log and not cfg.eve_enabled:
+        raise UsageError("--eve-log needs Eve enabled (--eve or eve_enabled=true)")
     writer = ReportWriter(args.out, cfg.burst_seconds) if args.out else None
 
     def on_burst(o: BurstOutcome) -> None:
@@ -163,7 +170,7 @@ def cmd_simulate(args) -> int:
             timing.write_sync_report(o.sync_curve, _sync_report_path(args.sync_report, o.burst_id))
     if alice.key_buffer.to_bytes() != bob.key_buffer.to_bytes():
         raise ProtocolError("terminal key buffers diverged")
-    if args.eve_log and cfg.eve_enabled:
+    if args.eve_log:
         _dump_eve_log(cfg, args.eve_log)
     return _finish_session(args, alice, cfg)
 
@@ -172,7 +179,7 @@ EVE_LOG_BLOCK_ROWS = 1 << 20  # rows laid out per write: ~16 MB of text at most
 
 
 def _dump_eve_log(cfg: SimConfig, path: str) -> None:
-    """Replay the (deterministic) detector entries of burst 0 and write, as
+    """Replay burst 0 through the session's own draws and write, as
     ``index,basis,bit`` CSV rows in ascending index order, Eve's re-prepared
     basis and bit of each intercepted pulse that holds a detected photon:
     the states the receiver's photons were drawn from.
@@ -181,12 +188,9 @@ def _dump_eve_log(cfg: SimConfig, path: str) -> None:
     same number of digits, in the csv module's dialect (CRLF line ends): a
     1-s burst has ~1 M rows, too many to format one by one.
     """
-    seed = cfg.rng_seed
-    tx = generate_burst(cfg, rng_stream(seed, "txgen:0"))
-    log_parts: list = []
-    eavesdropper = Eavesdropper(rng_stream(seed, "eve:0"), cfg.eve_fraction, log=log_parts)
-    detector_entries(tx, cfg, eve=eavesdropper, rng=rng_stream(seed, "channel:0"))
-    ((index, bases, bits),) = log_parts
+    parts: list = []
+    session.received_burst(cfg, 0, session.transmitted_burst(cfg, 0), eve_log=parts)
+    ((index, bases, bits),) = parts
     n = len(index)
     digits = np.searchsorted(index, [10**w for w in range(1, 19)]).tolist()
     edges = sorted({0, n, *range(EVE_LOG_BLOCK_ROWS, n, EVE_LOG_BLOCK_ROWS), *digits})
@@ -201,7 +205,7 @@ def _dump_eve_log(cfg: SimConfig, path: str) -> None:
             rows[:, width + 1] += bases[lo:hi]
             rows[:, width + 3] += bits[lo:hi]
             fh.write(rows.tobytes())
-    log(event="eve_log_written", path=path, intercepted=eavesdropper.intercepted)
+    log(event="eve_log_written", path=path, intercepted=n)
 
 
 def _connect(args, role: str) -> socket.socket:
@@ -312,29 +316,29 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="in-process end-to-end run of both terminals")
     _add_common(p)
-    p.add_argument("--bursts", type=int, default=1)
+    p.add_argument("--bursts", type=_count, default=1)
     p.add_argument("--out", help="per-burst report CSV")
     p.add_argument("--key-out", dest="key_out", help="write the accumulated key bytes here")
     p.add_argument("--sync-report", dest="sync_report",
                    help="write each burst's offset->QBER search curve as CSV (one file per burst)")
     p.add_argument("--eve-log", dest="eve_log",
-                   help="with --eve: dump Eve's state of each intercepted pulse of burst 0 "
+                   help="needs Eve enabled: dump Eve's state of each intercepted pulse of burst 0 "
                         "that reached the receiver, as CSV")
     p.set_defaults(func=cmd_simulate)
 
-    # one terminal, three spellings: --listen makes it Alice, --connect makes it Bob
+    # one terminal, three spellings: alice listens, bob connects, chat does as told
     for name, help_text in (("alice", "run the alice terminal over TCP"),
                             ("bob", "run the bob terminal over TCP"),
                             ("chat", "QKD session followed by OTP messaging")):
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         if name != "bob":
-            p.add_argument("--listen", action="store_true",
-                           help="accept a connection (alice's default)")
             p.add_argument("--port", type=int, default=DEFAULT_PORT)
+        if name == "chat":
+            p.add_argument("--listen", action="store_true", help="accept a connection as alice")
         if name != "alice":
             p.add_argument("--connect", required=name == "bob", metavar="HOST:PORT")
-        p.add_argument("--bursts", type=int, default=1)
+        p.add_argument("--bursts", type=_count, default=1)
         p.add_argument("--out", help="per-burst report CSV")
         p.add_argument("--key-out", dest="key_out", help="write the accumulated key bytes here")
         p.add_argument("--timeout", type=float, default=session.DEFAULT_PHASE_TIMEOUT)
@@ -363,9 +367,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ProtocolError, securecomm.ChatRefused,
-            securecomm.KeyStreamDesync, timing.NoLockError, ConnectionError,
-            TimeoutError) as exc:
+    except (ProtocolError, ConnectionError, TimeoutError) as exc:
         log(event="abort", error=type(exc).__name__, detail=str(exc))
         return EXIT_ABORT
 

@@ -51,10 +51,6 @@ class LinkBudget:
         """Front-end optics x decoder x SPD, i.e. everything behind the aperture."""
         return self.eta_frontend * self.eta_decode * self.eta_detector
 
-    def channel_efficiency(self) -> float:
-        """Total quantum channel efficiency at the reference distance (geometric loss = 1)."""
-        return self.detector_chain_efficiency() * self.eta_residual
-
     def validate(self) -> None:
         fractions = {
             "eta_frontend": self.eta_frontend,
@@ -233,7 +229,11 @@ def parse_config(text: str, base: SimConfig | None = None) -> SimConfig:
 
 
 def load_config(path: str | Path, base: SimConfig | None = None) -> SimConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"), base=base)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    return parse_config(text, base=base)
 
 
 def format_config(cfg: SimConfig) -> str:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SimConfig
+from .core import LinkBudget, SimConfig
 from .timing import sample_pps_offset
 
 PRBS11_MASK = 0x7FF
@@ -190,6 +190,13 @@ def eta_geometric(distance_m: float, aperture_mm: float, footprint0_mm: float,
     return min(1.0, (aperture_mm / w) ** 2)
 
 
+def total_efficiency(link: LinkBudget, distance_m: float | None = None) -> float:
+    """Detection probability of one photon: geometric collection x residual x detector chain."""
+    d = link.distance_m if distance_m is None else distance_m
+    return (eta_geometric(d, link.aperture_mm, link.footprint0_mm, link.divergence_urad)
+            * link.eta_residual * link.detector_chain_efficiency())
+
+
 def _true_bin_offset(cfg: SimConfig, tof_ns: float, pps_ns: float) -> int:
     return int(np.floor((tof_ns + pps_ns) / cfg.bin_ns))
 
@@ -229,12 +236,9 @@ def detector_entries(tx: TxBurst, cfg: SimConfig, eve=None, *,
     pps_ns = sample_pps_offset(cfg, rng)
     base_bin = _true_bin_offset(cfg, tof_ns, pps_ns)
 
-    p_path = eta_geometric(link.distance_m, link.aperture_mm, link.footprint0_mm,
-                           link.divergence_urad) * link.eta_residual
-    p_det = link.detector_chain_efficiency()
     # Basis choice does not affect survival, so the two thinning stages fold
     # into one; surviving photons then get basis/channel/bin.
-    src = detected_photons(n, link.mu, p_path * p_det, rng)
+    src = detected_photons(n, link.mu, total_efficiency(link), rng)
     m = len(src)
     # intercept-resend keeps photon numbers, so Eve needs only the pulses that reach Bob
     bases, bits = tx.at(src) if eve is None else eve.intercept(tx, src)

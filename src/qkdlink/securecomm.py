@@ -16,17 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .postproc import KeyBuffer
-from .session import MsgType, recv_expect
+from .session import MsgType, ProtocolError, recv_expect
 
 HANDSHAKE_BITS = 64
 CHAT_CHUNK_BYTES = 2048
 
 
-class ChatRefused(RuntimeError):
+class ChatRefused(ProtocolError):
     """Handshake failed: peers hold different key material."""
 
 
-class KeyStreamDesync(RuntimeError):
+class KeyStreamDesync(ProtocolError):
     """Key offsets or frame sequence out of step; the chat session must abort."""
 
 
@@ -143,9 +143,7 @@ class ChatEndpoint:
         return len(starts)
 
     def send_eof(self) -> None:
-        frame = CipherFrame(seq=self._tx_seq,
-                            key_offset=self.buf.next_range_start(self.send_lane),
-                            ciphertext=b"")
+        frame = otp_seal(b"", self.buf, self.send_lane, self._tx_seq)
         self.chan.send(MsgType.CHAT_DATA, pack_chat_frame(frame))
         self._tx_seq += 1
 

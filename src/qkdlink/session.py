@@ -13,6 +13,8 @@ message carries only what its receiver uses and cannot take from the shared
 configuration, which HELLO's fingerprint pins: BURST_START is the burst id
 alone, FRAME_OFFSET_ACK the FIFO choice and R_N, and each Winnow pass's
 WINNOW_PARITIES from Alice also carries that pass's permutation seed.
+The engines and ``simulate --eve-log`` draw a burst's pulses and clicks
+through one recipe: :func:`transmitted_burst` and :func:`received_burst`.
 
 The quantum channel of the real system is replaced by a simulation
 transport that hands Bob the encoding of the burst: its pulse count and the
@@ -39,7 +41,7 @@ import numpy as np
 from . import postproc
 from .core import SimConfig, format_config, rng_stream
 from .eve import Eavesdropper
-from .photonics import PRBS11_MASK, TxBurst, generate_burst, transmit_and_detect
+from .photonics import PRBS11_MASK, RxBurst, TxBurst, generate_burst, transmit_and_detect
 from .timing import FifoChoice, NoLockError, nnc_match, offset_window, synchronize
 
 PROTOCOL_MAGIC = b"QKL1"
@@ -471,6 +473,18 @@ class _Burst:
 # --- the two burst engines ----------------------------------------------------
 
 
+def transmitted_burst(cfg: SimConfig, k: int) -> TxBurst:
+    """The pulses Alice sends in burst k, drawn from the burst's own stream."""
+    return generate_burst(cfg, rng_stream(cfg.rng_seed, f"txgen:{k}"))
+
+
+def received_burst(cfg: SimConfig, k: int, tx: TxBurst, eve_log: list | None = None) -> RxBurst:
+    """Bob's clicks of burst k, after Eve when enabled (logging to ``eve_log``)."""
+    eve = (Eavesdropper(rng_stream(cfg.rng_seed, f"eve:{k}"), cfg.eve_fraction, log=eve_log)
+           if cfg.eve_enabled else None)
+    return transmit_and_detect(tx, cfg, eve=eve, rng=rng_stream(cfg.rng_seed, f"channel:{k}"))
+
+
 def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.KeyBuffer,
                     carry: np.ndarray) -> tuple[BurstOutcome, np.ndarray]:
     """Transmitter-side burst: generate, stream, disclose, sift, distill."""
@@ -479,7 +493,7 @@ def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postpro
         out = burst.out
         burst.send(MsgType.BURST_START, k)
 
-        tx = generate_burst(cfg, rng_stream(seed, f"txgen:{k}"))
+        tx = transmitted_burst(cfg, k)
         transport.deliver(tx)
 
         s = cfg.sync_subset_size
@@ -540,7 +554,6 @@ def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postpro
 def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.KeyBuffer,
                   carry: np.ndarray) -> tuple[BurstOutcome, np.ndarray]:
     """Receiver-side burst: detect, synchronize, match, sift, distill."""
-    seed = cfg.rng_seed
     with _Burst(k, chan, "bob") as burst:
         out = burst.out
         (burst_id,) = burst.recv(MsgType.BURST_START)
@@ -550,9 +563,7 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
         tx = transport.receive()
         if len(tx) != cfg.n_pulses:
             raise ProtocolError(f"pulse stream of {len(tx)} pulses, expected {cfg.n_pulses}")
-        eavesdropper = (Eavesdropper(rng_stream(seed, f"eve:{k}"), cfg.eve_fraction)
-                        if cfg.eve_enabled else None)
-        rx = transmit_and_detect(tx, cfg, eve=eavesdropper, rng=rng_stream(seed, f"channel:{k}"))
+        rx = received_burst(cfg, k, tx)
 
         s = cfg.sync_subset_size
         sync_bases, sync_bits = burst.recv(MsgType.SYNC_SUBSET, n=s)

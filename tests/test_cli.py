@@ -40,9 +40,14 @@ def _write_cfg(tmp_path, text=CFG_SMALL):
     return str(path)
 
 
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 def test_estimate_prints_reference_rates(capsys):
     assert main(["estimate"]) == 0
     out = capsys.readouterr().out
+    assert _digest(out.encode()) == "1dbaea7766ea51ea"  # the whole table, pinned
     match = re.search(r"secure key rate\s+([\d.]+) Kbps", out)
     assert match, out
     secure = float(match.group(1))
@@ -55,6 +60,13 @@ def test_sweep_stdout(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "distance_m,secure_kbps"
     assert len(lines) == 4
+
+
+def test_default_sweep_stdout_is_pinned(capsys):
+    assert main(["sweep"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 52  # the header and 0, 50, ..., 2500 m
+    assert _digest(out.encode()) == "3c216319e1c06a41"
 
 
 def test_sweep_csv_anchors(tmp_path):
@@ -116,8 +128,7 @@ def test_simulate_writes_one_sync_report_per_burst(tmp_path):
     assert main(["simulate", "--config", cfg, "--seed", "1", "--bursts", "2",
                  "--sync-report", str(tmp_path / "sync.csv")]) == 0
     assert sorted(p.name for p in tmp_path.glob("sync-*.csv")) == ["sync-0.csv", "sync-1.csv"]
-    digest = hashlib.sha256((tmp_path / "sync-0.csv").read_bytes()).hexdigest()[:16]
-    assert digest == "51146aa8769c9262"
+    assert _digest((tmp_path / "sync-0.csv").read_bytes()) == "51146aa8769c9262"
 
 
 def test_simulate_with_eve_aborts(tmp_path):
@@ -178,7 +189,10 @@ def test_eve_log_holds_the_states_the_receiver_measured(tmp_path, capsys, monkey
     monkeypatch.setattr(photonics, "detector_entries", entries)
     log_path = tmp_path / "eve.csv"
     main(["simulate", "--config", cfg_path, "--seed", "4", "--eve", "--eve-log", str(log_path)])
-    ((key, src),) = received  # the detector entries of Bob's own burst
+    # the detector entries of Bob's own burst, then those of the log's replay of it
+    (key, src), (replay_key, replay_src) = received
+    assert np.array_equal(replay_key, key)
+    assert np.array_equal(replay_src, src)
     assert len(key) == len(src)  # no dark counts: every entry is a detected photon
     channel = key & 7
     index, basis, bit = np.loadtxt(log_path, delimiter=",", skiprows=1, dtype=np.int64,
@@ -191,6 +205,25 @@ def test_eve_log_holds_the_states_the_receiver_measured(tmp_path, capsys, monkey
     same = meas_basis == basis[row]
     assert np.count_nonzero(same) > 0.4 * len(src)
     assert np.array_equal(((channel - 1) & 1)[same], bit[row][same])
+
+
+def test_eve_log_is_pinned(tmp_path, capsys):
+    # Eve's states of burst 0 at seed 3: a change to the replay or to the draws shows here
+    log_path = tmp_path / "eve.csv"
+    main(["simulate", "--config", _write_cfg(tmp_path), "--seed", "3", "--eve",
+          "--eve-log", str(log_path)])
+    assert _digest(log_path.read_bytes()) == "77a782a2e1a13678"
+    rows = len(log_path.read_bytes().splitlines()) - 1
+    assert f"intercepted={rows}" in capsys.readouterr().err
+
+
+def test_eve_log_without_eve_is_usage_error(tmp_path, capsys):
+    log_path = tmp_path / "eve.csv"
+    assert main(["simulate", "--config", _write_cfg(tmp_path), "--eve-log", str(log_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --eve-log")
+    assert "event=burst" not in err  # refused before the session runs
+    assert not log_path.exists()
 
 
 @pytest.mark.parametrize("fields", [(0, 0, 5), (0, 5, 2048), (1, 5, 7)],
@@ -270,9 +303,25 @@ def test_unknown_flag_is_usage_error(capsys):
     assert main(["simulate", "--frobnicate"]) == 1
 
 
+@pytest.mark.parametrize("argv, prefix", [
+    (["sweep", "--from", "-10", "--to", "20", "--step", "10"], "usage error: sweep needs"),
+    (["simulate", "--bursts", "-1"], "usage error: argument --bursts"),
+    (["simulate", "--bursts", "0"], "usage error: argument --bursts"),
+    (["bob", "--connect", "127.0.0.1:1", "--bursts", "0"], "usage error: argument --bursts"),
+    (["chat", "--connect", "127.0.0.1:1", "--bursts", "-1"], "usage error: argument --bursts"),
+    (["estimate", "--config", "missing.cfg"], "configuration error: cannot read missing.cfg"),
+], ids=["sweep_from_negative", "simulate_bursts_negative", "simulate_bursts_zero",
+        "bob_bursts_zero", "chat_bursts_negative", "estimate_missing_config"])
+def test_bad_input_exits_1(tmp_path, monkeypatch, capsys, argv, prefix):
+    monkeypatch.chdir(tmp_path)  # where missing.cfg does not exist
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(prefix)
+
+
 @pytest.mark.parametrize("argv", [["alice"], ["bob", "--connect", "127.0.0.1:1"]],
                          ids=["alice", "bob"])
-@pytest.mark.parametrize("option", ["--chat", "--send-file=f", "--text=t", "--recv-out=f"])
+@pytest.mark.parametrize("option", ["--chat", "--send-file=f", "--text=t", "--recv-out=f",
+                                    "--listen"])
 def test_chat_options_belong_to_chat_alone(argv, option):
     cli.build_parser().parse_args(argv)
     with pytest.raises(cli.UsageError):

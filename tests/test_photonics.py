@@ -20,6 +20,7 @@ from qkdlink.photonics import (
     detected_photons,
     detector_entries,
     eta_geometric,
+    total_efficiency,
     generate_burst,
     merge_clicks,
     prbs11_next,
@@ -201,7 +202,7 @@ def test_click_rate_matches_poisson_thinning():
     tx = generate_burst(cfg, rng_stream(4, "g"))
     _, source = detect_with_sources(tx, cfg, rng=rng_stream(4, "c"))
     clicked = len(np.unique(source[source >= 0]))
-    p = 1 - np.exp(-cfg.link.channel_efficiency() * cfg.link.mu)
+    p = 1 - np.exp(-total_efficiency(cfg.link) * cfg.link.mu)
     sigma = np.sqrt(len(tx) * p * (1 - p))
     assert abs(clicked - len(tx) * p) < 3 * sigma
 
@@ -214,7 +215,7 @@ def test_full_burst_total_clicks():
     rx = transmit_and_detect(tx, cfg, rng=rng_stream(3, "c"))
     shift = synchronize(tx.bases, tx.bits, rx, cfg).shift
     clicked_frames = len(np.unique((rx.bin_index + shift) // cfg.bins_per_frame))
-    expected = cfg.n_pulses * (1 - np.exp(-cfg.link.channel_efficiency() * cfg.link.mu))
+    expected = cfg.n_pulses * (1 - np.exp(-total_efficiency(cfg.link) * cfg.link.mu))
     assert abs(clicked_frames - expected) < 3000
 
 

@@ -19,7 +19,7 @@ from qkdlink.securecomm import (
     otp_seal,
     unpack_chat_frame,
 )
-from qkdlink.session import MsgType, make_loop_pair
+from qkdlink.session import MsgType, ProtocolError, make_loop_pair
 
 
 def _filled_buffer(nbits, seed=1):
@@ -200,8 +200,9 @@ def test_sequence_gap_aborts():
     ea.send_bytes(b"two")
     eb.recv_frame()
     eb._rx_seq += 1  # receiver believes it saw a later frame: gap
-    with pytest.raises(KeyStreamDesync):
+    with pytest.raises(KeyStreamDesync) as info:
         eb.recv_frame()
+    assert isinstance(info.value, ProtocolError)  # a peer fault: the CLI exits 2
 
 
 def test_chat_ciphertext_is_payload_xor_lane_stripe():
