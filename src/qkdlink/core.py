@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +21,11 @@ SPEED_OF_LIGHT_M_PER_S = 299792458.0
 
 class ConfigError(ValueError):
     """Invalid configuration value or unparseable configuration file."""
+
+
+# the receiver's click keys, bin * 8 + channel: SimConfig.validate refuses a
+# burst whose keys would leave this type
+CLICK_KEY_DTYPE = np.int32
 
 
 @dataclass(frozen=True)
@@ -130,6 +136,17 @@ class SimConfig:
         if self.sync_subset_size < 1:
             raise ConfigError("the sync subset holds 0 pulses: lower link.sync_efficiency "
                               "or lengthen the burst")
+        # every click key lies in [8 * (floor((tof - cap) / bin) - 1), 8 * span) with
+        # span = bins_per_frame * n_pulses + floor((tof + cap) / bin) + 2 bins
+        tof, cap = self.tof_ns(), self.pps_jitter_cap_ns
+        if not math.isfinite(tof + cap):
+            raise ConfigError("the time of flight and pps_jitter_cap_ns must be finite")
+        lo = 8 * (math.floor((tof - cap) / self.bin_ns) - 1)
+        hi = 8 * (self.bins_per_frame * self.n_pulses + math.floor((tof + cap) / self.bin_ns) + 2)
+        key = np.iinfo(CLICK_KEY_DTYPE)
+        if lo < key.min or hi > key.max:
+            raise ConfigError(f"click keys span [{lo}, {hi}], beyond {key.dtype}: shorten the "
+                              "burst, the time of flight or the 1PPS cap")
 
 
 def default_config(rng_seed: int = 1) -> SimConfig:

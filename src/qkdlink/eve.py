@@ -17,9 +17,9 @@ class Eavesdropper:
     """Per-burst intercept-resend transform over pulse arrays.
 
     ``fraction`` < 1 intercepts a random subset; the induced QBER scales
-    linearly with it.  ``intercepted`` counts the pulses measured so far.
-    When ``log`` is a list, :meth:`intercept` appends to it the pulse index,
-    basis and bit of every pulse it intercepted, as three arrays.
+    linearly with it.  When ``log`` is a list, :meth:`intercept` appends to
+    it the pulse index, basis and bit of every pulse it intercepted, as three
+    arrays.
     """
 
     def __init__(self, rng: np.random.Generator, fraction: float = 1.0,
@@ -28,7 +28,6 @@ class Eavesdropper:
             raise ValueError("interception fraction must be in [0, 1]")
         self.rng = rng
         self.fraction = fraction
-        self.intercepted = 0
         self.log = log
         self.hit = np.empty(0, dtype=bool)
 
@@ -47,7 +46,6 @@ class Eavesdropper:
             eve_bit = np.where(self.hit, eve_bit, bits).astype(np.uint8)
         else:
             self.hit = np.ones(n, dtype=bool)
-        self.intercepted += int(np.count_nonzero(self.hit))
         return eve_basis, eve_bit
 
     def intercept(self, tx, src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

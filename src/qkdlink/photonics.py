@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LinkBudget, SimConfig
+from .core import CLICK_KEY_DTYPE, LinkBudget, SimConfig
 from .timing import sample_pps_offset
 
 PRBS11_MASK = 0x7FF
@@ -129,7 +129,7 @@ class RxBurst:
     sees, with no record of the pulse behind it.
     """
 
-    bin_index: np.ndarray    # int64, global receiver bins at bin_ns resolution
+    bin_index: np.ndarray    # int32, global receiver bins at bin_ns resolution
     channel: np.ndarray      # uint8, 1..4
     multi_click: np.ndarray  # bool, >=2 channels fired in this bin
     realized_pps_offset_ns: float
@@ -218,9 +218,9 @@ def detector_entries(tx: TxBurst, cfg: SimConfig, eve=None, *,
     dark counts.  The draws come in that order, each once per photon or dark
     count.
 
-    Returns ``(key, src, pps_ns, base_bin)``: the merge key ``bin * 8 +
+    Returns ``(key, src, pps_ns, base_bin)``: the int32 merge key ``bin * 8 +
     channel`` of every entry, the m detected photons first and the dark
-    counts after; the pulse of each of those m photons, ascending; the
+    counts after; the int64 pulse of each of those m photons, ascending; the
     realized 1PPS offset; and the true whole-bin offset.
 
     A channel is ``1 + 2 * basis + bit``: ch1=H, ch2=V (rectilinear
@@ -254,8 +254,9 @@ def detector_entries(tx: TxBurst, cfg: SimConfig, eve=None, *,
     n_dark = rng.poisson(link.dark_cps * cfg.burst_seconds)
     span = cfg.bins_per_frame * n + base_bin + 2
 
-    # one array of merge keys (bin * 8 + channel): the signal entries, then the dark counts
-    key = np.empty(m + n_dark, dtype=np.int64)
+    # one array of merge keys (bin * 8 + channel): the signal entries, then the dark
+    # counts; SimConfig.validate keeps every key inside CLICK_KEY_DTYPE
+    key = np.empty(m + n_dark, dtype=CLICK_KEY_DTYPE)
     signal = key[:m]
     np.multiply(src, cfg.bins_per_frame, out=signal)
     signal += base_bin
@@ -279,8 +280,8 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None, *,
     """The receiver's clicks of one burst: its :func:`detector_entries`,
     merged into clicks with multi-channel bins flagged (:func:`merge_clicks`).
 
-    Only the merge keys are kept, so a 1-s burst of ~0.95 M clicks holds ~27
-    bytes per click at its peak.
+    Only the merge keys are kept, as 32-bit integers, so a 1-s burst of
+    ~0.95 M clicks holds ~23 bytes per click at its peak.
     """
     key, src, pps_ns, base_bin = detector_entries(tx, cfg, eve, rng=rng)
     del src  # ground truth: the receiver merges the keys alone

@@ -75,7 +75,7 @@ def choose_framing(counts: np.ndarray) -> tuple[FifoChoice, int]:
 class MatchResult:
     """Vectorized pulse<->click assignment for one burst (or subset)."""
 
-    tx_index: np.ndarray   # int64, matched pulse indices, ascending
+    tx_index: np.ndarray   # int32, matched pulse indices, ascending
     channel: np.ndarray    # uint8
     n_multi_discard: int
     n_compete_discard: int
@@ -106,8 +106,10 @@ def nnc_match(n_tx: int, rx, b: int, shift: int, central: int, frame_offset: int
     the clicks of the pulses asked for.
     """
     origin = b * frame_offset - shift  # first bin of pulse 0's frame
-    # bins are sorted: the clicks of pulses [first_tx, n_tx) are one slice
-    lo, hi = np.searchsorted(rx.bin_index, (origin + b * first_tx, origin + b * n_tx))
+    # bins are sorted: the clicks of pulses [first_tx, n_tx) are one slice; the
+    # bounds take the bins' dtype, else searchsorted casts every bin to theirs
+    cut = np.array((origin + b * first_tx, origin + b * n_tx), dtype=rx.bin_index.dtype)
+    lo, hi = np.searchsorted(rx.bin_index, cut)
     dist = rx.bin_index[lo:hi] - origin
     # each click's frame start: a floor division by a scalar is cheaper than a remainder
     start = dist // b
@@ -232,7 +234,10 @@ class SyncResult:
 def synchronize(tx_bases: np.ndarray, tx_bits: np.ndarray, rx, cfg: SimConfig) -> SyncResult:
     """Full sync pipeline: boundary choice from the slot histogram, offset search."""
     b = cfg.bins_per_frame
-    choice, central = choose_framing(np.bincount(rx.bin_index % b, minlength=b))
+    # one count per slot: np.bincount would copy every 32-bit slot to intp first
+    slots = rx.bin_index % b
+    choice, central = choose_framing(np.array([np.count_nonzero(slots == s) for s in range(b)]))
+    del slots
     sync = SyncResult(choice, central, 0, [], b)
     sync.r_n, sync.curve = estimate_frame_offset(tx_bases, tx_bits, rx, sync.shift, central, cfg)
     return sync

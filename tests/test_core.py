@@ -127,5 +127,23 @@ def test_config_without_a_sync_pulse_is_refused(text):
         parse_config(text)
 
 
+@pytest.mark.parametrize("text, refusal", [
+    ("burst_seconds=3.4\n", r"click keys span \[\d+, \d+\]"),
+    ("tof_override_ns=1e10\n", r"click keys span \[\d+, \d+\]"),
+    ("pps_jitter_cap_ns=1e10\n", r"click keys span \[-\d+, "),  # past both ends
+    ("burst_seconds=3.3\n", None),
+    # a NaN cap passed the checks above and then hung the 1PPS draw
+    ("pps_jitter_cap_ns=nan\n", "must be finite"),
+], ids=["burst_too_long", "keys_above_int32", "keys_below_int32", "burst_that_fits",
+        "cap_not_finite"])
+def test_config_whose_click_keys_leave_int32_is_refused(text, refusal):
+    # decided from the configuration alone, before any burst is drawn
+    if refusal is None:
+        assert parse_config(text).n_pulses == 66_000_000
+    else:
+        with pytest.raises(ConfigError, match=refusal):
+            parse_config(text)
+
+
 def test_config_with_one_sync_pulse_is_accepted():
     assert parse_config("burst_seconds=0.00001\n").sync_subset_size == 1  # 200 pulses

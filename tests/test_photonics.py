@@ -141,15 +141,16 @@ def test_generate_burst_allocates_no_pulse_arrays():
 
 
 def test_transmit_and_detect_peak_memory_is_bounded_per_click():
-    # the merge keys alone in one array, sorted and compacted in place: ~27
-    # bytes per click; a source-pulse array beside them, gathered through the
-    # sort order, took 43, and concatenating the signal and dark entries field
-    # by field and gathering every field through the order took 76
+    # the 32-bit merge keys alone in one array, sorted and compacted in place:
+    # ~23 bytes per click; as 64-bit keys they took ~27, a source-pulse array
+    # beside them, gathered through the sort order, 43, and concatenating the
+    # signal and dark entries field by field and gathering every field through
+    # the order 76
     cfg = scaled_config(0.05, seed=7)
     tx = generate_burst(cfg, rng_stream(7, "g"))
     rx, peak = traced_peak(lambda: transmit_and_detect(tx, cfg, rng=rng_stream(7, "c")))
     assert len(rx) > 40_000
-    assert peak <= 32 * len(rx)
+    assert peak <= 26 * len(rx)
 
 
 # --- geometric collection ---------------------------------------------------------
@@ -367,6 +368,6 @@ def test_merge_clicks_equals_unique_reference_on_a_burst():
     key, src, _, _ = detector_entries(tx, cfg, rng=rng_stream(8, "c"))
     *ref, source = merge_by_unique(key, src)
     assert np.count_nonzero(rx.multi_click) > 0 and np.count_nonzero(source < 0) > 0
-    assert rx.channel.dtype == np.uint8
+    assert rx.bin_index.dtype == np.int32 and rx.channel.dtype == np.uint8
     for name, want in zip(("bin_index", "channel", "multi_click"), ref, strict=True):
         assert np.array_equal(getattr(rx, name), want), name

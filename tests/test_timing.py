@@ -243,8 +243,9 @@ def test_nnc_match_equals_bincount_reference_on_a_burst(small_cfg):
 
 
 def test_full_nnc_match_peak_memory_is_bounded_per_click():
-    # a few arrays of the qualifying clicks' size at once: 28.5 bytes per click;
-    # matching through run starts, run lengths and a reduceat took 50
+    # a few 32-bit arrays of the qualifying clicks' size at once: ~21 bytes per
+    # click; as 64-bit arrays they took 28.5, and matching through run starts,
+    # run lengths and a reduceat 50
     cfg = scaled_config(0.05, seed=7)
     tx = generate_burst(cfg, rng_stream(7, "g"))
     rx = transmit_and_detect(tx, cfg, rng=rng_stream(7, "c"))
@@ -252,13 +253,14 @@ def test_full_nnc_match_peak_memory_is_bounded_per_click():
     res, peak = traced_peak(lambda: nnc_match(len(tx), rx, cfg.bins_per_frame, sync.shift,
                                               sync.central, sync.r_n))
     assert len(res) > 0.9 * len(rx)
-    assert peak <= 36 * len(rx)
+    assert peak <= 24 * len(rx)
 
 
 def test_synchronize_peak_memory_is_bounded_per_click():
-    # the slot histogram from one array of the clicks' size, and no framed copy
-    # of them: 8 bytes per click; framing every click took 16.7 (FIFO1) and,
-    # when FIFO2 won and the clicks were framed again, 32
+    # the slot histogram from one 32-bit array of the clicks' size, counted slot
+    # by slot, and no framed copy of them: 5 bytes per click (np.bincount's
+    # 64-bit copy of the slots took 12); framing every click took 16.7 (FIFO1)
+    # and, when FIFO2 won and the clicks were framed again, 32
     cfg = scaled_config(0.05, seed=3)
     tx = generate_burst(cfg, rng_stream(3, "g"))
     rx = transmit_and_detect(tx, cfg, rng=rng_stream(3, "c"))
