@@ -18,6 +18,7 @@ import numpy as np
 
 from . import analysis, securecomm, session, timing
 from .core import ConfigError, SimConfig, default_config, load_config
+from .postproc import KeyExhausted
 from .session import (
     DEFAULT_PORT,
     BurstOutcome,
@@ -250,8 +251,9 @@ def cmd_terminal(args) -> int:
 def _run_chat(args, chan, result: session.SessionResult) -> int:
     """OTP messaging on the freshly distilled key: handshake, duplex transfer, EOF.
 
-    A receive that has not reached the peer's EOF within ``--timeout`` of the
-    local EOF raises TimeoutError, so truncated output never exits 0.
+    A frame its lane cannot cover raises KeyExhausted at once, and a receive
+    still short of the peer's EOF ``--timeout`` after the local EOF raises
+    TimeoutError, so truncated output never exits 0.
     """
     endpoint = securecomm.ChatEndpoint(chan, result.key_buffer, result.role)
     try:
@@ -272,20 +274,19 @@ def _run_chat(args, chan, result: session.SessionResult) -> int:
 
     def receiver():
         try:
-            received.extend(endpoint.recv_all(timeout=args.timeout))
+            received.extend(endpoint.recv_all())
         except BaseException as exc:
             error.append(exc)
 
     rx_thread = threading.Thread(target=receiver, daemon=True)
     rx_thread.start()
-    endpoint.send_bytes(payload, timeout=args.timeout)  # raises if the key runs out
+    endpoint.send_bytes(payload)
     endpoint.send_eof()
     rx_thread.join(timeout=args.timeout)
     if error:
         raise error[0]
     if rx_thread.is_alive():
-        raise TimeoutError(f"chat receive unfinished after {args.timeout} s "
-                           f"({len(received)} bytes so far)")
+        raise TimeoutError(f"chat receive unfinished after {args.timeout} s")
 
     if args.recv_out:
         Path(args.recv_out).write_bytes(bytes(received))
@@ -367,7 +368,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ProtocolError, ConnectionError, TimeoutError) as exc:
+    except (ProtocolError, ConnectionError, TimeoutError, KeyExhausted) as exc:
         log(event="abort", error=type(exc).__name__, detail=str(exc))
         return EXIT_ABORT
 

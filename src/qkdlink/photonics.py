@@ -123,7 +123,7 @@ class TxBurst:
 
 @dataclass
 class RxBurst:
-    """All clicks of one burst, sorted by bin, plus the realized timing offsets.
+    """All clicks of one burst, sorted by bin, plus the true bin offset.
 
     A click is a detector channel firing in a time bin: what the receiver
     sees, with no record of the pulse behind it.
@@ -132,7 +132,6 @@ class RxBurst:
     bin_index: np.ndarray    # int32, global receiver bins at bin_ns resolution
     channel: np.ndarray      # uint8, 1..4
     multi_click: np.ndarray  # bool, >=2 channels fired in this bin
-    realized_pps_offset_ns: float
     # ground-truth whole-bin alignment between Tx frame 0 and Rx bins
     true_bin_offset: int = 0
 
@@ -283,9 +282,9 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None, *,
     Only the merge keys are kept, as 32-bit integers, so a 1-s burst of
     ~0.95 M clicks holds ~23 bytes per click at its peak.
     """
-    key, src, pps_ns, base_bin = detector_entries(tx, cfg, eve, rng=rng)
+    key, src, _, base_bin = detector_entries(tx, cfg, eve, rng=rng)
     del src  # ground truth: the receiver merges the keys alone
-    return RxBurst(*merge_clicks(key), realized_pps_offset_ns=pps_ns, true_bin_offset=base_bin)
+    return RxBurst(*merge_clicks(key), true_bin_offset=base_bin)
 
 
 def _clock_jitter(m: int, center_prob: float, rng: np.random.Generator) -> np.ndarray:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import threading
-import time
 
 import numpy as np
 
@@ -242,6 +241,10 @@ def key_hash(bits: np.ndarray) -> bytes:
 # --- accumulated key ---------------------------------------------------------
 
 
+class KeyExhausted(RuntimeError):
+    """A take asked for more key than its lane holds."""
+
+
 class KeyBuffer:
     """Append-only secure-key store with consume-once discipline.
 
@@ -260,7 +263,7 @@ class KeyBuffer:
         self._chunks: list[np.ndarray] = []
         self._chunk_starts: list[int] = []
         self._length = 0
-        self._cond = threading.Condition()
+        self._lock = threading.RLock()  # both chat lanes take from one buffer, on two threads
         self._lane_used = [0, 0]
         self.issued_ranges: list[tuple[int, int]] = []
         self._sorted_ranges: list[tuple[int, int]] = []
@@ -275,14 +278,13 @@ class KeyBuffer:
 
     def append(self, bits: np.ndarray) -> None:
         bits = np.asarray(bits, dtype=np.uint8)
-        with self._cond:
+        with self._lock:
             self._chunks.append(bits)
             self._chunk_starts.append(self._length)
             self._length += len(bits)
-            self._cond.notify_all()
 
     def bits(self) -> np.ndarray:
-        with self._cond:
+        with self._lock:
             if not self._chunks:
                 return np.empty(0, dtype=np.uint8)
             return np.concatenate(self._chunks)
@@ -310,13 +312,13 @@ class KeyBuffer:
 
     def next_range_start(self, lane: int = 0) -> int:
         """Absolute bit offset the next take on this lane will start at."""
-        with self._cond:
+        with self._lock:
             return self._lane_offset(lane, self._lane_used[lane])
 
     def available(self, lane: int = 0) -> int:
         """Buffered lane bits not yet consumed."""
         page = self.PAGE_BITS
-        with self._cond:
+        with self._lock:
             cycles, rest = divmod(self._length, 2 * page)
             buffered = cycles * page + min(max(rest - lane * page, 0), page)
             return buffered - self._lane_used[lane]
@@ -328,25 +330,19 @@ class KeyBuffer:
             if start < istop and istart < stop:
                 raise RuntimeError(f"key range [{start},{stop}) overlaps issued [{istart},{istop})")
 
-    def take(self, nbits: int, lane: int = 0,
-             timeout: float | None = None) -> tuple[list[tuple[int, int]], np.ndarray]:
-        """Consume ``nbits`` from a lane, blocking until enough key accumulates.
+    def take(self, nbits: int, lane: int = 0) -> tuple[list[tuple[int, int]], np.ndarray]:
+        """Consume ``nbits`` from a lane, or raise :class:`KeyExhausted` if it holds fewer.
 
         Returns the absolute bit ranges consumed (one per page spanned) and
-        the bits themselves.  ``timeout`` bounds the whole wait, however many
-        appends arrive in it.  A negative ``nbits`` raises ``ValueError`` and
-        changes nothing; ``take(0)`` returns no range and no bits.
+        the bits themselves.  A refused take, too large or negative
+        (``ValueError``), changes nothing; ``take(0)`` returns no range and
+        no bits.
         """
         if nbits < 0:
             raise ValueError(f"cannot take a negative number of bits: {nbits}")
-        with self._cond:
-            deadline = None if timeout is None else time.monotonic() + timeout
-            while self.available(lane) < nbits:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if (remaining is not None and remaining <= 0) or not self._cond.wait(remaining):
-                    raise TimeoutError(
-                        f"key buffer exhausted: need {nbits} bits, lane has {self.available(lane)}"
-                    )
+        with self._lock:
+            if (have := self.available(lane)) < nbits:
+                raise KeyExhausted(f"key buffer exhausted: need {nbits} bits, lane has {have}")
             k = self._lane_used[lane]
             end = k + nbits
             ranges = []
@@ -368,7 +364,7 @@ class KeyBuffer:
 
     def peek(self, nbits: int) -> np.ndarray:
         """The first ``nbits`` buffered bits, not consumed; only for the chat parity."""
-        with self._cond:
+        with self._lock:
             if nbits > self._length:
                 raise ValueError("peek beyond buffered key")
             return self._slice(0, nbits)

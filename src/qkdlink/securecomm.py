@@ -4,9 +4,9 @@ Payloads are XORed with never-reused key material drawn from the shared
 :class:`~qkdlink.postproc.KeyBuffer`.  A session starts with a cheap parity
 handshake over the first 64 buffered bits (then discarded); after that the
 two directions consume the two lanes of the buffer, its even and odd page
-stripes, so duplex traffic cannot collide on key ranges.  When the buffer
-runs dry, sending blocks until fresh key arrives: throughput is bounded by
-key generation.
+stripes, so duplex traffic cannot collide on key ranges.  A seal or open
+the lane cannot cover raises :class:`~qkdlink.postproc.KeyExhausted` at once;
+nothing waits for key.
 """
 
 from __future__ import annotations
@@ -43,22 +43,21 @@ def _xor(data: bytes, key_bits: np.ndarray) -> bytes:
     return (buf ^ key[: len(buf)]).tobytes()
 
 
-def otp_seal(plaintext: bytes, buf: KeyBuffer, lane: int = 0,
-             seq: int = 0, timeout: float | None = None) -> CipherFrame:
+def otp_seal(plaintext: bytes, buf: KeyBuffer, lane: int = 0, seq: int = 0) -> CipherFrame:
     """Encrypt with the next key bits of a lane, consuming them exactly once.
 
-    Blocks (back-pressure) while the buffer holds fewer than 8*len(plaintext)
-    unconsumed bits on the lane.  The key may span page boundaries; the frame
-    names the absolute offset of its first key bit.
+    Raises :class:`~qkdlink.postproc.KeyExhausted`, consuming nothing, when
+    the lane holds fewer than 8*len(plaintext) unconsumed bits.  The key may
+    span page boundaries; the frame names the absolute offset of its first
+    key bit.
     """
     if not plaintext:
         return CipherFrame(seq=seq, key_offset=buf.next_range_start(lane), ciphertext=b"")
-    ranges, bits = buf.take(8 * len(plaintext), lane=lane, timeout=timeout)
+    ranges, bits = buf.take(8 * len(plaintext), lane=lane)
     return CipherFrame(seq=seq, key_offset=ranges[0][0], ciphertext=_xor(plaintext, bits))
 
 
-def otp_open(frame: CipherFrame, buf: KeyBuffer, lane: int = 0,
-             timeout: float | None = None) -> bytes:
+def otp_open(frame: CipherFrame, buf: KeyBuffer, lane: int = 0) -> bytes:
     """Decrypt a frame, consuming the mirrored key range on the receive lane."""
     expected = buf.next_range_start(lane)
     if frame.key_offset != expected:
@@ -67,7 +66,7 @@ def otp_open(frame: CipherFrame, buf: KeyBuffer, lane: int = 0,
         )
     if not frame.ciphertext:
         return b""
-    ranges, bits = buf.take(8 * len(frame.ciphertext), lane=lane, timeout=timeout)
+    ranges, bits = buf.take(8 * len(frame.ciphertext), lane=lane)
     if ranges[0][0] != frame.key_offset:
         raise KeyStreamDesync("consumed range diverged from frame offset")
     return _xor(frame.ciphertext, bits)
@@ -129,7 +128,7 @@ class ChatEndpoint:
     def handshake(self) -> None:
         chat_handshake(self.chan, self.buf)
 
-    def send_bytes(self, data: bytes, timeout: float | None = None) -> int:
+    def send_bytes(self, data: bytes) -> int:
         """Seal and transmit in frames of up to ``CHAT_CHUNK_BYTES``; returns frames sent.
 
         A frame's key may span a page boundary of the send lane.
@@ -137,7 +136,7 @@ class ChatEndpoint:
         starts = range(0, len(data), CHAT_CHUNK_BYTES)
         for pos in starts:
             frame = otp_seal(bytes(data[pos : pos + CHAT_CHUNK_BYTES]), self.buf,
-                             lane=self.send_lane, seq=self._tx_seq, timeout=timeout)
+                             lane=self.send_lane, seq=self._tx_seq)
             self.chan.send(MsgType.CHAT_DATA, pack_chat_frame(frame))
             self._tx_seq += 1
         return len(starts)
@@ -147,7 +146,7 @@ class ChatEndpoint:
         self.chan.send(MsgType.CHAT_DATA, pack_chat_frame(frame))
         self._tx_seq += 1
 
-    def recv_frame(self, timeout: float | None = None) -> bytes | None:
+    def recv_frame(self) -> bytes | None:
         """One frame's plaintext, or None on the peer's EOF marker."""
         msg = recv_expect(self.chan, MsgType.CHAT_DATA)
         frame = unpack_chat_frame(msg.payload)
@@ -156,13 +155,13 @@ class ChatEndpoint:
         self._rx_seq += 1
         if not frame.ciphertext:
             return None
-        return otp_open(frame, self.buf, lane=self.recv_lane, timeout=timeout)
+        return otp_open(frame, self.buf, lane=self.recv_lane)
 
-    def recv_all(self, timeout: float | None = None) -> bytes:
+    def recv_all(self) -> bytes:
         """Collect plaintext until the peer's EOF marker."""
         parts = []
         while True:
-            part = self.recv_frame(timeout=timeout)
+            part = self.recv_frame()
             if part is None:
                 return b"".join(parts)
             parts.append(part)

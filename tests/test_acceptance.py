@@ -296,13 +296,13 @@ def test_criterion_7_networked_protocol_and_otp(acceptance_recorder, tmp_path):
     for _ in range(50):
         payload = frng.integers(0, 256, int(frng.integers(1, 2000)), dtype=np.uint8).tobytes()
         if frng.random() < 0.5:
-            ea.send_bytes(payload, timeout=5.0)
+            ea.send_bytes(payload)
             while eb._rx_seq < ea._tx_seq:
-                eb.recv_frame(timeout=5.0)
+                eb.recv_frame()
         else:
-            eb.send_bytes(payload, timeout=5.0)
+            eb.send_bytes(payload)
             while ea._rx_seq < eb._tx_seq:
-                ea.recv_frame(timeout=5.0)
+                ea.recv_frame()
     disjoint = True
     for buf in (buf_a, buf_b):
         spans = sorted(buf.issued_ranges)
@@ -323,9 +323,9 @@ def test_criterion_7_networked_protocol_and_otp(acceptance_recorder, tmp_path):
     ea2.handshake()
     worker.join(timeout=10)
     received = []
-    rx = threading.Thread(target=lambda: received.append(eb2.recv_all(timeout=60.0)))
+    rx = threading.Thread(target=lambda: received.append(eb2.recv_all()))
     rx.start()
-    ea2.send_bytes(bytes(total_bits // 8), timeout=60.0)
+    ea2.send_bytes(bytes(total_bits // 8))
     ea2.send_eof()
     rx.join(timeout=120)
     counter_ok = (received and len(received[0]) == total_bits // 8

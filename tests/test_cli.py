@@ -271,7 +271,7 @@ def _connect_when_listening(port: int, timeout: float = 15.0) -> socket.socket:
 
 def test_chat_receive_that_cannot_finish_exits_2(tmp_path, capsys):
     # the peer seals a 100 KB frame at the right key offset, far more key than the
-    # receiver holds: the receive cannot finish, and the chat must not exit 0
+    # receiver holds: the receive fails at once, and the chat must not exit 0
     cfg_path = _write_cfg(tmp_path)
     port = free_port()
     recv_out = tmp_path / "recv.bin"
@@ -294,9 +294,39 @@ def test_chat_receive_that_cannot_finish_exits_2(tmp_path, capsys):
         chan.close()
     assert codes == [2]
     err = capsys.readouterr().err
-    assert "error=TimeoutError" in err
+    assert "error=KeyExhausted" in err
     assert "chat_done" not in err
     assert not recv_out.exists()
+
+
+def test_chat_send_past_the_key_exits_2_at_once(tmp_path, capsys):
+    # a 0.2-s burst at seed 1 distills 58,949 key bits, so Bob's send lane holds
+    # 26,181 (3,272 B): a 4,000-byte send from Bob fails, and both terminals exit 2
+    cfg_path = _write_cfg(tmp_path, "burst_seconds=0.2\n")
+    send = tmp_path / "send.bin"
+    send.write_bytes(bytes(4000))
+    port = free_port()
+    common = ["--config", cfg_path, "--seed", "1", "--timeout", "30"]
+    codes = []
+    alice = threading.Thread(target=lambda: codes.append(main(
+        ["chat", "--listen", "--port", str(port), *common])), daemon=True)
+    alice.start()
+    err, deadline = "", time.monotonic() + 15
+    while "event=listening" not in err and time.monotonic() < deadline:
+        err += capsys.readouterr().err
+        time.sleep(0.02)
+    start = time.monotonic()
+    codes.append(main(["chat", "--connect", f"127.0.0.1:{port}", *common,
+                       "--send-file", str(send)]))
+    alice.join(timeout=30)
+    assert time.monotonic() - start < 15  # nothing waits out --timeout
+    err += capsys.readouterr().err
+    assert codes == [2, 2]
+    assert "key_bits=58949" in err
+    assert "event=abort error=KeyExhausted detail=key buffer exhausted: need 15616 bits, " \
+           "lane has 9797" in err
+    assert err.count("event=abort") == 2
+    assert "chat_done" not in err and "Traceback" not in err
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -1,6 +1,3 @@
-import threading
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +9,7 @@ from qkdlink.postproc import (
     PA_OUT_BITS,
     PA_SEED_BITS,
     KeyBuffer,
+    KeyExhausted,
     amplify_with_carry,
     block_parities,
     check_abort,
@@ -362,19 +360,27 @@ def test_key_buffer_append_and_take():
 
 def _key_buffer_state(buf):
     return ([buf.available(lane) for lane in (0, 1)], [buf.next_range_start(lane) for lane in (0, 1)],
-            buf.consumed_total, list(buf.issued_ranges))
+            buf.consumed_total, list(buf.issued_ranges), list(buf._lane_used))
 
 
 def test_key_buffer_negative_take_is_refused_and_changes_nothing():
+    # a negative take, and a take one bit past what the lane holds, raise and change nothing
+    page = KeyBuffer.PAGE_BITS
     buf = KeyBuffer()
-    buf.append(np.ones(100, dtype=np.uint8))
+    buf.append(np.ones(page + 100, dtype=np.uint8))
     buf.take(40)
-    before = _key_buffer_state(buf)
-    with pytest.raises(ValueError, match="negative"):
-        buf.take(-8)
-    assert _key_buffer_state(buf) == before
-    ranges, got = buf.take(60)
-    assert ranges == [(40, 100)] and len(got) == 60
+    buf.take(30, lane=1)
+    for lane, start in ((0, 40), (1, page + 30)):
+        for nbits, error, match in ((-8, ValueError, "negative"),
+                                    (buf.available(lane) + 1, KeyExhausted, "exhausted")):
+            before = _key_buffer_state(buf)
+            with pytest.raises(error, match=match):
+                buf.take(nbits, lane=lane)
+            assert _key_buffer_state(buf) == before
+        n = buf.available(lane)
+        ranges, got = buf.take(n, lane=lane)
+        assert ranges == [(start, start + n)] and len(got) == n
+        assert buf.available(lane) == 0
 
 
 def test_key_buffer_take_zero_returns_nothing_and_changes_nothing():
@@ -454,47 +460,9 @@ def test_key_buffer_overlapping_range_raises():
     assert buf.consumed_total == 100 + KeyBuffer.PAGE_BITS
 
 
-def test_key_buffer_take_blocks_until_append():
-    buf = KeyBuffer()
-    buf.append(np.ones(8, np.uint8))
-
-    def feeder():
-        time.sleep(0.15)
-        buf.append(np.ones(100, np.uint8))
-
-    t = threading.Thread(target=feeder)
-    t.start()
-    start = time.monotonic()
-    ranges, bits = buf.take(50, timeout=5.0)
-    waited = time.monotonic() - start
-    t.join()
-    assert len(bits) == 50
-    assert waited >= 0.1
-
-
 def test_key_buffer_take_timeout():
+    # nothing waits for key: a take the lane cannot cover fails at once
     buf = KeyBuffer()
     buf.append(np.ones(8, np.uint8))
-    with pytest.raises(TimeoutError):
-        buf.take(50, timeout=0.05)
-
-
-def test_key_buffer_take_timeout_survives_trickle():
-    # appends that never reach the request must not restart the wait
-    buf = KeyBuffer()
-    stop = threading.Event()
-
-    def trickle():
-        while not stop.wait(0.01):
-            buf.append(np.ones(1, np.uint8))
-
-    t = threading.Thread(target=trickle)
-    t.start()
-    start = time.monotonic()
-    try:
-        with pytest.raises(TimeoutError):
-            buf.take(10_000, timeout=0.3)
-    finally:
-        stop.set()
-        t.join()
-    assert time.monotonic() - start < 1.5
+    with pytest.raises(KeyExhausted, match="need 50 bits, lane has 8"):
+        buf.take(50)

@@ -214,7 +214,6 @@ def test_detection_identical_for_direct_and_serialized_pulses():
     assert np.array_equal(rx_direct.bin_index, rx_wire.bin_index)
     assert np.array_equal(rx_direct.channel, rx_wire.channel)
     assert np.array_equal(rx_direct.multi_click, rx_wire.multi_click)
-    assert rx_direct.realized_pps_offset_ns == rx_wire.realized_pps_offset_ns
 
 
 # --- sessions -------------------------------------------------------------------------
