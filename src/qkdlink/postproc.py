@@ -254,7 +254,10 @@ class KeyBuffer:
     material.  A lane is just a count of the lane bits consumed so far; the
     absolute offset of its k-th bit is page arithmetic.  A take may span page
     boundaries and then issues one range per page.  Every issued range is
-    recorded, and a range overlapping an earlier one raises.
+    recorded.  A lane issues ranges in increasing order inside its stripe, so
+    one that starts below the end of its last (its *issued high-water mark*)
+    overlaps issued key and raises.  Bits taken from one page of one appended
+    chunk are a read-only view of that chunk.
     """
 
     PAGE_BITS = 4096 * 8
@@ -265,8 +268,8 @@ class KeyBuffer:
         self._length = 0
         self._lock = threading.RLock()  # both chat lanes take from one buffer, on two threads
         self._lane_used = [0, 0]
+        self._lane_high = [0, 0]  # absolute end of the last range each lane issued
         self.issued_ranges: list[tuple[int, int]] = []
-        self._sorted_ranges: list[tuple[int, int]] = []
         self._consumed_total = 0
 
     def __len__(self) -> int:
@@ -277,7 +280,8 @@ class KeyBuffer:
         return self._consumed_total
 
     def append(self, bits: np.ndarray) -> None:
-        bits = np.asarray(bits, dtype=np.uint8)
+        bits = np.asarray(bits, dtype=np.uint8).view()
+        bits.flags.writeable = False  # takes hand out views of it
         with self._lock:
             self._chunks.append(bits)
             self._chunk_starts.append(self._length)
@@ -292,18 +296,21 @@ class KeyBuffer:
     def to_bytes(self) -> bytes:
         return np.packbits(self.bits()).tobytes()
 
-    def _slice(self, start: int, stop: int) -> np.ndarray:
-        """The buffered bits ``[start, stop)``; the first chunk is found by bisection."""
-        out = np.empty(stop - start, dtype=np.uint8)
-        i = bisect.bisect_right(self._chunk_starts, start) - 1
-        pos = start
-        while pos < stop:
-            chunk, chunk_start = self._chunks[i], self._chunk_starts[i]
-            hi = min(stop, chunk_start + len(chunk))
-            out[pos - start : hi - start] = chunk[pos - chunk_start : hi - chunk_start]
-            pos = hi
-            i += 1
-        return out
+    def _slice(self, ranges: list[tuple[int, int]]) -> np.ndarray:
+        """The buffered bits of ``ranges`` in order: a view when they are one range inside
+        one chunk, else one gathered copy.  Each range's first chunk is found by bisection."""
+        pieces = []
+        for pos, stop in ranges:
+            i = bisect.bisect_right(self._chunk_starts, pos) - 1
+            while pos < stop:
+                chunk, chunk_start = self._chunks[i], self._chunk_starts[i]
+                hi = min(stop, chunk_start + len(chunk))
+                pieces.append(chunk[pos - chunk_start : hi - chunk_start])
+                pos = hi
+                i += 1
+        if len(pieces) == 1:
+            return pieces[0]
+        return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.uint8)
 
     def _lane_offset(self, lane: int, k: int) -> int:
         """Absolute offset of the lane's k-th bit."""
@@ -322,13 +329,6 @@ class KeyBuffer:
             cycles, rest = divmod(self._length, 2 * page)
             buffered = cycles * page + min(max(rest - lane * page, 0), page)
             return buffered - self._lane_used[lane]
-
-    def _check_unissued(self, start: int, stop: int) -> None:
-        """Raise if ``[start, stop)`` overlaps an issued range (bisection over the sorted copy)."""
-        i = bisect.bisect_left(self._sorted_ranges, (start, start))
-        for istart, istop in self._sorted_ranges[max(i - 1, 0) : i + 1]:
-            if start < istop and istart < stop:
-                raise RuntimeError(f"key range [{start},{stop}) overlaps issued [{istart},{istop})")
 
     def take(self, nbits: int, lane: int = 0) -> tuple[list[tuple[int, int]], np.ndarray]:
         """Consume ``nbits`` from a lane, or raise :class:`KeyExhausted` if it holds fewer.
@@ -351,20 +351,18 @@ class KeyBuffer:
                 start = self._lane_offset(lane, k)
                 ranges.append((start, start + page_stop - k))
                 k = page_stop
-            for start, stop in ranges:  # all checked before any is recorded
-                self._check_unissued(start, stop)
-            for r in ranges:
-                bisect.insort(self._sorted_ranges, r)
+            if ranges:  # checked before anything is recorded
+                if (start := ranges[0][0]) < (high := self._lane_high[lane]):
+                    raise RuntimeError(f"key range from {start} overlaps issued key below {high}")
+                self._lane_high[lane] = ranges[-1][1]
             self.issued_ranges.extend(ranges)
             self._lane_used[lane] = end
             self._consumed_total += nbits
-            if not ranges:
-                return ranges, np.empty(0, dtype=np.uint8)
-            return ranges, np.concatenate([self._slice(a, b) for a, b in ranges])
+            return ranges, self._slice(ranges)
 
     def peek(self, nbits: int) -> np.ndarray:
         """The first ``nbits`` buffered bits, not consumed; only for the chat parity."""
         with self._lock:
             if nbits > self._length:
                 raise ValueError("peek beyond buffered key")
-            return self._slice(0, nbits)
+            return self._slice([(0, nbits)])

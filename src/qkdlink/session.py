@@ -130,7 +130,7 @@ class SocketChannel:
             self.tap.append((MsgType(msg_type), payload))
         self.sock.sendall(encode_message(Message(msg_type, payload)))
 
-    def _recv_exact(self, n: int) -> bytes:
+    def _recv_exact(self, n: int, at_boundary: bool = False) -> bytes:
         buf = bytearray()
         while len(buf) < n:
             try:
@@ -138,12 +138,13 @@ class SocketChannel:
             except socket.timeout as exc:
                 raise ProtocolError("receive timeout") from exc
             if not chunk:
-                raise ChannelClosed(f"peer closed mid-frame ({len(buf)}/{n} bytes)")
+                torn = f" mid-frame ({len(buf)}/{n} bytes)" if buf or not at_boundary else ""
+                raise ChannelClosed("peer closed" + torn)  # "peer closed" alone: between messages
             buf.extend(chunk)
         return bytes(buf)
 
     def recv(self) -> Message:
-        header = self._recv_exact(4)
+        header = self._recv_exact(4, at_boundary=True)
         (length,) = struct.unpack(">I", header)
         if length < 1:
             raise ProtocolError("zero-length frame")
@@ -159,9 +160,10 @@ class SocketChannel:
 
 
 class LoopChannel:
-    """In-process channel endpoint; frames still pass through the codec."""
+    """In-process channel endpoint; frames still pass through the codec.  Each
+    direction is a ``queue.SimpleQueue`` of encoded frames; ``None`` closes it."""
 
-    def __init__(self, rx: queue.Queue, tx: queue.Queue, timeout: float = DEFAULT_PHASE_TIMEOUT):
+    def __init__(self, rx: queue.SimpleQueue, tx: queue.SimpleQueue, timeout=DEFAULT_PHASE_TIMEOUT):
         self._rx = rx
         self._tx = tx
         self.timeout = timeout
@@ -186,8 +188,7 @@ class LoopChannel:
 
 
 def make_loop_pair(timeout: float = DEFAULT_PHASE_TIMEOUT) -> tuple[LoopChannel, LoopChannel]:
-    q_ab: queue.Queue = queue.Queue()
-    q_ba: queue.Queue = queue.Queue()
+    q_ab, q_ba = queue.SimpleQueue(), queue.SimpleQueue()
     return LoopChannel(q_ba, q_ab, timeout), LoopChannel(q_ab, q_ba, timeout)
 
 

@@ -360,7 +360,7 @@ def test_key_buffer_append_and_take():
 
 def _key_buffer_state(buf):
     return ([buf.available(lane) for lane in (0, 1)], [buf.next_range_start(lane) for lane in (0, 1)],
-            buf.consumed_total, list(buf.issued_ranges), list(buf._lane_used))
+            buf.consumed_total, list(buf.issued_ranges), list(buf._lane_used), list(buf._lane_high))
 
 
 def test_key_buffer_negative_take_is_refused_and_changes_nothing():
@@ -451,13 +451,70 @@ def test_key_buffer_overlapping_range_raises():
     buf.append(np.zeros(3 * KeyBuffer.PAGE_BITS, np.uint8))
     buf.take(100, lane=1)
     buf.take(KeyBuffer.PAGE_BITS, lane=0)
-    buf._lane_used[0] = 50  # a lane count rewound by a fault
-    with pytest.raises(RuntimeError, match="overlaps"):
-        buf.take(10, lane=0)
-    buf._lane_used[1] = 0
-    with pytest.raises(RuntimeError, match="overlaps"):
-        buf.take(KeyBuffer.PAGE_BITS, lane=1)
+    for lane, rewound_to, nbits in ((0, 50, 10), (1, 0, KeyBuffer.PAGE_BITS)):
+        buf._lane_used[lane] = rewound_to  # a lane count rewound by a fault
+        before = _key_buffer_state(buf)
+        with pytest.raises(RuntimeError, match="overlaps"):
+            buf.take(nbits, lane=lane)
+        assert _key_buffer_state(buf) == before
     assert buf.consumed_total == 100 + KeyBuffer.PAGE_BITS
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 1),
+                          st.one_of(st.just(0), st.integers(-24, 24)), st.integers(0, 24)),
+                min_size=1, max_size=40))
+def test_key_buffer_high_water_check_matches_a_brute_force_oracle(steps):
+    # each step appends a chunk, shifts one lane's count by a fault (a rewind or a forward
+    # skip), then takes from that lane.  Oracle: a take overlaps exactly when one of its
+    # bit offsets lies in an issued range.  The high-water check refuses every such take,
+    # and refuses nothing else unless the lane was once skipped forward: a later rewind into
+    # the skipped gap starts below the mark without overlapping.  That is its one, stricter
+    # difference.
+    buf = _SmallPages()
+    key = np.empty(0, np.uint8)
+    skipped = [False, False]
+    for i, (n_append, lane, fault, n_take) in enumerate(steps):
+        chunk = rng_stream(i, "oracle").integers(0, 2, n_append, dtype=np.uint8)
+        buf.append(chunk)
+        key = np.concatenate([key, chunk])
+        skipped[lane] |= fault > 0
+        buf._lane_used[lane] = max(buf._lane_used[lane] + fault, 0)
+        if buf.available(lane) < n_take:
+            continue
+        k = buf._lane_used[lane]
+        want = [buf._lane_offset(lane, j) for j in range(k, k + n_take)]
+        issued = {o for a, b in buf.issued_ranges for o in range(a, b)}
+        before = _key_buffer_state(buf)
+        if issued.intersection(want):
+            with pytest.raises(RuntimeError, match="overlaps"):
+                buf.take(n_take, lane=lane)
+            assert _key_buffer_state(buf) == before
+            continue
+        try:
+            ranges, got = buf.take(n_take, lane=lane)
+        except RuntimeError as exc:
+            assert "overlaps" in str(exc) and skipped[lane]
+            assert _key_buffer_state(buf) == before
+            continue
+        assert [o for a, b in ranges for o in range(a, b)] == want
+        assert np.array_equal(got, key[want])
+
+
+def test_key_buffer_take_inside_one_chunk_is_a_read_only_view():
+    rng = rng_stream(24, "t")
+    first, second = _bits(rng, 100), _bits(rng, 100)
+    buf = KeyBuffer()
+    buf.append(first)
+    buf.append(second)
+    before = buf.to_bytes()
+    _, got = buf.take(60)
+    assert np.shares_memory(got, first) and not got.flags.writeable
+    with pytest.raises(ValueError):
+        got[0] ^= 1
+    assert buf.to_bytes() == before
+    _, got = buf.take(80)  # spans the two chunks
+    assert np.array_equal(got, np.concatenate([first, second])[60:140])
 
 
 def test_key_buffer_take_timeout():

@@ -94,6 +94,21 @@ def test_socket_channel_truncated_stream():
     chan.close()
 
 
+def test_socket_channel_close_at_a_message_boundary_is_not_mid_frame():
+    # a close after a whole frame is a clean "peer closed"; after 2 header bytes it is mid-frame
+    for sent, error in ((encode_message(Message(MsgType.KEY_HASH, b"12345678")), "^peer closed$"),
+                        (b"\x00\x00", r"mid-frame \(2/4 bytes\)")):
+        a, b = socket.socketpair()
+        chan = SocketChannel(b, timeout=2.0)
+        a.sendall(sent)
+        a.close()
+        if len(sent) > 4:
+            assert chan.recv().payload == b"12345678"
+        with pytest.raises(ChannelClosed, match=error):
+            chan.recv()
+        chan.close()
+
+
 def test_socket_channel_roundtrip():
     a, b = socket.socketpair()
     ca, cb = SocketChannel(a, timeout=2.0), SocketChannel(b, timeout=2.0)
