@@ -29,6 +29,9 @@ from .timing import sample_pps_offset
 
 PRBS11_MASK = 0x7FF
 PRBS11_PERIOD = 2047
+# float draws of a burst's size are made this many at a time: Generator.random and
+# standard_exponential consume the stream element by element, so the draws are the same
+DRAW_CHUNK = 1 << 16
 
 
 def _check_prbs11_state(state: int) -> None:
@@ -155,25 +158,37 @@ def detected_photons(n: int, mu: float, eta: float, rng: np.random.Generator) ->
     arrivals of a Poisson process of rate lam per pulse, counted per unit
     interval: a photon arrives at the cumulative sum of exponential gaps of
     mean 1 / lam and belongs to the pulse ``floor`` of that time.  A pulse
-    with k detected photons appears k times.  Returns int64 indices.
+    with k detected photons appears k times.  Returns int32 indices, so ``n``
+    must not exceed 2**31 (``SimConfig.validate`` keeps a burst far below).
     """
     lam = mu * eta
     if n <= 0 or lam <= 0.0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int32)
     # enough gaps to pass the last pulse almost always, topped up otherwise;
-    # times stay float until cut at n, so a tiny lam cannot overflow int64
+    # times stay float until cut at n, so a tiny lam cannot overflow
     expect = n * lam
     size = int(expect + 6.0 * np.sqrt(expect) + 16)
     last = 0.0
     runs = []
+    chunk = np.empty(min(size, DRAW_CHUNK))
     while last < n:
-        t = np.cumsum(rng.standard_exponential(size))
-        t *= 1.0 / lam
-        t += last
-        runs.append(t)
+        # a run's gaps come DRAW_CHUNK at a time, each chunk's cumsum continued from
+        # the last one's, which gives the floats of one cumsum over the whole run
+        run = np.empty(size, dtype=np.int32)
+        kept = total = 0
+        for i in range(0, size, DRAW_CHUNK):
+            t = rng.standard_exponential(out=chunk[:size - i])
+            t[0] += total
+            np.cumsum(t, out=t)
+            total = t[-1]
+            t *= 1.0 / lam
+            t += last
+            cut = np.searchsorted(t, n)
+            run[kept:kept + cut] = t[:cut]
+            kept += cut
+        runs.append(run[:kept])
         last = t[-1]
-    times = runs[0] if len(runs) == 1 else np.concatenate(runs)
-    return times[: np.searchsorted(times, n)].astype(np.int64)
+    return runs[0] if len(runs) == 1 else np.concatenate(runs)
 
 
 def eta_geometric(distance_m: float, aperture_mm: float, footprint0_mm: float,
@@ -219,7 +234,7 @@ def detector_entries(tx: TxBurst, cfg: SimConfig, eve=None, *,
 
     Returns ``(key, src, pps_ns, base_bin)``: the int32 merge key ``bin * 8 +
     channel`` of every entry, the m detected photons first and the dark
-    counts after; the int64 pulse of each of those m photons, ascending; the
+    counts after; the int32 pulse of each of those m photons, ascending; the
     realized 1PPS offset; and the true whole-bin offset.
 
     A channel is ``1 + 2 * basis + bit``: ch1=H, ch2=V (rectilinear
@@ -245,7 +260,9 @@ def detector_entries(tx: TxBurst, cfg: SimConfig, eve=None, *,
     # per photon: measurement basis, polarization flip, outcome when the bases differ
     meas_basis = rng.integers(0, 2, m, dtype=np.uint8)
     same = meas_basis == bases
-    bits ^= rng.random(m) < link.e_pol
+    for i in range(0, m, DRAW_CHUNK):
+        part = bits[i:i + DRAW_CHUNK]
+        part ^= rng.random(len(part)) < link.e_pol
     rand_bit = rng.integers(0, 2, m, dtype=np.uint8)
     jitter = _clock_jitter(m, cfg.clock_center_prob, rng) if cfg.clock_center_prob < 1 else 0
 
@@ -279,8 +296,9 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None, *,
     """The receiver's clicks of one burst: its :func:`detector_entries`,
     merged into clicks with multi-channel bins flagged (:func:`merge_clicks`).
 
-    Only the merge keys are kept, as 32-bit integers, so a 1-s burst of
-    ~0.95 M clicks holds ~23 bytes per click at its peak.
+    Only the merge keys are kept, as 32-bit integers, and the float draws
+    come a chunk at a time, so a 1-s burst of ~0.95 M clicks holds ~14 bytes
+    per click at its peak.
     """
     key, src, _, base_bin = detector_entries(tx, cfg, eve, rng=rng)
     del src  # ground truth: the receiver merges the keys alone
@@ -290,10 +308,13 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None, *,
 def _clock_jitter(m: int, center_prob: float, rng: np.random.Generator) -> np.ndarray:
     """Bin shift of ``m`` clicks, as int8: -1 (one bin early) with probability
     (1 - center) / 2, +1 (one bin late) likewise, else 0."""
-    u = rng.random(m)
-    shift = (u >= center_prob + (1.0 - center_prob) / 2.0).astype(np.int8)
-    shift += shift
-    shift -= u >= center_prob
+    shift = np.empty(m, dtype=np.int8)
+    for i in range(0, m, DRAW_CHUNK):
+        s = shift[i:i + DRAW_CHUNK]
+        u = rng.random(len(s))
+        s[:] = u >= center_prob + (1.0 - center_prob) / 2.0
+        s += s
+        s -= u >= center_prob
     return shift
 
 
@@ -313,8 +334,7 @@ def merge_clicks(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     key.sort(kind="stable")
     keep = np.ones(len(key), dtype=bool)
     np.not_equal(key[1:], key[:-1], out=keep[1:])
-    keep = np.flatnonzero(keep)  # the first entry of each run of equal keys
-    bins = key[keep]
+    bins = key[keep]  # the first entry of each run of equal keys
     channel = bins.astype(np.uint8)
     channel &= 7
     bins >>= 3  # floor division by 8, so negative bins come back exactly

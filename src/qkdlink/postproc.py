@@ -75,7 +75,7 @@ def without(bits: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """``bits`` with the positions ``idx`` removed, order preserved."""
     keep = np.ones(len(bits), dtype=bool)
     keep[idx] = False
-    return np.compress(keep, bits)
+    return bits[keep]
 
 
 def check_abort(qber: float) -> bool:

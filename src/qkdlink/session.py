@@ -334,9 +334,10 @@ def pack_payload(sender: str, msg_type: MsgType, *values) -> bytes:
     layout = LAYOUTS[sender, msg_type]
     k = len(values) - len(layout.sections)
     fixed = values[:k] + ((len(values[k]),) if layout.sections else ())
-    return struct.pack(layout.fields, *fixed) + b"".join(
-        pack_bits(v) if kind == "bits" else np.asarray(v, dtype=_ITEM[kind]).tobytes()
-        for kind, v in zip(layout.sections, values[k:]))
+    # one join, of the sections themselves: a burst-sized payload is copied once
+    return b"".join([struct.pack(layout.fields, *fixed), *(
+        pack_bits(v) if kind == "bits" else np.ascontiguousarray(v, dtype=_ITEM[kind])
+        for kind, v in zip(layout.sections, values[k:]))])
 
 
 def unpack_payload(sender: str, msg_type: MsgType, payload: bytes, n: int | None = None,
@@ -345,8 +346,8 @@ def unpack_payload(sender: str, msg_type: MsgType, payload: bytes, n: int | None
 
     ``n`` is the section count the receiver expects of a layout with sections
     (a layout without any, such as ABORT, ignores it), ``bound`` the exclusive
-    upper limit of positions and bytes.  Sections come back as int64 arrays
-    (positions, bytes) or uint8 arrays (bits).
+    upper limit of positions and bytes.  Sections come back at their wire
+    width in native byte order: uint32 positions, uint8 bytes and bits.
     """
     layout = LAYOUTS[sender, msg_type]
     what = f"{MsgType(msg_type).name} from {sender}"
@@ -370,7 +371,8 @@ def unpack_payload(sender: str, msg_type: MsgType, payload: bytes, n: int | None
         if kind == "bits":
             values.append(unpack_bits(raw, count))
             continue
-        section = np.frombuffer(raw, dtype=_ITEM[kind]).astype(np.int64)
+        item = np.dtype(_ITEM[kind])
+        section = np.frombuffer(raw, dtype=item).astype(item.newbyteorder("="))
         if count and (section.max() >= bound
                       or kind == "positions" and np.any(section[1:] <= section[:-1])):
             raise ProtocolError(f"{what}: {kind} out of order or not below {bound}")
@@ -508,7 +510,8 @@ def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postpro
         alice_bases, alice_bits = tx.at(idx)
         mask = postproc.sift_mask(alice_bases, bob_bases)
         burst.send(MsgType.BASES, mask)
-        alice_sifted = np.compress(mask, alice_bits)
+        alice_sifted = alice_bits[mask]
+        del idx, bob_bases, alice_bases, alice_bits, mask
 
         out.sifted_bits = n_sift = len(alice_sifted)
         sample_idx = np.empty(0, dtype=np.int64)
@@ -578,12 +581,17 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
 
         match = nnc_match(cfg.n_pulses, rx, cfg.bins_per_frame, sync.shift, sync.central,
                           sync.r_n, first_tx=s)
+        del rx
         bob_bits = match.channel - 1
         bob_bases = bob_bits >> 1
         bob_bits &= 1
-        burst.send(MsgType.BASES, match.tx_index, bob_bases)
-        (mask,) = burst.recv(MsgType.BASES, n=len(match.tx_index))
-        bob_sifted = np.compress(mask.astype(bool), bob_bits)
+        # Bob reads his matched pulses no more: swap them to the wire's byte order in place
+        positions = match.tx_index.view(np.uint32)
+        positions = positions.byteswap(inplace=True).view(positions.dtype.newbyteorder())
+        burst.send(MsgType.BASES, positions, bob_bases)
+        (mask,) = burst.recv(MsgType.BASES, n=len(positions))
+        bob_sifted = bob_bits[mask.view(bool)]
+        del match, bob_bits, bob_bases, mask
 
         out.sifted_bits = n_sift = len(bob_sifted)
         sample_idx, alice_sample = burst.recv(MsgType.QBER_SAMPLE, bound=n_sift)
@@ -593,6 +601,7 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
             burst.recv(abort=AbortReason.QBER)  # Alice's ABORT ends the burst
 
         key = postproc.winnow_key(postproc.without(bob_sifted, sample_idx))
+        del bob_sifted
         for p in range(postproc.WINNOW_MAX_PASSES):
             pass_no, perm_seed, alice_parities = burst.recv(
                 MsgType.WINNOW_PARITIES, n=len(key) // postproc.WINNOW_BLOCK)
@@ -607,6 +616,7 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
             (alice_syn,) = burst.recv(MsgType.WINNOW_SYNDROMES, n=len(mism),
                                       bound=1 << postproc.SYNDROME_BITS)
             postproc.winnow_repair(key, perm, permuted, mism, alice_syn)
+            del perm, permuted
 
         (pa_seed,) = burst.recv(MsgType.PA_SEED, n=postproc.PA_SEED_BITS)
         out.disclosed_bits += postproc.KEY_HASH_BITS

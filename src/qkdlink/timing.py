@@ -117,7 +117,7 @@ def nnc_match(n_tx: int, rx, b: int, shift: int, central: int, frame_offset: int
     dist -= start  # the click's slot in its frame
     dist -= central
     np.abs(dist, out=dist)
-    valid = np.flatnonzero(dist <= NNC_WINDOW)
+    valid = dist <= NNC_WINDOW  # selections go through masks, never 8-byte index arrays
     del dist
     tx = start[valid]
     del start
@@ -132,12 +132,15 @@ def nnc_match(n_tx: int, rx, b: int, shift: int, central: int, frame_offset: int
     n_runs = np.count_nonzero(edge[:-1])
     n_lone = np.count_nonzero(lone)
     n_lone_multi = np.count_nonzero(lone & multi)
-    multi_tx = np.compress(multi, tx)
+    multi_tx = tx[multi]
     n_multi = np.count_nonzero(multi_tx[1:] != multi_tx[:-1]) + (len(multi_tx) > 0)
+    del edge
     lone &= ~multi
+    del multi
+    channel = channel[lone]
     return MatchResult(
-        tx_index=np.compress(lone, tx),
-        channel=np.compress(lone, channel),
+        tx_index=tx[lone],
+        channel=channel,
         n_multi_discard=int(n_multi),
         n_compete_discard=int(n_runs - n_lone - (n_multi - n_lone_multi)),
     )

@@ -216,14 +216,18 @@ def test_criterion_6_distance_sweep(acceptance_recorder):
 # --- criterion 7: networked protocol and OTP messaging -----------------------------
 
 
-def _run_cli(args, cwd, stderr_path):
+def _cli_env() -> dict:
     # the child starts in cwd, where a relative PYTHONPATH would not find the package
     src = str(Path(qkdlink.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _run_cli(args, cwd, stderr_path):
     return subprocess.Popen(
         [sys.executable, "-m", "qkdlink.cli", *args],
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_cli_env(),
         stdout=subprocess.DEVNULL,
         stderr=open(stderr_path, "w"),
     )
@@ -364,3 +368,48 @@ def test_tcp_key_matches_in_process(tmp_path):
     assert len(expected) > 0
     assert a_key.read_bytes() == expected
     assert b_key.read_bytes() == expected
+
+
+# Reaps one default 1-s burst's terminals, and a child that only imports the CLI,
+# and prints each one's exit code and peak RSS in MB.  It runs in a bare interpreter
+# because a child's ru_maxrss counts the pages of the process it was forked from.
+_PEAK_RSS_PROBE = r"""
+import os, subprocess, sys, time
+port, a_err, b_err = sys.argv[1:]
+cli = [sys.executable, "-m", "qkdlink.cli"]
+common = ["--seed", "1", "--bursts", "1"]
+
+def reap(proc):
+    _, status, usage = os.wait4(proc.pid, 0)
+    return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024  # KiB on Linux
+
+imports = reap(subprocess.Popen([sys.executable, "-c", "import qkdlink.cli"]))
+with open(a_err, "w") as fa, open(b_err, "w") as fb:
+    alice = subprocess.Popen([*cli, "alice", "--port", port, *common], stderr=fa,
+                             stdout=subprocess.DEVNULL)
+    deadline = time.monotonic() + 15
+    while "event=listening" not in open(a_err).read() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    bob = subprocess.Popen([*cli, "bob", "--connect", "127.0.0.1:" + port, *common],
+                           stderr=fb, stdout=subprocess.DEVNULL)
+    print(*imports, *reap(alice), *reap(bob))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux alone")
+def test_terminal_peak_rss_above_import_is_bounded(tmp_path):
+    # each terminal's peak for one default 1-s burst, above the bare import: Bob
+    # +19.6 to +19.8 MB and Alice +13.4. Selecting through 8-byte index arrays,
+    # drawing burst-sized float64 scratch, holding each phase's arrays into the
+    # next and packing Bob's BASES through five burst-sized copies took Bob
+    # +27.4 to +27.6 and Alice +18.0 to +20.3
+    a_err, b_err = tmp_path / "a.err", tmp_path / "b.err"
+    probe = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_PROBE, str(free_port()), str(a_err), str(b_err)],
+        cwd=tmp_path, env=_cli_env(), capture_output=True, text=True, timeout=180)
+    assert probe.returncode == 0, probe.stderr
+    values = [float(v) for v in probe.stdout.split()]
+    codes, (base, alice, bob) = values[::2], values[1::2]
+    assert codes == [0, 0, 0], (a_err.read_text(), b_err.read_text())
+    assert bob - base <= 24.0, (base, alice, bob)
+    assert alice - base <= 16.0, (base, alice, bob)

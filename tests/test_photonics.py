@@ -14,6 +14,7 @@ from conftest import (
 )
 from qkdlink import photonics
 from qkdlink.core import default_config, rng_stream
+from qkdlink.eve import Eavesdropper
 from qkdlink.photonics import (
     PRBS11_PERIOD,
     TxBurst,
@@ -141,16 +142,52 @@ def test_generate_burst_allocates_no_pulse_arrays():
 
 
 def test_transmit_and_detect_peak_memory_is_bounded_per_click():
-    # the 32-bit merge keys alone in one array, sorted and compacted in place:
-    # ~23 bytes per click; as 64-bit keys they took ~27, a source-pulse array
-    # beside them, gathered through the sort order, 43, and concatenating the
-    # signal and dark entries field by field and gathering every field through
-    # the order 76
+    # the 32-bit merge keys alone in one array, sorted and compacted in place
+    # through a mask, with 32-bit source pulses: ~19.5 bytes per click (at this
+    # burst the float draws are one chunk; a 1-s burst holds ~14); with 64-bit
+    # pulses and an index array for the compaction it took ~23, as 64-bit keys
+    # ~27, a source-pulse array beside them, gathered through the sort order,
+    # 43, and concatenating the signal and dark entries field by field and
+    # gathering every field through the order 76
     cfg = scaled_config(0.05, seed=7)
     tx = generate_burst(cfg, rng_stream(7, "g"))
     rx, peak = traced_peak(lambda: transmit_and_detect(tx, cfg, rng=rng_stream(7, "c")))
     assert len(rx) > 40_000
-    assert peak <= 26 * len(rx)
+    assert peak <= 21 * len(rx)
+
+
+def test_detected_photons_float_scratch_is_one_chunk():
+    # a 1-s burst's ~0.95 M photons: beside the int32 result, one chunk of
+    # float64 gaps and the result's unused tail (~6 K entries of 4 bytes); the
+    # gaps drawn whole, their times and an int64 result took ~8 bytes per photon
+    cfg = default_config(7)
+    link = cfg.link
+    photons, peak = traced_peak(lambda: detected_photons(
+        cfg.n_pulses, link.mu, total_efficiency(link), rng_stream(7, "d")))
+    assert photons.dtype == np.int32 and len(photons) > 10 * photonics.DRAW_CHUNK
+    assert peak - photons.nbytes <= 8 * photonics.DRAW_CHUNK + 64 * 1024
+
+
+@pytest.mark.parametrize("chunk", [7, 1000])
+@pytest.mark.parametrize("eve", [False, True], ids=["clean", "eve"])
+def test_detector_entries_do_not_depend_on_the_draw_chunk(chunk, eve, monkeypatch):
+    # the float draws of a burst's size come DRAW_CHUNK at a time; the chunk
+    # must change no draw: keys, pulses and offsets are byte-identical to the
+    # default's, which draws this burst's ~19 K photons as one chunk
+    cfg = scaled_config(0.02, seed=6)
+    tx = generate_burst(cfg, rng_stream(6, "g"))
+
+    def entries():
+        spy = Eavesdropper(rng_stream(6, "e"), 0.5) if eve else None
+        return detector_entries(tx, cfg, spy, rng=rng_stream(6, "c"))
+
+    want = entries()
+    assert len(want[1]) > 2 * chunk
+    monkeypatch.setattr(photonics, "DRAW_CHUNK", chunk)
+    got = entries()
+    for g, w in zip(got[:2], want[:2], strict=True):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert got[2:] == want[2:]
 
 
 # --- geometric collection ---------------------------------------------------------
@@ -290,7 +327,7 @@ def test_detected_photon_counts_match_dense_model(overrides):
     eta = link.eta_residual * link.detector_chain_efficiency()
     photons = detected_photons(cfg.n_pulses, link.mu, eta, rng_stream(1, "sparse"))
     ref = _dense_detected_photons(cfg.n_pulses, link.mu, eta, rng_stream(1, "dense"))
-    assert photons.dtype == np.int64
+    assert photons.dtype == np.int32
     assert np.all(np.diff(photons) >= 0) and photons[0] >= 0 and photons[-1] < cfg.n_pulses
 
     def categories(hits):  # pulses with 1, 2 and >=3 detected photons, then without any

@@ -441,6 +441,8 @@ def test_layout_roundtrip_and_exact_length(sender, msg_type):
     assert len(again) == len(values)
     for got, want in zip(again, values):
         assert np.array_equal(got, want)
+        if isinstance(got, np.ndarray):  # a section, at its wire width in native order
+            assert got.dtype in (np.dtype(np.uint32), np.dtype(np.uint8))
     for bad in (payload[:-1], payload + b"\x00"):
         with pytest.raises(ProtocolError):
             unpack_payload(sender, msg_type, bad, bound=2**32)
