@@ -55,10 +55,13 @@ class Eavesdropper:
         ascending.  Each distinct pulse, one run of ``src``, is transformed
         once, and all of its photons carry that one re-prepared state.
         """
-        new = np.diff(src, prepend=-1) != 0
+        new = np.empty(len(src), dtype=bool)  # where a run of src starts
+        new[:1] = True
+        np.not_equal(src[1:], src[:-1], out=new[1:])
         pulses = src[new]
         bases, bits = self.transform(*tx.at(pulses))
         if self.log is not None:
             self.log.append((pulses[self.hit], bases[self.hit], bits[self.hit]))
-        run = np.cumsum(new) - 1
+        run = np.cumsum(new, dtype=np.int32)
+        run -= 1
         return bases[run], bits[run]

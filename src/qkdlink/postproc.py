@@ -270,14 +270,13 @@ class KeyBuffer:
         self._lane_used = [0, 0]
         self._lane_high = [0, 0]  # absolute end of the last range each lane issued
         self.issued_ranges: list[tuple[int, int]] = []
-        self._consumed_total = 0
 
     def __len__(self) -> int:
         return self._length
 
     @property
     def consumed_total(self) -> int:
-        return self._consumed_total
+        return sum(self._lane_used)
 
     def append(self, bits: np.ndarray) -> None:
         bits = np.asarray(bits, dtype=np.uint8).view()
@@ -357,7 +356,6 @@ class KeyBuffer:
                 self._lane_high[lane] = ranges[-1][1]
             self.issued_ranges.extend(ranges)
             self._lane_used[lane] = end
-            self._consumed_total += nbits
             return ranges, self._slice(ranges)
 
     def peek(self, nbits: int) -> np.ndarray:

@@ -4,9 +4,12 @@ Payloads are XORed with never-reused key material drawn from the shared
 :class:`~qkdlink.postproc.KeyBuffer`.  A session starts with a cheap parity
 handshake over the first 64 buffered bits (then discarded); after that the
 two directions consume the two lanes of the buffer, its even and odd page
-stripes, so duplex traffic cannot collide on key ranges.  A seal or open
-the lane cannot cover raises :class:`~qkdlink.postproc.KeyExhausted` at once;
-nothing waits for key.
+stripes, so duplex traffic cannot collide on key ranges.  A frame is the
+8-byte key offset of its first key bit, then the ciphertext; the receiver
+opens it only at its lane's cursor, so a dropped, repeated or reordered
+frame raises :class:`KeyStreamDesync`.  A seal or open the lane cannot
+cover raises :class:`~qkdlink.postproc.KeyExhausted` at once; nothing waits
+for key.
 """
 
 from __future__ import annotations
@@ -27,12 +30,11 @@ class ChatRefused(ProtocolError):
 
 
 class KeyStreamDesync(ProtocolError):
-    """Key offsets or frame sequence out of step; the chat session must abort."""
+    """Key offsets out of step; the chat session must abort."""
 
 
 @dataclass(frozen=True)
 class CipherFrame:
-    seq: int
     key_offset: int      # absolute bit offset of the key range used
     ciphertext: bytes
 
@@ -43,7 +45,7 @@ def _xor(data: bytes, key_bits: np.ndarray) -> bytes:
     return (buf ^ key[: len(buf)]).tobytes()
 
 
-def otp_seal(plaintext: bytes, buf: KeyBuffer, lane: int = 0, seq: int = 0) -> CipherFrame:
+def otp_seal(plaintext: bytes, buf: KeyBuffer, lane: int = 0) -> CipherFrame:
     """Encrypt with the next key bits of a lane, consuming them exactly once.
 
     Raises :class:`~qkdlink.postproc.KeyExhausted`, consuming nothing, when
@@ -52,9 +54,9 @@ def otp_seal(plaintext: bytes, buf: KeyBuffer, lane: int = 0, seq: int = 0) -> C
     key bit.
     """
     if not plaintext:
-        return CipherFrame(seq=seq, key_offset=buf.next_range_start(lane), ciphertext=b"")
+        return CipherFrame(key_offset=buf.next_range_start(lane), ciphertext=b"")
     ranges, bits = buf.take(8 * len(plaintext), lane=lane)
-    return CipherFrame(seq=seq, key_offset=ranges[0][0], ciphertext=_xor(plaintext, bits))
+    return CipherFrame(key_offset=ranges[0][0], ciphertext=_xor(plaintext, bits))
 
 
 def otp_open(frame: CipherFrame, buf: KeyBuffer, lane: int = 0) -> bytes:
@@ -94,25 +96,21 @@ def chat_handshake(chan, buf: KeyBuffer) -> None:
 
 
 def pack_chat_frame(frame: CipherFrame) -> bytes:
-    return frame.seq.to_bytes(8, "big") + frame.key_offset.to_bytes(8, "big") + frame.ciphertext
+    return frame.key_offset.to_bytes(8, "big") + frame.ciphertext
 
 
 def unpack_chat_frame(payload: bytes) -> CipherFrame:
-    if len(payload) < 16:
+    if len(payload) < 8:
         raise KeyStreamDesync("short chat frame")
-    return CipherFrame(
-        seq=int.from_bytes(payload[:8], "big"),
-        key_offset=int.from_bytes(payload[8:16], "big"),
-        ciphertext=payload[16:],
-    )
+    return CipherFrame(key_offset=int.from_bytes(payload[:8], "big"), ciphertext=payload[8:])
 
 
 class ChatEndpoint:
     """Duplex OTP messaging endpoint bound to a channel and a key buffer.
 
     The transmitter-side terminal sends on the even page stripe and receives
-    on the odd one; the receiver-side terminal mirrors that.  Frame sequence
-    numbers are per direction and must be gapless.
+    on the odd one; the receiver-side terminal mirrors that.  Every frame,
+    the EOF marker too, must start at the receive lane's cursor.
     """
 
     def __init__(self, chan, buf: KeyBuffer, role: str):
@@ -122,8 +120,6 @@ class ChatEndpoint:
         self.buf = buf
         self.send_lane = 0 if role == "alice" else 1
         self.recv_lane = 1 - self.send_lane
-        self._tx_seq = 0
-        self._rx_seq = 0
 
     def handshake(self) -> None:
         chat_handshake(self.chan, self.buf)
@@ -135,27 +131,18 @@ class ChatEndpoint:
         """
         starts = range(0, len(data), CHAT_CHUNK_BYTES)
         for pos in starts:
-            frame = otp_seal(bytes(data[pos : pos + CHAT_CHUNK_BYTES]), self.buf,
-                             lane=self.send_lane, seq=self._tx_seq)
+            frame = otp_seal(bytes(data[pos : pos + CHAT_CHUNK_BYTES]), self.buf, self.send_lane)
             self.chan.send(MsgType.CHAT_DATA, pack_chat_frame(frame))
-            self._tx_seq += 1
         return len(starts)
 
     def send_eof(self) -> None:
-        frame = otp_seal(b"", self.buf, self.send_lane, self._tx_seq)
-        self.chan.send(MsgType.CHAT_DATA, pack_chat_frame(frame))
-        self._tx_seq += 1
+        self.chan.send(MsgType.CHAT_DATA, pack_chat_frame(otp_seal(b"", self.buf, self.send_lane)))
 
     def recv_frame(self) -> bytes | None:
         """One frame's plaintext, or None on the peer's EOF marker."""
         msg = recv_expect(self.chan, MsgType.CHAT_DATA)
-        frame = unpack_chat_frame(msg.payload)
-        if frame.seq != self._rx_seq:
-            raise KeyStreamDesync(f"frame seq {frame.seq}, expected {self._rx_seq}")
-        self._rx_seq += 1
-        if not frame.ciphertext:
-            return None
-        return otp_open(frame, self.buf, lane=self.recv_lane)
+        # data frames are never empty: an empty one is the EOF marker
+        return otp_open(unpack_chat_frame(msg.payload), self.buf, lane=self.recv_lane) or None
 
     def recv_all(self) -> bytes:
         """Collect plaintext until the peer's EOF marker."""

@@ -45,7 +45,7 @@ from .photonics import PRBS11_MASK, RxBurst, TxBurst, generate_burst, transmit_a
 from .timing import FifoChoice, NoLockError, nnc_match, offset_window, synchronize
 
 PROTOCOL_MAGIC = b"QKL1"
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 DEFAULT_PORT = 47000
 DEFAULT_PHASE_TIMEOUT = 30.0
 MAX_PAYLOAD = 2**32 - 2  # length field also covers the type byte
@@ -275,11 +275,13 @@ class NetworkTransport:
 @dataclass(frozen=True)
 class Layout:
     """Fixed struct fields, then n entries per section, where n is the last field
-    (a u32) when there are sections.  Section kinds: "positions" (n big-endian
-    u32, strictly increasing, below the receiver's bound), "bits" (n bits,
-    packed) and "bytes" (n u8, below the receiver's bound).  ``limits`` holds a
-    closed (lo, hi) range for each leading fixed field.  Every message the burst
-    engines exchange, SIM_PULSESTREAM included, has one.
+    (a u32) when there are sections.  Fixed fields are big-endian, as is the
+    frame header; sections are arrays in their own (little-endian) byte order.
+    Section kinds: "positions" (n u32, strictly increasing, below the
+    receiver's bound), "bits" (n bits, packed) and "bytes" (n u8, below the
+    receiver's bound).  ``limits`` holds a closed (lo, hi) range for each
+    leading fixed field.  Every message the burst engines exchange,
+    SIM_PULSESTREAM included, has one.
     """
 
     fields: str
@@ -287,7 +289,7 @@ class Layout:
     limits: tuple[tuple[float, float], ...] = ()
 
 
-_ITEM = {"positions": ">u4", "bytes": "u1"}  # "bits" are packed
+_ITEM = {"positions": "<u4", "bytes": "u1"}  # "bits" are packed
 _QBER = (0.0, 1.0)
 _REASON = (min(AbortReason), max(AbortReason))  # AbortReason values are contiguous
 _HASH = f"{postproc.KEY_HASH_BITS // 8}s"
@@ -347,7 +349,8 @@ def unpack_payload(sender: str, msg_type: MsgType, payload: bytes, n: int | None
     ``n`` is the section count the receiver expects of a layout with sections
     (a layout without any, such as ABORT, ignores it), ``bound`` the exclusive
     upper limit of positions and bytes.  Sections come back at their wire
-    width in native byte order: uint32 positions, uint8 bytes and bits.
+    width: uint32 positions and uint8 bytes as read-only views of ``payload``,
+    bits unpacked.
     """
     layout = LAYOUTS[sender, msg_type]
     what = f"{MsgType(msg_type).name} from {sender}"
@@ -367,12 +370,11 @@ def unpack_payload(sender: str, msg_type: MsgType, payload: bytes, n: int | None
             raise ProtocolError(f"{what}: {value} outside [{lo}, {hi}]")
     pos = head
     for kind, size in zip(layout.sections, sizes):
-        raw, pos = payload[pos : pos + size], pos + size
+        raw, pos = np.frombuffer(payload, np.uint8, size, pos), pos + size
         if kind == "bits":
             values.append(unpack_bits(raw, count))
             continue
-        item = np.dtype(_ITEM[kind])
-        section = np.frombuffer(raw, dtype=item).astype(item.newbyteorder("="))
+        section = raw.view(_ITEM[kind])
         if count and (section.max() >= bound
                       or kind == "positions" and np.any(section[1:] <= section[:-1])):
             raise ProtocolError(f"{what}: {kind} out of order or not below {bound}")
@@ -585,9 +587,7 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
         bob_bits = match.channel - 1
         bob_bases = bob_bits >> 1
         bob_bits &= 1
-        # Bob reads his matched pulses no more: swap them to the wire's byte order in place
         positions = match.tx_index.view(np.uint32)
-        positions = positions.byteswap(inplace=True).view(positions.dtype.newbyteorder())
         burst.send(MsgType.BASES, positions, bob_bases)
         (mask,) = burst.recv(MsgType.BASES, n=len(positions))
         bob_sifted = bob_bits[mask.view(bool)]
@@ -668,11 +668,12 @@ def simulate_session(cfg: SimConfig, n_bursts: int, on_burst=None,
     """Run both terminals in one process over loopback channels.
 
     Alice runs on a helper thread and Bob on the calling one.  Bob holds the
-    burst-sized arrays (~60 MB at a 1-s burst), and the allocator keeps what a
-    thread freed in that thread's arena; a helper that has not yet handed its
-    arena back when the next session's helper starts leaves that one a fresh
-    arena.  On the calling thread Bob's memory is reused from session to
-    session, and a stray arena holds only Alice's few MB.
+    burst-sized arrays (his peak is ~20 MB above a bare import at a 1-s
+    burst), and the allocator keeps what a thread freed in that thread's
+    arena; a helper that has not yet handed its arena back when the next
+    session's helper starts leaves that one a fresh arena.  On the calling
+    thread Bob's memory is reused from session to session, and a stray arena
+    holds only Alice's few MB.
     The burst callback fires on Alice's outcomes (the canonical report), on
     her thread.  A terminal's exception re-raises here after the join.
     """

@@ -300,12 +300,10 @@ def test_criterion_7_networked_protocol_and_otp(acceptance_recorder, tmp_path):
     for _ in range(50):
         payload = frng.integers(0, 256, int(frng.integers(1, 2000)), dtype=np.uint8).tobytes()
         if frng.random() < 0.5:
-            ea.send_bytes(payload)
-            while eb._rx_seq < ea._tx_seq:
+            for _ in range(ea.send_bytes(payload)):
                 eb.recv_frame()
         else:
-            eb.send_bytes(payload)
-            while ea._rx_seq < eb._tx_seq:
+            for _ in range(eb.send_bytes(payload)):
                 ea.recv_frame()
     disjoint = True
     for buf in (buf_a, buf_b):

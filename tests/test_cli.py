@@ -288,7 +288,7 @@ def test_chat_receive_that_cannot_finish_exits_2(tmp_path, capsys):
         peer.handshake()
         offset = result.key_buffer.next_range_start(peer.send_lane)
         assert len(result.key_buffer) < 8 * 100_000
-        chan.send(MsgType.CHAT_DATA, pack_chat_frame(CipherFrame(0, offset, bytes(100_000))))
+        chan.send(MsgType.CHAT_DATA, pack_chat_frame(CipherFrame(offset, bytes(100_000))))
         alice.join(timeout=30)
     finally:
         chan.close()

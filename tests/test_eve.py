@@ -4,10 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import scaled_config
-from qkdlink.core import rng_stream
+from conftest import scaled_config, traced_peak
+from qkdlink.core import default_config, rng_stream
 from qkdlink.eve import Eavesdropper
-from qkdlink.photonics import TxBurst, generate_burst, transmit_and_detect
+from qkdlink.photonics import (
+    TxBurst,
+    detected_photons,
+    generate_burst,
+    total_efficiency,
+    transmit_and_detect,
+)
 from qkdlink.session import simulate_session
 
 
@@ -75,6 +81,20 @@ def test_intercept_measures_each_detected_pulse_once():
     alice_bases, alice_bits = tx.at(pulses)
     kept = eve_bases == alice_bases
     assert np.array_equal(eve_bits[kept], alice_bits[kept])
+
+
+def test_intercept_peak_memory_is_bounded_per_photon():
+    # a 1-s burst's ~0.95 M photons: a bool run-start mask and an int32 run index
+    # beside the gathered states and Eve's draws, ~16 bytes per photon; an int64
+    # diff, an int64 cumsum and its shifted copy took ~24
+    cfg = default_config(7)
+    tx = generate_burst(cfg, rng_stream(7, "g"))
+    src = detected_photons(cfg.n_pulses, cfg.link.mu, total_efficiency(cfg.link),
+                           rng_stream(7, "d"))
+    eve = Eavesdropper(rng_stream(7, "e"))
+    (bases, _), peak = traced_peak(lambda: eve.intercept(tx, src))
+    assert len(bases) == len(src) > 900_000
+    assert peak <= 17.5 * len(src)
 
 
 def test_no_eavesdropper_channel_is_identity():

@@ -452,11 +452,13 @@ def test_key_buffer_overlapping_range_raises():
     buf.take(100, lane=1)
     buf.take(KeyBuffer.PAGE_BITS, lane=0)
     for lane, rewound_to, nbits in ((0, 50, 10), (1, 0, KeyBuffer.PAGE_BITS)):
+        used = buf._lane_used[lane]
         buf._lane_used[lane] = rewound_to  # a lane count rewound by a fault
         before = _key_buffer_state(buf)
         with pytest.raises(RuntimeError, match="overlaps"):
             buf.take(nbits, lane=lane)
         assert _key_buffer_state(buf) == before
+        buf._lane_used[lane] = used  # the lane counts are the consumed total: mend the fault
     assert buf.consumed_total == 100 + KeyBuffer.PAGE_BITS
 
 

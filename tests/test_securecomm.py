@@ -52,7 +52,7 @@ def test_tampered_bit_flips_exactly_that_plaintext_bit():
     frame = otp_seal(bytes(range(64)), tx_buf)
     damaged = bytearray(frame.ciphertext)
     damaged[5] ^= 0x10
-    out = otp_open(CipherFrame(frame.seq, frame.key_offset, bytes(damaged)), rx_buf)
+    out = otp_open(CipherFrame(frame.key_offset, bytes(damaged)), rx_buf)
     expect = bytearray(range(64))
     expect[5] ^= 0x10
     assert out == bytes(expect)
@@ -182,11 +182,43 @@ def test_sequence_gap_aborts():
     _do_handshake(ea, eb)
     ea.send_bytes(b"one")
     ea.send_bytes(b"two")
-    eb.recv_frame()
-    eb._rx_seq += 1  # receiver believes it saw a later frame: gap
+    eb.chan.recv()  # the frame of b"one" is lost on the way
     with pytest.raises(KeyStreamDesync) as info:
         eb.recv_frame()
     assert isinstance(info.value, ProtocolError)  # a peer fault: the CLI exits 2
+
+
+def _recorded_frames():
+    # Bob's three data frames, the last one short, then his EOF marker
+    chan, _ = make_loop_pair()
+    chan.tap = []
+    end = ChatEndpoint(chan, _filled_buffer(KeyBuffer.PAGE_BITS * 4), "bob")
+    end.send_bytes(bytes(range(256)) * 20)
+    end.send_eof()
+    return [payload for _, payload in chan.tap]
+
+
+def _alice_receiving(frames):
+    """Alice's endpoint, with ``frames`` already sent to her in that order."""
+    peer, chan = make_loop_pair(timeout=2.0)
+    for payload in frames:
+        peer.send(MsgType.CHAT_DATA, payload)
+    return ChatEndpoint(chan, _filled_buffer(KeyBuffer.PAGE_BITS * 4), "alice")
+
+
+@pytest.mark.parametrize("order", [
+    (1, 2, 3), (0, 2, 3), (0, 1, 3),                    # a frame dropped
+    (0, 0, 1, 2, 3), (0, 1, 1, 2, 3), (0, 1, 2, 2, 3),  # a frame repeated
+    (1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2),           # two frames swapped
+])
+def test_dropped_repeated_or_reordered_frame_desyncs(order):
+    # every frame, the EOF marker too, must start at the receiver's cursor, so
+    # losing the last data frame before EOF is caught like any other
+    frames = _recorded_frames()
+    assert len(frames) == 4
+    assert _alice_receiving(frames).recv_all() == bytes(range(256)) * 20
+    with pytest.raises(KeyStreamDesync):
+        _alice_receiving([frames[i] for i in order]).recv_all()
 
 
 def test_chat_ciphertext_is_payload_xor_lane_stripe():
@@ -222,12 +254,10 @@ def test_fuzzed_session_key_ranges_disjoint_and_monotone():
         size = int(rng.integers(1, 1500))
         payload = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
         if rng.random() < 0.5:
-            ea.send_bytes(payload)
-            n = ea._tx_seq - eb._rx_seq
+            n = ea.send_bytes(payload)
             got = b"".join(eb.recv_frame() for _ in range(n))
         else:
-            eb.send_bytes(payload)
-            n = eb._tx_seq - ea._rx_seq
+            n = eb.send_bytes(payload)
             got = b"".join(ea.recv_frame() for _ in range(n))
         assert got == payload
     for buf in (ea.buf, eb.buf):

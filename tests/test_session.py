@@ -34,6 +34,7 @@ from qkdlink.session import (
     recv_expect,
     run_burst_alice,
     run_burst_bob,
+    run_session,
     simulate_session,
     unpack_payload,
     unpack_tx_burst,
@@ -268,6 +269,22 @@ def test_reference_keys_are_bit_identical(seed, burst_seconds, digest):
     assert hashlib.sha256(alice.key_buffer.to_bytes()).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize("role", ["alice", "bob"])
+def test_hello_of_another_protocol_version_is_refused(small_cfg, role):
+    # section bytes changed meaning between versions: the peer of the last
+    # version is refused at its HELLO, before any burst message
+    peer = "bob" if role == "alice" else "alice"
+    chan, peer_chan = make_loop_pair(timeout=2.0)
+    chan.tap = []
+    peer_chan.send(MsgType.HELLO, pack_payload(
+        peer, MsgType.HELLO, session.PROTOCOL_MAGIC, session.PROTOCOL_VERSION - 1,
+        session.config_fingerprint(small_cfg), 1))
+    with pytest.raises(ProtocolError, match="protocol version mismatch"):
+        run_session(role, small_cfg, chan, InProcessTransport(2.0), 1)
+    # Bob speaks first, so his HELLO is all that left him
+    assert [t for t, _ in chan.tap] == ([MsgType.HELLO] if role == "bob" else [])
+
+
 def test_hello_mismatch_detected(small_cfg):
     other = dataclasses.replace(small_cfg, rng_seed=999)
     ca, cb = make_loop_pair(timeout=2.0)
@@ -446,6 +463,17 @@ def test_layout_roundtrip_and_exact_length(sender, msg_type):
     for bad in (payload[:-1], payload + b"\x00"):
         with pytest.raises(ProtocolError):
             unpack_payload(sender, msg_type, bad, bound=2**32)
+
+
+def test_positions_and_bytes_sections_are_little_endian_views_of_the_payload():
+    # arrays cross the wire in their own byte order, so the receiver reads them in place
+    payload = pack_payload("bob", MsgType.BASES, _POSITIONS, _BITS[:4])
+    assert payload[4:20] == _POSITIONS.astype("<u4").tobytes()
+    positions, _ = unpack_payload("bob", MsgType.BASES, payload, bound=2**32)
+    assert np.shares_memory(positions, np.frombuffer(payload, np.uint8))
+    payload = pack_payload("alice", MsgType.WINNOW_SYNDROMES, np.array([7, 0, 3]))
+    (syndromes,) = unpack_payload("alice", MsgType.WINNOW_SYNDROMES, payload, bound=8)
+    assert np.shares_memory(syndromes, np.frombuffer(payload, np.uint8))
 
 
 def test_unknown_abort_reason_is_a_protocol_error():
