@@ -87,9 +87,14 @@ class Message:
     payload: bytes
 
 
+def _known_type(msg_type: int) -> MsgType:
+    if msg_type not in MsgType._value2member_map_:
+        raise ProtocolError(f"unknown message type 0x{msg_type:02X}")
+    return MsgType(msg_type)
+
+
 def encode_message(msg: Message) -> bytes:
-    if msg.msg_type not in MsgType._value2member_map_:
-        raise ProtocolError(f"unknown message type 0x{msg.msg_type:02X}")
+    _known_type(msg.msg_type)
     if len(msg.payload) > MAX_PAYLOAD:
         raise ProtocolError(f"payload of {len(msg.payload)} bytes exceeds frame limit")
     return struct.pack(">IB", len(msg.payload) + 1, msg.msg_type) + msg.payload
@@ -102,10 +107,7 @@ def decode_message(data: bytes) -> Message:
     (length,) = struct.unpack(">I", data[:4])
     if length < 1 or len(data) != 4 + length:
         raise ProtocolError(f"frame length {length} does not match {len(data)} bytes on wire")
-    msg_type = data[4]
-    if msg_type not in MsgType._value2member_map_:
-        raise ProtocolError(f"unknown message type 0x{msg_type:02X}")
-    return Message(msg_type=MsgType(msg_type), payload=data[5:])
+    return Message(msg_type=_known_type(data[4]), payload=data[5:])
 
 
 class ChannelClosed(ProtocolError):
@@ -144,12 +146,12 @@ class SocketChannel:
         return bytes(buf)
 
     def recv(self) -> Message:
-        header = self._recv_exact(4, at_boundary=True)
-        (length,) = struct.unpack(">I", header)
+        """One message; its header is checked before any of its body is read."""
+        (length,) = struct.unpack(">I", self._recv_exact(4, at_boundary=True))
         if length < 1:
             raise ProtocolError("zero-length frame")
-        body = self._recv_exact(length)
-        return decode_message(header + body)
+        msg_type = _known_type(self._recv_exact(1)[0])
+        return Message(msg_type=msg_type, payload=self._recv_exact(length - 1))
 
     def close(self) -> None:
         try:

@@ -1,4 +1,6 @@
+import hashlib
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -198,12 +200,12 @@ def _recorded_frames():
     return [payload for _, payload in chan.tap]
 
 
-def _alice_receiving(frames):
+def _alice_receiving(frames, nbits=KeyBuffer.PAGE_BITS * 4):
     """Alice's endpoint, with ``frames`` already sent to her in that order."""
     peer, chan = make_loop_pair(timeout=2.0)
     for payload in frames:
         peer.send(MsgType.CHAT_DATA, payload)
-    return ChatEndpoint(chan, _filled_buffer(KeyBuffer.PAGE_BITS * 4), "alice")
+    return ChatEndpoint(chan, _filled_buffer(nbits), "alice")
 
 
 @pytest.mark.parametrize("order", [
@@ -219,6 +221,131 @@ def test_dropped_repeated_or_reordered_frame_desyncs(order):
     assert _alice_receiving(frames).recv_all() == bytes(range(256)) * 20
     with pytest.raises(KeyStreamDesync):
         _alice_receiving([frames[i] for i in order]).recv_all()
+
+
+RUN_PAYLOAD = bytes(range(256)) * 78 + bytes(32)  # 20,000 bytes: nine whole frames and a short one
+
+
+def _recorded_run(nbits=KeyBuffer.PAGE_BITS * 12):
+    """Bob's frames of one run, then his EOF marker, and Bob's endpoint."""
+    chan, _ = make_loop_pair()
+    chan.tap = []
+    end = ChatEndpoint(chan, _filled_buffer(nbits), "bob")
+    try:
+        end.send_bytes(RUN_PAYLOAD)
+        end.send_eof()
+    except KeyExhausted as exc:
+        return [payload for _, payload in chan.tap], end, exc
+    return [payload for _, payload in chan.tap], end, None
+
+
+def _rx_lane_bits(end):
+    return end.buf.available(end.recv_lane)
+
+
+@pytest.mark.parametrize("order, accepted", [
+    ((0, 1, 2, 3, 4, 6, 7, 8, 9, 10), 5),        # a frame dropped inside the run
+    ((0, 1, 2, 3, 4, 5, 5, 6, 7, 8, 9, 10), 6),  # a frame repeated
+    ((0, 1, 2, 3, 4, 6, 5, 7, 8, 9, 10), 5),     # two frames swapped
+    ((0, 1, 2, 3, 4, 5, 6, 7, 8, 10), 9),        # the short last frame dropped
+])
+def test_desync_inside_a_run_consumes_exactly_the_accepted_frames(order, accepted):
+    frames, _, _ = _recorded_run()
+    assert len(frames) == 11
+    end = _alice_receiving([frames[i] for i in order], KeyBuffer.PAGE_BITS * 12)
+    before = _rx_lane_bits(end)
+    with pytest.raises(KeyStreamDesync, match="receiver cursor at"):
+        end.recv_all()
+    assert before - _rx_lane_bits(end) == 8 * 2048 * accepted
+    assert end.buf.next_range_start(end.recv_lane) == unpack_chat_frame(frames[accepted]).key_offset
+
+
+@pytest.mark.parametrize("ending", ["closed", "timeout", "short frame", "wrong type"])
+def test_receive_ended_mid_run_consumes_exactly_the_accepted_frames(ending):
+    frames, _, _ = _recorded_run()
+    peer, chan = make_loop_pair(timeout=0.2)
+    for payload in frames[:4]:
+        peer.send(MsgType.CHAT_DATA, payload)
+    if ending == "closed":
+        peer.close()
+    elif ending == "short frame":
+        peer.send(MsgType.CHAT_DATA, b"\x00" * 7)
+    elif ending == "wrong type":
+        peer.send(MsgType.CHAT_HANDSHAKE, b"\x00")
+    end = ChatEndpoint(chan, _filled_buffer(KeyBuffer.PAGE_BITS * 12), "alice")
+    before = _rx_lane_bits(end)
+    with pytest.raises(ProtocolError):
+        end.recv_all()
+    assert before - _rx_lane_bits(end) == 8 * 2048 * 4
+
+
+def test_receive_fails_at_the_frame_its_lane_cannot_cover():
+    # Alice's receive lane covers three and a half frames: the fourth raises as it
+    # arrives, with nothing after it, not at a run bound or the receive timeout
+    frames, _, _ = _recorded_run()
+    peer, chan = make_loop_pair(timeout=5.0)
+    for payload in frames[:4]:
+        peer.send(MsgType.CHAT_DATA, payload)
+    end = ChatEndpoint(chan, _filled_buffer(KeyBuffer.PAGE_BITS * 3 + 8 * 2048 + 8192), "alice")
+    assert _rx_lane_bits(end) == 8 * 2048 * 3 + 8192
+    start = time.monotonic()
+    with pytest.raises(KeyExhausted, match="need 16384 bits, lane has 8192$"):
+        end.recv_all()
+    assert time.monotonic() - start < 1.0
+    assert _rx_lane_bits(end) == 8192
+
+
+def test_send_fails_at_the_frame_its_lane_cannot_cover():
+    # Bob's send lane covers six and a half frames: the first six go out exactly as
+    # they do with plenty of key, and the seventh raises before anything of it is sent
+    full, _, _ = _recorded_run()
+    sent, end, exc = _recorded_run(nbits=KeyBuffer.PAGE_BITS * 7 + 8192)
+    assert str(exc) == "key buffer exhausted: need 16384 bits, lane has 8192"
+    assert sent == full[:6]
+    assert end.buf.consumed_total == 8 * 2048 * 6
+
+
+def test_chat_wire_is_pinned():
+    # both lanes cross pages and several runs, and each direction ends on a short frame
+    key = rng_stream(12, "key").integers(0, 2, 2_400_000, dtype=np.uint8)
+    bufs = KeyBuffer(), KeyBuffer()
+    for start in range(0, len(key), 295_548):
+        for buf in bufs:
+            buf.append(key[start : start + 295_548])
+    ca, cb = make_loop_pair(timeout=5.0)
+    ca.tap, cb.tap = [], []
+    ea, eb = ChatEndpoint(ca, bufs[0], "alice"), ChatEndpoint(cb, bufs[1], "bob")
+    _do_handshake(ea, eb)
+    for end, peer, name, size in ((ea, eb, "alice", 140_001), (eb, ea, "bob", 130_000)):
+        payload = rng_stream(12, name).bytes(size)
+        end.send_bytes(payload)
+        end.send_eof()
+        assert peer.recv_all() == payload
+    digest = hashlib.sha256()
+    for msg_type, payload in ca.tap + cb.tap:
+        digest.update(bytes([msg_type]) + len(payload).to_bytes(4, "big") + payload)
+    assert (len(ca.tap), len(cb.tap)) == (71, 66)
+    assert digest.hexdigest() == "6d106f1eedc3c8957c582eedaad91871546b6efe7d2fe28316677209da6464f2"
+    assert [buf.consumed_total for buf in bufs] == [2_160_072, 2_160_072]
+    # each lane's ledger is its first bits, page by page: the handshake window and
+    # Alice's bytes on the even pages, Bob's on the odd ones
+    page = KeyBuffer.PAGE_BITS
+    lanes = [(0, HANDSHAKE_BITS + 8 * 140_001), (1, 8 * 130_000)]
+    pages = [((2 * p + lane) * page, (2 * p + lane) * page + min(page, used - p * page))
+             for lane, used in lanes for p in range(-(-used // page))]
+    for buf in bufs:
+        assert _merged(buf.issued_ranges) == _merged(pages)
+        assert sum(b - a for a, b in buf.issued_ranges) == buf.consumed_total
+
+
+def _merged(ranges):
+    out = []
+    for a, b in sorted(ranges):
+        if out and out[-1][1] == a:
+            out[-1][1] = b
+        else:
+            out.append([a, b])
+    return out
 
 
 def test_chat_ciphertext_is_payload_xor_lane_stripe():

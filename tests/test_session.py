@@ -110,6 +110,20 @@ def test_socket_channel_close_at_a_message_boundary_is_not_mid_frame():
         chan.close()
 
 
+def test_socket_channel_refuses_unknown_type_before_reading_the_body():
+    # the peer stays open and never sends the million bytes it claims: the type
+    # byte alone refuses the frame, long before the 2-s receive timeout
+    a, b = socket.socketpair()
+    chan = SocketChannel(b, timeout=2.0)
+    a.sendall(struct.pack(">IB", 1_000_001, 0xFF))
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match="unknown message type 0xFF"):
+        chan.recv()
+    assert time.monotonic() - start < 1.0
+    chan.close()
+    a.close()
+
+
 def test_socket_channel_roundtrip():
     a, b = socket.socketpair()
     ca, cb = SocketChannel(a, timeout=2.0), SocketChannel(b, timeout=2.0)
