@@ -108,7 +108,11 @@ class TxBurst:
         """
         pb, pv = _PHASE[self.state_bases], _PHASE[self.state_bits]
         table = _CYCLE2[pb:pb + PRBS11_PERIOD] << 1 | _CYCLE2[pv:pv + PRBS11_PERIOD]
-        state = table[np.asarray(idx) % PRBS11_PERIOD]
+        idx = np.asarray(idx)
+        phase = idx // PRBS11_PERIOD  # idx % PRBS11_PERIOD, without a costly remainder
+        phase *= PRBS11_PERIOD
+        np.subtract(idx, phase, out=phase)
+        state = table[phase]
         bits = state & 1
         state >>= 1
         return state, bits
@@ -280,9 +284,11 @@ def detector_entries(tx: TxBurst, cfg: SimConfig, eve=None, *,
     key[m:] = rng.integers(0, span, n_dark, dtype=np.int64)
     key *= 8
     # channel 1 + 2 * basis + bit: the sent bit (flipped with probability e_pol)
-    # when the bases agree, else a random one
+    # when the bases agree, else a random one, blended (a masked copy branches per entry)
     channel = rand_bit
-    np.copyto(channel, bits, where=same)
+    bits ^= channel
+    bits &= same
+    channel ^= bits
     meas_basis <<= 1
     channel += meas_basis
     channel += 1

@@ -7,8 +7,8 @@ so both terminals of :mod:`qkdlink.session` call the same code:
 * QBER check: :func:`qber_sample_indices` draws the disclosed sample,
   :func:`sample_qber` compares it, :func:`without` strips it from the key and
   :func:`check_abort` is true strictly above ``QBER_ABORT_THRESHOLD``;
-* Winnow: per pass, :func:`winnow_pass` (both sides) permutes the key and
-  computes block parities, :func:`mismatched_blocks` compares them,
+* Winnow: per pass, :func:`winnow_pass` (both sides) lays the key out anew
+  and computes block parities, :func:`mismatched_blocks` compares them,
   :func:`winnow_syndromes` (Alice) answers with the mismatched blocks'
   syndromes and :func:`winnow_repair` (Bob) flips the bit each syndrome
   difference points at; :func:`key_hash` then verifies the result;
@@ -16,14 +16,17 @@ so both terminals of :mod:`qkdlink.session` call the same code:
   16-bit block, carrying the leftover bits into the next burst.
 
 Error correction is an 8-bit-block Winnow: each pass applies a shared random
-permutation, exchanges one parity bit per block, and repairs parity-
-mismatched blocks with a 3-bit Hamming syndrome that locates any single
-error (syndrome zero with odd parity means the eighth bit).  Passes repeat
-until one completes with no parity mismatches, up to four.  Disclosed bits
-(parities, syndromes, the final 64-bit verification hash) are counted and
-reported; the fixed 16->11 Toeplitz compression provides the privacy margin,
-so the corrected key itself is not shortened further.  :func:`winnow_correct`
-is the in-memory driver of the same pass functions, holding both keys at once.
+layout (an order of the key's 8-bit blocks and a rotation of each, read out
+column by column, so that with 8 or more blocks no two bits of one block
+share a block after it), exchanges one parity bit per block, and repairs
+parity-mismatched blocks with a 3-bit Hamming syndrome that locates any
+single error (syndrome zero with odd parity means the eighth bit).  Passes
+repeat until one completes with no parity mismatches, up to four.  Disclosed
+bits (parities, syndromes, the final 64-bit verification hash) are counted
+and reported; the fixed 16->11 Toeplitz compression provides the privacy
+margin, so the corrected key itself is not shortened further.
+:func:`winnow_correct` is the in-memory driver of the same pass functions,
+holding both keys at once.
 """
 
 from __future__ import annotations
@@ -106,9 +109,15 @@ def syndrome_error_positions(syndrome_diff: np.ndarray) -> np.ndarray:
     return np.where(syndrome_diff == 0, WINNOW_BLOCK - 1, syndrome_diff - 1)
 
 
-def permutation_for_pass(seed: int, n: int) -> np.ndarray:
-    """Shared permutation both sides derive from one disclosed 64-bit seed."""
-    return np.random.Generator(np.random.PCG64(seed)).permutation(n)
+def permutation_for_pass(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A pass's layout of an ``n``-bit key, which both sides derive from one disclosed
+    64-bit seed: (order of the ``n // 8`` key blocks, left rotation of each block).
+
+    The layout is a bijection of the key's bits (see :func:`winnow_pass`).
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    r = n // WINNOW_BLOCK
+    return rng.permutation(r), rng.integers(0, WINNOW_BLOCK, r, dtype=np.uint8)
 
 
 def winnow_key(bits: np.ndarray) -> np.ndarray:
@@ -117,15 +126,23 @@ def winnow_key(bits: np.ndarray) -> np.ndarray:
 
 
 def draw_perm_seed(rng: np.random.Generator) -> int:
-    """The next pass's permutation seed, disclosed by Alice."""
+    """The next pass's layout seed, disclosed by Alice."""
     return int(rng.integers(0, 2**63))
 
 
-def winnow_pass(key: np.ndarray, perm_seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both sides: (permutation, permuted key, its block parities) for one pass."""
-    perm = permutation_for_pass(perm_seed, len(key))
-    permuted = key[perm]
-    return perm, permuted, block_parities(permuted)
+def winnow_pass(key: np.ndarray, perm_seed: int,
+                ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """Both sides: (layout, permuted key, its block parities) for one pass.
+
+    With R = ``len(key) // 8`` blocks, the permuted key takes the blocks in
+    ``order``, rotates the r-th of them left by ``rot[r]`` and reads the result
+    column by column: its position c*R + r holds bit c of that rotated block.
+    """
+    order, rot = layout = permutation_for_pass(perm_seed, len(key))
+    blocks = np.packbits(key)[order]
+    blocks = (blocks << rot) | (blocks >> (WINNOW_BLOCK - rot))
+    permuted = np.unpackbits(blocks).reshape(-1, WINNOW_BLOCK).T.ravel()
+    return layout, permuted, block_parities(permuted)
 
 
 def mismatched_blocks(parities: np.ndarray, peer_parities: np.ndarray) -> np.ndarray:
@@ -138,14 +155,18 @@ def winnow_syndromes(permuted: np.ndarray, mismatched: np.ndarray) -> np.ndarray
     return block_syndromes(permuted.reshape(-1, WINNOW_BLOCK)[mismatched])
 
 
-def winnow_repair(key: np.ndarray, perm: np.ndarray, permuted: np.ndarray,
-                  mismatched: np.ndarray, peer_syndromes: np.ndarray) -> None:
+def winnow_repair(key: np.ndarray, layout: tuple[np.ndarray, np.ndarray],
+                  permuted: np.ndarray, mismatched: np.ndarray,
+                  peer_syndromes: np.ndarray) -> None:
     """Bob's side: flip, in ``key`` itself, the bit each syndrome difference locates.
 
+    Permuted position q is key bit ``8*order[q % R] + (q // R + rot[q % R]) % 8``.
     ``permuted`` is read for Bob's syndromes and left as it was.
     """
+    order, rot = layout
     diff = winnow_syndromes(permuted, mismatched) ^ peer_syndromes
-    key[perm[mismatched * WINNOW_BLOCK + syndrome_error_positions(diff)]] ^= 1
+    col, row = np.divmod(mismatched * WINNOW_BLOCK + syndrome_error_positions(diff), len(order))
+    key[WINNOW_BLOCK * order[row] + (col + rot[row]) % WINNOW_BLOCK] ^= 1
 
 
 def winnow_disclosed(parities: np.ndarray, mismatched: np.ndarray) -> int:
@@ -177,12 +198,12 @@ def winnow_correct(alice_key: np.ndarray, bob_key: np.ndarray,
         passes += 1
         seed = draw_perm_seed(rng)
         _, a, alice_par = winnow_pass(alice, seed)
-        perm, b, bob_par = winnow_pass(bob, seed)
+        layout, b, bob_par = winnow_pass(bob, seed)
         mismatched = mismatched_blocks(bob_par, alice_par)
         disclosed += winnow_disclosed(alice_par, mismatched)
         if len(mismatched) == 0:
             break
-        winnow_repair(bob, perm, b, mismatched, winnow_syndromes(a, mismatched))
+        winnow_repair(bob, layout, b, mismatched, winnow_syndromes(a, mismatched))
     return bob, disclosed, passes
 
 

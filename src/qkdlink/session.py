@@ -12,7 +12,7 @@ no lock at frame sync, a failed QBER check, or a rejected key hash.  A
 message carries only what its receiver uses and cannot take from the shared
 configuration, which HELLO's fingerprint pins: BURST_START is the burst id
 alone, FRAME_OFFSET_ACK the FIFO choice and R_N, and each Winnow pass's
-WINNOW_PARITIES from Alice also carries that pass's permutation seed.
+WINNOW_PARITIES from Alice also carries that pass's layout seed.
 The engines and ``simulate --eve-log`` draw a burst's pulses and clicks
 through one recipe: :func:`transmitted_burst` and :func:`received_burst`.
 
@@ -45,7 +45,7 @@ from .photonics import PRBS11_MASK, RxBurst, TxBurst, generate_burst, transmit_a
 from .timing import FifoChoice, NoLockError, nnc_match, offset_window, synchronize
 
 PROTOCOL_MAGIC = b"QKL1"
-PROTOCOL_VERSION = 7
+PROTOCOL_VERSION = 8
 DEFAULT_PORT = 47000
 DEFAULT_PHASE_TIMEOUT = 30.0
 MAX_PAYLOAD = 2**32 - 2  # length field also covers the type byte
@@ -318,7 +318,7 @@ LAYOUTS = {
     # reason, QBER
     ("alice", MsgType.ABORT): Layout(">Bd", limits=(_REASON, _QBER)),
     ("bob", MsgType.ABORT): Layout(">Bd", limits=(_REASON, _QBER)),
-    # Winnow pass, its permutation seed and Alice's block parities; the blocks whose
+    # Winnow pass, its layout seed and Alice's block parities; the blocks whose
     # parities differ; Alice's syndromes of those
     ("alice", MsgType.WINNOW_PARITIES): Layout(">BQI", ("bits",)),
     ("bob", MsgType.WINNOW_PARITIES): Layout(">I", ("positions",)),
@@ -514,7 +514,8 @@ def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postpro
         alice_bases, alice_bits = tx.at(idx)
         mask = postproc.sift_mask(alice_bases, bob_bases)
         burst.send(MsgType.BASES, mask)
-        alice_sifted = alice_bits[mask]
+        # compress, not alice_bits[mask]: a boolean index branches on each entry of a random mask
+        alice_sifted = alice_bits.compress(mask)
         del idx, bob_bases, alice_bases, alice_bits, mask
 
         out.sifted_bits = n_sift = len(alice_sifted)
@@ -530,14 +531,10 @@ def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postpro
 
         wrng = rng_stream(seed, f"winnow:{k}")
         key = postproc.winnow_key(postproc.without(alice_sifted, sample_idx))
-        seeds = [postproc.draw_perm_seed(wrng) for _ in range(postproc.WINNOW_MAX_PASSES)]
-        # Alice's key does not change: she works out pass p + 1 while Bob works through pass p
-        passes = (postproc.winnow_pass(key, perm_seed)[1:] for perm_seed in seeds)
-        ahead = next(passes)
-        for p, perm_seed in enumerate(seeds):
-            permuted, parities = ahead
+        for p in range(postproc.WINNOW_MAX_PASSES):
+            perm_seed = postproc.draw_perm_seed(wrng)
+            _, permuted, parities = postproc.winnow_pass(key, perm_seed)
             burst.send(MsgType.WINNOW_PARITIES, p, perm_seed, parities)
-            ahead = next(passes, None)
             (mism,) = burst.recv(MsgType.WINNOW_PARITIES, bound=len(parities))
             out.disclosed_bits += postproc.winnow_disclosed(parities, mism)
             if len(mism) == 0:
@@ -592,7 +589,7 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
         positions = match.tx_index.view(np.uint32)
         burst.send(MsgType.BASES, positions, bob_bases)
         (mask,) = burst.recv(MsgType.BASES, n=len(positions))
-        bob_sifted = bob_bits[mask.view(bool)]
+        bob_sifted = bob_bits.compress(mask.view(bool))
         del match, bob_bits, bob_bases, mask
 
         out.sifted_bits = n_sift = len(bob_sifted)
@@ -609,7 +606,7 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
                 MsgType.WINNOW_PARITIES, n=len(key) // postproc.WINNOW_BLOCK)
             if pass_no != p:
                 raise ProtocolError(f"Winnow pass {pass_no} arrived as pass {p}")
-            perm, permuted, parities = postproc.winnow_pass(key, perm_seed)
+            layout, permuted, parities = postproc.winnow_pass(key, perm_seed)
             mism = postproc.mismatched_blocks(parities, alice_parities)
             burst.send(MsgType.WINNOW_PARITIES, mism)
             out.disclosed_bits += postproc.winnow_disclosed(parities, mism)
@@ -617,8 +614,8 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
                 break
             (alice_syn,) = burst.recv(MsgType.WINNOW_SYNDROMES, n=len(mism),
                                       bound=1 << postproc.SYNDROME_BITS)
-            postproc.winnow_repair(key, perm, permuted, mism, alice_syn)
-            del perm, permuted
+            postproc.winnow_repair(key, layout, permuted, mism, alice_syn)
+            del layout, permuted
 
         (pa_seed,) = burst.recv(MsgType.PA_SEED, n=postproc.PA_SEED_BITS)
         out.disclosed_bits += postproc.KEY_HASH_BITS

@@ -114,7 +114,9 @@ def test_generate_burst_basis_balance():
        st.data())
 def test_tx_burst_at_gathers_the_dense_sequences(state_bases, state_bits, n, data):
     tx = TxBurst(n, state_bases, state_bits)
-    idx = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=50)), dtype=np.int64)
+    # the engines pass int32 photon pulses and uint32 wire positions
+    dtype = data.draw(st.sampled_from([np.int64, np.int32, np.uint32]))
+    idx = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=50)), dtype=dtype)
     bases, bits = tx.at(idx)
     assert np.array_equal(bases, prbs11_sequence(state_bases, n)[idx])
     assert np.array_equal(bits, prbs11_sequence(state_bits, n)[idx])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import scaled_config
-from qkdlink import session
+from qkdlink import postproc, session
 from qkdlink.core import default_config, rng_stream
 from qkdlink.photonics import generate_burst, transmit_and_detect
 from qkdlink.postproc import KeyBuffer
@@ -263,6 +263,23 @@ def test_key_accumulation_is_concatenation(small_cfg):
     both = two.key_buffer.bits()
     assert len(both) > len(first) * 1.5
     assert np.array_equal(both[: len(first)], first)
+
+
+def test_each_terminal_lays_out_only_the_passes_alice_sends(small_cfg, monkeypatch):
+    # a 0.01-s burst converges before Winnow's last pass; Bob runs on the calling thread
+    on_main = []
+    real = postproc.permutation_for_pass
+
+    def counted(seed, n):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return real(seed, n)
+
+    monkeypatch.setattr(postproc, "permutation_for_pass", counted)
+    tap = []
+    simulate_session(small_cfg, 1, alice_tap=tap)
+    sent = [msg_type for msg_type, _ in tap].count(MsgType.WINNOW_PARITIES)
+    assert 0 < sent < postproc.WINNOW_MAX_PASSES
+    assert on_main.count(False) == on_main.count(True) == sent
 
 
 def test_session_reproducible(small_cfg):
