@@ -337,11 +337,6 @@ class KeyBuffer:
         page_no, within = divmod(k, self.PAGE_BITS)
         return (2 * page_no + lane) * self.PAGE_BITS + within
 
-    def lane_advance(self, offset: int, nbits: int) -> int:
-        """Absolute offset of the lane bit ``nbits`` past the one at absolute ``offset``."""
-        page_no, within = divmod(offset, self.PAGE_BITS)
-        return self._lane_offset(page_no % 2, page_no // 2 * self.PAGE_BITS + within + nbits)
-
     def next_range_start(self, lane: int = 0) -> int:
         """Absolute bit offset the next take on this lane will start at."""
         with self._lock:

@@ -7,11 +7,12 @@ two directions consume the two lanes of the buffer, its even and odd page
 stripes, so duplex traffic cannot collide on key ranges.  A frame is the
 8-byte key offset of its first key bit, then the ciphertext; the receiver
 opens it only at its lane's cursor, so a dropped, repeated or reordered
-frame raises :class:`KeyStreamDesync`.  Key is taken per run of up to 16
-frames (``RUN_BYTES``), with one take and one XOR on each side, and the wire
-is byte for byte what one take per frame would send.  A frame the lane
-cannot cover raises :class:`~qkdlink.postproc.KeyExhausted` at once, after
-every earlier frame; nothing waits for key.
+frame raises :class:`KeyStreamDesync`.  A frame carries at most
+``CHAT_CHUNK_BYTES`` (4 KiB, one lane page of key) and is sealed and opened
+with one take of its own; a longer incoming frame is refused before any
+key is taken.  A frame the lane cannot cover raises
+:class:`~qkdlink.postproc.KeyExhausted` at once, after every earlier frame;
+nothing waits for key.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from .postproc import KeyBuffer
 from .session import MsgType, ProtocolError, recv_expect
 
 HANDSHAKE_BITS = 64
-CHAT_CHUNK_BYTES = 2048
-RUN_BYTES = 16 * CHAT_CHUNK_BYTES  # one key take per run: 256 Kbit of key at most
+CHAT_CHUNK_BYTES = KeyBuffer.PAGE_BITS // 8  # one frame takes at most one lane page of key
 
 
 class ChatRefused(ProtocolError):
@@ -105,6 +105,8 @@ def pack_chat_frame(frame: CipherFrame) -> bytes:
 def unpack_chat_frame(payload: bytes) -> CipherFrame:
     if len(payload) < 8:
         raise KeyStreamDesync("short chat frame")
+    if len(payload) > 8 + CHAT_CHUNK_BYTES:
+        raise ProtocolError(f"chat frame of {len(payload) - 8} bytes, over {CHAT_CHUNK_BYTES}")
     return CipherFrame(key_offset=int.from_bytes(payload[:8], "big"), ciphertext=payload[8:])
 
 
@@ -130,24 +132,14 @@ class ChatEndpoint:
     def send_bytes(self, data: bytes) -> int:
         """Seal and transmit in frames of up to ``CHAT_CHUNK_BYTES``; returns frames sent.
 
-        Each run of up to ``RUN_BYTES`` is sealed with one take and cut into
-        frames, each naming the offset of its first key bit.  A run stops at
-        the last whole frame the lane covers, so a frame it cannot cover is
-        sealed alone and raises as it would alone, after every earlier frame
-        was sent.
+        Each frame is sealed with one take of its own, so a frame the lane
+        cannot cover raises after every earlier frame was sent.
         """
-        pos = 0
-        while pos < len(data):
-            n = min(len(data) - pos, RUN_BYTES)
-            if n > (covered := self.buf.available(self.send_lane) // 8):
-                n = max(covered - covered % CHAT_CHUNK_BYTES, min(n, CHAT_CHUNK_BYTES))
-            run = otp_seal(bytes(data[pos : pos + n]), self.buf, self.send_lane)
-            for cut in range(0, n, CHAT_CHUNK_BYTES):
-                offset = self.buf.lane_advance(run.key_offset, 8 * cut)
-                frame = CipherFrame(offset, run.ciphertext[cut : cut + CHAT_CHUNK_BYTES])
-                self.chan.send(MsgType.CHAT_DATA, pack_chat_frame(frame))
-            pos += n
-        return len(range(0, len(data), CHAT_CHUNK_BYTES))
+        starts = range(0, len(data), CHAT_CHUNK_BYTES)
+        for pos in starts:
+            frame = otp_seal(data[pos : pos + CHAT_CHUNK_BYTES], self.buf, self.send_lane)
+            self.chan.send(MsgType.CHAT_DATA, pack_chat_frame(frame))
+        return len(starts)
 
     def send_eof(self) -> None:
         self.chan.send(MsgType.CHAT_DATA, pack_chat_frame(otp_seal(b"", self.buf, self.send_lane)))
@@ -159,39 +151,11 @@ class ChatEndpoint:
         return otp_open(unpack_chat_frame(msg.payload), self.buf, lane=self.recv_lane) or None
 
     def recv_all(self) -> bytes:
-        """Collect plaintext until the peer's EOF marker.
+        """Collect plaintext through :meth:`recv_frame` until the peer's EOF marker.
 
-        Frames at the lane cursor that the lane covers join a run, opened with
-        one take once it holds ``RUN_BYTES``, and before the EOF marker or
-        any error leaves.  Any other frame is opened alone after the run, so
-        it fails as it would alone, with every earlier frame consumed.
+        A frame that fails raises with exactly the frames before it consumed.
         """
-        parts, run = [], []
-        try:
-            while True:
-                if not run:
-                    start, room, run_bits = (self.buf.next_range_start(self.recv_lane),
-                                             self.buf.available(self.recv_lane), 0)
-                frame = unpack_chat_frame(recv_expect(self.chan, MsgType.CHAT_DATA).payload)
-                nbits = 8 * len(frame.ciphertext)
-                cursor = self.buf.lane_advance(start, run_bits)  # past the frames in the run
-                if frame.key_offset == cursor and 0 < nbits <= room - run_bits:
-                    run.append(frame)
-                    if (run_bits := run_bits + nbits) >= 8 * RUN_BYTES:
-                        parts.append(self._open_run(run))
-                    continue
-                parts.append(self._open_run(run))
-                part = otp_open(frame, self.buf, lane=self.recv_lane)
-                if not part:
-                    return b"".join(parts)
-                parts.append(part)
-        finally:
-            self._open_run(run)
-
-    def _open_run(self, run: list[CipherFrame]) -> bytes:
-        """Open a run of consecutive frames with one take, and empty it."""
-        if not run:
-            return b""
-        joined = CipherFrame(run[0].key_offset, b"".join(f.ciphertext for f in run))
-        run.clear()
-        return otp_open(joined, self.buf, lane=self.recv_lane)
+        parts = []
+        while (part := self.recv_frame()) is not None:
+            parts.append(part)
+        return b"".join(parts)

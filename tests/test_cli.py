@@ -17,7 +17,7 @@ from qkdlink.cli import ReportWriter, main
 from qkdlink.core import default_config, load_config, rng_stream
 from qkdlink.eve import Eavesdropper
 from qkdlink.photonics import generate_burst, transmit_and_detect
-from qkdlink.securecomm import CipherFrame, ChatEndpoint, pack_chat_frame
+from qkdlink.securecomm import CHAT_CHUNK_BYTES, CipherFrame, ChatEndpoint, pack_chat_frame
 from qkdlink.session import (
     PROTOCOL_MAGIC,
     PROTOCOL_VERSION,
@@ -270,8 +270,8 @@ def _connect_when_listening(port: int, timeout: float = 15.0) -> socket.socket:
 
 
 def test_chat_receive_that_cannot_finish_exits_2(tmp_path, capsys):
-    # the peer seals a 100 KB frame at the right key offset, far more key than the
-    # receiver holds: the receive fails at once, and the chat must not exit 0
+    # the peer sends every whole frame the receive lane covers, then one more at the
+    # right key offset: the receive fails at once, and the chat must not exit 0
     cfg_path = _write_cfg(tmp_path)
     port = free_port()
     recv_out = tmp_path / "recv.bin"
@@ -286,9 +286,12 @@ def test_chat_receive_that_cannot_finish_exits_2(tmp_path, capsys):
         result = run_session("bob", cfg, chan, NetworkTransport(chan), 1)
         peer = ChatEndpoint(chan, result.key_buffer, "bob")
         peer.handshake()
+        frame_bits = 8 * CHAT_CHUNK_BYTES
+        peer.send_bytes(bytes(result.key_buffer.available(peer.send_lane) // frame_bits
+                              * CHAT_CHUNK_BYTES))
         offset = result.key_buffer.next_range_start(peer.send_lane)
-        assert len(result.key_buffer) < 8 * 100_000
-        chan.send(MsgType.CHAT_DATA, pack_chat_frame(CipherFrame(offset, bytes(100_000))))
+        assert result.key_buffer.available(peer.send_lane) < frame_bits
+        chan.send(MsgType.CHAT_DATA, pack_chat_frame(CipherFrame(offset, bytes(CHAT_CHUNK_BYTES))))
         alice.join(timeout=30)
     finally:
         chan.close()
@@ -301,7 +304,8 @@ def test_chat_receive_that_cannot_finish_exits_2(tmp_path, capsys):
 
 def test_chat_send_past_the_key_exits_2_at_once(tmp_path, capsys):
     # a 0.2-s burst at seed 1 distills 58,949 key bits, so Bob's send lane holds
-    # 26,181 (3,272 B): a 4,000-byte send from Bob fails, and both terminals exit 2
+    # 26,181 (3,272 B): Bob's one 4,000-byte frame needs 32,000, so his send fails
+    # before any data frame goes out, and both terminals exit 2
     cfg_path = _write_cfg(tmp_path, "burst_seconds=0.2\n")
     send = tmp_path / "send.bin"
     send.write_bytes(bytes(4000))
@@ -323,8 +327,8 @@ def test_chat_send_past_the_key_exits_2_at_once(tmp_path, capsys):
     err += capsys.readouterr().err
     assert codes == [2, 2]
     assert "key_bits=58949" in err
-    assert "event=abort error=KeyExhausted detail=key buffer exhausted: need 15616 bits, " \
-           "lane has 9797" in err
+    assert "event=abort error=KeyExhausted detail=key buffer exhausted: need 32000 bits, " \
+           "lane has 26181" in err
     assert err.count("event=abort") == 2
     assert "chat_done" not in err and "Traceback" not in err
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qkdlink.core import rng_stream
 from qkdlink.postproc import KeyBuffer, KeyExhausted
 from qkdlink.securecomm import (
+    CHAT_CHUNK_BYTES,
     HANDSHAKE_BITS,
     ChatEndpoint,
     ChatRefused,
@@ -18,6 +19,7 @@ from qkdlink.securecomm import (
     chat_handshake,
     otp_open,
     otp_seal,
+    pack_chat_frame,
     unpack_chat_frame,
 )
 from qkdlink.session import MsgType, ProtocolError, make_loop_pair
@@ -190,17 +192,21 @@ def test_sequence_gap_aborts():
     assert isinstance(info.value, ProtocolError)  # a peer fault: the CLI exits 2
 
 
+FRAME_BITS = 8 * CHAT_CHUNK_BYTES  # one lane page
+THREE_FRAMES = bytes(range(256)) * (5 * CHAT_CHUNK_BYTES // 512)  # two whole frames and a half
+
+
 def _recorded_frames():
     # Bob's three data frames, the last one short, then his EOF marker
     chan, _ = make_loop_pair()
     chan.tap = []
-    end = ChatEndpoint(chan, _filled_buffer(KeyBuffer.PAGE_BITS * 4), "bob")
-    end.send_bytes(bytes(range(256)) * 20)
+    end = ChatEndpoint(chan, _filled_buffer(KeyBuffer.PAGE_BITS * 6), "bob")
+    end.send_bytes(THREE_FRAMES)
     end.send_eof()
     return [payload for _, payload in chan.tap]
 
 
-def _alice_receiving(frames, nbits=KeyBuffer.PAGE_BITS * 4):
+def _alice_receiving(frames, nbits=KeyBuffer.PAGE_BITS * 6):
     """Alice's endpoint, with ``frames`` already sent to her in that order."""
     peer, chan = make_loop_pair(timeout=2.0)
     for payload in frames:
@@ -218,21 +224,22 @@ def test_dropped_repeated_or_reordered_frame_desyncs(order):
     # losing the last data frame before EOF is caught like any other
     frames = _recorded_frames()
     assert len(frames) == 4
-    assert _alice_receiving(frames).recv_all() == bytes(range(256)) * 20
+    assert _alice_receiving(frames).recv_all() == THREE_FRAMES
     with pytest.raises(KeyStreamDesync):
         _alice_receiving([frames[i] for i in order]).recv_all()
 
 
-RUN_PAYLOAD = bytes(range(256)) * 78 + bytes(32)  # 20,000 bytes: nine whole frames and a short one
+TEN_FRAMES = bytes(range(256)) * (9 * CHAT_CHUNK_BYTES // 256) + bytes(32)  # nine whole, one short
+TEN_FRAMES_KEY = KeyBuffer.PAGE_BITS * 20  # ten pages on each lane
 
 
-def _recorded_run(nbits=KeyBuffer.PAGE_BITS * 12):
-    """Bob's frames of one run, then his EOF marker, and Bob's endpoint."""
+def _recorded_transfer(nbits=TEN_FRAMES_KEY):
+    """Bob's frames of one transfer, then his EOF marker, and Bob's endpoint."""
     chan, _ = make_loop_pair()
     chan.tap = []
     end = ChatEndpoint(chan, _filled_buffer(nbits), "bob")
     try:
-        end.send_bytes(RUN_PAYLOAD)
+        end.send_bytes(TEN_FRAMES)
         end.send_eof()
     except KeyExhausted as exc:
         return [payload for _, payload in chan.tap], end, exc
@@ -244,25 +251,27 @@ def _rx_lane_bits(end):
 
 
 @pytest.mark.parametrize("order, accepted", [
-    ((0, 1, 2, 3, 4, 6, 7, 8, 9, 10), 5),        # a frame dropped inside the run
+    ((0, 1, 2, 3, 4, 6, 7, 8, 9, 10), 5),        # a frame dropped inside the transfer
     ((0, 1, 2, 3, 4, 5, 5, 6, 7, 8, 9, 10), 6),  # a frame repeated
     ((0, 1, 2, 3, 4, 6, 5, 7, 8, 9, 10), 5),     # two frames swapped
     ((0, 1, 2, 3, 4, 5, 6, 7, 8, 10), 9),        # the short last frame dropped
 ])
 def test_desync_inside_a_run_consumes_exactly_the_accepted_frames(order, accepted):
-    frames, _, _ = _recorded_run()
+    # a run of frames is one transfer's frames: the fault raises with exactly the
+    # frames before it consumed, and the cursor at the first frame not accepted
+    frames, _, _ = _recorded_transfer()
     assert len(frames) == 11
-    end = _alice_receiving([frames[i] for i in order], KeyBuffer.PAGE_BITS * 12)
+    end = _alice_receiving([frames[i] for i in order], TEN_FRAMES_KEY)
     before = _rx_lane_bits(end)
     with pytest.raises(KeyStreamDesync, match="receiver cursor at"):
         end.recv_all()
-    assert before - _rx_lane_bits(end) == 8 * 2048 * accepted
+    assert before - _rx_lane_bits(end) == FRAME_BITS * accepted
     assert end.buf.next_range_start(end.recv_lane) == unpack_chat_frame(frames[accepted]).key_offset
 
 
 @pytest.mark.parametrize("ending", ["closed", "timeout", "short frame", "wrong type"])
 def test_receive_ended_mid_run_consumes_exactly_the_accepted_frames(ending):
-    frames, _, _ = _recorded_run()
+    frames, _, _ = _recorded_transfer()
     peer, chan = make_loop_pair(timeout=0.2)
     for payload in frames[:4]:
         peer.send(MsgType.CHAT_DATA, payload)
@@ -272,41 +281,68 @@ def test_receive_ended_mid_run_consumes_exactly_the_accepted_frames(ending):
         peer.send(MsgType.CHAT_DATA, b"\x00" * 7)
     elif ending == "wrong type":
         peer.send(MsgType.CHAT_HANDSHAKE, b"\x00")
-    end = ChatEndpoint(chan, _filled_buffer(KeyBuffer.PAGE_BITS * 12), "alice")
+    end = ChatEndpoint(chan, _filled_buffer(TEN_FRAMES_KEY), "alice")
     before = _rx_lane_bits(end)
     with pytest.raises(ProtocolError):
         end.recv_all()
-    assert before - _rx_lane_bits(end) == 8 * 2048 * 4
+    assert before - _rx_lane_bits(end) == FRAME_BITS * 4
 
 
 def test_receive_fails_at_the_frame_its_lane_cannot_cover():
     # Alice's receive lane covers three and a half frames: the fourth raises as it
-    # arrives, with nothing after it, not at a run bound or the receive timeout
-    frames, _, _ = _recorded_run()
+    # arrives, with nothing after it, not at the receive timeout
+    frames, _, _ = _recorded_transfer()
     peer, chan = make_loop_pair(timeout=5.0)
     for payload in frames[:4]:
         peer.send(MsgType.CHAT_DATA, payload)
-    end = ChatEndpoint(chan, _filled_buffer(KeyBuffer.PAGE_BITS * 3 + 8 * 2048 + 8192), "alice")
-    assert _rx_lane_bits(end) == 8 * 2048 * 3 + 8192
+    half = FRAME_BITS // 2
+    end = ChatEndpoint(chan, _filled_buffer(KeyBuffer.PAGE_BITS * 7 + half), "alice")
+    assert _rx_lane_bits(end) == FRAME_BITS * 3 + half
     start = time.monotonic()
-    with pytest.raises(KeyExhausted, match="need 16384 bits, lane has 8192$"):
+    with pytest.raises(KeyExhausted, match=f"need {FRAME_BITS} bits, lane has {half}$"):
         end.recv_all()
     assert time.monotonic() - start < 1.0
-    assert _rx_lane_bits(end) == 8192
+    assert _rx_lane_bits(end) == half
 
 
 def test_send_fails_at_the_frame_its_lane_cannot_cover():
     # Bob's send lane covers six and a half frames: the first six go out exactly as
     # they do with plenty of key, and the seventh raises before anything of it is sent
-    full, _, _ = _recorded_run()
-    sent, end, exc = _recorded_run(nbits=KeyBuffer.PAGE_BITS * 7 + 8192)
-    assert str(exc) == "key buffer exhausted: need 16384 bits, lane has 8192"
+    full, _, _ = _recorded_transfer()
+    half = FRAME_BITS // 2
+    sent, end, exc = _recorded_transfer(nbits=KeyBuffer.PAGE_BITS * 13 + half)
+    assert str(exc) == f"key buffer exhausted: need {FRAME_BITS} bits, lane has {half}"
     assert sent == full[:6]
-    assert end.buf.consumed_total == 8 * 2048 * 6
+    assert end.buf.consumed_total == FRAME_BITS * 6
+
+
+@pytest.mark.parametrize("size", [CHAT_CHUNK_BYTES // 2, CHAT_CHUNK_BYTES, CHAT_CHUNK_BYTES + 1],
+                         ids=["half_cap", "at_cap", "over_cap"])
+def test_incoming_frame_is_bounded_before_any_key_is_taken(size):
+    # a frame of up to CHAT_CHUNK_BYTES opens, the 2 KiB frames of earlier v8 senders
+    # too; one byte more is refused before the receive lane gives up any key
+    plaintext = rng_stream(2, "frame").bytes(size)
+    frame = otp_seal(plaintext, _filled_buffer(KeyBuffer.PAGE_BITS * 6), lane=1)
+    end = _alice_receiving([pack_chat_frame(frame)])
+    before = _rx_lane_bits(end)
+    if size > CHAT_CHUNK_BYTES:
+        with pytest.raises(ProtocolError, match=f"chat frame of {size} bytes"):
+            end.recv_frame()
+        assert _rx_lane_bits(end) == before
+    else:
+        assert end.recv_frame() == plaintext
+        assert before - _rx_lane_bits(end) == 8 * size
+
+
+def _lane_key_digest(buf, lane):
+    """sha256 of the key bits a lane consumed, in lane order."""
+    page, held = KeyBuffer.PAGE_BITS, buf.bits()
+    spans = sorted(r for r in buf.issued_ranges if r[0] // page % 2 == lane)
+    return hashlib.sha256(np.packbits(np.concatenate([held[a:b] for a, b in spans]))).hexdigest()
 
 
 def test_chat_wire_is_pinned():
-    # both lanes cross pages and several runs, and each direction ends on a short frame
+    # both lanes cross pages and appended chunks, and each direction ends on a short frame
     key = rng_stream(12, "key").integers(0, 2, 2_400_000, dtype=np.uint8)
     bufs = KeyBuffer(), KeyBuffer()
     for start in range(0, len(key), 295_548):
@@ -324,9 +360,20 @@ def test_chat_wire_is_pinned():
     digest = hashlib.sha256()
     for msg_type, payload in ca.tap + cb.tap:
         digest.update(bytes([msg_type]) + len(payload).to_bytes(4, "big") + payload)
-    assert (len(ca.tap), len(cb.tap)) == (71, 66)
-    assert digest.hexdigest() == "6d106f1eedc3c8957c582eedaad91871546b6efe7d2fe28316677209da6464f2"
+    assert (len(ca.tap), len(cb.tap)) == (37, 34)
+    assert digest.hexdigest() == "3579d55f79ea1dc9cdd79a6a62b6b648faeea2fb8868aa19085276433a2fe093"
     assert [buf.consumed_total for buf in bufs] == [2_160_072, 2_160_072]
+    # the frame size moves only frame boundaries and offsets: each direction's ciphertext
+    # and each lane's consumed key bits keep the digests they had with 2 KiB frames
+    for tap, want in ((ca.tap, "4bcd7b50ead4c5eba378128a1b6e2b4056622cc62a3be5e146aa4eb96d9ee3a2"),
+                      (cb.tap, "5a0ecdc49729edc27017b10c7bebed1d8964fe502a8adb289722db4b38f01cad")):
+        ciphertext = b"".join(unpack_chat_frame(p).ciphertext
+                              for t, p in tap if t == MsgType.CHAT_DATA)
+        assert hashlib.sha256(ciphertext).hexdigest() == want
+    for buf in bufs:
+        assert [_lane_key_digest(buf, lane) for lane in (0, 1)] == [
+            "6ff86583d34ae9aca020b66248d0ed7ed95a6de08b545c02efe38f7fcc348176",
+            "d5233ac842926045e9791c2abd4cac1134973d8a37ddbd2de062feb892cc8b6c"]
     # each lane's ledger is its first bits, page by page: the handshake window and
     # Alice's bytes on the even pages, Bob's on the odd ones
     page = KeyBuffer.PAGE_BITS
