@@ -5,24 +5,19 @@ Payloads are XORed with never-reused key material drawn from the shared
 handshake over the first 64 buffered bits (then discarded); after that the
 two directions consume the two lanes of the buffer, its even and odd page
 stripes, so duplex traffic cannot collide on key ranges.  A frame is the
-8-byte key offset of its first key bit, then the ciphertext; the receiver
-opens it only at its lane's cursor, so a dropped, repeated or reordered
-frame raises :class:`KeyStreamDesync`.  A frame carries at most
-``CHAT_CHUNK_BYTES`` (4 KiB, one lane page of key) and is sealed and opened
-with one take of its own; a longer incoming frame is refused before any
-key is taken.  A frame the lane cannot cover raises
-:class:`~qkdlink.postproc.KeyExhausted` at once, after every earlier frame;
-nothing waits for key.
+bytes :func:`otp_seal` returns and :func:`otp_open` takes, sent as one
+CHAT_DATA payload; it carries at most ``CHAT_CHUNK_BYTES`` (4 KiB, one lane
+page of key) and is sealed and opened with one take of its own.  A frame the
+lane cannot cover raises :class:`~qkdlink.postproc.KeyExhausted` at once,
+after every earlier frame; nothing waits for key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .postproc import KeyBuffer
-from .session import MsgType, ProtocolError, recv_expect
+from .session import MsgType, ProtocolError
 
 HANDSHAKE_BITS = 64
 CHAT_CHUNK_BYTES = KeyBuffer.PAGE_BITS // 8  # one frame takes at most one lane page of key
@@ -36,45 +31,46 @@ class KeyStreamDesync(ProtocolError):
     """Key offsets out of step; the chat session must abort."""
 
 
-@dataclass(frozen=True)
-class CipherFrame:
-    key_offset: int      # absolute bit offset of the key range used
-    ciphertext: bytes
-
-
 def _xor(data: bytes, key_bits: np.ndarray) -> bytes:
     key = np.packbits(key_bits)
     buf = np.frombuffer(data, dtype=np.uint8)
     return (buf ^ key[: len(buf)]).tobytes()
 
 
-def otp_seal(plaintext: bytes, buf: KeyBuffer, lane: int = 0) -> CipherFrame:
+def otp_seal(plaintext: bytes, buf: KeyBuffer, lane: int = 0) -> bytes:
     """Encrypt with the next key bits of a lane, consuming them exactly once.
 
-    Raises :class:`~qkdlink.postproc.KeyExhausted`, consuming nothing, when
-    the lane holds fewer than 8*len(plaintext) unconsumed bits.  The key may
-    span page boundaries; the frame names the absolute offset of its first
-    key bit.
+    Returns the frame: the 8-byte big-endian offset of its first key bit,
+    which may span page boundaries, then the ciphertext.  Raises
+    :class:`~qkdlink.postproc.KeyExhausted`, consuming nothing, when the lane
+    holds fewer than 8*len(plaintext) unconsumed bits.
     """
     if not plaintext:
-        return CipherFrame(key_offset=buf.next_range_start(lane), ciphertext=b"")
+        return buf.next_range_start(lane).to_bytes(8, "big")
     ranges, bits = buf.take(8 * len(plaintext), lane=lane)
-    return CipherFrame(key_offset=ranges[0][0], ciphertext=_xor(plaintext, bits))
+    return ranges[0][0].to_bytes(8, "big") + _xor(plaintext, bits)
 
 
-def otp_open(frame: CipherFrame, buf: KeyBuffer, lane: int = 0) -> bytes:
-    """Decrypt a frame, consuming the mirrored key range on the receive lane."""
-    expected = buf.next_range_start(lane)
-    if frame.key_offset != expected:
-        raise KeyStreamDesync(
-            f"frame uses key at bit {frame.key_offset}, receiver cursor at {expected}"
-        )
-    if not frame.ciphertext:
+def otp_open(frame: bytes, buf: KeyBuffer, lane: int = 0) -> bytes:
+    """Decrypt a frame of :func:`otp_seal`, consuming the mirrored key range on the lane.
+
+    Before any key is taken, a frame shorter than its offset, one over
+    ``CHAT_CHUNK_BYTES`` and one whose offset is not the lane's cursor (a
+    dropped, repeated or reordered frame) are refused, in that order.
+    """
+    if len(frame) < 8:
+        raise KeyStreamDesync("short chat frame")
+    if len(frame) > 8 + CHAT_CHUNK_BYTES:
+        raise ProtocolError(f"chat frame of {len(frame) - 8} bytes, over {CHAT_CHUNK_BYTES}")
+    offset, expected = int.from_bytes(frame[:8], "big"), buf.next_range_start(lane)
+    if offset != expected:
+        raise KeyStreamDesync(f"frame uses key at bit {offset}, receiver cursor at {expected}")
+    if len(frame) == 8:
         return b""
-    ranges, bits = buf.take(8 * len(frame.ciphertext), lane=lane)
-    if ranges[0][0] != frame.key_offset:
+    ranges, bits = buf.take(8 * (len(frame) - 8), lane=lane)
+    if ranges[0][0] != offset:
         raise KeyStreamDesync("consumed range diverged from frame offset")
-    return _xor(frame.ciphertext, bits)
+    return _xor(memoryview(frame)[8:], bits)
 
 
 def chat_handshake(chan, buf: KeyBuffer) -> None:
@@ -90,24 +86,12 @@ def chat_handshake(chan, buf: KeyBuffer) -> None:
         )
     parity = int(buf.peek(HANDSHAKE_BITS).sum() & 1)
     chan.send(MsgType.CHAT_HANDSHAKE, bytes([parity]))
-    msg = recv_expect(chan, MsgType.CHAT_HANDSHAKE)
+    msg = chan.recv(MsgType.CHAT_HANDSHAKE)
     if len(msg.payload) != 1:
         raise ChatRefused("malformed handshake payload")
     if msg.payload[0] != parity:
         raise ChatRefused("key parities differ: buffers are desynchronized")
     buf.take(HANDSHAKE_BITS, lane=0)  # discard the disclosed window (even lane, page 0)
-
-
-def pack_chat_frame(frame: CipherFrame) -> bytes:
-    return frame.key_offset.to_bytes(8, "big") + frame.ciphertext
-
-
-def unpack_chat_frame(payload: bytes) -> CipherFrame:
-    if len(payload) < 8:
-        raise KeyStreamDesync("short chat frame")
-    if len(payload) > 8 + CHAT_CHUNK_BYTES:
-        raise ProtocolError(f"chat frame of {len(payload) - 8} bytes, over {CHAT_CHUNK_BYTES}")
-    return CipherFrame(key_offset=int.from_bytes(payload[:8], "big"), ciphertext=payload[8:])
 
 
 class ChatEndpoint:
@@ -137,18 +121,18 @@ class ChatEndpoint:
         """
         starts = range(0, len(data), CHAT_CHUNK_BYTES)
         for pos in starts:
-            frame = otp_seal(data[pos : pos + CHAT_CHUNK_BYTES], self.buf, self.send_lane)
-            self.chan.send(MsgType.CHAT_DATA, pack_chat_frame(frame))
+            self.chan.send(MsgType.CHAT_DATA,
+                           otp_seal(data[pos : pos + CHAT_CHUNK_BYTES], self.buf, self.send_lane))
         return len(starts)
 
     def send_eof(self) -> None:
-        self.chan.send(MsgType.CHAT_DATA, pack_chat_frame(otp_seal(b"", self.buf, self.send_lane)))
+        self.chan.send(MsgType.CHAT_DATA, otp_seal(b"", self.buf, self.send_lane))
 
     def recv_frame(self) -> bytes | None:
         """One frame's plaintext, or None on the peer's EOF marker."""
-        msg = recv_expect(self.chan, MsgType.CHAT_DATA)
+        frame = self.chan.recv(MsgType.CHAT_DATA).payload
         # data frames are never empty: an empty one is the EOF marker
-        return otp_open(unpack_chat_frame(msg.payload), self.buf, lane=self.recv_lane) or None
+        return otp_open(frame, self.buf, lane=self.recv_lane) or None
 
     def recv_all(self) -> bytes:
         """Collect plaintext through :meth:`recv_frame` until the peer's EOF marker.

@@ -93,6 +93,15 @@ def _known_type(msg_type: int) -> MsgType:
     return MsgType(msg_type)
 
 
+def _accepted(msg_type: int, types: tuple) -> MsgType:
+    """``msg_type`` if it is one of ``types``; an unknown or unexpected type is a ProtocolError."""
+    msg_type = _known_type(msg_type)
+    if msg_type not in types:
+        raise ProtocolError(f"expected {'/'.join(MsgType(t).name for t in types)}, "
+                            f"got {msg_type.name}")
+    return msg_type
+
+
 def encode_message(msg: Message) -> bytes:
     _known_type(msg.msg_type)
     if len(msg.payload) > MAX_PAYLOAD:
@@ -115,7 +124,8 @@ class ChannelClosed(ProtocolError):
 
 
 class SocketChannel:
-    """Length-prefixed message stream over a TCP socket."""
+    """Length-prefixed message stream over a TCP socket, read through one buffered
+    reader: a body larger than its buffer is read straight into the message's bytes."""
 
     def __init__(self, sock: socket.socket, timeout: float = DEFAULT_PHASE_TIMEOUT):
         self.sock = sock
@@ -125,6 +135,7 @@ class SocketChannel:
             # next pass's WINNOW_PARITIES, PA_SEED then KEY_HASH); with Nagle's
             # algorithm the second waits for the peer's delayed ACK, tens of ms each time
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._reader = sock.makefile("rb")
         self.tap: list | None = None  # if set, every sent (type, payload) is appended
 
     def send(self, msg_type: int, payload: bytes = b"") -> None:
@@ -133,31 +144,31 @@ class SocketChannel:
         self.sock.sendall(encode_message(Message(msg_type, payload)))
 
     def _recv_exact(self, n: int, at_boundary: bool = False) -> bytes:
-        buf = bytearray()
-        while len(buf) < n:
-            try:
-                chunk = self.sock.recv(n - len(buf))
-            except socket.timeout as exc:
-                raise ProtocolError("receive timeout") from exc
-            if not chunk:
-                torn = f" mid-frame ({len(buf)}/{n} bytes)" if buf or not at_boundary else ""
-                raise ChannelClosed("peer closed" + torn)  # "peer closed" alone: between messages
-            buf.extend(chunk)
-        return bytes(buf)
+        try:
+            data = self._reader.read(n)
+        except socket.timeout as exc:
+            raise ProtocolError("receive timeout") from exc
+        if len(data) < n:
+            torn = f" mid-frame ({len(data)}/{n} bytes)" if data or not at_boundary else ""
+            raise ChannelClosed("peer closed" + torn)  # "peer closed" alone: between messages
+        return data
 
-    def recv(self) -> Message:
-        """One message; its header is checked before any of its body is read."""
+    def recv(self, *types: int) -> Message:
+        """One message of one of ``types``; its header is checked before any of its
+        body is read, so an unknown or unexpected type is refused at once."""
         (length,) = struct.unpack(">I", self._recv_exact(4, at_boundary=True))
         if length < 1:
             raise ProtocolError("zero-length frame")
-        msg_type = _known_type(self._recv_exact(1)[0])
+        msg_type = _accepted(self._recv_exact(1)[0], types)
         return Message(msg_type=msg_type, payload=self._recv_exact(length - 1))
 
     def close(self) -> None:
+        """Shuts the socket down first, so a receive blocked on another thread returns."""
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._reader.close()
         self.sock.close()
 
 
@@ -176,14 +187,17 @@ class LoopChannel:
             self.tap.append((MsgType(msg_type), payload))
         self._tx.put(encode_message(Message(msg_type, payload)))
 
-    def recv(self) -> Message:
+    def recv(self, *types: int) -> Message:
+        """One message of one of ``types``, checked after it is decoded."""
         try:
             data = self._rx.get(timeout=self.timeout)
         except queue.Empty as exc:
             raise ProtocolError("receive timeout") from exc
         if data is None:
             raise ChannelClosed("peer closed")
-        return decode_message(data)
+        msg = decode_message(data)
+        _accepted(msg.msg_type, types)
+        return msg
 
     def close(self) -> None:
         self._tx.put(None)
@@ -192,14 +206,6 @@ class LoopChannel:
 def make_loop_pair(timeout: float = DEFAULT_PHASE_TIMEOUT) -> tuple[LoopChannel, LoopChannel]:
     q_ab, q_ba = queue.SimpleQueue(), queue.SimpleQueue()
     return LoopChannel(q_ba, q_ab, timeout), LoopChannel(q_ab, q_ba, timeout)
-
-
-def recv_expect(chan, *types: int) -> Message:
-    msg = chan.recv()
-    if msg.msg_type not in types:
-        names = "/".join(MsgType(t).name for t in types)
-        raise ProtocolError(f"expected {names}, got {MsgType(msg.msg_type).name}")
-    return msg
 
 
 # --- payload packing ----------------------------------------------------------
@@ -267,8 +273,7 @@ class NetworkTransport:
         self.chan.send(MsgType.SIM_PULSESTREAM, pack_tx_burst(tx))
 
     def receive(self) -> TxBurst:
-        msg = recv_expect(self.chan, MsgType.SIM_PULSESTREAM)
-        return unpack_tx_burst(msg.payload)
+        return unpack_tx_burst(self.chan.recv(MsgType.SIM_PULSESTREAM).payload)
 
 
 # --- payload layouts: every burst message, declared once ---------------------------
@@ -454,7 +459,7 @@ class _Burst:
              abort: AbortReason | None = None) -> tuple:
         """The unpacked payload of one of ``types``; the peer's ABORT with reason
         ``abort`` ends the burst, and one with any other reason is a ProtocolError."""
-        msg = recv_expect(self.chan, *types, *(() if abort is None else (MsgType.ABORT,)))
+        msg = self.chan.recv(*types, *(() if abort is None else (MsgType.ABORT,)))
         values = unpack_payload(self.peer, msg.msg_type, msg.payload, n, bound)
         if msg.msg_type == MsgType.ABORT:
             if values[0] != abort:
@@ -643,7 +648,7 @@ def run_session(role: str, cfg: SimConfig, chan, transport, n_bursts: int,
                          config_fingerprint(cfg), n_bursts)
     if role == "bob":
         chan.send(MsgType.HELLO, hello)
-    check_hello(unpack_payload(peer, MsgType.HELLO, recv_expect(chan, MsgType.HELLO).payload),
+    check_hello(unpack_payload(peer, MsgType.HELLO, chan.recv(MsgType.HELLO).payload),
                 cfg, n_bursts)
     if role == "alice":
         chan.send(MsgType.HELLO, hello)

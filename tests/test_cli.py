@@ -17,7 +17,7 @@ from qkdlink.cli import ReportWriter, main
 from qkdlink.core import default_config, load_config, rng_stream
 from qkdlink.eve import Eavesdropper
 from qkdlink.photonics import generate_burst, transmit_and_detect
-from qkdlink.securecomm import CHAT_CHUNK_BYTES, CipherFrame, ChatEndpoint, pack_chat_frame
+from qkdlink.securecomm import CHAT_CHUNK_BYTES, ChatEndpoint
 from qkdlink.session import (
     PROTOCOL_MAGIC,
     PROTOCOL_VERSION,
@@ -26,7 +26,6 @@ from qkdlink.session import (
     SocketChannel,
     config_fingerprint,
     pack_payload,
-    recv_expect,
     run_session,
 )
 
@@ -245,7 +244,7 @@ def test_bob_exits_2_on_a_hostile_pulse_stream(tmp_path, capsys, fields):
         conn, _ = srv.accept()
     chan = SocketChannel(conn, timeout=10.0)
     try:
-        recv_expect(chan, MsgType.HELLO)
+        chan.recv(MsgType.HELLO)
         chan.send(MsgType.HELLO, pack_payload("alice", MsgType.HELLO, PROTOCOL_MAGIC,
                                               PROTOCOL_VERSION, config_fingerprint(cfg), 1))
         chan.send(MsgType.BURST_START, pack_payload("alice", MsgType.BURST_START, 0))
@@ -291,7 +290,7 @@ def test_chat_receive_that_cannot_finish_exits_2(tmp_path, capsys):
                               * CHAT_CHUNK_BYTES))
         offset = result.key_buffer.next_range_start(peer.send_lane)
         assert result.key_buffer.available(peer.send_lane) < frame_bits
-        chan.send(MsgType.CHAT_DATA, pack_chat_frame(CipherFrame(offset, bytes(CHAT_CHUNK_BYTES))))
+        chan.send(MsgType.CHAT_DATA, offset.to_bytes(8, "big") + bytes(CHAT_CHUNK_BYTES))
         alice.join(timeout=30)
     finally:
         chan.close()

@@ -14,13 +14,10 @@ from qkdlink.securecomm import (
     HANDSHAKE_BITS,
     ChatEndpoint,
     ChatRefused,
-    CipherFrame,
     KeyStreamDesync,
     chat_handshake,
     otp_open,
     otp_seal,
-    pack_chat_frame,
-    unpack_chat_frame,
 )
 from qkdlink.session import MsgType, ProtocolError, make_loop_pair
 
@@ -48,15 +45,15 @@ def test_zero_plaintext_exposes_key_bytes():
     tx_buf, probe = _pair_of_buffers(10_000)
     frame = otp_seal(bytes(32), tx_buf)
     _, key_bits = probe.take(32 * 8)
-    assert frame.ciphertext == np.packbits(key_bits).tobytes()
+    assert frame[8:] == np.packbits(key_bits).tobytes()
 
 
 def test_tampered_bit_flips_exactly_that_plaintext_bit():
     tx_buf, rx_buf = _pair_of_buffers(10_000)
     frame = otp_seal(bytes(range(64)), tx_buf)
-    damaged = bytearray(frame.ciphertext)
-    damaged[5] ^= 0x10
-    out = otp_open(CipherFrame(frame.key_offset, bytes(damaged)), rx_buf)
+    damaged = bytearray(frame)
+    damaged[8 + 5] ^= 0x10  # after the 8-byte key offset
+    out = otp_open(bytes(damaged), rx_buf)
     expect = bytearray(range(64))
     expect[5] ^= 0x10
     assert out == bytes(expect)
@@ -186,7 +183,7 @@ def test_sequence_gap_aborts():
     _do_handshake(ea, eb)
     ea.send_bytes(b"one")
     ea.send_bytes(b"two")
-    eb.chan.recv()  # the frame of b"one" is lost on the way
+    eb.chan.recv(MsgType.CHAT_DATA)  # the frame of b"one" is lost on the way
     with pytest.raises(KeyStreamDesync) as info:
         eb.recv_frame()
     assert isinstance(info.value, ProtocolError)  # a peer fault: the CLI exits 2
@@ -266,7 +263,7 @@ def test_desync_inside_a_run_consumes_exactly_the_accepted_frames(order, accepte
     with pytest.raises(KeyStreamDesync, match="receiver cursor at"):
         end.recv_all()
     assert before - _rx_lane_bits(end) == FRAME_BITS * accepted
-    assert end.buf.next_range_start(end.recv_lane) == unpack_chat_frame(frames[accepted]).key_offset
+    assert end.buf.next_range_start(end.recv_lane) == int.from_bytes(frames[accepted][:8], "big")
 
 
 @pytest.mark.parametrize("ending", ["closed", "timeout", "short frame", "wrong type"])
@@ -323,7 +320,7 @@ def test_incoming_frame_is_bounded_before_any_key_is_taken(size):
     # too; one byte more is refused before the receive lane gives up any key
     plaintext = rng_stream(2, "frame").bytes(size)
     frame = otp_seal(plaintext, _filled_buffer(KeyBuffer.PAGE_BITS * 6), lane=1)
-    end = _alice_receiving([pack_chat_frame(frame)])
+    end = _alice_receiving([frame])
     before = _rx_lane_bits(end)
     if size > CHAT_CHUNK_BYTES:
         with pytest.raises(ProtocolError, match=f"chat frame of {size} bytes"):
@@ -367,8 +364,7 @@ def test_chat_wire_is_pinned():
     # and each lane's consumed key bits keep the digests they had with 2 KiB frames
     for tap, want in ((ca.tap, "4bcd7b50ead4c5eba378128a1b6e2b4056622cc62a3be5e146aa4eb96d9ee3a2"),
                       (cb.tap, "5a0ecdc49729edc27017b10c7bebed1d8964fe502a8adb289722db4b38f01cad")):
-        ciphertext = b"".join(unpack_chat_frame(p).ciphertext
-                              for t, p in tap if t == MsgType.CHAT_DATA)
+        ciphertext = b"".join(p[8:] for t, p in tap if t == MsgType.CHAT_DATA)
         assert hashlib.sha256(ciphertext).hexdigest() == want
     for buf in bufs:
         assert [_lane_key_digest(buf, lane) for lane in (0, 1)] == [
@@ -412,11 +408,12 @@ def test_chat_ciphertext_is_payload_xor_lane_stripe():
         end.send_bytes(payload[sizes[0] :])
         end.send_eof()
         assert peer.recv_all() == payload
-        frames = [unpack_chat_frame(p) for t, p in taps[sender] if t == MsgType.CHAT_DATA]
-        assert any(f.key_offset % page + 8 * len(f.ciphertext) > page for f in frames)
+        frames = [p for t, p in taps[sender] if t == MsgType.CHAT_DATA]
+        # a frame is its 8-byte key offset, then the ciphertext
+        assert any(int.from_bytes(f[:8], "big") % page + 8 * (len(f) - 8) > page for f in frames)
         key = np.packbits(lane_key[sender][: 8 * len(payload)])
         want = (np.frombuffer(payload, np.uint8) ^ key).tobytes()
-        assert b"".join(f.ciphertext for f in frames) == want
+        assert b"".join(f[8:] for f in frames) == want
 
 
 def test_fuzzed_session_key_ranges_disjoint_and_monotone():

@@ -31,7 +31,6 @@ from qkdlink.session import (
     make_loop_pair,
     pack_payload,
     pack_tx_burst,
-    recv_expect,
     run_burst_alice,
     run_burst_bob,
     run_session,
@@ -91,7 +90,7 @@ def test_socket_channel_truncated_stream():
     a.sendall(b"\x00\x00\x00\x0a\x05abcd")
     a.close()
     with pytest.raises(ChannelClosed):
-        chan.recv()
+        chan.recv(MsgType.BASES)
     chan.close()
 
 
@@ -104,31 +103,35 @@ def test_socket_channel_close_at_a_message_boundary_is_not_mid_frame():
         a.sendall(sent)
         a.close()
         if len(sent) > 4:
-            assert chan.recv().payload == b"12345678"
+            assert chan.recv(MsgType.KEY_HASH).payload == b"12345678"
         with pytest.raises(ChannelClosed, match=error):
-            chan.recv()
+            chan.recv(MsgType.KEY_HASH)
         chan.close()
 
 
 def test_socket_channel_refuses_unknown_type_before_reading_the_body():
-    # the peer stays open and never sends the million bytes it claims: the type
-    # byte alone refuses the frame, long before the 2-s receive timeout
-    a, b = socket.socketpair()
-    chan = SocketChannel(b, timeout=2.0)
-    a.sendall(struct.pack(">IB", 1_000_001, 0xFF))
-    start = time.monotonic()
-    with pytest.raises(ProtocolError, match="unknown message type 0xFF"):
-        chan.recv()
-    assert time.monotonic() - start < 1.0
-    chan.close()
-    a.close()
+    # the peer stays open and never sends the body it claims: the type byte alone
+    # refuses the frame, of an unknown type or of one not expected there, long
+    # before the 2-s receive timeout
+    for header, error in ((struct.pack(">IB", 1_000_001, 0xFF), "unknown message type 0xFF"),
+                          (struct.pack(">IB", 2**31, MsgType.BURST_START),
+                           "expected HELLO, got BURST_START")):
+        a, b = socket.socketpair()
+        chan = SocketChannel(b, timeout=2.0)
+        a.sendall(header)
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match=error):
+            chan.recv(MsgType.HELLO)
+        assert time.monotonic() - start < 1.0
+        chan.close()
+        a.close()
 
 
 def test_socket_channel_roundtrip():
     a, b = socket.socketpair()
     ca, cb = SocketChannel(a, timeout=2.0), SocketChannel(b, timeout=2.0)
     ca.send(MsgType.KEY_HASH, b"12345678")
-    msg = cb.recv()
+    msg = cb.recv(MsgType.KEY_HASH)
     assert msg.msg_type == MsgType.KEY_HASH and msg.payload == b"12345678"
     ca.close()
     cb.close()
@@ -151,7 +154,7 @@ def test_recv_expect_rejects_out_of_order():
     ca, cb = make_loop_pair(timeout=1.0)
     ca.send(MsgType.BASES, b"")
     with pytest.raises(ProtocolError):
-        recv_expect(cb, MsgType.BURST_START)
+        cb.recv(MsgType.BURST_START)
 
 
 # --- pulse-stream transport ----------------------------------------------------------
@@ -227,11 +230,12 @@ def test_network_transport_over_loopback_sockets():
 
 def test_transport_disconnect_aborts_burst():
     a, b = socket.socketpair()
-    receiver = NetworkTransport(SocketChannel(b, timeout=2.0))
+    chan = SocketChannel(b, timeout=2.0)
     a.sendall(b"\x00\x01\x00\x00\x0f")  # claims ~64KB pulse stream
     a.close()
     with pytest.raises(ProtocolError):
-        receiver.receive()
+        NetworkTransport(chan).receive()
+    chan.close()
 
 
 def test_detection_identical_for_direct_and_serialized_pulses():
@@ -608,8 +612,8 @@ class _Tampered:
             self.rewrite = None
         self.chan.send(msg_type, payload)
 
-    def recv(self):
-        return self.chan.recv()
+    def recv(self, *types):
+        return self.chan.recv(*types)
 
     def close(self):
         self.chan.close()
