@@ -15,11 +15,16 @@ nearly sorted (bin, channel) keys merges coinciding entries into clicks.
 The receiver keeps only the keys; the pulse behind each entry is simulator
 ground truth, returned by :func:`detector_entries` and dropped by the merge.
 The cost scales with the ~5% of pulses that click, not with the 20 M pulses
-of a 1-second burst.
+of a 1-second burst.  On a burst of at least ``DRAW_CHUNK`` detected photons
+the encoding of their pulses (or the eavesdropper's re-preparation of it)
+runs on one worker thread while the calling thread makes the channel draws;
+the two take separate random streams, so no draw depends on the threads'
+interleaving.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,15 +109,26 @@ class TxBurst:
     def at(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(bases, bits) of the pulses at ``idx``, as uint8 arrays (0=rectilinear 1=diagonal).
 
-        One gather from this burst's 2047-entry ``basis << 1 | bit`` table.
+        One gather from this burst's 2047-entry ``basis << 1 | bit`` table,
+        ``DRAW_CHUNK`` indices at a time through an ``intp`` phase (a gather
+        converts any other index dtype to one first).
         """
         pb, pv = _PHASE[self.state_bases], _PHASE[self.state_bits]
         table = _CYCLE2[pb:pb + PRBS11_PERIOD] << 1 | _CYCLE2[pv:pv + PRBS11_PERIOD]
         idx = np.asarray(idx)
-        phase = idx // PRBS11_PERIOD  # idx % PRBS11_PERIOD, without a costly remainder
-        phase *= PRBS11_PERIOD
-        np.subtract(idx, phase, out=phase)
-        state = table[phase]
+        # the scratch ahead of the result: the other way round, a transmitter's
+        # allocator arena held ~7 MB more from burst to burst
+        whole = np.empty(min(len(idx), DRAW_CHUNK), dtype=idx.dtype)
+        phase = np.empty(len(whole), dtype=np.intp)
+        state = np.empty(len(idx), dtype=np.uint8)
+        for i in range(0, len(idx), DRAW_CHUNK):
+            part = idx[i:i + DRAW_CHUNK]
+            w, p = whole[:len(part)], phase[:len(part)]
+            # idx % PRBS11_PERIOD, without a costly remainder
+            np.floor_divide(part, PRBS11_PERIOD, out=w)
+            w *= PRBS11_PERIOD
+            np.subtract(part, w, out=p)
+            table.take(p, out=state[i:i + len(part)])
         bits = state & 1
         state >>= 1
         return state, bits
@@ -215,6 +231,33 @@ def total_efficiency(link: LinkBudget, distance_m: float | None = None) -> float
             * link.eta_residual * link.detector_chain_efficiency())
 
 
+class _Worker:
+    """``call()`` on a worker thread, or at once on this one when ``inline``
+    (a short burst does not pay for a thread); :meth:`result` joins it."""
+
+    def __init__(self, call, inline: bool):
+        self._out = self._error = self._thread = None
+        if inline:
+            self._out = call()
+            return
+        self._call = call
+        self._thread = threading.Thread(target=self._run, name="encoding", daemon=True)
+        self._thread.start()
+
+    def _run(self) -> None:
+        try:
+            self._out = self._call()
+        except BaseException as exc:  # re-raised by result() on the caller's thread
+            self._error = exc
+
+    def result(self):
+        if self._thread is not None:
+            self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return self._out
+
+
 def _true_bin_offset(cfg: SimConfig, tof_ns: float, pps_ns: float) -> int:
     return int(np.floor((tof_ns + pps_ns) / cfg.bin_ns))
 
@@ -233,8 +276,12 @@ def detector_entries(tx: TxBurst, cfg: SimConfig, eve=None, *,
     agree, uniform within the measurement basis when they differ), and bin
     placement shifted by time of flight + 1PPS offset and smeared by the
     3-bin clock spread (not drawn when ``clock_center_prob`` is 1); then the
-    dark counts.  The draws come in that order, each once per photon or dark
-    count.
+    dark counts.  The draws on ``rng`` come in that order, each once per
+    photon or dark count, all on the calling thread.  The encoding reads no
+    ``rng`` draw (Eve draws from her own stream): from ``DRAW_CHUNK`` photons
+    up it runs on a worker thread beside the channel draws, below that
+    inline, and the channel is blended from both once the worker is joined.
+    An exception raised on the worker is raised here.
 
     Returns ``(key, src, pps_ns, base_bin)``: the int32 merge key ``bin * 8 +
     channel`` of every entry, the m detected photons first and the dark
@@ -258,15 +305,20 @@ def detector_entries(tx: TxBurst, cfg: SimConfig, eve=None, *,
     # into one; surviving photons then get basis/channel/bin.
     src = detected_photons(n, link.mu, total_efficiency(link), rng)
     m = len(src)
-    # intercept-resend keeps photon numbers, so Eve needs only the pulses that reach Bob
-    bases, bits = tx.at(src) if eve is None else eve.intercept(tx, src)
+    # the photons' encoding, on a worker while this thread draws; intercept-resend
+    # keeps photon numbers, so Eve needs only the pulses that reach Bob
+    encoding = _Worker(lambda: tx.at(src) if eve is None else eve.intercept(tx, src),
+                       inline=m < DRAW_CHUNK)
 
-    # per photon: measurement basis, polarization flip, outcome when the bases differ
-    meas_basis = rng.integers(0, 2, m, dtype=np.uint8)
-    same = meas_basis == bases
+    # per photon: measurement basis, polarization flip, outcome when the bases differ;
+    # the flip waits in bit 1 of the measurement basis for the encoding
+    meas = rng.integers(0, 2, m, dtype=np.uint8)
+    flip = np.empty(min(m, DRAW_CHUNK), dtype=bool)
     for i in range(0, m, DRAW_CHUNK):
-        part = bits[i:i + DRAW_CHUNK]
-        part ^= rng.random(len(part)) < link.e_pol
+        part = meas[i:i + DRAW_CHUNK]
+        f = np.less(rng.random(len(part)), link.e_pol, out=flip[:len(part)])
+        part |= f.view(np.uint8) << 1
+    del flip
     rand_bit = rng.integers(0, 2, m, dtype=np.uint8)
     jitter = _clock_jitter(m, cfg.clock_center_prob, rng) if cfg.clock_center_prob < 1 else 0
 
@@ -281,18 +333,26 @@ def detector_entries(tx: TxBurst, cfg: SimConfig, eve=None, *,
     np.multiply(src, cfg.bins_per_frame, out=signal)
     signal += base_bin
     signal += jitter
+    del jitter
     key[m:] = rng.integers(0, span, n_dark, dtype=np.int64)
     key *= 8
+    bases, bits = encoding.result()
     # channel 1 + 2 * basis + bit: the sent bit (flipped with probability e_pol)
-    # when the bases agree, else a random one, blended (a masked copy branches per entry)
+    # when the bases agree, else a random one, blended (a masked copy branches per
+    # entry), a chunk at a time
     channel = rand_bit
-    bits ^= channel
-    bits &= same
-    channel ^= bits
-    meas_basis <<= 1
-    channel += meas_basis
-    channel += 1
-    signal += channel
+    for i in range(0, m, DRAW_CHUNK):
+        s = slice(i, i + DRAW_CHUNK)
+        basis, bit, ch = meas[s], bits[s], channel[s]
+        bit ^= basis >> 1
+        basis &= 1
+        bit ^= ch
+        bit &= basis == bases[s]
+        ch ^= bit
+        basis <<= 1
+        ch += basis
+        ch += 1
+        signal[s] += ch
     key[m:] += rng.integers(1, 5, n_dark, dtype=np.uint8)
     return key, src, pps_ns, base_bin
 
@@ -303,8 +363,9 @@ def transmit_and_detect(tx: TxBurst, cfg: SimConfig, eve=None, *,
     merged into clicks with multi-channel bins flagged (:func:`merge_clicks`).
 
     Only the merge keys are kept, as 32-bit integers, and the float draws
-    come a chunk at a time, so a 1-s burst of ~0.95 M clicks holds ~14 bytes
-    per click at its peak.
+    come a chunk at a time, so a 1-s burst of ~0.95 M clicks holds ~13 bytes
+    per click at its peak, counting the encoding worker's arrays (~15 with
+    Eve's).
     """
     key, src, _, base_bin = detector_entries(tx, cfg, eve, rng=rng)
     del src  # ground truth: the receiver merges the keys alone

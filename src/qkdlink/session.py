@@ -677,7 +677,10 @@ def simulate_session(cfg: SimConfig, n_bursts: int, on_burst=None,
     arena; a helper that has not yet handed its arena back when the next
     session's helper starts leaves that one a fresh arena.  On the calling
     thread Bob's memory is reused from session to session, and a stray arena
-    holds only Alice's few MB.
+    holds only Alice's few MB.  Bob's encoding worker
+    (:func:`~qkdlink.photonics.detector_entries`) has an arena of its own,
+    which keeps the ~2.6 MB of a clean burst's encoding and the ~4 MB of an
+    eavesdropped one's from burst to burst.
     The burst callback fires on Alice's outcomes (the canonical report), on
     her thread.  A terminal's exception re-raises here after the join.
     """

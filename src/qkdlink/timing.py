@@ -237,8 +237,11 @@ class SyncResult:
 def synchronize(tx_bases: np.ndarray, tx_bits: np.ndarray, rx, cfg: SimConfig) -> SyncResult:
     """Full sync pipeline: boundary choice from the slot histogram, offset search."""
     b = cfg.bins_per_frame
-    # one count per slot: np.bincount would copy every 32-bit slot to intp first
-    slots = rx.bin_index % b
+    # one count per slot: np.bincount would copy every 32-bit slot to intp first;
+    # the slot is the bin less its frame start, as a floor division is cheaper than %
+    slots = rx.bin_index // b
+    slots *= b
+    np.subtract(rx.bin_index, slots, out=slots)
     choice, central = choose_framing(np.array([np.count_nonzero(slots == s) for s in range(b)]))
     del slots
     sync = SyncResult(choice, central, 0, [], b)

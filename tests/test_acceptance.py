@@ -397,7 +397,9 @@ with open(a_err, "w") as fa, open(b_err, "w") as fb:
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux alone")
 def test_terminal_peak_rss_above_import_is_bounded(tmp_path):
     # each terminal's peak for one default 1-s burst, above the bare import: Bob
-    # +19.7 to +19.8 MB and Alice +13.4 to +13.6. Selecting through 8-byte index arrays,
+    # +20.6 to +20.7 MB (his encoding worker's arena included) and Alice +14.3;
+    # gathering each pulse through a burst-sized phase took Bob +19.9 to +20.1
+    # and Alice +13.2 to +13.6. Selecting through 8-byte index arrays,
     # drawing burst-sized float64 scratch, holding each phase's arrays into the
     # next and packing Bob's BASES through five burst-sized copies took Bob
     # +27.4 to +27.6 and Alice +18.0 to +20.3

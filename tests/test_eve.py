@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import scaled_config, traced_peak
+from qkdlink import photonics
 from qkdlink.core import default_config, rng_stream
 from qkdlink.eve import Eavesdropper
 from qkdlink.photonics import (
@@ -81,6 +82,34 @@ def test_intercept_measures_each_detected_pulse_once():
     alice_bases, alice_bits = tx.at(pulses)
     kept = eve_bases == alice_bases
     assert np.array_equal(eve_bits[kept], alice_bits[kept])
+
+
+@pytest.mark.parametrize("fraction", [1.0, 0.5])
+def test_intercept_across_draw_chunks_matches_transform_per_pulse(fraction):
+    # src is read DRAW_CHUNK photons at a time: a pulse whose photons straddle a
+    # chunk edge, or open a chunk, gets the one state transform gives it
+    chunk = photonics.DRAW_CHUNK
+    tx = TxBurst(4_000_000, 0x155, 0x2AA)
+    src = np.sort(rng_stream(9, "src").integers(0, len(tx), 3 * chunk + 17)).astype(np.int32)
+    src[chunk - 2:chunk + 3] = src[chunk - 2]
+    src[2 * chunk - 1:2 * chunk + 1] = src[2 * chunk - 1]
+    src[3 * chunk:3 * chunk + 2] = src[3 * chunk]
+    assert src[3 * chunk - 1] < src[3 * chunk]
+    log = []
+    bases, bits = Eavesdropper(rng_stream(9, "e"), fraction, log=log).intercept(tx, src)
+    pulses = np.unique(src)
+    ref = Eavesdropper(rng_stream(9, "e"), fraction)
+    eve_bases, eve_bits = ref.transform(*tx.at(pulses))
+    row = np.searchsorted(pulses, src)
+    assert bases.dtype == bits.dtype == np.uint8
+    assert np.array_equal(bases, eve_bases[row])
+    assert np.array_equal(bits, eve_bits[row])
+    ((logged, log_bases, log_bits),) = log
+    hit = ref.hit
+    assert np.count_nonzero(hit) == pytest.approx(fraction * len(pulses), rel=0.02)
+    assert np.array_equal(logged, pulses[hit])
+    assert np.array_equal(log_bases, eve_bases[hit])
+    assert np.array_equal(log_bits, eve_bits[hit])
 
 
 def test_intercept_peak_memory_is_bounded_per_photon():

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,7 @@ from qkdlink.photonics import (
     prbs11_sequence,
     transmit_and_detect,
 )
+from qkdlink.session import received_burst, transmitted_burst
 from qkdlink.timing import nnc_match, synchronize
 
 
@@ -123,6 +125,18 @@ def test_tx_burst_at_gathers_the_dense_sequences(state_bases, state_bits, n, dat
     assert bases.dtype == bits.dtype == np.uint8
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint32])
+def test_tx_burst_at_gathers_across_draw_chunks(dtype):
+    # indices are gathered DRAW_CHUNK at a time: unsorted indices crossing three
+    # chunk edges, and a tail, read the same pulses as the dense sequences
+    tx = TxBurst(1_000_003, 0x2F1, 0x03A)
+    idx = rng_stream(12, "idx").integers(0, len(tx), 3 * photonics.DRAW_CHUNK + 5).astype(dtype)
+    bases, bits = tx.at(idx)
+    assert np.array_equal(bases, tx.bases[idx])
+    assert np.array_equal(bits, tx.bits[idx])
+    assert bases.dtype == bits.dtype == np.uint8
+
+
 def test_tx_burst_rejects_states_outside_prbs11():
     for states in ((0, 1), (1, 0), (PRBS11_PERIOD + 1, 1), (1, PRBS11_PERIOD + 1)):
         with pytest.raises(ValueError):
@@ -146,7 +160,7 @@ def test_generate_burst_allocates_no_pulse_arrays():
 def test_transmit_and_detect_peak_memory_is_bounded_per_click():
     # the 32-bit merge keys alone in one array, sorted and compacted in place
     # through a mask, with 32-bit source pulses: ~19.5 bytes per click (at this
-    # burst the float draws are one chunk; a 1-s burst holds ~14); with 64-bit
+    # burst the float draws are one chunk; a 1-s burst holds ~13); with 64-bit
     # pulses and an index array for the compaction it took ~23, as 64-bit keys
     # ~27, a source-pulse array beside them, gathered through the sort order,
     # 43, and concatenating the signal and dark entries field by field and
@@ -190,6 +204,47 @@ def test_detector_entries_do_not_depend_on_the_draw_chunk(chunk, eve, monkeypatc
     for g, w in zip(got[:2], want[:2], strict=True):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
     assert got[2:] == want[2:]
+
+
+@pytest.mark.parametrize("burst_seconds,threads", [(0.001, 0), (0.1, 1)])
+def test_the_encoding_takes_one_thread_from_a_draw_chunk(burst_seconds, threads, monkeypatch):
+    # a 1-ms burst (~950 photons, as in the sync trials) encodes inline; a 0.1-s
+    # one (~95 K) on one worker beside the channel draws, joined before it returns
+    cfg = scaled_config(burst_seconds, seed=4)
+    tx = generate_burst(cfg, rng_stream(4, "g"))
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    for eve in (None, Eavesdropper(rng_stream(4, "e"))):
+        started.clear()
+        _, src, _, _ = detector_entries(tx, cfg, eve, rng=rng_stream(4, "c"))
+        assert (len(src) >= photonics.DRAW_CHUNK) == bool(threads)
+        assert len(started) == threads
+        assert not any(t.is_alive() for t in started)
+
+
+def test_an_encoding_failure_on_the_worker_surfaces_as_itself(monkeypatch):
+    class InterceptFailed(Exception):
+        pass
+
+    raised, threads = [], []
+
+    def intercept(self, tx, src):
+        threads.append(threading.current_thread())
+        raised.append(InterceptFailed())
+        raise raised[0]
+
+    monkeypatch.setattr(Eavesdropper, "intercept", intercept)
+    cfg = scaled_config(0.1, seed=4, eve_enabled=True)
+    with pytest.raises(InterceptFailed) as info:
+        received_burst(cfg, 0, transmitted_burst(cfg, 0))
+    assert info.value is raised[0]
+    assert threads[0] is not threading.current_thread()
 
 
 # --- geometric collection ---------------------------------------------------------

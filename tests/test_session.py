@@ -31,10 +31,12 @@ from qkdlink.session import (
     make_loop_pair,
     pack_payload,
     pack_tx_burst,
+    received_burst,
     run_burst_alice,
     run_burst_bob,
     run_session,
     simulate_session,
+    transmitted_burst,
     unpack_payload,
     unpack_tx_burst,
 )
@@ -302,6 +304,34 @@ def test_reference_keys_are_bit_identical(seed, burst_seconds, digest):
     # so on purpose updates these digests
     alice, _ = simulate_session(scaled_config(burst_seconds, seed=seed), 2)
     assert hashlib.sha256(alice.key_buffer.to_bytes()).hexdigest()[:16] == digest
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("eve,digest", [(False, "88dfc282838eef25"), (True, "1fee969f5130b6eb")],
+                         ids=["clean", "eve"])
+def test_full_burst_clicks_are_pinned(eve, digest):
+    # a default 1-s burst's ~945 K photons are encoded on a worker beside the
+    # channel draws and cross ~15 draw chunks; an eavesdropped burst distills no
+    # key, so its clicks are pinned here
+    cfg = dataclasses.replace(default_config(1), eve_enabled=eve)
+    rx = received_burst(cfg, 0, transmitted_burst(cfg, 0))
+    assert _digest(rx.bin_index, rx.channel, rx.multi_click) == digest
+
+
+def test_full_burst_eve_log_is_pinned():
+    # half interception on a default 1-s burst: Eve's pulses, bases and bits
+    cfg = dataclasses.replace(default_config(1), eve_enabled=True, eve_fraction=0.5)
+    log = []
+    received_burst(cfg, 0, transmitted_burst(cfg, 0), eve_log=log)
+    ((index, bases, bits),) = log
+    assert len(index) == 462_585
+    assert _digest(index, bases, bits) == "871f7b2a04539b3d"
 
 
 @pytest.mark.parametrize("role", ["alice", "bob"])
