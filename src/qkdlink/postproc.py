@@ -277,15 +277,22 @@ class KeyBuffer:
     boundaries and then issues one range per page.  Every issued range is
     recorded.  A lane issues ranges in increasing order inside its stripe, so
     one that starts below the end of its last (its *issued high-water mark*)
-    overlaps issued key and raises.  Bits taken from one page of one appended
-    chunk are a read-only view of that chunk.
+    overlaps issued key and raises.
+
+    The key is stored packed, eight bits per byte in the MSB-first order of
+    ``np.packbits``: read-only chunks of whole bytes, each starting on a byte
+    boundary, and a tail of fewer than 8 bits that the next append completes.
+    Takes hand out packed bytes.  A byte-aligned take inside one chunk is a
+    read-only view of it, one across pages or chunks joins such views, and
+    only a take that is not byte-aligned is unpacked and packed again.
     """
 
     PAGE_BITS = 4096 * 8
 
     def __init__(self):
         self._chunks: list[np.ndarray] = []
-        self._chunk_starts: list[int] = []
+        self._chunk_starts: list[int] = []  # byte offset of each chunk
+        self._tail = 0  # the last len(self) % 8 bits, in the high bits of a byte
         self._length = 0
         self._lock = threading.RLock()  # both chat lanes take from one buffer, on two threads
         self._lane_used = [0, 0]
@@ -300,37 +307,67 @@ class KeyBuffer:
         return sum(self._lane_used)
 
     def append(self, bits: np.ndarray) -> None:
-        bits = np.asarray(bits, dtype=np.uint8).view()
-        bits.flags.writeable = False  # takes hand out views of it
+        bits = np.asarray(bits, dtype=np.uint8)
         with self._lock:
-            self._chunks.append(bits)
-            self._chunk_starts.append(self._length)
-            self._length += len(bits)
+            k = min(-self._length % 8, len(bits))  # the bits that complete the tail's byte
+            body = (len(bits) - k) // 8 * 8  # then whole bytes; the bits after them start a tail
+            self._pack_onto_tail(bits[:k])
+            if body:
+                self._store(np.packbits(bits[k : k + body]))
+                self._length += body
+            self._pack_onto_tail(bits[k + body :])
+
+    def _pack_onto_tail(self, bits: np.ndarray) -> None:
+        """Pack bits onto the tail, at most those that complete its byte; store it once whole."""
+        held = self._length % 8
+        self._tail |= sum(0x80 >> (held + i) for i, bit in enumerate(bits.tolist()) if bit)
+        if held + len(bits) == 8:
+            self._store(np.array([self._tail], np.uint8))
+            self._tail = 0
+        self._length += len(bits)
+
+    def _store(self, chunk: np.ndarray) -> None:
+        """Keep packed bytes that start where the stored ones end."""
+        chunk.flags.writeable = False  # takes hand out views of it
+        self._chunks.append(chunk)
+        self._chunk_starts.append(self._length // 8)
 
     def bits(self) -> np.ndarray:
         with self._lock:
-            if not self._chunks:
-                return np.empty(0, dtype=np.uint8)
-            return np.concatenate(self._chunks)
+            return np.unpackbits(np.frombuffer(self.to_bytes(), np.uint8), count=self._length)
 
     def to_bytes(self) -> bytes:
-        return np.packbits(self.bits()).tobytes()
+        """The key packed as by ``np.packbits``, its last byte padded with zero bits."""
+        with self._lock:
+            return b"".join(self._chunks) + (bytes([self._tail]) if self._length % 8 else b"")
 
-    def _slice(self, ranges: list[tuple[int, int]]) -> np.ndarray:
-        """The buffered bits of ``ranges`` in order: a view when they are one range inside
-        one chunk, else one gathered copy.  Each range's first chunk is found by bisection."""
+    def _views(self, lo: int, hi: int) -> list[np.ndarray]:
+        """Views of the stored bytes ``lo`` to ``hi``, then the tail's byte when ``hi``
+        reaches it.  The first chunk is found by bisection."""
         pieces = []
-        for pos, stop in ranges:
-            i = bisect.bisect_right(self._chunk_starts, pos) - 1
-            while pos < stop:
-                chunk, chunk_start = self._chunks[i], self._chunk_starts[i]
-                hi = min(stop, chunk_start + len(chunk))
-                pieces.append(chunk[pos - chunk_start : hi - chunk_start])
-                pos = hi
-                i += 1
-        if len(pieces) == 1:
-            return pieces[0]
-        return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.uint8)
+        stored = min(hi, self._length // 8)
+        i = bisect.bisect_right(self._chunk_starts, lo) - 1
+        while lo < stored:
+            chunk, chunk_start = self._chunks[i], self._chunk_starts[i]
+            stop = min(stored, chunk_start + len(chunk))
+            pieces.append(chunk[lo - chunk_start : stop - chunk_start])
+            lo = stop
+            i += 1
+        if lo < hi:
+            pieces.append(np.array([self._tail], np.uint8))
+        return pieces
+
+    def _read(self, ranges: list[tuple[int, int]]) -> np.ndarray:
+        """The buffered bits of ``ranges`` in order, packed: a view when they are one
+        byte-aligned range inside one chunk, else one joined or repacked copy."""
+        if all(a % 8 == 0 and b % 8 == 0 for a, b in ranges):
+            pieces = [v for a, b in ranges for v in self._views(a // 8, b // 8)]
+            if len(pieces) == 1:
+                return pieces[0]
+            return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.uint8)
+        bits = [np.unpackbits(np.concatenate(self._views(a // 8, -(-b // 8))))[a % 8 :][: b - a]
+                for a, b in ranges]
+        return np.packbits(np.concatenate(bits))
 
     def _lane_offset(self, lane: int, k: int) -> int:
         """Absolute offset of the lane's k-th bit."""
@@ -354,9 +391,10 @@ class KeyBuffer:
         """Consume ``nbits`` from a lane, or raise :class:`KeyExhausted` if it holds fewer.
 
         Returns the absolute bit ranges consumed (one per page spanned) and
-        the bits themselves.  A refused take, too large or negative
+        the bits themselves, packed into ``ceil(nbits / 8)`` bytes whose last
+        is padded with zero bits.  A refused take, too large or negative
         (``ValueError``), changes nothing; ``take(0)`` returns no range and
-        no bits.
+        no bytes.
         """
         if nbits < 0:
             raise ValueError(f"cannot take a negative number of bits: {nbits}")
@@ -377,11 +415,12 @@ class KeyBuffer:
                 self._lane_high[lane] = ranges[-1][1]
             self.issued_ranges.extend(ranges)
             self._lane_used[lane] = end
-            return ranges, self._slice(ranges)
+            return ranges, self._read(ranges)
 
     def peek(self, nbits: int) -> np.ndarray:
-        """The first ``nbits`` buffered bits, not consumed; only for the chat parity."""
+        """The first ``nbits`` buffered bits, packed as :meth:`take` packs them, not
+        consumed; only for the chat parity."""
         with self._lock:
             if nbits > self._length:
                 raise ValueError("peek beyond buffered key")
-            return self._slice([(0, nbits)])
+            return self._read([(0, nbits)])

@@ -1,15 +1,17 @@
 """OTP-encrypted, key-consuming byte-stream messaging over the classical channel.
 
-Payloads are XORed with never-reused key material drawn from the shared
-:class:`~qkdlink.postproc.KeyBuffer`.  A session starts with a cheap parity
-handshake over the first 64 buffered bits (then discarded); after that the
-two directions consume the two lanes of the buffer, its even and odd page
-stripes, so duplex traffic cannot collide on key ranges.  A frame is the
-bytes :func:`otp_seal` returns and :func:`otp_open` takes, sent as one
-CHAT_DATA payload; it carries at most ``CHAT_CHUNK_BYTES`` (4 KiB, one lane
-page of key) and is sealed and opened with one take of its own.  A frame the
-lane cannot cover raises :class:`~qkdlink.postproc.KeyExhausted` at once,
-after every earlier frame; nothing waits for key.
+Payloads are XORed with never-reused key bytes drawn from the shared
+:class:`~qkdlink.postproc.KeyBuffer`, which stores and hands out its key
+packed, so a frame is sealed and opened by XORing two byte arrays.  A session
+starts with a cheap parity handshake over the first 64 buffered bits (then
+discarded); after that the two directions consume the two lanes of the
+buffer, its even and odd page stripes, so duplex traffic cannot collide on
+key ranges.  A frame is the bytes :func:`otp_seal` returns and
+:func:`otp_open` takes, sent as one CHAT_DATA payload; it carries at most
+``CHAT_CHUNK_BYTES`` (4 KiB, one lane page of key) and is sealed and opened
+with one take of its own.  A frame the lane cannot cover raises
+:class:`~qkdlink.postproc.KeyExhausted` at once, after every earlier frame;
+nothing waits for key.
 """
 
 from __future__ import annotations
@@ -31,24 +33,27 @@ class KeyStreamDesync(ProtocolError):
     """Key offsets out of step; the chat session must abort."""
 
 
-def _xor(data: bytes, key_bits: np.ndarray) -> bytes:
-    key = np.packbits(key_bits)
-    buf = np.frombuffer(data, dtype=np.uint8)
-    return (buf ^ key[: len(buf)]).tobytes()
+def _xor(data: bytes, key: np.ndarray) -> bytes:
+    """``data`` XOR the packed key bytes of one take, which are exactly as many."""
+    return (np.frombuffer(data, dtype=np.uint8) ^ key).tobytes()
 
 
 def otp_seal(plaintext: bytes, buf: KeyBuffer, lane: int = 0) -> bytes:
     """Encrypt with the next key bits of a lane, consuming them exactly once.
 
     Returns the frame: the 8-byte big-endian offset of its first key bit,
-    which may span page boundaries, then the ciphertext.  Raises
-    :class:`~qkdlink.postproc.KeyExhausted`, consuming nothing, when the lane
-    holds fewer than 8*len(plaintext) unconsumed bits.
+    which may span page boundaries, then the ciphertext.  Raises, consuming
+    nothing, ``ValueError`` for a plaintext over ``CHAT_CHUNK_BYTES``, which
+    every :func:`otp_open` refuses, and
+    :class:`~qkdlink.postproc.KeyExhausted` when the lane holds fewer than
+    8*len(plaintext) unconsumed bits.
     """
+    if len(plaintext) > CHAT_CHUNK_BYTES:
+        raise ValueError(f"plaintext of {len(plaintext)} bytes, over {CHAT_CHUNK_BYTES}")
     if not plaintext:
         return buf.next_range_start(lane).to_bytes(8, "big")
-    ranges, bits = buf.take(8 * len(plaintext), lane=lane)
-    return ranges[0][0].to_bytes(8, "big") + _xor(plaintext, bits)
+    ranges, key = buf.take(8 * len(plaintext), lane=lane)
+    return ranges[0][0].to_bytes(8, "big") + _xor(plaintext, key)
 
 
 def otp_open(frame: bytes, buf: KeyBuffer, lane: int = 0) -> bytes:
@@ -67,10 +72,10 @@ def otp_open(frame: bytes, buf: KeyBuffer, lane: int = 0) -> bytes:
         raise KeyStreamDesync(f"frame uses key at bit {offset}, receiver cursor at {expected}")
     if len(frame) == 8:
         return b""
-    ranges, bits = buf.take(8 * (len(frame) - 8), lane=lane)
+    ranges, key = buf.take(8 * (len(frame) - 8), lane=lane)
     if ranges[0][0] != offset:
         raise KeyStreamDesync("consumed range diverged from frame offset")
-    return _xor(memoryview(frame)[8:], bits)
+    return _xor(memoryview(frame)[8:], key)
 
 
 def chat_handshake(chan, buf: KeyBuffer) -> None:
@@ -84,7 +89,7 @@ def chat_handshake(chan, buf: KeyBuffer) -> None:
             f"need {HANDSHAKE_BITS} fresh key bits for the handshake, have {len(buf)} "
             f"(consumed {buf.consumed_total})"
         )
-    parity = int(buf.peek(HANDSHAKE_BITS).sum() & 1)
+    parity = int.from_bytes(buf.peek(HANDSHAKE_BITS).tobytes(), "big").bit_count() & 1
     chan.send(MsgType.CHAT_HANDSHAKE, bytes([parity]))
     msg = chan.recv(MsgType.CHAT_HANDSHAKE)
     if len(msg.payload) != 1:

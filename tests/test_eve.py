@@ -113,9 +113,10 @@ def test_intercept_across_draw_chunks_matches_transform_per_pulse(fraction):
 
 
 def test_intercept_peak_memory_is_bounded_per_photon():
-    # a 1-s burst's ~0.95 M photons: a bool run-start mask and an int32 run index
-    # beside the gathered states and Eve's draws, ~16 bytes per photon; an int64
-    # diff, an int64 cumsum and its shifted copy took ~24
+    # a 1-s burst's ~0.95 M photons: the one-byte output and per-pulse states, with
+    # the run index made a draw chunk at a time, peak at ~4.3 bytes per photon; a
+    # burst-long bool run-start mask and int32 run index took ~16, and an int64
+    # diff, an int64 cumsum and its shifted copy ~24
     cfg = default_config(7)
     tx = generate_burst(cfg, rng_stream(7, "g"))
     src = detected_photons(cfg.n_pulses, cfg.link.mu, total_efficiency(cfg.link),

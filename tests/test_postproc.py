@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -444,7 +446,7 @@ def test_key_buffer_append_and_take():
     buf.append(bits)
     ranges, got = buf.take(40)
     assert ranges == [(0, 40)]
-    assert np.array_equal(got, bits[:40])
+    assert np.array_equal(np.unpackbits(got, count=40), bits[:40])
     assert buf.consumed_total == 40
 
 
@@ -469,7 +471,8 @@ def test_key_buffer_negative_take_is_refused_and_changes_nothing():
             assert _key_buffer_state(buf) == before
         n = buf.available(lane)
         ranges, got = buf.take(n, lane=lane)
-        assert ranges == [(start, start + n)] and len(got) == n
+        assert ranges == [(start, start + n)] and len(got) == -(-n // 8)
+        assert np.unpackbits(got, count=n).all()
         assert buf.available(lane) == 0
 
 
@@ -531,9 +534,28 @@ def test_key_buffer_lanes_read_their_page_stripes(steps):
         want = stripes[lane][used[lane] : used[lane] + n_take]
         assert [o for a, b in ranges for o in range(a, b)] == want
         assert all(a // page == (b - 1) // page for a, b in ranges)
-        assert np.array_equal(got, key[want])
+        assert np.array_equal(np.unpackbits(got, count=n_take), key[want])
         used[lane] += n_take
     assert buf.consumed_total == sum(used)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=30))
+def test_key_buffer_stores_packed_bytes_and_no_appended_array(lengths):
+    # chunks of unaligned lengths pack onto the pending tail: the store holds at most
+    # one byte per eight bits, and no reference to an array it was given
+    buf = _SmallPages()
+    key = np.empty(0, np.uint8)
+    for i, n in enumerate(lengths):
+        chunk = rng_stream(i, "packed").integers(0, 2, n, dtype=np.uint8)
+        key = np.concatenate([key, chunk])
+        buf.append(chunk)
+        appended = weakref.ref(chunk)
+        del chunk
+        assert appended() is None
+        assert sum(c.nbytes for c in buf._chunks) <= -(-len(key) // 8)
+    assert buf.to_bytes() == np.packbits(key).tobytes()
+    assert np.array_equal(buf.bits(), key)
 
 
 def test_key_buffer_overlapping_range_raises():
@@ -590,7 +612,7 @@ def test_key_buffer_high_water_check_matches_a_brute_force_oracle(steps):
             assert _key_buffer_state(buf) == before
             continue
         assert [o for a, b in ranges for o in range(a, b)] == want
-        assert np.array_equal(got, key[want])
+        assert np.array_equal(np.unpackbits(got, count=n_take), key[want])
 
 
 def test_key_buffer_take_inside_one_chunk_is_a_read_only_view():
@@ -600,13 +622,13 @@ def test_key_buffer_take_inside_one_chunk_is_a_read_only_view():
     buf.append(first)
     buf.append(second)
     before = buf.to_bytes()
-    _, got = buf.take(60)
-    assert np.shares_memory(got, first) and not got.flags.writeable
+    _, got = buf.take(64)  # byte-aligned, inside the first stored chunk
+    assert np.shares_memory(got, buf._chunks[0]) and not got.flags.writeable
     with pytest.raises(ValueError):
         got[0] ^= 1
     assert buf.to_bytes() == before
     _, got = buf.take(80)  # spans the two chunks
-    assert np.array_equal(got, np.concatenate([first, second])[60:140])
+    assert np.array_equal(np.unpackbits(got, count=80), np.concatenate([first, second])[64:144])
 
 
 def test_key_buffer_take_timeout():

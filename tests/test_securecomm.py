@@ -44,8 +44,9 @@ def test_seal_open_roundtrip():
 def test_zero_plaintext_exposes_key_bytes():
     tx_buf, probe = _pair_of_buffers(10_000)
     frame = otp_seal(bytes(32), tx_buf)
-    _, key_bits = probe.take(32 * 8)
-    assert frame[8:] == np.packbits(key_bits).tobytes()
+    _, key = probe.take(32 * 8)
+    assert frame[8:] == key.tobytes()
+    assert np.array_equal(np.unpackbits(key, count=32 * 8), probe.bits()[: 32 * 8])
 
 
 def test_tampered_bit_flips_exactly_that_plaintext_bit():
@@ -79,6 +80,16 @@ def test_seal_timeout_when_starved():
     with pytest.raises(KeyExhausted):
         otp_seal(b"too much", buf)
     assert buf.consumed_total == 0 and buf.issued_ranges == []
+
+
+def test_seal_over_the_frame_cap_is_refused_before_any_key_is_taken():
+    # every otp_open refuses such a frame, so sealing one would only burn key
+    buf = _filled_buffer(KeyBuffer.PAGE_BITS * 6)
+    otp_seal(b"first", buf, lane=1)
+    before = buf.consumed_total, list(buf.issued_ranges), buf.next_range_start(1)
+    with pytest.raises(ValueError, match=f"{CHAT_CHUNK_BYTES + 1} bytes, over {CHAT_CHUNK_BYTES}"):
+        otp_seal(bytes(CHAT_CHUNK_BYTES + 1), buf, lane=1)
+    assert (buf.consumed_total, buf.issued_ranges, buf.next_range_start(1)) == before
 
 
 @settings(max_examples=30, deadline=None)
@@ -319,7 +330,11 @@ def test_incoming_frame_is_bounded_before_any_key_is_taken(size):
     # a frame of up to CHAT_CHUNK_BYTES opens, the 2 KiB frames of earlier v8 senders
     # too; one byte more is refused before the receive lane gives up any key
     plaintext = rng_stream(2, "frame").bytes(size)
-    frame = otp_seal(plaintext, _filled_buffer(KeyBuffer.PAGE_BITS * 6), lane=1)
+    sender = _filled_buffer(KeyBuffer.PAGE_BITS * 6)
+    if size > CHAT_CHUNK_BYTES:  # otp_seal refuses to make it: the lane offset, then raw bytes
+        frame = sender.next_range_start(1).to_bytes(8, "big") + plaintext
+    else:
+        frame = otp_seal(plaintext, sender, lane=1)
     end = _alice_receiving([frame])
     before = _rx_lane_bits(end)
     if size > CHAT_CHUNK_BYTES:
