@@ -1,6 +1,7 @@
 """Command-line entry points: estimate, sweep, simulate, alice, bob, chat.
 
-Exit codes: 0 success, 1 usage/configuration error (bad arguments too), 2 protocol abort.
+Exit codes: 0 success, 1 usage/configuration error (bad arguments or a file that
+cannot be read or written too), 2 protocol abort.
 Diagnostics go to standard error as key=value lines; reports to --out.
 """
 
@@ -11,13 +12,13 @@ import csv
 import dataclasses
 import socket
 import sys
-import threading
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, securecomm, session, timing
-from .core import ConfigError, SimConfig, default_config, load_config
+from .core import ConfigError, SimConfig, Worker, default_config, load_config
 from .postproc import KeyExhausted
 from .session import (
     DEFAULT_PORT,
@@ -50,24 +51,34 @@ def log(**fields) -> None:
 
 
 class ReportWriter:
-    """Appends one CSV row per burst, flushed immediately so a crash leaves a prefix."""
+    """Reports each burst: one ``event=burst`` line and, given a path, one CSV row,
+    flushed immediately so a crash leaves a prefix."""
 
     COLUMNS = ["burst_id", "sifted_kbps", "qber", "secure_kbps", "offset_frames", "fifo_choice",
                "abort_reason", "disclosed_bits"]
 
-    def __init__(self, path: str | Path, burst_seconds: float):
+    def __init__(self, path: str | Path | None, burst_seconds: float):
         self.burst_seconds = burst_seconds
-        self._fh = open(path, "w", newline="", encoding="utf-8")
-        self._writer = csv.writer(self._fh)
-        self._writer.writerow(self.COLUMNS)
-        self._fh.flush()
+        self._fh = None
+        if path:
+            self._fh = open(path, "w", newline="", encoding="utf-8")
+            self._writer = csv.writer(self._fh)
+            self._writer.writerow(self.COLUMNS)
+            self._fh.flush()
 
     def add(self, o: BurstOutcome) -> None:
+        seconds = self.burst_seconds
+        log(event="burst", burst=o.burst_id, qber=f"{o.qber:.4f}",
+            sifted_kbps=f"{o.sifted_kbps(seconds):.1f}",
+            secure_kbps=f"{o.secure_kbps(seconds):.1f}",
+            aborted=o.aborted_reason or "no", r_n=o.offset_frames, fifo=o.fifo_choice)
+        if self._fh is None:
+            return
         self._writer.writerow([
             o.burst_id,
-            f"{o.sifted_kbps(self.burst_seconds):.3f}",
+            f"{o.sifted_kbps(seconds):.3f}",
             f"{o.qber:.6f}",
-            f"{o.secure_kbps(self.burst_seconds):.3f}",
+            f"{o.secure_kbps(seconds):.3f}",
             "" if o.offset_frames is None else o.offset_frames,
             o.fifo_choice,
             o.aborted_reason or "",
@@ -76,7 +87,8 @@ class ReportWriter:
         self._fh.flush()
 
     def close(self) -> None:
-        self._fh.close()
+        if self._fh is not None:
+            self._fh.close()
 
 
 def _load_cfg(args) -> SimConfig:
@@ -92,6 +104,16 @@ def _load_cfg(args) -> SimConfig:
         cfg = dataclasses.replace(cfg, **updates)
     cfg.validate()
     return cfg
+
+
+def _check_outputs(args) -> None:
+    """Refuse, before any burst runs or any connection opens, an output path that
+    names a directory or lies in no existing directory."""
+    for dest in ("out", "key_out", "sync_report", "eve_log", "recv_out"):
+        path = getattr(args, dest, None)
+        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise UsageError(f"cannot write --{dest.replace('_', '-')} {path}: "
+                             "not a file in an existing directory")
 
 
 def _count(text: str) -> int:
@@ -151,21 +173,8 @@ def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     if args.eve_log and not cfg.eve_enabled:
         raise UsageError("--eve-log needs Eve enabled (--eve or eve_enabled=true)")
-    writer = ReportWriter(args.out, cfg.burst_seconds) if args.out else None
-
-    def on_burst(o: BurstOutcome) -> None:
-        log(event="burst", burst=o.burst_id, qber=f"{o.qber:.4f}",
-            sifted_kbps=f"{o.sifted_kbps(cfg.burst_seconds):.1f}",
-            secure_kbps=f"{o.secure_kbps(cfg.burst_seconds):.1f}",
-            aborted=o.aborted_reason or "no", r_n=o.offset_frames, fifo=o.fifo_choice)
-        if writer:
-            writer.add(o)
-
-    try:
-        alice, bob = simulate_session(cfg, args.bursts, on_burst=on_burst)
-    finally:
-        if writer:
-            writer.close()
+    with closing(ReportWriter(args.out, cfg.burst_seconds)) as report:
+        alice, bob = simulate_session(cfg, args.bursts, on_burst=report.add)
     for o in bob.outcomes:  # the offset search, and so its curve, is the receiver's
         if args.sync_report and o.sync_curve:
             timing.write_sync_report(o.sync_curve, _sync_report_path(args.sync_report, o.burst_id))
@@ -233,22 +242,18 @@ def cmd_terminal(args) -> int:
         raise UsageError("chat needs --listen or --connect host:port")
     role = "alice" if args.listen else "bob"
     cfg = _load_cfg(args)
-    chan = SocketChannel(_connect(args, role), timeout=args.timeout)
-    writer = ReportWriter(args.out, cfg.burst_seconds) if args.out else None
-    try:
+    payload = Path(args.send_file).read_bytes() if args.send_file else args.text.encode("utf-8")
+    with closing(ReportWriter(args.out, cfg.burst_seconds)) as report, \
+            closing(SocketChannel(_connect(args, role), timeout=args.timeout)) as chan:
         result = run_session(role, cfg, chan, NetworkTransport(chan), args.bursts,
-                             on_burst=writer.add if writer else None)
+                             on_burst=report.add)
         code = _finish_session(args, result, cfg)
         if args.chat:
-            code = max(code, _run_chat(args, chan, result))
+            code = max(code, _run_chat(args, chan, result, payload))
         return code
-    finally:
-        if writer:
-            writer.close()
-        chan.close()
 
 
-def _run_chat(args, chan, result: session.SessionResult) -> int:
+def _run_chat(args, chan, result: session.SessionResult, payload: bytes) -> int:
     """OTP messaging on the freshly distilled key: handshake, duplex transfer, EOF.
 
     A frame its lane cannot cover raises KeyExhausted at once, and a receive
@@ -263,36 +268,16 @@ def _run_chat(args, chan, result: session.SessionResult) -> int:
         return EXIT_ABORT
     log(event="chat_established", role=result.role)
 
-    payload = b""
-    if args.send_file:
-        payload = Path(args.send_file).read_bytes()
-    elif args.text:
-        payload = args.text.encode("utf-8")
-
-    received = bytearray()
-    error: list[BaseException] = []
-
-    def receiver():
-        try:
-            received.extend(endpoint.recv_all())
-        except BaseException as exc:
-            error.append(exc)
-
-    rx_thread = threading.Thread(target=receiver, daemon=True)
-    rx_thread.start()
+    rx = Worker(endpoint.recv_all)
     endpoint.send_bytes(payload)
     endpoint.send_eof()
-    rx_thread.join(timeout=args.timeout)
-    if error:
-        raise error[0]
-    if rx_thread.is_alive():
-        raise TimeoutError(f"chat receive unfinished after {args.timeout} s")
+    received = rx.result(timeout=args.timeout)
 
     if args.recv_out:
-        Path(args.recv_out).write_bytes(bytes(received))
+        Path(args.recv_out).write_bytes(received)
         log(event="chat_received", bytes=len(received), path=args.recv_out)
     elif received:
-        sys.stdout.buffer.write(bytes(received))
+        sys.stdout.buffer.write(received)
         sys.stdout.buffer.flush()
     log(event="chat_done", sent_bytes=len(payload), received_bytes=len(received),
         key_consumed_bits=result.key_buffer.consumed_total)
@@ -349,7 +334,7 @@ def build_parser() -> _Parser:
             p.add_argument("--recv-out", dest="recv_out", help="write received chat bytes here")
         # parser-level defaults: also the value of each option a subcommand does not declare
         p.set_defaults(func=cmd_terminal, listen=name == "alice", connect=None,
-                       chat=name == "chat")
+                       chat=name == "chat", send_file=None, text="")
     return parser
 
 
@@ -361,6 +346,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        _check_outputs(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -371,6 +357,11 @@ def main(argv=None) -> int:
     except (ProtocolError, ConnectionError, TimeoutError, KeyExhausted) as exc:
         log(event="abort", error=type(exc).__name__, detail=str(exc))
         return EXIT_ABORT
+    except OSError as exc:
+        if exc.filename is None:  # a socket's error, not a named file's
+            raise
+        print(f"usage error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

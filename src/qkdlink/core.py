@@ -1,9 +1,11 @@
-"""Configuration and the deterministic randomness contract.
+"""Configuration, the deterministic randomness contract, and the worker thread.
 
 Everything downstream (photonics, timing, post-processing, the protocol
 engine) builds on the configuration types defined here.  They are
 immutable; random streams are created per consumer via :func:`rng_stream`
-and never shared between modules.
+and never shared between modules.  :class:`Worker` is the one way the
+package runs a call on a thread of its own: Bob's pulse encoding, the
+in-process transmitter and the chat receiver.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -188,6 +191,39 @@ def rng_stream(seed: int, stream_label: str) -> np.random.Generator:
     label_words = [int.from_bytes(digest[i : i + 8], "big") for i in range(0, 32, 8)]
     ss = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, *label_words])
     return np.random.Generator(np.random.PCG64(ss))
+
+
+class Worker:
+    """``call()`` on a thread of its own, or at once on this one when ``inline``
+    (a short burst does not pay for a thread); :meth:`result` hands its outcome
+    to the caller."""
+
+    def __init__(self, call, inline: bool = False):
+        self._out = self._error = self._thread = None
+        if inline:
+            self._out = call()
+            return
+        self._call = call
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+
+    def _run(self) -> None:
+        try:
+            self._out = self._call()
+        except BaseException as exc:  # re-raised by result() on the caller's thread
+            self._error = exc
+
+    def result(self, timeout: float | None = None):
+        """What the call returned, or the call's own exception raised here; raises
+        ``TimeoutError`` if the call is still running after ``timeout`` seconds."""
+        if self._thread is not None:
+            self._thread.join(timeout)
+            if self._thread.is_alive():
+                name = getattr(self._call, "__qualname__", "the call")
+                raise TimeoutError(f"{name} still running after {timeout} s")
+        if self._error is not None:
+            raise self._error
+        return self._out
 
 
 # --- configuration files -------------------------------------------------

@@ -24,12 +24,11 @@ interleaving.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CLICK_KEY_DTYPE, LinkBudget, SimConfig
+from .core import CLICK_KEY_DTYPE, LinkBudget, SimConfig, Worker
 from .timing import sample_pps_offset
 
 PRBS11_MASK = 0x7FF
@@ -231,33 +230,6 @@ def total_efficiency(link: LinkBudget, distance_m: float | None = None) -> float
             * link.eta_residual * link.detector_chain_efficiency())
 
 
-class _Worker:
-    """``call()`` on a worker thread, or at once on this one when ``inline``
-    (a short burst does not pay for a thread); :meth:`result` joins it."""
-
-    def __init__(self, call, inline: bool):
-        self._out = self._error = self._thread = None
-        if inline:
-            self._out = call()
-            return
-        self._call = call
-        self._thread = threading.Thread(target=self._run, name="encoding", daemon=True)
-        self._thread.start()
-
-    def _run(self) -> None:
-        try:
-            self._out = self._call()
-        except BaseException as exc:  # re-raised by result() on the caller's thread
-            self._error = exc
-
-    def result(self):
-        if self._thread is not None:
-            self._thread.join()
-        if self._error is not None:
-            raise self._error
-        return self._out
-
-
 def _true_bin_offset(cfg: SimConfig, tof_ns: float, pps_ns: float) -> int:
     return int(np.floor((tof_ns + pps_ns) / cfg.bin_ns))
 
@@ -279,9 +251,9 @@ def detector_entries(tx: TxBurst, cfg: SimConfig, eve=None, *,
     dark counts.  The draws on ``rng`` come in that order, each once per
     photon or dark count, all on the calling thread.  The encoding reads no
     ``rng`` draw (Eve draws from her own stream): from ``DRAW_CHUNK`` photons
-    up it runs on a worker thread beside the channel draws, below that
-    inline, and the channel is blended from both once the worker is joined.
-    An exception raised on the worker is raised here.
+    up it runs on a :class:`~qkdlink.core.Worker` thread beside the channel
+    draws, below that inline, and the channel is blended from both once the
+    worker's result is in.  An exception raised on the worker is raised here.
 
     Returns ``(key, src, pps_ns, base_bin)``: the int32 merge key ``bin * 8 +
     channel`` of every entry, the m detected photons first and the dark
@@ -307,8 +279,8 @@ def detector_entries(tx: TxBurst, cfg: SimConfig, eve=None, *,
     m = len(src)
     # the photons' encoding, on a worker while this thread draws; intercept-resend
     # keeps photon numbers, so Eve needs only the pulses that reach Bob
-    encoding = _Worker(lambda: tx.at(src) if eve is None else eve.intercept(tx, src),
-                       inline=m < DRAW_CHUNK)
+    encoding = Worker(lambda: tx.at(src) if eve is None else eve.intercept(tx, src),
+                      inline=m < DRAW_CHUNK)
 
     # per photon: measurement basis, polarization flip, outcome when the bases differ;
     # the flip waits in bit 1 of the measurement basis for the encoding

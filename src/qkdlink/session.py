@@ -31,7 +31,6 @@ import hashlib
 import queue
 import socket
 import struct
-import threading
 import time
 from dataclasses import dataclass
 from enum import IntEnum
@@ -39,7 +38,7 @@ from enum import IntEnum
 import numpy as np
 
 from . import postproc
-from .core import SimConfig, format_config, rng_stream
+from .core import SimConfig, Worker, format_config, rng_stream
 from .eve import Eavesdropper
 from .photonics import PRBS11_MASK, RxBurst, TxBurst, generate_burst, transmit_and_detect
 from .timing import FifoChoice, NoLockError, nnc_match, offset_window, synchronize
@@ -671,52 +670,47 @@ def simulate_session(cfg: SimConfig, n_bursts: int, on_burst=None,
                      timeout: float = DEFAULT_PHASE_TIMEOUT) -> tuple[SessionResult, SessionResult]:
     """Run both terminals in one process over loopback channels.
 
-    Alice runs on a helper thread and Bob on the calling one.  Bob holds the
-    burst-sized arrays (his peak is ~20 MB above a bare import at a 1-s
-    burst), and the allocator keeps what a thread freed in that thread's
-    arena; a helper that has not yet handed its arena back when the next
-    session's helper starts leaves that one a fresh arena.  On the calling
-    thread Bob's memory is reused from session to session, and a stray arena
-    holds only Alice's few MB.  Bob's encoding worker
+    Alice runs on a :class:`~qkdlink.core.Worker` thread and Bob on the
+    calling one.  Bob holds the burst-sized arrays (his peak is ~20 MB above
+    a bare import at a 1-s burst), and the allocator keeps what a thread
+    freed in that thread's arena; a worker that has not yet handed its arena
+    back when the next session's worker starts leaves that one a fresh arena.
+    On the calling thread Bob's memory is reused from session to session, and
+    a stray arena holds only Alice's few MB.  Bob's encoding worker
     (:func:`~qkdlink.photonics.detector_entries`) has an arena of its own,
     which keeps the ~2.6 MB of a clean burst's encoding and the ~4 MB of an
     eavesdropped one's from burst to burst.
     The burst callback fires on Alice's outcomes (the canonical report), on
-    her thread.  A terminal's exception re-raises here after the join.
+    her thread.  A terminal's exception re-raises here once Alice's worker is
+    done, and ``TimeoutError`` if it is still running ``timeout`` seconds after
+    Bob finished.
     """
     chan_a, chan_b = make_loop_pair(timeout)
     chan_a.tap, chan_b.tap = alice_tap, bob_tap
     transport = InProcessTransport(timeout)
-    alice_result: list[SessionResult] = []
-    alice_error: list[BaseException] = []
 
-    def alice_main():
+    def alice_main() -> SessionResult:
         try:
-            alice_result.append(run_session("alice", cfg, chan_a, transport, n_bursts,
-                                            on_burst=on_burst))
-        except BaseException as exc:  # re-raised on the calling thread
-            alice_error.append(exc)
+            return run_session("alice", cfg, chan_a, transport, n_bursts, on_burst=on_burst)
+        except BaseException:
             # Bob's pending receive, classical or quantum, ends now, not at the timeout
             chan_a.close()
             transport.close()
+            raise
 
-    worker = threading.Thread(target=alice_main, name="alice", daemon=True)
-    worker.start()
+    alice = Worker(alice_main)
     try:
         bob = run_session("bob", cfg, chan_b, transport, n_bursts)
     except BaseException as exc:
         chan_b.close()
-        worker.join(timeout=timeout)
-        if isinstance(exc, ChannelClosed) and alice_error:
-            # Bob saw Alice's end close because Alice failed: her error is the cause
-            raise alice_error[0] from exc
-        if alice_error and isinstance(alice_error[0], ChannelClosed):
-            # Alice only saw Bob's end close: his error stands, chained to what she saw
-            raise exc from alice_error[0]
+        try:
+            alice.result(timeout)
+        except BaseException as alice_exc:
+            if isinstance(exc, ChannelClosed):
+                # Bob saw Alice's end close because Alice failed: her error is the cause
+                raise alice_exc from exc
+            if isinstance(alice_exc, ChannelClosed):
+                # Alice only saw Bob's end close: his error stands, chained to what she saw
+                raise exc from alice_exc
         raise
-    worker.join(timeout=timeout)
-    if alice_error:
-        raise alice_error[0]
-    if not alice_result:
-        raise ProtocolError("transmitter thread produced no result")
-    return alice_result[0], bob
+    return alice.result(timeout), bob

@@ -224,13 +224,14 @@ def _cli_env() -> dict:
 
 
 def _run_cli(args, cwd, stderr_path):
-    return subprocess.Popen(
-        [sys.executable, "-m", "qkdlink.cli", *args],
-        cwd=cwd,
-        env=_cli_env(),
-        stdout=subprocess.DEVNULL,
-        stderr=open(stderr_path, "w"),
-    )
+    with open(stderr_path, "w") as stderr:  # the child writes to its own copy
+        return subprocess.Popen(
+            [sys.executable, "-m", "qkdlink.cli", *args],
+            cwd=cwd,
+            env=_cli_env(),
+            stdout=subprocess.DEVNULL,
+            stderr=stderr,
+        )
 
 
 def _wait_for_marker(path: Path, marker: str, timeout: float = 15.0) -> bool:

@@ -301,6 +301,71 @@ def test_chat_receive_that_cannot_finish_exits_2(tmp_path, capsys):
     assert not recv_out.exists()
 
 
+def test_chat_receive_past_its_deadline_exits_2(tmp_path, capsys):
+    # the peer, as Alice, sends a one-byte frame every 0.2 s and never its EOF: every
+    # read ends inside --timeout, so only the receive deadline (--timeout after the
+    # local EOF) ends Bob's chat
+    cfg_path = _write_cfg(tmp_path)
+    codes = []
+    with socket.create_server(("127.0.0.1", 0)) as srv:
+        port = srv.getsockname()[1]
+        bob = threading.Thread(target=lambda: codes.append(main(
+            ["chat", "--connect", f"127.0.0.1:{port}", "--config", cfg_path, "--seed", "33",
+             "--timeout", "2"])), daemon=True)
+        bob.start()
+        srv.settimeout(15.0)
+        conn, _ = srv.accept()
+    chan = SocketChannel(conn, timeout=10.0)
+    try:
+        cfg = load_config(cfg_path, base=default_config(33))
+        result = run_session("alice", cfg, chan, NetworkTransport(chan), 1)
+        peer = ChatEndpoint(chan, result.key_buffer, "alice")
+        peer.handshake()
+        start = time.monotonic()
+        while bob.is_alive() and time.monotonic() - start < 10:
+            try:
+                peer.send_bytes(b"x")
+            except OSError:  # the chat closed the connection on its way out
+                break
+            time.sleep(0.2)
+        bob.join(timeout=10)
+        elapsed = time.monotonic() - start
+    finally:
+        chan.close()
+    assert codes == [2]
+    assert elapsed < 2 * 2
+    err = capsys.readouterr().err
+    assert "event=abort error=TimeoutError" in err
+    assert "chat_done" not in err and "Traceback" not in err
+
+
+def test_terminal_logs_each_burst_as_simulate_does(tmp_path, capsys):
+    # Alice over TCP, with Bob's engine as the peer, logs the event=burst lines
+    # simulate logs for the same seed and configuration
+    cfg_path = _write_cfg(tmp_path)
+    assert main(["simulate", "--config", cfg_path, "--seed", "5", "--bursts", "2"]) == 0
+    want = [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("event=burst ")]
+    assert len(want) == 2
+    port = free_port()
+    codes = []
+    alice = threading.Thread(target=lambda: codes.append(main(
+        ["alice", "--port", str(port), "--config", cfg_path, "--seed", "5", "--bursts", "2",
+         "--timeout", "10"])), daemon=True)
+    alice.start()
+    chan = SocketChannel(_connect_when_listening(port), timeout=10.0)
+    try:
+        cfg = load_config(cfg_path, base=default_config(5))
+        run_session("bob", cfg, chan, NetworkTransport(chan), 2)
+        alice.join(timeout=30)
+    finally:
+        chan.close()
+    assert codes == [0]
+    got = [line for line in capsys.readouterr().err.splitlines()
+           if line.startswith("event=burst ")]
+    assert got == want
+
+
 def test_chat_send_past_the_key_exits_2_at_once(tmp_path, capsys):
     # a 0.2-s burst at seed 1 distills 58,949 key bits, so Bob's send lane holds
     # 26,181 (3,272 B): Bob's one 4,000-byte frame needs 32,000, so his send fails
@@ -343,12 +408,32 @@ def test_unknown_flag_is_usage_error(capsys):
     (["bob", "--connect", "127.0.0.1:1", "--bursts", "0"], "usage error: argument --bursts"),
     (["chat", "--connect", "127.0.0.1:1", "--bursts", "-1"], "usage error: argument --bursts"),
     (["estimate", "--config", "missing.cfg"], "configuration error: cannot read missing.cfg"),
+    (["simulate", "--out", "missing/r.csv"], "usage error: cannot write --out missing/r.csv"),
+    (["simulate", "--out", "."], "usage error: cannot write --out ."),
+    (["simulate", "--key-out", "missing/k.bin"], "usage error: cannot write --key-out"),
+    (["simulate", "--sync-report", "missing/s.csv"], "usage error: cannot write --sync-report"),
+    (["simulate", "--eve", "--eve-log", "missing/e.csv"], "usage error: cannot write --eve-log"),
+    (["sweep", "--out", "missing/s.csv"], "usage error: cannot write --out"),
+    (["bob", "--connect", "127.0.0.1:1", "--out", "missing/r.csv"],
+     "usage error: cannot write --out"),
+    (["bob", "--connect", "127.0.0.1:1", "--key-out", "missing/k.bin"],
+     "usage error: cannot write --key-out"),
+    (["chat", "--connect", "127.0.0.1:1", "--recv-out", "missing/r.bin"],
+     "usage error: cannot write --recv-out"),
+    (["chat", "--connect", "127.0.0.1:1", "--send-file", "missing.bin"],
+     "usage error: cannot open missing.bin: No such file or directory"),
 ], ids=["sweep_from_negative", "simulate_bursts_negative", "simulate_bursts_zero",
-        "bob_bursts_zero", "chat_bursts_negative", "estimate_missing_config"])
+        "bob_bursts_zero", "chat_bursts_negative", "estimate_missing_config",
+        "simulate_out_missing_dir", "simulate_out_a_dir", "simulate_key_out_missing_dir",
+        "simulate_sync_report_missing_dir", "simulate_eve_log_missing_dir",
+        "sweep_out_missing_dir", "bob_out_missing_dir", "bob_key_out_missing_dir",
+        "chat_recv_out_missing_dir", "chat_send_file_missing"])
 def test_bad_input_exits_1(tmp_path, monkeypatch, capsys, argv, prefix):
     monkeypatch.chdir(tmp_path)  # where missing.cfg does not exist
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith(prefix)
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1  # one line, no traceback
 
 
 @pytest.mark.parametrize("argv", [["alice"], ["bob", "--connect", "127.0.0.1:1"]],

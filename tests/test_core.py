@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from qkdlink.core import (
     ConfigError,
     SimConfig,
+    Worker,
     default_config,
     format_config,
     parse_config,
@@ -147,3 +149,48 @@ def test_config_whose_click_keys_leave_int32_is_refused(text, refusal):
 
 def test_config_with_one_sync_pulse_is_accepted():
     assert parse_config("burst_seconds=0.00001\n").sync_subset_size == 1  # 200 pulses
+
+
+# --- Worker ---------------------------------------------------------------------
+
+
+def test_worker_returns_what_the_call_returned():
+    ran_on = []
+
+    def call():
+        ran_on.append(threading.current_thread())
+        return 42
+
+    assert Worker(call).result(timeout=5) == 42
+    assert ran_on[0] is not threading.current_thread()
+
+
+def test_worker_raises_the_calls_own_exception():
+    raised = ValueError("on the worker")
+
+    def call():
+        raise raised
+
+    with pytest.raises(ValueError) as info:
+        Worker(call).result(timeout=5)
+    assert info.value is raised
+
+
+def test_worker_still_running_after_the_timeout_raises_timeout_error():
+    release = threading.Event()
+    worker = Worker(lambda: release.wait(10))
+    try:
+        with pytest.raises(TimeoutError):
+            worker.result(timeout=0.05)
+    finally:
+        release.set()
+    assert worker.result(timeout=5) is True
+
+
+def test_inline_worker_runs_the_call_at_once_without_a_thread(monkeypatch):
+    started, ran_on = [], []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    worker = Worker(lambda: ran_on.append(threading.current_thread()) or "done", inline=True)
+    assert ran_on == [threading.current_thread()]
+    assert worker.result(timeout=0) == "done"
+    assert started == []
