@@ -266,7 +266,9 @@ def _run_chat(args, chan, result: session.SessionResult, payload: bytes) -> int:
     except securecomm.ChatRefused as exc:
         log(event="chat_refused", reason=str(exc))
         return EXIT_ABORT
-    log(event="chat_established", role=result.role)
+    log(event="chat_established", role=result.role,
+        send_bits=result.key_buffer.available(endpoint.send_lane),
+        recv_bits=result.key_buffer.available(endpoint.recv_lane))
 
     rx = Worker(endpoint.recv_all)
     endpoint.send_bytes(payload)

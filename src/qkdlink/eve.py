@@ -37,33 +37,33 @@ class Eavesdropper:
         self.rng = rng
         self.fraction = fraction
         self.log = log
-        self.hit = np.empty(0, dtype=bool)
 
-    def transform(self, bases: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return the re-prepared (bases, bits); photon counts are left as they are.
+    def transform(self, bases: np.ndarray,
+                  bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Return the re-prepared (bases, bits) and ``hit``; photon counts are left as they are.
 
-        ``hit`` flags the pulses of this call that were intercepted (a
-        read-only view when ``fraction`` is 1).  Eve's basis and her guessed
-        bit are drawn for every pulse, then, when ``fraction`` < 1, her
-        interception draws ``DRAW_CHUNK`` at a time.
+        ``hit`` flags the pulses that were intercepted (a read-only view when
+        ``fraction`` is 1).  Eve's basis and her guessed bit are drawn for
+        every pulse, then, when ``fraction`` < 1, her interception draws
+        ``DRAW_CHUNK`` at a time.
         """
         n = len(bases)
         eve_basis = self.rng.integers(0, 2, n, dtype=np.uint8)
         eve_bit = self.rng.integers(0, 2, n, dtype=np.uint8)  # her guess
         partial = self.fraction < 1.0
-        self.hit = np.empty(n, dtype=bool) if partial else np.broadcast_to(True, n)
+        hit = np.empty(n, dtype=bool) if partial else np.broadcast_to(True, n)
         chunk = photonics.DRAW_CHUNK
         for i in range(0, n, chunk):
             s = slice(i, i + chunk)
             # measured in the pulse's own basis, she reads the pulse's bit
             _blend(eve_bit[s], bits[s], eve_basis[s] == bases[s])
             if partial:
-                hit = self.hit[s]
-                np.less(self.rng.random(len(hit)), self.fraction, out=hit)
-                miss = ~hit  # a pulse she lets pass keeps its state
+                hit_s = hit[s]
+                np.less(self.rng.random(len(hit_s)), self.fraction, out=hit_s)
+                miss = ~hit_s  # a pulse she lets pass keeps its state
                 _blend(eve_basis[s], bases[s], miss)
                 _blend(eve_bit[s], bits[s], miss)
-        return eve_basis, eve_bit
+        return eve_basis, eve_bit, hit
 
     def intercept(self, tx, src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (basis, bit) each detected photon carries after Eve.
@@ -83,11 +83,11 @@ class Eavesdropper:
             k = j + len(pulses)
             alice_bases[j:k], alice_bits[j:k] = tx.at(pulses)
             j = k
-        state, bits = self.transform(alice_bases, alice_bits)
+        state, bits, hit = self.transform(alice_bases, alice_bits)
         del alice_bases, alice_bits
         if self.log is not None:
             pulses = np.concatenate([src[:0], *(part[new] for part, new in _runs(src))])
-            self.log.append((pulses[self.hit], state[self.hit], bits[self.hit]))
+            self.log.append((pulses[hit], state[hit], bits[hit]))
             del pulses
         state <<= 1
         state |= bits

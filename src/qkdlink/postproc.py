@@ -23,8 +23,10 @@ parity-mismatched blocks with a 3-bit Hamming syndrome that locates any
 single error (syndrome zero with odd parity means the eighth bit).  Passes
 repeat until one completes with no parity mismatches, up to four.  Disclosed
 bits (parities, syndromes, the final 64-bit verification hash) are counted
-and reported; the fixed 16->11 Toeplitz compression provides the privacy
-margin, so the corrected key itself is not shortened further.
+and reported, but nothing is subtracted for them: the fixed 16->11 Toeplitz
+length is not derived from what was disclosed (~248 K bits of a default
+1-s burst, against ~296 K output bits), so the output is not a proven
+secure length.
 :func:`winnow_correct` is the in-memory driver of the same pass functions,
 holding both keys at once.
 """
@@ -282,9 +284,9 @@ class KeyBuffer:
     The key is stored packed, eight bits per byte in the MSB-first order of
     ``np.packbits``: read-only chunks of whole bytes, each starting on a byte
     boundary, and a tail of fewer than 8 bits that the next append completes.
-    Takes hand out packed bytes.  A byte-aligned take inside one chunk is a
-    read-only view of it, one across pages or chunks joins such views, and
-    only a take that is not byte-aligned is unpacked and packed again.
+    A take is a whole number of bytes, so it starts and ends on a byte
+    boundary: inside one chunk it is a read-only view of it, and across pages
+    or chunks it joins such views.
     """
 
     PAGE_BITS = 4096 * 8
@@ -342,32 +344,24 @@ class KeyBuffer:
             return b"".join(self._chunks) + (bytes([self._tail]) if self._length % 8 else b"")
 
     def _views(self, lo: int, hi: int) -> list[np.ndarray]:
-        """Views of the stored bytes ``lo`` to ``hi``, then the tail's byte when ``hi``
-        reaches it.  The first chunk is found by bisection."""
+        """Views of the stored bytes ``lo`` to ``hi``; the first chunk is found by bisection."""
         pieces = []
-        stored = min(hi, self._length // 8)
         i = bisect.bisect_right(self._chunk_starts, lo) - 1
-        while lo < stored:
+        while lo < hi:
             chunk, chunk_start = self._chunks[i], self._chunk_starts[i]
-            stop = min(stored, chunk_start + len(chunk))
+            stop = min(hi, chunk_start + len(chunk))
             pieces.append(chunk[lo - chunk_start : stop - chunk_start])
             lo = stop
             i += 1
-        if lo < hi:
-            pieces.append(np.array([self._tail], np.uint8))
         return pieces
 
     def _read(self, ranges: list[tuple[int, int]]) -> np.ndarray:
-        """The buffered bits of ``ranges`` in order, packed: a view when they are one
-        byte-aligned range inside one chunk, else one joined or repacked copy."""
-        if all(a % 8 == 0 and b % 8 == 0 for a, b in ranges):
-            pieces = [v for a, b in ranges for v in self._views(a // 8, b // 8)]
-            if len(pieces) == 1:
-                return pieces[0]
-            return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.uint8)
-        bits = [np.unpackbits(np.concatenate(self._views(a // 8, -(-b // 8))))[a % 8 :][: b - a]
-                for a, b in ranges]
-        return np.packbits(np.concatenate(bits))
+        """The stored bytes of the byte-aligned ``ranges`` in order: a view when they
+        lie in one chunk, else one joined copy."""
+        pieces = [v for a, b in ranges for v in self._views(a // 8, b // 8)]
+        if len(pieces) == 1:
+            return pieces[0]
+        return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.uint8)
 
     def _lane_offset(self, lane: int, k: int) -> int:
         """Absolute offset of the lane's k-th bit."""
@@ -387,17 +381,18 @@ class KeyBuffer:
             buffered = cycles * page + min(max(rest - lane * page, 0), page)
             return buffered - self._lane_used[lane]
 
-    def take(self, nbits: int, lane: int = 0) -> tuple[list[tuple[int, int]], np.ndarray]:
+    def take(self, nbits: int, lane: int = 0) -> np.ndarray:
         """Consume ``nbits`` from a lane, or raise :class:`KeyExhausted` if it holds fewer.
 
-        Returns the absolute bit ranges consumed (one per page spanned) and
-        the bits themselves, packed into ``ceil(nbits / 8)`` bytes whose last
-        is padded with zero bits.  A refused take, too large or negative
-        (``ValueError``), changes nothing; ``take(0)`` returns no range and
-        no bytes.
+        Returns the key, packed into ``nbits / 8`` bytes; the absolute bit
+        ranges consumed, one per page spanned, go to ``issued_ranges``.  A
+        count that is negative or not a whole number of bytes raises
+        ``ValueError``.  A refused take changes nothing; ``take(0)`` returns
+        no bytes and issues no range.
         """
-        if nbits < 0:
-            raise ValueError(f"cannot take a negative number of bits: {nbits}")
+        if nbits < 0 or nbits % 8:
+            raise ValueError(f"cannot take {nbits} bits: a take is a non-negative whole number "
+                             "of bytes")
         with self._lock:
             if (have := self.available(lane)) < nbits:
                 raise KeyExhausted(f"key buffer exhausted: need {nbits} bits, lane has {have}")
@@ -415,12 +410,4 @@ class KeyBuffer:
                 self._lane_high[lane] = ranges[-1][1]
             self.issued_ranges.extend(ranges)
             self._lane_used[lane] = end
-            return ranges, self._read(ranges)
-
-    def peek(self, nbits: int) -> np.ndarray:
-        """The first ``nbits`` buffered bits, packed as :meth:`take` packs them, not
-        consumed; only for the chat parity."""
-        with self._lock:
-            if nbits > self._length:
-                raise ValueError("peek beyond buffered key")
-            return self._read([(0, nbits)])
+            return self._read(ranges)

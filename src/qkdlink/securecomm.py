@@ -3,15 +3,16 @@
 Payloads are XORed with never-reused key bytes drawn from the shared
 :class:`~qkdlink.postproc.KeyBuffer`, which stores and hands out its key
 packed, so a frame is sealed and opened by XORing two byte arrays.  A session
-starts with a cheap parity handshake over the first 64 buffered bits (then
-discarded); after that the two directions consume the two lanes of the
-buffer, its even and odd page stripes, so duplex traffic cannot collide on
-key ranges.  A frame is the bytes :func:`otp_seal` returns and
-:func:`otp_open` takes, sent as one CHAT_DATA payload; it carries at most
-``CHAT_CHUNK_BYTES`` (4 KiB, one lane page of key) and is sealed and opened
-with one take of its own.  A frame the lane cannot cover raises
-:class:`~qkdlink.postproc.KeyExhausted` at once, after every earlier frame;
-nothing waits for key.
+starts with a cheap parity handshake: each side takes the first 64 buffered
+bits, burned whether or not the parities match, and discloses their parity;
+after that the two directions consume the two lanes of the buffer, its even
+and odd page stripes, so duplex traffic cannot collide on key ranges.  A
+frame is the bytes :func:`otp_seal` returns and :func:`otp_open` takes, sent
+as one CHAT_DATA payload; it carries at most ``CHAT_CHUNK_BYTES`` (4 KiB,
+one lane page of key) and is sealed and opened with one take of its own.  A
+frame the lane cannot cover raises :class:`~qkdlink.postproc.KeyExhausted`
+at once, after every earlier frame; nothing waits for key.  Frames are not
+authenticated: a flipped ciphertext bit flips the same plaintext bit.
 """
 
 from __future__ import annotations
@@ -50,10 +51,8 @@ def otp_seal(plaintext: bytes, buf: KeyBuffer, lane: int = 0) -> bytes:
     """
     if len(plaintext) > CHAT_CHUNK_BYTES:
         raise ValueError(f"plaintext of {len(plaintext)} bytes, over {CHAT_CHUNK_BYTES}")
-    if not plaintext:
-        return buf.next_range_start(lane).to_bytes(8, "big")
-    ranges, key = buf.take(8 * len(plaintext), lane=lane)
-    return ranges[0][0].to_bytes(8, "big") + _xor(plaintext, key)
+    offset = buf.next_range_start(lane)
+    return offset.to_bytes(8, "big") + _xor(plaintext, buf.take(8 * len(plaintext), lane=lane))
 
 
 def otp_open(frame: bytes, buf: KeyBuffer, lane: int = 0) -> bytes:
@@ -61,7 +60,8 @@ def otp_open(frame: bytes, buf: KeyBuffer, lane: int = 0) -> bytes:
 
     Before any key is taken, a frame shorter than its offset, one over
     ``CHAT_CHUNK_BYTES`` and one whose offset is not the lane's cursor (a
-    dropped, repeated or reordered frame) are refused, in that order.
+    dropped, repeated or reordered frame) are refused, in that order.  Each
+    lane has one reader, so the take starts at the cursor just checked.
     """
     if len(frame) < 8:
         raise KeyStreamDesync("short chat frame")
@@ -70,33 +70,7 @@ def otp_open(frame: bytes, buf: KeyBuffer, lane: int = 0) -> bytes:
     offset, expected = int.from_bytes(frame[:8], "big"), buf.next_range_start(lane)
     if offset != expected:
         raise KeyStreamDesync(f"frame uses key at bit {offset}, receiver cursor at {expected}")
-    if len(frame) == 8:
-        return b""
-    ranges, key = buf.take(8 * (len(frame) - 8), lane=lane)
-    if ranges[0][0] != offset:
-        raise KeyStreamDesync("consumed range diverged from frame offset")
-    return _xor(memoryview(frame)[8:], key)
-
-
-def chat_handshake(chan, buf: KeyBuffer) -> None:
-    """Exchange the parity of the first 64 key bits; establish iff it matches, then burn them.
-
-    A single flipped bit anywhere in the window flips the parity, so
-    desynchronized buffers are refused before any key is spent on traffic.
-    """
-    if len(buf) < HANDSHAKE_BITS or buf.consumed_total > 0:
-        raise ChatRefused(
-            f"need {HANDSHAKE_BITS} fresh key bits for the handshake, have {len(buf)} "
-            f"(consumed {buf.consumed_total})"
-        )
-    parity = int.from_bytes(buf.peek(HANDSHAKE_BITS).tobytes(), "big").bit_count() & 1
-    chan.send(MsgType.CHAT_HANDSHAKE, bytes([parity]))
-    msg = chan.recv(MsgType.CHAT_HANDSHAKE)
-    if len(msg.payload) != 1:
-        raise ChatRefused("malformed handshake payload")
-    if msg.payload[0] != parity:
-        raise ChatRefused("key parities differ: buffers are desynchronized")
-    buf.take(HANDSHAKE_BITS, lane=0)  # discard the disclosed window (even lane, page 0)
+    return _xor(memoryview(frame)[8:], buf.take(8 * (len(frame) - 8), lane=lane))
 
 
 class ChatEndpoint:
@@ -116,7 +90,27 @@ class ChatEndpoint:
         self.recv_lane = 1 - self.send_lane
 
     def handshake(self) -> None:
-        chat_handshake(self.chan, self.buf)
+        """Take the first 64 key bits and exchange their parity; establish iff it matches.
+
+        A single flipped bit anywhere in the window flips the parity, so
+        desynchronized buffers are refused before any key is spent on
+        traffic.  The window is taken (even lane, page 0) before its parity
+        is disclosed, so it is burned on a refusal too.
+        """
+        buf = self.buf
+        if len(buf) < HANDSHAKE_BITS or buf.consumed_total > 0:
+            raise ChatRefused(
+                f"need {HANDSHAKE_BITS} fresh key bits for the handshake, have {len(buf)} "
+                f"(consumed {buf.consumed_total})"
+            )
+        window = buf.take(HANDSHAKE_BITS, lane=0)
+        parity = int.from_bytes(window.tobytes(), "big").bit_count() & 1
+        self.chan.send(MsgType.CHAT_HANDSHAKE, bytes([parity]))
+        msg = self.chan.recv(MsgType.CHAT_HANDSHAKE)
+        if len(msg.payload) != 1:
+            raise ChatRefused("malformed handshake payload")
+        if msg.payload[0] != parity:
+            raise ChatRefused("key parities differ: buffers are desynchronized")
 
     def send_bytes(self, data: bytes) -> int:
         """Seal and transmit in frames of up to ``CHAT_CHUNK_BYTES``; returns frames sent.

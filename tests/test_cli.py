@@ -335,6 +335,9 @@ def test_chat_receive_past_its_deadline_exits_2(tmp_path, capsys):
     assert codes == [2]
     assert elapsed < 2 * 2
     err = capsys.readouterr().err
+    # 2,970 key bits fill less than one lane page: Bob's send lane is empty, and the
+    # handshake took 64 bits of his receive lane
+    assert "event=chat_established role=bob send_bits=0 recv_bits=2906" in err
     assert "event=abort error=TimeoutError" in err
     assert "chat_done" not in err and "Traceback" not in err
 
@@ -391,6 +394,10 @@ def test_chat_send_past_the_key_exits_2_at_once(tmp_path, capsys):
     err += capsys.readouterr().err
     assert codes == [2, 2]
     assert "key_bits=58949" in err
+    # each terminal logs its lanes before any frame: 32,768 bits less the handshake's
+    # 64 on Alice's send lane, the rest on Bob's
+    assert "event=chat_established role=alice send_bits=32704 recv_bits=26181" in err
+    assert "event=chat_established role=bob send_bits=26181 recv_bits=32704" in err
     assert "event=abort error=KeyExhausted detail=key buffer exhausted: need 32000 bits, " \
            "lane has 26181" in err
     assert err.count("event=abort") == 2

@@ -22,7 +22,7 @@ def test_matching_basis_reprepares_identically():
     i = np.arange(2000)
     bases = (i % 2).astype(np.uint8)
     bits = ((i // 2) % 2).astype(np.uint8)
-    out_bases, out_bits = Eavesdropper(rng_stream(1, "e")).transform(bases, bits)
+    out_bases, out_bits, _ = Eavesdropper(rng_stream(1, "e")).transform(bases, bits)
     matched = out_bases == bases
     assert np.array_equal(out_bits[matched], bits[matched])
     assert matched.sum() > 800  # half the pulses in expectation
@@ -61,9 +61,10 @@ def test_transform_identity_when_fraction_zero():
     bases = rng.integers(0, 2, 5000, dtype=np.uint8)
     bits = rng.integers(0, 2, 5000, dtype=np.uint8)
     eve = Eavesdropper(rng_stream(2, "ee"), fraction=0.0)
-    out_bases, out_bits = eve.transform(bases, bits)
+    out_bases, out_bits, hit = eve.transform(bases, bits)
     assert np.array_equal(out_bases, bases)
     assert np.array_equal(out_bits, bits)
+    assert not hit.any()
 
 
 def test_intercept_measures_each_detected_pulse_once():
@@ -99,13 +100,12 @@ def test_intercept_across_draw_chunks_matches_transform_per_pulse(fraction):
     bases, bits = Eavesdropper(rng_stream(9, "e"), fraction, log=log).intercept(tx, src)
     pulses = np.unique(src)
     ref = Eavesdropper(rng_stream(9, "e"), fraction)
-    eve_bases, eve_bits = ref.transform(*tx.at(pulses))
+    eve_bases, eve_bits, hit = ref.transform(*tx.at(pulses))
     row = np.searchsorted(pulses, src)
     assert bases.dtype == bits.dtype == np.uint8
     assert np.array_equal(bases, eve_bases[row])
     assert np.array_equal(bits, eve_bits[row])
     ((logged, log_bases, log_bits),) = log
-    hit = ref.hit
     assert np.count_nonzero(hit) == pytest.approx(fraction * len(pulses), rel=0.02)
     assert np.array_equal(logged, pulses[hit])
     assert np.array_equal(log_bases, eve_bases[hit])
@@ -146,10 +146,10 @@ def test_eve_log_counts():
     bases = rng.integers(0, 2, 10_000, dtype=np.uint8)
     bits = rng.integers(0, 2, 10_000, dtype=np.uint8)
     half = Eavesdropper(rng_stream(5, "eh"), fraction=0.5)
-    out_bases, out_bits = half.transform(bases, bits)
+    out_bases, out_bits, hit = half.transform(bases, bits)
     altered = np.count_nonzero((out_bases != bases) | (out_bits != bits))
     # an intercepted pulse comes back altered iff Eve chose the other basis
-    intercepted = np.count_nonzero(half.hit)
+    intercepted = np.count_nonzero(hit)
     assert altered <= intercepted
     assert intercepted == pytest.approx(5000, abs=300)
     assert altered == pytest.approx(0.5 * intercepted, rel=0.06)

@@ -444,8 +444,8 @@ def test_key_buffer_append_and_take():
     buf = KeyBuffer()
     bits = rng_stream(22, "t").integers(0, 2, 100, dtype=np.uint8)
     buf.append(bits)
-    ranges, got = buf.take(40)
-    assert ranges == [(0, 40)]
+    got = buf.take(40)
+    assert buf.issued_ranges == [(0, 40)]
     assert np.array_equal(np.unpackbits(got, count=40), bits[:40])
     assert buf.consumed_total == 40
 
@@ -456,22 +456,24 @@ def _key_buffer_state(buf):
 
 
 def test_key_buffer_negative_take_is_refused_and_changes_nothing():
-    # a negative take, and a take one bit past what the lane holds, raise and change nothing
+    # a negative take, a take that is not whole bytes, and a take one byte past what the
+    # lane holds, raise and change nothing
     page = KeyBuffer.PAGE_BITS
     buf = KeyBuffer()
-    buf.append(np.ones(page + 100, dtype=np.uint8))
+    buf.append(np.ones(page + 104, dtype=np.uint8))
     buf.take(40)
-    buf.take(30, lane=1)
-    for lane, start in ((0, 40), (1, page + 30)):
-        for nbits, error, match in ((-8, ValueError, "negative"),
-                                    (buf.available(lane) + 1, KeyExhausted, "exhausted")):
+    buf.take(32, lane=1)
+    for lane, start in ((0, 40), (1, page + 32)):
+        unaligned = [(n, ValueError, "whole number of bytes") for n in (*range(1, 8), 9)]
+        for nbits, error, match in ((-8, ValueError, "negative"), *unaligned,
+                                    (buf.available(lane) + 8, KeyExhausted, "exhausted")):
             before = _key_buffer_state(buf)
             with pytest.raises(error, match=match):
                 buf.take(nbits, lane=lane)
             assert _key_buffer_state(buf) == before
         n = buf.available(lane)
-        ranges, got = buf.take(n, lane=lane)
-        assert ranges == [(start, start + n)] and len(got) == -(-n // 8)
+        got = buf.take(n, lane=lane)
+        assert buf.issued_ranges[-1] == (start, start + n) and len(got) == n // 8
         assert np.unpackbits(got, count=n).all()
         assert buf.available(lane) == 0
 
@@ -480,8 +482,8 @@ def test_key_buffer_take_zero_returns_nothing_and_changes_nothing():
     buf = KeyBuffer()
     for _ in range(2):  # empty, then holding bits
         before = _key_buffer_state(buf)
-        ranges, got = buf.take(0)
-        assert ranges == [] and got.dtype == np.uint8 and len(got) == 0
+        got = buf.take(0)
+        assert got.dtype == np.uint8 and len(got) == 0
         assert _key_buffer_state(buf) == before
         buf.append(np.ones(100, dtype=np.uint8))
 
@@ -489,7 +491,7 @@ def test_key_buffer_take_zero_returns_nothing_and_changes_nothing():
 def test_key_buffer_issued_ranges_disjoint():
     buf = KeyBuffer()
     buf.append(rng_stream(23, "t").integers(0, 2, KeyBuffer.PAGE_BITS * 4, dtype=np.uint8))
-    buf.take(100, lane=0)
+    buf.take(104, lane=0)
     buf.take(200, lane=1)
     buf.take(KeyBuffer.PAGE_BITS, lane=0)  # crosses into page 2
     spans = sorted(buf.issued_ranges)
@@ -501,18 +503,24 @@ def test_key_buffer_lane_striping():
     buf = KeyBuffer()
     n = KeyBuffer.PAGE_BITS * 4
     buf.append(np.arange(n).astype(np.uint8) & 1)
-    r0, _ = buf.take(10, lane=0)
-    r1, _ = buf.take(10, lane=1)
-    assert r0[0][0] // KeyBuffer.PAGE_BITS % 2 == 0
-    assert r1[0][0] // KeyBuffer.PAGE_BITS % 2 == 1
+    buf.take(16, lane=0)
+    buf.take(16, lane=1)
+    r0, r1 = buf.issued_ranges
+    assert r0[0] // KeyBuffer.PAGE_BITS % 2 == 0
+    assert r1[0] // KeyBuffer.PAGE_BITS % 2 == 1
 
 
 class _SmallPages(KeyBuffer):
     PAGE_BITS = 16
 
 
+def _bytes(n):
+    """A bit count of ``n`` whole bytes: every take is one."""
+    return 8 * n
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 1), st.integers(1, 40)),
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 1), st.integers(1, 5).map(_bytes)),
                 min_size=1, max_size=30))
 def test_key_buffer_lanes_read_their_page_stripes(steps):
     # reference: lane L's key stream is pages L, L + 2, L + 4, ... read in order
@@ -530,7 +538,9 @@ def test_key_buffer_lanes_read_their_page_stripes(steps):
             assert buf.next_range_start(ln) == stripes[ln][used[ln]]
         if buf.available(lane) < n_take:
             continue
-        ranges, got = buf.take(n_take, lane=lane)
+        n_issued = len(buf.issued_ranges)
+        got = buf.take(n_take, lane=lane)
+        ranges = buf.issued_ranges[n_issued:]
         want = stripes[lane][used[lane] : used[lane] + n_take]
         assert [o for a, b in ranges for o in range(a, b)] == want
         assert all(a // page == (b - 1) // page for a, b in ranges)
@@ -561,9 +571,9 @@ def test_key_buffer_stores_packed_bytes_and_no_appended_array(lengths):
 def test_key_buffer_overlapping_range_raises():
     buf = KeyBuffer()
     buf.append(np.zeros(3 * KeyBuffer.PAGE_BITS, np.uint8))
-    buf.take(100, lane=1)
+    buf.take(104, lane=1)
     buf.take(KeyBuffer.PAGE_BITS, lane=0)
-    for lane, rewound_to, nbits in ((0, 50, 10), (1, 0, KeyBuffer.PAGE_BITS)):
+    for lane, rewound_to, nbits in ((0, 48, 16), (1, 0, KeyBuffer.PAGE_BITS)):
         used = buf._lane_used[lane]
         buf._lane_used[lane] = rewound_to  # a lane count rewound by a fault
         before = _key_buffer_state(buf)
@@ -571,12 +581,13 @@ def test_key_buffer_overlapping_range_raises():
             buf.take(nbits, lane=lane)
         assert _key_buffer_state(buf) == before
         buf._lane_used[lane] = used  # the lane counts are the consumed total: mend the fault
-    assert buf.consumed_total == 100 + KeyBuffer.PAGE_BITS
+    assert buf.consumed_total == 104 + KeyBuffer.PAGE_BITS
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 1),
-                          st.one_of(st.just(0), st.integers(-24, 24)), st.integers(0, 24)),
+                          st.one_of(st.just(0), st.integers(-3, 3).map(_bytes)),
+                          st.integers(0, 3).map(_bytes)),
                 min_size=1, max_size=40))
 def test_key_buffer_high_water_check_matches_a_brute_force_oracle(steps):
     # each step appends a chunk, shifts one lane's count by a fault (a rewind or a forward
@@ -599,18 +610,19 @@ def test_key_buffer_high_water_check_matches_a_brute_force_oracle(steps):
         k = buf._lane_used[lane]
         want = [buf._lane_offset(lane, j) for j in range(k, k + n_take)]
         issued = {o for a, b in buf.issued_ranges for o in range(a, b)}
-        before = _key_buffer_state(buf)
+        before, n_issued = _key_buffer_state(buf), len(buf.issued_ranges)
         if issued.intersection(want):
             with pytest.raises(RuntimeError, match="overlaps"):
                 buf.take(n_take, lane=lane)
             assert _key_buffer_state(buf) == before
             continue
         try:
-            ranges, got = buf.take(n_take, lane=lane)
+            got = buf.take(n_take, lane=lane)
         except RuntimeError as exc:
             assert "overlaps" in str(exc) and skipped[lane]
             assert _key_buffer_state(buf) == before
             continue
+        ranges = buf.issued_ranges[n_issued:]
         assert [o for a, b in ranges for o in range(a, b)] == want
         assert np.array_equal(np.unpackbits(got, count=n_take), key[want])
 
@@ -622,12 +634,12 @@ def test_key_buffer_take_inside_one_chunk_is_a_read_only_view():
     buf.append(first)
     buf.append(second)
     before = buf.to_bytes()
-    _, got = buf.take(64)  # byte-aligned, inside the first stored chunk
+    got = buf.take(64)  # inside the first stored chunk
     assert np.shares_memory(got, buf._chunks[0]) and not got.flags.writeable
     with pytest.raises(ValueError):
         got[0] ^= 1
     assert buf.to_bytes() == before
-    _, got = buf.take(80)  # spans the two chunks
+    got = buf.take(80)  # spans the two chunks
     assert np.array_equal(np.unpackbits(got, count=80), np.concatenate([first, second])[64:144])
 
 
@@ -635,5 +647,5 @@ def test_key_buffer_take_timeout():
     # nothing waits for key: a take the lane cannot cover fails at once
     buf = KeyBuffer()
     buf.append(np.ones(8, np.uint8))
-    with pytest.raises(KeyExhausted, match="need 50 bits, lane has 8"):
-        buf.take(50)
+    with pytest.raises(KeyExhausted, match="need 56 bits, lane has 8"):
+        buf.take(56)

@@ -15,7 +15,6 @@ from qkdlink.securecomm import (
     ChatEndpoint,
     ChatRefused,
     KeyStreamDesync,
-    chat_handshake,
     otp_open,
     otp_seal,
 )
@@ -44,7 +43,7 @@ def test_seal_open_roundtrip():
 def test_zero_plaintext_exposes_key_bytes():
     tx_buf, probe = _pair_of_buffers(10_000)
     frame = otp_seal(bytes(32), tx_buf)
-    _, key = probe.take(32 * 8)
+    key = probe.take(32 * 8)
     assert frame[8:] == key.tobytes()
     assert np.array_equal(np.unpackbits(key, count=32 * 8), probe.bits()[: 32 * 8])
 
@@ -109,12 +108,12 @@ def test_handshake_establishes_and_burns_window():
     results = []
 
     def side_b():
-        chat_handshake(cb, buf_b)
+        ChatEndpoint(cb, buf_b, "bob").handshake()
         results.append(True)
 
     t = threading.Thread(target=side_b)
     t.start()
-    chat_handshake(ca, buf_a)
+    ChatEndpoint(ca, buf_a, "alice").handshake()
     t.join(timeout=5)
     assert results
     assert buf_a.consumed_total == HANDSHAKE_BITS
@@ -132,22 +131,24 @@ def test_handshake_refuses_on_flipped_bit():
 
     def side_b():
         try:
-            chat_handshake(cb, buf_b)
+            ChatEndpoint(cb, buf_b, "bob").handshake()
         except ChatRefused:
             refused.append(True)
 
     t = threading.Thread(target=side_b)
     t.start()
     with pytest.raises(ChatRefused):
-        chat_handshake(ca, buf_a)
+        ChatEndpoint(ca, buf_a, "alice").handshake()
     t.join(timeout=5)
     assert refused
+    # the window's parity was disclosed, so it is burned on a refusal too
+    assert buf_a.consumed_total == buf_b.consumed_total == HANDSHAKE_BITS
 
 
 def test_handshake_requires_fresh_key():
     ca, _ = make_loop_pair(timeout=0.5)
     with pytest.raises(ChatRefused):
-        chat_handshake(ca, KeyBuffer())
+        ChatEndpoint(ca, KeyBuffer(), "alice").handshake()
 
 
 # --- duplex endpoints ----------------------------------------------------------------
