@@ -1,17 +1,17 @@
-"""Classical key distillation, one function per protocol step.
+"""Classical key distillation, one implementation per protocol step.
 
-Each step is a pure function of local arrays plus what the peer disclosed,
+Each step works, free of I/O, on local arrays plus what the peer disclosed,
 so both terminals of :mod:`qkdlink.session` call the same code:
 
 * sifting: :func:`sift_mask` keeps the positions where the bases agree;
 * QBER check: :func:`qber_sample_indices` draws the disclosed sample,
   :func:`sample_qber` compares it, :func:`without` strips it from the key and
   :func:`check_abort` is true strictly above ``QBER_ABORT_THRESHOLD``;
-* Winnow: per pass, :func:`winnow_pass` (both sides) lays the key out anew
-  and computes block parities, :func:`mismatched_blocks` compares them,
-  :func:`winnow_syndromes` (Alice) answers with the mismatched blocks'
-  syndromes and :func:`winnow_repair` (Bob) flips the bit each syndrome
-  difference points at; :func:`key_hash` then verifies the result;
+* Winnow: :class:`WinnowAlice` and :class:`WinnowBob` are its two I/O-free
+  steps.  Per pass Alice's gives a layout seed and her block parities
+  (:func:`winnow_pass`), Bob's the blocks whose parities differ, Alice's
+  their syndromes, and Bob's flips the bit each syndrome difference points
+  at; :func:`key_hash` then verifies the result;
 * privacy amplification: :func:`amplify_with_carry` hashes every whole
   16-bit block, carrying the leftover bits into the next burst.
 
@@ -27,8 +27,7 @@ and reported, but nothing is subtracted for them: the fixed 16->11 Toeplitz
 length is not derived from what was disclosed (~248 K bits of a default
 1-s burst, against ~296 K output bits), so the output is not a proven
 secure length.
-:func:`winnow_correct` is the in-memory driver of the same pass functions,
-holding both keys at once.
+:func:`winnow_correct` pumps the same two steps in memory, holding both keys at once.
 """
 
 from __future__ import annotations
@@ -122,16 +121,6 @@ def permutation_for_pass(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return rng.permutation(r), rng.integers(0, WINNOW_BLOCK, r, dtype=np.uint8)
 
 
-def winnow_key(bits: np.ndarray) -> np.ndarray:
-    """A fresh uint8 copy of ``bits`` truncated to a multiple of the block size."""
-    return np.array(bits[: len(bits) - len(bits) % WINNOW_BLOCK], dtype=np.uint8)
-
-
-def draw_perm_seed(rng: np.random.Generator) -> int:
-    """The next pass's layout seed, disclosed by Alice."""
-    return int(rng.integers(0, 2**63))
-
-
 def winnow_pass(key: np.ndarray, perm_seed: int,
                 ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
     """Both sides: (layout, permuted key, its block parities) for one pass.
@@ -147,33 +136,65 @@ def winnow_pass(key: np.ndarray, perm_seed: int,
     return layout, permuted, block_parities(permuted)
 
 
-def mismatched_blocks(parities: np.ndarray, peer_parities: np.ndarray) -> np.ndarray:
-    """Ascending indices of the blocks whose parities disagree."""
-    return np.nonzero(parities != peer_parities)[0]
+class _WinnowStep:
+    """One side of Winnow, free of I/O: its key, a fresh uint8 copy cut to whole
+    blocks, and the pass count, disclosed bits and stop rule both sides share:
+    passes run until one has no mismatch, or ``max_passes``."""
+
+    def __init__(self, key: np.ndarray, max_passes: int = WINNOW_MAX_PASSES):
+        self.key = np.array(key[: len(key) - len(key) % WINNOW_BLOCK], dtype=np.uint8)
+        self.blocks = len(self.key) // WINNOW_BLOCK
+        self.max_passes = max_passes
+        self.passes = self.disclosed_bits = 0
+        self.done = False
+
+    def _end_pass(self, mismatched: np.ndarray) -> None:
+        """Count a parity per block and a syndrome per mismatch; apply the stop rule."""
+        self.passes += 1
+        self.disclosed_bits += self.blocks + SYNDROME_BITS * len(mismatched)
+        self.done = len(mismatched) == 0 or self.passes == self.max_passes
 
 
-def winnow_syndromes(permuted: np.ndarray, mismatched: np.ndarray) -> np.ndarray:
-    """Alice's side: the syndrome of each mismatched block of her permuted key."""
-    return block_syndromes(permuted.reshape(-1, WINNOW_BLOCK)[mismatched])
+class WinnowAlice(_WinnowStep):
+    """Alice's side of Winnow: her key and the stream the layout seeds come from."""
+
+    def __init__(self, key: np.ndarray, rng: np.random.Generator,
+                 max_passes: int = WINNOW_MAX_PASSES):
+        super().__init__(key, max_passes)
+        self._rng = rng
+
+    def parities(self) -> tuple[int, int, np.ndarray]:
+        """The next pass: (its number, its layout seed, her block parities)."""
+        perm_seed = int(self._rng.integers(0, 2**63))
+        _, permuted, parities = winnow_pass(self.key, perm_seed)
+        self._blocks = permuted.reshape(-1, WINNOW_BLOCK)
+        return self.passes, perm_seed, parities
+
+    def syndromes(self, mismatched: np.ndarray) -> np.ndarray | None:
+        """Given Bob's mismatched blocks, their syndromes; None after a pass with none."""
+        self._end_pass(mismatched)
+        return block_syndromes(self._blocks[mismatched]) if len(mismatched) else None
 
 
-def winnow_repair(key: np.ndarray, layout: tuple[np.ndarray, np.ndarray],
-                  permuted: np.ndarray, mismatched: np.ndarray,
-                  peer_syndromes: np.ndarray) -> None:
-    """Bob's side: flip, in ``key`` itself, the bit each syndrome difference locates.
+class WinnowBob(_WinnowStep):
+    """Bob's side of Winnow: his key, which :meth:`repair` corrects in place."""
 
-    Permuted position q is key bit ``8*order[q % R] + (q // R + rot[q % R]) % 8``.
-    ``permuted`` is read for Bob's syndromes and left as it was.
-    """
-    order, rot = layout
-    diff = winnow_syndromes(permuted, mismatched) ^ peer_syndromes
-    col, row = np.divmod(mismatched * WINNOW_BLOCK + syndrome_error_positions(diff), len(order))
-    key[WINNOW_BLOCK * order[row] + (col + rot[row]) % WINNOW_BLOCK] ^= 1
+    def mismatched(self, perm_seed: int, peer_parities: np.ndarray) -> np.ndarray:
+        """Given Alice's pass, the ascending indices of the blocks whose parities differ."""
+        self._layout, permuted, parities = winnow_pass(self.key, perm_seed)
+        self._blocks = permuted.reshape(-1, WINNOW_BLOCK)
+        self._mismatched = np.nonzero(parities != peer_parities)[0]
+        self._end_pass(self._mismatched)
+        return self._mismatched
 
-
-def winnow_disclosed(parities: np.ndarray, mismatched: np.ndarray) -> int:
-    """Key bits one pass discloses: a parity per block, a syndrome per mismatch."""
-    return len(parities) + SYNDROME_BITS * len(mismatched)
+    def repair(self, peer_syndromes: np.ndarray) -> None:
+        """Given Alice's syndromes, flip in the key the bit each syndrome difference
+        locates; permuted position q is key bit ``8*order[q % R] + (q // R + rot[q % R]) % 8``."""
+        order, rot = self._layout
+        diff = block_syndromes(self._blocks[self._mismatched]) ^ peer_syndromes
+        col, row = np.divmod(self._mismatched * WINNOW_BLOCK + syndrome_error_positions(diff),
+                             self.blocks)
+        self.key[WINNOW_BLOCK * order[row] + (col + rot[row]) % WINNOW_BLOCK] ^= 1
 
 
 def winnow_correct(alice_key: np.ndarray, bob_key: np.ndarray,
@@ -182,31 +203,18 @@ def winnow_correct(alice_key: np.ndarray, bob_key: np.ndarray,
                    ) -> tuple[np.ndarray, int, int]:
     """Correct Bob's key toward Alice's; returns (corrected, disclosed_bits, passes).
 
-    The in-memory driver of the pass functions the session runs over the
-    wire.  Both keys are truncated to a multiple of the block size first.
-    Iteration stops after a pass with zero mismatches or after
-    ``max_passes``.  Residual errors, if any, are caught by the verification
-    hash downstream.
+    Pumps, in memory, the two steps the terminals run over the wire.  Both
+    keys are truncated to a multiple of the block size first.  Residual
+    errors, if any, are caught by the verification hash downstream.
     """
     if len(alice_key) != len(bob_key):
         raise ValueError("keys differ in length")
-    alice = winnow_key(alice_key)
-    bob = winnow_key(bob_key)
-    disclosed = 0
-    passes = 0
-    if len(bob) == 0:
-        return bob, 0, 0
-    for _ in range(max_passes):
-        passes += 1
-        seed = draw_perm_seed(rng)
-        _, a, alice_par = winnow_pass(alice, seed)
-        layout, b, bob_par = winnow_pass(bob, seed)
-        mismatched = mismatched_blocks(bob_par, alice_par)
-        disclosed += winnow_disclosed(alice_par, mismatched)
-        if len(mismatched) == 0:
-            break
-        winnow_repair(bob, layout, b, mismatched, winnow_syndromes(a, mismatched))
-    return bob, disclosed, passes
+    alice, bob = WinnowAlice(alice_key, rng, max_passes), WinnowBob(bob_key, max_passes)
+    while not bob.done:
+        _, perm_seed, parities = alice.parities()
+        if (syndromes := alice.syndromes(bob.mismatched(perm_seed, parities))) is not None:
+            bob.repair(syndromes)
+    return bob.key, bob.disclosed_bits, bob.passes
 
 
 # --- privacy amplification ---------------------------------------------------

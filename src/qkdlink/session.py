@@ -498,7 +498,7 @@ def received_burst(cfg: SimConfig, k: int, tx: TxBurst, eve_log: list | None = N
 
 def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.KeyBuffer,
                     carry: np.ndarray) -> tuple[BurstOutcome, np.ndarray]:
-    """Transmitter-side burst: generate, stream, disclose, sift, distill."""
+    """Transmitter-side burst: generate, stream, disclose, sift, pump WinnowAlice, distill."""
     seed = cfg.rng_seed
     with _Burst(k, chan, "alice") as burst:
         out = burst.out
@@ -533,28 +533,24 @@ def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postpro
             # a degenerate burst has nothing to estimate on: its QBER check fails
             raise _Abort(AbortReason.QBER, out.qber if n_sift >= 2 else 1.0)
 
-        wrng = rng_stream(seed, f"winnow:{k}")
-        key = postproc.winnow_key(postproc.without(alice_sifted, sample_idx))
-        for p in range(postproc.WINNOW_MAX_PASSES):
-            perm_seed = postproc.draw_perm_seed(wrng)
-            _, permuted, parities = postproc.winnow_pass(key, perm_seed)
-            burst.send(MsgType.WINNOW_PARITIES, p, perm_seed, parities)
-            (mism,) = burst.recv(MsgType.WINNOW_PARITIES, bound=len(parities))
-            out.disclosed_bits += postproc.winnow_disclosed(parities, mism)
-            if len(mism) == 0:
-                break
-            burst.send(MsgType.WINNOW_SYNDROMES, postproc.winnow_syndromes(permuted, mism))
+        winnow = postproc.WinnowAlice(postproc.without(alice_sifted, sample_idx),
+                                      rng_stream(seed, f"winnow:{k}"))
+        while not winnow.done:
+            burst.send(MsgType.WINNOW_PARITIES, *winnow.parities())
+            (mism,) = burst.recv(MsgType.WINNOW_PARITIES, bound=winnow.blocks)
+            if (syndromes := winnow.syndromes(mism)) is not None:
+                burst.send(MsgType.WINNOW_SYNDROMES, syndromes)
 
         # the hash covers the seed too, so a corrupted seed fails verification
         pa_seed = rng_stream(seed, f"pa:{k}").integers(0, 2, postproc.PA_SEED_BITS, dtype=np.uint8)
         burst.send(MsgType.PA_SEED, pa_seed)
-        out.disclosed_bits += postproc.KEY_HASH_BITS
-        digest = postproc.key_hash(np.concatenate([key, pa_seed]))
+        out.disclosed_bits = winnow.disclosed_bits + postproc.KEY_HASH_BITS
+        digest = postproc.key_hash(np.concatenate([winnow.key, pa_seed]))
         burst.send(MsgType.KEY_HASH, digest)
         if burst.recv(MsgType.KEY_HASH, abort=AbortReason.BURST_REJECTED) != (digest,):
             raise ProtocolError("peer verification hash does not match local key")
 
-        secure, carry = postproc.amplify_with_carry(carry, key, pa_seed)
+        secure, carry = postproc.amplify_with_carry(carry, winnow.key, pa_seed)
         key_buffer.append(secure)
         out.secure_bits = len(secure)
     return out, carry
@@ -562,7 +558,7 @@ def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postpro
 
 def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.KeyBuffer,
                   carry: np.ndarray) -> tuple[BurstOutcome, np.ndarray]:
-    """Receiver-side burst: detect, synchronize, match, sift, distill."""
+    """Receiver-side burst: detect, synchronize, match, sift, pump WinnowBob, distill."""
     with _Burst(k, chan, "bob") as burst:
         out = burst.out
         (burst_id,) = burst.recv(MsgType.BURST_START)
@@ -603,32 +599,27 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
         if postproc.check_abort(out.qber):
             burst.recv(abort=AbortReason.QBER)  # Alice's ABORT ends the burst
 
-        key = postproc.winnow_key(postproc.without(bob_sifted, sample_idx))
+        winnow = postproc.WinnowBob(postproc.without(bob_sifted, sample_idx))
         del bob_sifted
-        for p in range(postproc.WINNOW_MAX_PASSES):
-            pass_no, perm_seed, alice_parities = burst.recv(
-                MsgType.WINNOW_PARITIES, n=len(key) // postproc.WINNOW_BLOCK)
-            if pass_no != p:
-                raise ProtocolError(f"Winnow pass {pass_no} arrived as pass {p}")
-            layout, permuted, parities = postproc.winnow_pass(key, perm_seed)
-            mism = postproc.mismatched_blocks(parities, alice_parities)
+        while not winnow.done:
+            pass_no, perm_seed, alice_parities = burst.recv(MsgType.WINNOW_PARITIES,
+                                                            n=winnow.blocks)
+            if pass_no != winnow.passes:
+                raise ProtocolError(f"Winnow pass {pass_no} arrived as pass {winnow.passes}")
+            mism = winnow.mismatched(perm_seed, alice_parities)
             burst.send(MsgType.WINNOW_PARITIES, mism)
-            out.disclosed_bits += postproc.winnow_disclosed(parities, mism)
-            if len(mism) == 0:
-                break
-            (alice_syn,) = burst.recv(MsgType.WINNOW_SYNDROMES, n=len(mism),
-                                      bound=1 << postproc.SYNDROME_BITS)
-            postproc.winnow_repair(key, layout, permuted, mism, alice_syn)
-            del layout, permuted
+            if len(mism):
+                winnow.repair(*burst.recv(MsgType.WINNOW_SYNDROMES, n=len(mism),
+                                          bound=1 << postproc.SYNDROME_BITS))
 
         (pa_seed,) = burst.recv(MsgType.PA_SEED, n=postproc.PA_SEED_BITS)
-        out.disclosed_bits += postproc.KEY_HASH_BITS
-        digest = postproc.key_hash(np.concatenate([key, pa_seed]))
+        out.disclosed_bits = winnow.disclosed_bits + postproc.KEY_HASH_BITS
+        digest = postproc.key_hash(np.concatenate([winnow.key, pa_seed]))
         if burst.recv(MsgType.KEY_HASH) != (digest,):
             raise _Abort(AbortReason.BURST_REJECTED, out.qber)
         burst.send(MsgType.KEY_HASH, digest)
 
-        secure, carry = postproc.amplify_with_carry(carry, key, pa_seed)
+        secure, carry = postproc.amplify_with_carry(carry, winnow.key, pa_seed)
         key_buffer.append(secure)
         out.secure_bits = len(secure)
     return out, carry

@@ -12,12 +12,12 @@ from qkdlink.postproc import (
     PA_SEED_BITS,
     KeyBuffer,
     KeyExhausted,
+    WinnowAlice,
+    WinnowBob,
     amplify_with_carry,
     block_parities,
     check_abort,
-    draw_perm_seed,
     key_hash,
-    mismatched_blocks,
     permutation_for_pass,
     privacy_amplify,
     qber_sample_indices,
@@ -164,16 +164,14 @@ def test_winnow_double_error_fixed_after_reshuffle():
     # there; a third, in parity block 1, keeps pass 1 from being the last
     rng = rng_stream(9, "t")
     alice = _bits(rng, 512)
-    first_seed = draw_perm_seed(rng_stream(9, "w"))
+    _, first_seed, alice_par = WinnowAlice(alice, rng_stream(9, "w")).parities()
     source = _pass_sources(512, first_seed)
     hidden = source[:2]
     assert hidden[0] // 8 != hidden[1] // 8
     bob = alice.copy()
     bob[hidden] ^= 1
     bob[source[8]] ^= 1
-    _, _, alice_par = winnow_pass(alice, first_seed)
-    _, _, bob_par = winnow_pass(bob, first_seed)
-    assert mismatched_blocks(bob_par, alice_par).tolist() == [1]
+    assert WinnowBob(bob).mismatched(first_seed, alice_par).tolist() == [1]
     corrected, _, passes = winnow_correct(alice, bob, rng_stream(9, "w"))
     assert np.array_equal(corrected, alice)
     assert passes >= 3  # a later pass repairs the pair, and one more sees no mismatch
@@ -273,6 +271,14 @@ def test_winnow_truncates_to_block_multiple():
     key = _bits(rng, 21)
     corrected, _, _ = winnow_correct(key, key.copy(), rng_stream(10, "w"))
     assert len(corrected) == 16
+
+
+@pytest.mark.parametrize("n", [0, 7])
+def test_winnow_key_shorter_than_a_block_runs_one_empty_pass(n):
+    # as over the wire: Alice sends no parities and Bob answers that no block differs
+    key = np.ones(n, np.uint8)
+    corrected, disclosed, passes = winnow_correct(key, key.copy(), rng_stream(12, "w"))
+    assert (len(corrected), disclosed, passes) == (0, 0, 1)
 
 
 def test_winnow_length_mismatch_rejected():

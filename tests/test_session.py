@@ -288,6 +288,45 @@ def test_each_terminal_lays_out_only_the_passes_alice_sends(small_cfg, monkeypat
     assert on_main.count(False) == on_main.count(True) == sent
 
 
+def test_engines_run_winnow_as_the_in_memory_pump_does(monkeypatch):
+    # the keys that enter Winnow in a real burst, corrected again by winnow_correct
+    steps = {}
+
+    def recorded(step):
+        def construct(key, *args):
+            made = step(key, *args)
+            steps[step] = key.copy(), made
+            return made
+        return construct
+
+    for step in (postproc.WinnowAlice, postproc.WinnowBob):
+        monkeypatch.setattr(postproc, step.__name__, recorded(step))
+    cfg = scaled_config(0.01, seed=33)
+    tap = []
+    alice, bob = simulate_session(cfg, 1, bob_tap=tap)
+    monkeypatch.undo()
+    wire = [len(unpack_payload("bob", MsgType.WINNOW_PARITIES, payload, bound=2**32)[0])
+            for msg_type, payload in tap if msg_type == MsgType.WINNOW_PARITIES]
+
+    pumped = []
+    mismatched = postproc.WinnowBob.mismatched
+
+    def counted(step, *args):
+        mism = mismatched(step, *args)
+        pumped.append(len(mism))
+        return mism
+
+    monkeypatch.setattr(postproc.WinnowBob, "mismatched", counted)
+    (alice_key, _), (bob_key, bob_step) = steps[postproc.WinnowAlice], steps[postproc.WinnowBob]
+    corrected, disclosed, passes = postproc.winnow_correct(
+        alice_key, bob_key, rng_stream(cfg.rng_seed, "winnow:0"))
+    assert wire == pumped == [84, 26, 0]
+    assert passes == len(wire)
+    for outcome in (alice.outcomes[0], bob.outcomes[0]):
+        assert outcome.disclosed_bits - postproc.KEY_HASH_BITS == disclosed
+    assert np.array_equal(bob_step.key, corrected)
+
+
 def test_session_reproducible(small_cfg):
     a1, _ = simulate_session(small_cfg, 1)
     a2, _ = simulate_session(small_cfg, 1)
@@ -304,6 +343,41 @@ def test_reference_keys_are_bit_identical(seed, burst_seconds, digest):
     # so on purpose updates these digests
     alice, _ = simulate_session(scaled_config(burst_seconds, seed=seed), 2)
     assert hashlib.sha256(alice.key_buffer.to_bytes()).hexdigest()[:16] == digest
+
+
+WIRE_PINS = {  # seed -> {"sender-message type": digest of its payloads in the burst}
+    33: {"alice-HELLO": "d440cd4ca0f54b4a", "alice-BURST_START": "525c3368aba80a60",
+         "alice-SYNC_SUBSET": "aae5f18025fc422b", "alice-BASES": "5eea6e8862b17b70",
+         "alice-QBER_SAMPLE": "aadeb3678a0198b9", "alice-WINNOW_PARITIES": "0feb1ae6c913de05",
+         "alice-WINNOW_SYNDROMES": "469b2d6bb411e069", "alice-PA_SEED": "aecd5aa4e20f9fe5",
+         "alice-KEY_HASH": "a0c9676759aee61f", "bob-HELLO": "d440cd4ca0f54b4a",
+         "bob-FRAME_OFFSET_ACK": "5d88e3fe3e32abc3", "bob-BASES": "3962c529433e2cc6",
+         "bob-QBER_SAMPLE": "740fc0d81dee0c63", "bob-WINNOW_PARITIES": "0e64fb1ee8d5f832",
+         "bob-KEY_HASH": "a0c9676759aee61f"},
+    1: {"alice-HELLO": "517410bf0cb093e2", "alice-BURST_START": "525c3368aba80a60",
+        "alice-SYNC_SUBSET": "d939664edca4c63a", "alice-BASES": "061d7071ed230bde",
+        "alice-QBER_SAMPLE": "ebf7db56ac061d55", "alice-WINNOW_PARITIES": "b5f4be0b3ceda7d2",
+        "alice-WINNOW_SYNDROMES": "77b8c7351eb16573", "alice-PA_SEED": "f0e712e7a51ac9c3",
+        "alice-KEY_HASH": "3ed3ad46265e1626", "bob-HELLO": "517410bf0cb093e2",
+        "bob-FRAME_OFFSET_ACK": "f85d642cde6b6df6", "bob-BASES": "87e8393763c5c730",
+        "bob-QBER_SAMPLE": "a1fd1ead64931fe4", "bob-WINNOW_PARITIES": "7f6a513a26c20646",
+        "bob-KEY_HASH": "3ed3ad46265e1626"},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(WIRE_PINS))
+def test_classical_burst_wire_is_pinned(seed):
+    # every payload each terminal sends in a 0.01-s burst, hashed per message type:
+    # a change to any WINNOW_* payload, or to any other message, shows here
+    taps = {"alice": [], "bob": []}
+    simulate_session(scaled_config(0.01, seed=seed), 1, alice_tap=taps["alice"],
+                     bob_tap=taps["bob"])
+    hashes = {}
+    for sender, tap in taps.items():
+        for msg_type, payload in tap:
+            h = hashes.setdefault(f"{sender}-{msg_type.name}", hashlib.sha256())
+            h.update(len(payload).to_bytes(4, "big") + payload)
+    assert {name: h.hexdigest()[:16] for name, h in hashes.items()} == WIRE_PINS[seed]
 
 
 def _digest(*arrays) -> str:
@@ -596,9 +670,10 @@ def wrong_pass(msg_type, payload):
     return msg_type, bytes([payload[0] + 1]) + payload[1:]
 
 
-# (sender, the message it sends, how it is rewritten); every message a burst receives,
-# and an ABORT whose reason that point of the burst cannot produce
-HOSTILE = [
+# (sender, the message it sends, how it is rewritten, which of those messages); every
+# message a burst receives, and an ABORT whose reason that point of the burst cannot
+# produce; the seed-33 burst of _run_tampered has three Winnow passes, two with syndromes
+HOSTILE = [(s, t, r, 1) for s, t, r in [
     ("alice", MsgType.BURST_START, truncated),
     ("alice", MsgType.BURST_START, burst_id_off),
     ("alice", MsgType.SYNC_SUBSET, truncated),
@@ -627,19 +702,27 @@ HOSTILE = [
     ("alice", MsgType.PA_SEED, truncated),
     ("bob", MsgType.KEY_HASH, truncated),
     ("bob", MsgType.KEY_HASH, abort_no_lock),
+]] + [
+    ("alice", MsgType.WINNOW_PARITIES, truncated, 2),
+    ("alice", MsgType.WINNOW_PARITIES, wrong_pass, 2),
+    ("bob", MsgType.WINNOW_PARITIES, truncated, 2),
+    ("bob", MsgType.WINNOW_PARITIES, last_index_too_large, 2),
+    ("alice", MsgType.WINNOW_SYNDROMES, truncated, 2),
+    ("alice", MsgType.WINNOW_SYNDROMES, syndrome_too_large, 2),
 ]
 
 
 class _Tampered:
-    """Channel end that rewrites the first message of one type it sends."""
+    """Channel end that rewrites the n-th message of one type it sends."""
 
-    def __init__(self, chan, msg_type, rewrite):
-        self.chan, self.msg_type, self.rewrite = chan, msg_type, rewrite
+    def __init__(self, chan, msg_type, rewrite, n=1):
+        self.chan, self.msg_type, self.rewrite, self.left = chan, msg_type, rewrite, n
 
     def send(self, msg_type, payload=b""):
-        if msg_type == self.msg_type and self.rewrite is not None:
-            msg_type, payload = self.rewrite(msg_type, payload)
-            self.rewrite = None
+        if msg_type == self.msg_type:
+            self.left -= 1
+            if self.left == 0:
+                msg_type, payload = self.rewrite(msg_type, payload)
         self.chan.send(msg_type, payload)
 
     def recv(self, *types):
@@ -649,15 +732,15 @@ class _Tampered:
         self.chan.close()
 
 
-def _run_tampered(sender, msg_type, rewrite):
-    """One 0.01-s burst in which ``sender`` rewrites the first ``msg_type`` it sends.
+def _run_tampered(sender, msg_type, rewrite, n=1):
+    """One 0.01-s burst in which ``sender`` rewrites the n-th ``msg_type`` it sends.
 
     Returns each terminal's burst outcome or exception, and the key buffers.
     """
     # Alice sends ABORT only when the QBER check fails, hence the eavesdropper
     cfg = scaled_config(0.01, seed=33, eve_enabled=msg_type == MsgType.ABORT)
     chans = dict(zip(("alice", "bob"), make_loop_pair(timeout=10.0)))
-    chans[sender] = _Tampered(chans[sender], msg_type, rewrite)
+    chans[sender] = _Tampered(chans[sender], msg_type, rewrite, n)
     transport = InProcessTransport(10.0)
     bufs = {role: KeyBuffer() for role in chans}
     ends = {}
@@ -680,10 +763,11 @@ def _run_tampered(sender, msg_type, rewrite):
     return ends, bufs
 
 
-@pytest.mark.parametrize("sender,msg_type,rewrite", HOSTILE,
-                         ids=[f"{s}-{t.name}-{r.__name__}" for s, t, r in HOSTILE])
-def test_hostile_payload_is_a_protocol_error(sender, msg_type, rewrite):
-    ends, bufs = _run_tampered(sender, msg_type, rewrite)
+@pytest.mark.parametrize("sender,msg_type,rewrite,n", HOSTILE,
+                         ids=[f"{s}-{t.name}-{r.__name__}" + (f"-{n}" if n > 1 else "")
+                              for s, t, r, n in HOSTILE])
+def test_hostile_payload_is_a_protocol_error(sender, msg_type, rewrite, n):
+    ends, bufs = _run_tampered(sender, msg_type, rewrite, n)
     receiver = "bob" if sender == "alice" else "alice"
     assert isinstance(ends[receiver], ProtocolError), ends
     assert not isinstance(ends[receiver], ChannelClosed), ends
@@ -705,11 +789,11 @@ def test_corrupted_pa_seed_rejects_the_burst():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(list(dict.fromkeys((s, t) for s, t, _ in HOSTILE))),
+@given(st.sampled_from(list(dict.fromkeys((s, t, n) for s, t, _, n in HOSTILE))),
        st.booleans(), st.integers(0, 2**20), st.integers(0, 255))
 def test_corrupted_message_ends_in_protocol_error_or_outcome(message, truncate, where, value):
     # truncate the message, or overwrite one of its bytes; a rewrite may still parse
-    sender, msg_type = message
+    sender, msg_type, n = message
 
     def corrupt(msg_type, payload):
         pos = where % len(payload)
@@ -717,6 +801,6 @@ def test_corrupted_message_ends_in_protocol_error_or_outcome(message, truncate, 
             return msg_type, payload[:pos]
         return msg_type, payload[:pos] + bytes([value]) + payload[pos + 1 :]
 
-    ends, _ = _run_tampered(sender, msg_type, corrupt)
+    ends, _ = _run_tampered(sender, msg_type, corrupt, n)
     receiver = "bob" if sender == "alice" else "alice"
     assert isinstance(ends[receiver], (ProtocolError, BurstOutcome)), ends
