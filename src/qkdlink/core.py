@@ -11,6 +11,7 @@ in-process transmitter and the chat receiver.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 import threading
@@ -181,16 +182,31 @@ def default_config(rng_seed: int = 1) -> SimConfig:
     return SimConfig(link=link, rng_seed=rng_seed)
 
 
+def _uint32_words(n: int) -> list[int]:
+    """An int >= 0 as ``SeedSequence`` splits it: 32-bit words, least significant first."""
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+@functools.lru_cache(maxsize=1024)
+def _label_words(stream_label: str) -> tuple[int, ...]:
+    digest = hashlib.sha256(stream_label.encode("utf-8")).digest()
+    return tuple(w for i in range(0, 32, 8)
+                 for w in _uint32_words(int.from_bytes(digest[i : i + 8], "big")))
+
+
 def rng_stream(seed: int, stream_label: str) -> np.random.Generator:
     """Deterministic, labelled random stream.
 
     The same ``(seed, stream_label)`` pair always yields the same draws on
     any platform; distinct labels give statistically independent streams.
+    The stream is ``PCG64(SeedSequence([seed mod 2**64, *label]))``, ``label`` the
+    four big-endian 64-bit words of the label's sha256, handed over as uint32 words.
     """
-    digest = hashlib.sha256(stream_label.encode("utf-8")).digest()
-    label_words = [int.from_bytes(digest[i : i + 8], "big") for i in range(0, 32, 8)]
-    ss = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, *label_words])
-    return np.random.Generator(np.random.PCG64(ss))
+    words = _uint32_words(seed & 0xFFFFFFFFFFFFFFFF) + list(_label_words(stream_label))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, np.uint32))))
 
 
 class Worker:

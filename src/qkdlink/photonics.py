@@ -74,13 +74,15 @@ def prbs11_sequence(state: int, n: int) -> np.ndarray:
     """n successive PRBS11 output bits starting from ``state``.
 
     Every nonzero state lies on the one cycle of period 2047, so the output
-    is one period of the doubled cycle read from ``state``'s phase, tiled.
+    is one period of the doubled cycle read from ``state``'s phase, repeated.
     """
     _check_prbs11_state(state)
     if n <= 0:
         return np.empty(0, dtype=np.uint8)
     phase = _PHASE[state]
-    return np.tile(_CYCLE2[phase:phase + PRBS11_PERIOD], -(-n // PRBS11_PERIOD))[:n]
+    out = np.empty((-(-n // PRBS11_PERIOD), PRBS11_PERIOD), dtype=np.uint8)
+    out[:] = _CYCLE2[phase:phase + PRBS11_PERIOD]  # cheaper than np.tile's shape work
+    return out.reshape(-1)[:n]
 
 
 @dataclass(frozen=True)

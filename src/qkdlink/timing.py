@@ -57,18 +57,20 @@ def sample_pps_offset(cfg: SimConfig, rng: np.random.Generator) -> float:
             return float(x)
 
 
-def choose_framing(counts: np.ndarray) -> tuple[FifoChoice, int]:
+def choose_framing(counts: Sequence[int]) -> tuple[FifoChoice, int]:
     """Frame boundary and central slot from the nominal (FIFO1) slot histogram.
 
     FIFO2's histogram is ``counts`` rotated by half a frame.  The framing
     with fewer counts in its edge slots wins (both hold the same clicks,
     so this is the smaller edge fraction); ties go to FIFO1.  The central
-    slot is the peak of the winning histogram.
+    slot is the first peak of the winning histogram.
     """
-    delayed = np.roll(counts, len(counts) // 2)
+    counts = list(counts)  # a few slots: Python ints beat numpy's per-call overhead
+    half = len(counts) // 2
+    delayed = counts[-half:] + counts[:-half]
     if delayed[0] + delayed[-1] < counts[0] + counts[-1]:
-        return FifoChoice.FIFO2, int(np.argmax(delayed))
-    return FifoChoice.FIFO1, int(np.argmax(counts))
+        return FifoChoice.FIFO2, delayed.index(max(delayed))
+    return FifoChoice.FIFO1, counts.index(max(counts))
 
 
 @dataclass
@@ -153,22 +155,26 @@ def interim_qber(tx_bases: np.ndarray, tx_bits: np.ndarray, rx, b: int, shift: i
     The clicks ``rx`` are framed as :func:`nnc_match` frames them.  Whether
     a frame matches does not depend on the offset, so one match at offset 0
     over the frames any candidate reaches serves them all: under offset r,
-    matched frame f is disclosed pulse f - r.  Basis-agreeing pairs
-    are compared bit by bit.  A candidate with no pairs reads 0.5 by
-    convention, which is also the expected value at any wrong offset.
+    matched frame f is disclosed pulse f - r.  The pulses' codes ``basis << 1 |
+    bit``, padded on both sides by the offsets' spread with 4 (a basis no click
+    measures), are read at every (offset, frame) by one gather; XORed with the
+    click's ``channel - 1`` a code is below 2 for a basis-agreeing pair and 1
+    for an error.  A candidate with no pairs reads 0.5 by convention, which is
+    also the expected value at any wrong offset.
     """
     n = len(tx_bases)
-    offsets = np.asarray(offsets, dtype=np.int64)
     if n == 0:
         return np.full(len(offsets), 0.5)
-    res = nnc_match(offsets.max() + n, rx, b, shift, central, 0, offsets.min())
-    pulse = res.tx_index - offsets[:, None]  # (candidates, matched frames)
-    disclosed = (pulse >= 0) & (pulse < n)
-    pulse[~disclosed] = 0
-    meas = res.channel - 1
-    agree = disclosed & ((meas >> 1) == tx_bases[pulse])
-    errors = np.count_nonzero(agree & ((meas & 1) != tx_bits[pulse]), axis=1)
-    pairs = np.count_nonzero(agree, axis=1)
+    lo, hi = min(offsets), max(offsets)
+    res = nnc_match(hi + n, rx, b, shift, central, 0, lo)
+    pad = hi - lo  # matched frame f under offset r reads code f - r + pad, in [0, n + 2 * pad)
+    code = np.full(n + 2 * pad, 4, dtype=np.uint8)
+    code[pad:pad + n] = 2 * tx_bases + tx_bits
+    code = code.take(np.add.outer(pad - np.asarray(offsets, dtype=res.tx_index.dtype),
+                                  res.tx_index))  # (candidates, matched frames)
+    code ^= res.channel - 1
+    pairs = (code < 2).sum(1)
+    errors = (code == 1).sum(1)
     return np.where(pairs > 0, errors / np.maximum(pairs, 1), 0.5)
 
 
@@ -242,7 +248,7 @@ def synchronize(tx_bases: np.ndarray, tx_bits: np.ndarray, rx, cfg: SimConfig) -
     slots = rx.bin_index // b
     slots *= b
     np.subtract(rx.bin_index, slots, out=slots)
-    choice, central = choose_framing(np.array([np.count_nonzero(slots == s) for s in range(b)]))
+    choice, central = choose_framing([np.count_nonzero(slots == s) for s in range(b)])
     del slots
     sync = SyncResult(choice, central, 0, [], b)
     sync.r_n, sync.curve = estimate_frame_offset(tx_bases, tx_bits, rx, sync.shift, central, cfg)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import threading
 
 import numpy as np
@@ -56,6 +57,28 @@ def test_rng_stream_labels_differ():
     a = rng_stream(12345, "photon").random(100)
     b = rng_stream(12345, "basis").random(100)
     assert not np.array_equal(a, b)
+
+
+def _documented_stream(seed, label):
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    words = [int.from_bytes(digest[i : i + 8], "big") for i in range(0, 32, 8)]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed % 2**64, *words])))
+
+
+# seeds on both sides of the 32-bit word boundaries, negative and wider than 64 bits
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, 2**70])
+def test_rng_stream_is_the_documented_construction(seed):
+    for label in ("photon", "channel:0", ""):
+        want = _documented_stream(seed, label).integers(0, 2**63, 64)
+        assert np.array_equal(rng_stream(seed, label).integers(0, 2**63, 64), want)
+
+
+def test_rng_stream_label_cache_never_crosses_streams():
+    labels = [f"txgen:{k}" for k in range(1500)]  # more labels than the cache holds
+    for seed in (7, 2**40):
+        for label in labels + labels[::-1]:
+            assert rng_stream(seed, label).integers(0, 2**63) == \
+                _documented_stream(seed, label).integers(0, 2**63), label
 
 
 def test_rng_stream_seed_zero_valid():

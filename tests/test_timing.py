@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -112,6 +114,19 @@ def test_choose_framing_central_is_histogram_peak():
     assert choose_framing(np.array([3, 50, 20, 2])) == (FifoChoice.FIFO1, 1)
     # the peak of the winning, rotated histogram
     assert choose_framing(np.array([30, 2, 5, 40])) == (FifoChoice.FIFO2, 1)
+
+
+@pytest.mark.parametrize("b", range(2, 7))
+def test_choose_framing_equals_roll_argmax_reference(b):
+    # every histogram of 0-3 counts per slot: ties of the edges and of the peaks included
+    for counts in itertools.product(range(4), repeat=b):
+        counts = np.array(counts)
+        delayed = np.roll(counts, b // 2)
+        if delayed[0] + delayed[-1] < counts[0] + counts[-1]:
+            expected = (FifoChoice.FIFO2, int(np.argmax(delayed)))
+        else:
+            expected = (FifoChoice.FIFO1, int(np.argmax(counts)))
+        assert choose_framing(counts.tolist()) == expected, counts
 
 
 def _dual_fifo_reference(bins, b):
@@ -318,6 +333,41 @@ def test_interim_qber_no_pairs_convention():
                         [0])[0] == 0.5
 
 
+def _interim_qber_by_loop(tx_bases, tx_bits, rx, b, shift, central, offsets):
+    """Reference: under each offset r, match the disclosed pulses [0, n) at frame offset r
+    and compare every matched pulse's basis and bit with its click, one at a time."""
+    qber = []
+    for r in offsets:
+        res = nnc_match(len(tx_bases), rx, b, shift, central, r)
+        pairs = errors = 0
+        for pulse, channel in zip(res.tx_index.tolist(), res.channel.tolist()):
+            basis, bit = divmod(channel - 1, 2)
+            if basis == tx_bases[pulse]:
+                pairs += 1
+                errors += bit != tx_bits[pulse]
+        qber.append(errors / pairs if pairs else 0.5)
+    return qber
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.integers(-40, 300), st.integers(1, 4), st.booleans()),
+                max_size=80),
+       st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=40),
+       _framing(), st.lists(st.integers(-8, 50), min_size=1, max_size=10))
+# an unsorted, non-contiguous list with a duplicate, reaching below pulse 0 and past n
+@example([(4 * f + 1, 1 + f % 4, False) for f in range(-3, 12)], [(0, 0), (1, 1)] * 4,
+         (4, 1, 0), [5, -3, 0, 5, 9, 1])
+# offset 30 reaches no click: no pairs, so exactly 0.5
+@example([(5, 1, False), (9, 2, False)], [(0, 0), (0, 1)], (4, 1, 0), [1, 30, 2])
+def test_interim_qber_equals_per_candidate_loop(clicks, sample, framing, offsets):
+    b, central, shift = framing
+    rx = _clicks_rx(clicks)
+    bases, bits = (np.array([p[i] for p in sample], dtype=np.uint8) for i in range(2))
+    got = interim_qber(bases, bits, rx, b, shift, central, offsets)
+    expected = _interim_qber_by_loop(bases, bits, rx, b, shift, central, offsets)
+    assert got.tolist() == expected  # exact: the same counts give the same floats
+
+
 def test_offset_search_recovers_tof_1000ns():
     # 2500 ns (50 frames) lies outside a fixed 40-frame search
     for tof_ns, r_n in [(1000.0, 20), (2500.0, 50)]:
@@ -439,6 +489,34 @@ def test_alignment_recovery_mini_trials():
 def test_alignment_recovery_other_frame_sizes(bins_per_frame):
     trials = 100
     assert _recovery_hits(range(trials), bins_per_frame=bins_per_frame) >= trials - 2
+
+
+def _sync_sweep():
+    """(cfg, tx seed label, channel seed label) of every trial the sweep pin runs."""
+    base = scaled_config(0.001)
+    for distance_m, seeds in ((300.0, range(100, 118)), (750.0, range(750_000, 750_020))):
+        cfg = dataclasses.replace(base, link=dataclasses.replace(base.link, distance_m=distance_m))
+        for seed in seeds:
+            yield dataclasses.replace(cfg, rng_seed=seed), "txgen:0", "channel:0"
+    for tof_ns in (1000.0, 2500.0):  # the geometries of test_offset_search_recovers_tof_1000ns
+        yield scaled_config(0.001, seed=8, pps_jitter_sigma_ns=0.0, tof_override_ns=tof_ns), "g", "c"
+
+
+def test_sync_sweep_is_bit_identical():
+    # 40 trials of 1-ms bursts, every R_N's QBER included bit for bit: a change to the
+    # search, the framing or the streams that feed them shows in this digest
+    h = hashlib.sha256()
+    for cfg, tx_label, channel_label in _sync_sweep():
+        tx = generate_burst(cfg, rng_stream(cfg.rng_seed, tx_label))
+        rx = transmit_and_detect(tx, cfg, rng=rng_stream(cfg.rng_seed, channel_label))
+        try:
+            sync = synchronize(tx.bases, tx.bits, rx, cfg)
+            row = (sync.r_n, int(sync.fifo_choice), sync.central,
+                   [(r, q.hex()) for r, q in sync.curve])
+        except NoLockError as exc:
+            row = ("no_lock", exc.min_qber.hex())
+        h.update(repr(row).encode())
+    assert h.hexdigest()[:16] == "d04d16add5b897d0"
 
 
 # --- boundary selection vs splits -------------------------------------------------------
