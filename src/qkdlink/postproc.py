@@ -290,18 +290,21 @@ class KeyBuffer:
     overlaps issued key and raises.
 
     The key is stored packed, eight bits per byte in the MSB-first order of
-    ``np.packbits``: read-only chunks of whole bytes, each starting on a byte
-    boundary, and a tail of fewer than 8 bits that the next append completes.
-    A take is a whole number of bytes, so it starts and ends on a byte
-    boundary: inside one chunk it is a read-only view of it, and across pages
-    or chunks it joins such views.
+    ``np.packbits``, and lane by lane: each append copies the bytes it makes
+    whole onto their lanes, one read-only chunk per lane holding that lane's
+    pages of the append back to back, and keeps the last ``len % 8`` bits in
+    a tail byte that the next append completes.  A take is a whole number of
+    bytes read from one lane's chunks: inside one chunk it is a read-only view
+    of it, whatever pages it spans, and only a take that crosses an append
+    boundary joins views into a copy.  :meth:`to_bytes` interleaves the pages
+    back into key order.
     """
 
     PAGE_BITS = 4096 * 8
 
     def __init__(self):
-        self._chunks: list[np.ndarray] = []
-        self._chunk_starts: list[int] = []  # byte offset of each chunk
+        self._lanes: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
+        self._lane_starts: tuple[list[int], list[int]] = ([], [])  # lane byte of each chunk
         self._tail = 0  # the last len(self) % 8 bits, in the high bits of a byte
         self._length = 0
         self._lock = threading.RLock()  # both chat lanes take from one buffer, on two threads
@@ -321,26 +324,36 @@ class KeyBuffer:
         with self._lock:
             k = min(-self._length % 8, len(bits))  # the bits that complete the tail's byte
             body = (len(bits) - k) // 8 * 8  # then whole bytes; the bits after them start a tail
-            self._pack_onto_tail(bits[:k])
-            if body:
-                self._store(np.packbits(bits[k : k + body]))
-                self._length += body
+            start = self._length // 8  # the first byte this append makes whole
+            whole = (self._pack_onto_tail(bits[:k]), np.packbits(bits[k : k + body]))
+            self._length += body
+            self._store(start, whole)
             self._pack_onto_tail(bits[k + body :])
 
-    def _pack_onto_tail(self, bits: np.ndarray) -> None:
-        """Pack bits onto the tail, at most those that complete its byte; store it once whole."""
+    def _pack_onto_tail(self, bits: np.ndarray) -> np.ndarray:
+        """Pack bits onto the tail, at most those that complete its byte; returns the
+        byte once whole, else no bytes."""
         held = self._length % 8
         self._tail |= sum(0x80 >> (held + i) for i, bit in enumerate(bits.tolist()) if bit)
-        if held + len(bits) == 8:
-            self._store(np.array([self._tail], np.uint8))
-            self._tail = 0
         self._length += len(bits)
+        if held + len(bits) < 8:
+            return np.empty(0, np.uint8)
+        whole, self._tail = np.array([self._tail], np.uint8), 0
+        return whole
 
-    def _store(self, chunk: np.ndarray) -> None:
-        """Keep packed bytes that start where the stored ones end."""
-        chunk.flags.writeable = False  # takes hand out views of it
-        self._chunks.append(chunk)
-        self._chunk_starts.append(self._length // 8)
+    def _store(self, start: int, pieces: tuple[np.ndarray, ...]) -> None:
+        """Copy packed bytes, consecutive from absolute byte ``start``, onto their lanes."""
+        page = self.PAGE_BITS // 8
+        parts: tuple[list, list] = ([], [])
+        for piece in pieces:
+            for p in range(start // page, -(-(start + len(piece)) // page)):
+                parts[p % 2].append(piece[max(p * page - start, 0) : (p + 1) * page - start])
+            start += len(piece)
+        for chunks, starts, part in zip(self._lanes, self._lane_starts, parts):
+            if part and len(chunk := np.concatenate(part)):  # one copy, the lane's pages joined
+                chunk.flags.writeable = False  # takes hand out views of it
+                starts.append(starts[-1] + len(chunks[-1]) if chunks else 0)
+                chunks.append(chunk)
 
     def bits(self) -> np.ndarray:
         with self._lock:
@@ -348,33 +361,41 @@ class KeyBuffer:
 
     def to_bytes(self) -> bytes:
         """The key packed as by ``np.packbits``, its last byte padded with zero bits."""
+        page = self.PAGE_BITS // 8
         with self._lock:
-            return b"".join(self._chunks) + (bytes([self._tail]) if self._length % 8 else b"")
+            lanes = [np.concatenate(chunks).data if chunks else b"" for chunks in self._lanes]
+            pages = [lanes[p % 2][p // 2 * page : (p // 2 + 1) * page]
+                     for p in range(-(-(self._length // 8) // page))]
+            if self._length % 8:
+                pages.append(bytes([self._tail]))
+            return b"".join(pages)
 
-    def _views(self, lo: int, hi: int) -> list[np.ndarray]:
-        """Views of the stored bytes ``lo`` to ``hi``; the first chunk is found by bisection."""
+    def _read(self, lane: int, lo: int, hi: int) -> np.ndarray:
+        """Bytes ``lo`` to ``hi`` of a lane: a view when they lie in one chunk, else one
+        joined copy; the first chunk is found by bisection."""
+        if lo == hi:
+            return np.empty(0, np.uint8)
+        chunks, starts = self._lanes[lane], self._lane_starts[lane]
+        i = bisect.bisect_right(starts, lo) - 1
+        if hi <= (at := starts[i]) + len(chunks[i]):
+            return chunks[i][lo - at : hi - at]
         pieces = []
-        i = bisect.bisect_right(self._chunk_starts, lo) - 1
         while lo < hi:
-            chunk, chunk_start = self._chunks[i], self._chunk_starts[i]
-            stop = min(hi, chunk_start + len(chunk))
-            pieces.append(chunk[lo - chunk_start : stop - chunk_start])
-            lo = stop
-            i += 1
-        return pieces
-
-    def _read(self, ranges: list[tuple[int, int]]) -> np.ndarray:
-        """The stored bytes of the byte-aligned ``ranges`` in order: a view when they
-        lie in one chunk, else one joined copy."""
-        pieces = [v for a, b in ranges for v in self._views(a // 8, b // 8)]
-        if len(pieces) == 1:
-            return pieces[0]
-        return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.uint8)
+            chunk, at = chunks[i], starts[i]
+            stop = min(hi, at + len(chunk))
+            pieces.append(chunk[lo - at : stop - at])
+            lo, i = stop, i + 1
+        return np.concatenate(pieces)
 
     def _lane_offset(self, lane: int, k: int) -> int:
-        """Absolute offset of the lane's k-th bit."""
-        page_no, within = divmod(k, self.PAGE_BITS)
-        return (2 * page_no + lane) * self.PAGE_BITS + within
+        """Absolute offset of the lane's k-th bit: lane page p is page 2p + lane."""
+        return k + (k // self.PAGE_BITS + lane) * self.PAGE_BITS
+
+    def _lane_length(self, lane: int) -> int:
+        """Bits of the lane's stripe appended so far, consumed or not."""
+        page = self.PAGE_BITS
+        cycles, rest = divmod(self._length, 2 * page)
+        return cycles * page + min(max(rest - lane * page, 0), page)
 
     def next_range_start(self, lane: int = 0) -> int:
         """Absolute bit offset the next take on this lane will start at."""
@@ -383,11 +404,8 @@ class KeyBuffer:
 
     def available(self, lane: int = 0) -> int:
         """Buffered lane bits not yet consumed."""
-        page = self.PAGE_BITS
         with self._lock:
-            cycles, rest = divmod(self._length, 2 * page)
-            buffered = cycles * page + min(max(rest - lane * page, 0), page)
-            return buffered - self._lane_used[lane]
+            return self._lane_length(lane) - self._lane_used[lane]
 
     def take(self, nbits: int, lane: int = 0) -> np.ndarray:
         """Consume ``nbits`` from a lane, or raise :class:`KeyExhausted` if it holds fewer.
@@ -401,21 +419,22 @@ class KeyBuffer:
         if nbits < 0 or nbits % 8:
             raise ValueError(f"cannot take {nbits} bits: a take is a non-negative whole number "
                              "of bytes")
+        page = self.PAGE_BITS
         with self._lock:
-            if (have := self.available(lane)) < nbits:
+            begin = k = self._lane_used[lane]
+            if (have := self._lane_length(lane) - k) < nbits:
                 raise KeyExhausted(f"key buffer exhausted: need {nbits} bits, lane has {have}")
-            k = self._lane_used[lane]
             end = k + nbits
             ranges = []
-            while k < end:
-                page_stop = min(end, (k // self.PAGE_BITS + 1) * self.PAGE_BITS)
-                start = self._lane_offset(lane, k)
-                ranges.append((start, start + page_stop - k))
-                k = page_stop
+            while k < end:  # one range per lane page; lane page p is page 2p + lane
+                p = k // page
+                stop = min(end, (p + 1) * page)
+                ranges.append((k + (p + lane) * page, stop + (p + lane) * page))
+                k = stop
             if ranges:  # checked before anything is recorded
                 if (start := ranges[0][0]) < (high := self._lane_high[lane]):
                     raise RuntimeError(f"key range from {start} overlaps issued key below {high}")
                 self._lane_high[lane] = ranges[-1][1]
             self.issued_ranges.extend(ranges)
             self._lane_used[lane] = end
-            return self._read(ranges)
+            return self._read(lane, begin // 8, end // 8)

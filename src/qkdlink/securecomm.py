@@ -1,18 +1,21 @@
 """OTP-encrypted, key-consuming byte-stream messaging over the classical channel.
 
 Payloads are XORed with never-reused key bytes drawn from the shared
-:class:`~qkdlink.postproc.KeyBuffer`, which stores and hands out its key
-packed, so a frame is sealed and opened by XORing two byte arrays.  A session
-starts with a cheap parity handshake: each side takes the first 64 buffered
-bits, burned whether or not the parities match, and discloses their parity;
-after that the two directions consume the two lanes of the buffer, its even
-and odd page stripes, so duplex traffic cannot collide on key ranges.  A
-frame is the bytes :func:`otp_seal` returns and :func:`otp_open` takes, sent
-as one CHAT_DATA payload; it carries at most ``CHAT_CHUNK_BYTES`` (4 KiB,
-one lane page of key) and is sealed and opened with one take of its own.  A
-frame the lane cannot cover raises :class:`~qkdlink.postproc.KeyExhausted`
-at once, after every earlier frame; nothing waits for key.  Frames are not
-authenticated: a flipped ciphertext bit flips the same plaintext bit.
+:class:`~qkdlink.postproc.KeyBuffer`, which stores its key packed and lane by
+lane, so a frame's key is a view of the store (a copy only across an append)
+and a frame is sealed and opened by XORing two byte arrays.  A session starts
+with a cheap parity handshake: each side takes the first 64 buffered bits,
+burned whether or not the parities match, and discloses their parity; after
+that the two directions consume the two lanes of the buffer, its even and
+odd page stripes, so duplex traffic cannot collide on key ranges.  A frame
+is the bytes :func:`otp_seal` returns and :func:`otp_open` takes, sent as
+one CHAT_DATA payload; it carries at most ``CHAT_CHUNK_BYTES`` (4 KiB, one
+lane page of key, from :mod:`~qkdlink.session`, whose socket refuses a
+longer frame at its header) and is sealed and opened with one take of its
+own.  A frame the lane cannot cover raises
+:class:`~qkdlink.postproc.KeyExhausted` at once, after every earlier frame;
+nothing waits for key.  Frames are not authenticated: a flipped ciphertext
+bit flips the same plaintext bit.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from .postproc import KeyBuffer
-from .session import MsgType, ProtocolError
+from .session import CHAT_CHUNK_BYTES, MsgType, ProtocolError
 
 HANDSHAKE_BITS = 64
-CHAT_CHUNK_BYTES = KeyBuffer.PAGE_BITS // 8  # one frame takes at most one lane page of key
 
 
 class ChatRefused(ProtocolError):

@@ -34,6 +34,7 @@ import struct
 import time
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +49,8 @@ PROTOCOL_VERSION = 8
 DEFAULT_PORT = 47000
 DEFAULT_PHASE_TIMEOUT = 30.0
 MAX_PAYLOAD = 2**32 - 2  # length field also covers the type byte
+# a chat frame's ciphertext, after its 8-byte key offset, takes at most one lane page of key
+CHAT_CHUNK_BYTES = postproc.KeyBuffer.PAGE_BITS // 8
 
 
 class ProtocolError(RuntimeError):
@@ -80,16 +83,18 @@ class AbortReason(IntEnum):
 # --- wire format --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     msg_type: int
     payload: bytes
 
 
+_MSG_TYPES = {t.value: t for t in MsgType}
+
+
 def _known_type(msg_type: int) -> MsgType:
-    if msg_type not in MsgType._value2member_map_:
+    if (known := _MSG_TYPES.get(msg_type)) is None:
         raise ProtocolError(f"unknown message type 0x{msg_type:02X}")
-    return MsgType(msg_type)
+    return known
 
 
 def _accepted(msg_type: int, types: tuple) -> MsgType:
@@ -101,21 +106,24 @@ def _accepted(msg_type: int, types: tuple) -> MsgType:
     return msg_type
 
 
+_HEADER = struct.Struct(">IB")  # length of type + payload, then the type byte
+
+
 def encode_message(msg: Message) -> bytes:
     _known_type(msg.msg_type)
     if len(msg.payload) > MAX_PAYLOAD:
         raise ProtocolError(f"payload of {len(msg.payload)} bytes exceeds frame limit")
-    return struct.pack(">IB", len(msg.payload) + 1, msg.msg_type) + msg.payload
+    return _HEADER.pack(len(msg.payload) + 1, msg.msg_type) + msg.payload
 
 
 def decode_message(data: bytes) -> Message:
     """Exact inverse of encode_message for one complete frame."""
     if len(data) < 5:
         raise ProtocolError(f"truncated frame: {len(data)} bytes")
-    (length,) = struct.unpack(">I", data[:4])
+    length, msg_type = _HEADER.unpack_from(data)
     if length < 1 or len(data) != 4 + length:
         raise ProtocolError(f"frame length {length} does not match {len(data)} bytes on wire")
-    return Message(msg_type=_known_type(data[4]), payload=data[5:])
+    return Message(_known_type(msg_type), data[5:])
 
 
 class ChannelClosed(ProtocolError):
@@ -154,12 +162,15 @@ class SocketChannel:
 
     def recv(self, *types: int) -> Message:
         """One message of one of ``types``; its header is checked before any of its
-        body is read, so an unknown or unexpected type is refused at once."""
+        body is read, so an unknown or unexpected type, and a chat frame longer than
+        any ``otp_open`` accepts, are refused at once."""
         (length,) = struct.unpack(">I", self._recv_exact(4, at_boundary=True))
         if length < 1:
             raise ProtocolError("zero-length frame")
         msg_type = _accepted(self._recv_exact(1)[0], types)
-        return Message(msg_type=msg_type, payload=self._recv_exact(length - 1))
+        if msg_type is MsgType.CHAT_DATA and length - 1 > 8 + CHAT_CHUNK_BYTES:
+            raise ProtocolError(f"chat frame of {length - 9} bytes, over {CHAT_CHUNK_BYTES}")
+        return Message(msg_type, self._recv_exact(length - 1))
 
     def close(self) -> None:
         """Shuts the socket down first, so a receive blocked on another thread returns."""

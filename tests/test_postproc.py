@@ -558,8 +558,8 @@ def test_key_buffer_lanes_read_their_page_stripes(steps):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=30))
 def test_key_buffer_stores_packed_bytes_and_no_appended_array(lengths):
-    # chunks of unaligned lengths pack onto the pending tail: the store holds at most
-    # one byte per eight bits, and no reference to an array it was given
+    # chunks of unaligned lengths pack onto the pending tail: the two lanes' stores hold
+    # at most one byte per eight bits, and no reference to an array it was given
     buf = _SmallPages()
     key = np.empty(0, np.uint8)
     for i, n in enumerate(lengths):
@@ -569,7 +569,7 @@ def test_key_buffer_stores_packed_bytes_and_no_appended_array(lengths):
         appended = weakref.ref(chunk)
         del chunk
         assert appended() is None
-        assert sum(c.nbytes for c in buf._chunks) <= -(-len(key) // 8)
+        assert sum(c.nbytes for chunks in buf._lanes for c in chunks) <= -(-len(key) // 8)
     assert buf.to_bytes() == np.packbits(key).tobytes()
     assert np.array_equal(buf.bits(), key)
 
@@ -640,13 +640,33 @@ def test_key_buffer_take_inside_one_chunk_is_a_read_only_view():
     buf.append(first)
     buf.append(second)
     before = buf.to_bytes()
-    got = buf.take(64)  # inside the first stored chunk
-    assert np.shares_memory(got, buf._chunks[0]) and not got.flags.writeable
+    got = buf.take(64)  # inside lane 0's chunk of the first append
+    assert np.shares_memory(got, buf._lanes[0][0]) and not got.flags.writeable
     with pytest.raises(ValueError):
         got[0] ^= 1
     assert buf.to_bytes() == before
     got = buf.take(80)  # spans the two chunks
     assert np.array_equal(np.unpackbits(got, count=80), np.concatenate([first, second])[64:144])
+
+
+@pytest.mark.parametrize("lane", [0, 1])
+def test_key_buffer_page_sized_takes_inside_one_append_are_read_only_views(lane):
+    # the chat case: after the 64-bit handshake window every lane-0 frame of one page
+    # spans two pages of that lane, and still reads as one view of the lane's store, as
+    # lane 1's page-aligned frames do
+    page = KeyBuffer.PAGE_BITS
+    key = rng_stream(25, "t").integers(0, 2, 9 * page + 12, dtype=np.uint8)
+    buf = KeyBuffer()
+    buf.append(key)
+    buf.take(64, lane=0)
+    stripe = np.concatenate([key[p * page : (p + 1) * page] for p in range(lane, 10, 2)])
+    k = 64 if lane == 0 else 0
+    for _ in range(4):  # each lane holds four pages more
+        got = buf.take(page, lane=lane)
+        assert np.shares_memory(got, buf._lanes[lane][0]) and not got.flags.writeable
+        assert np.array_equal(np.unpackbits(got), stripe[k : k + page])
+        k += page
+    assert buf.available(lane) < page
 
 
 def test_key_buffer_take_timeout():

@@ -16,6 +16,7 @@ from qkdlink.core import default_config, rng_stream
 from qkdlink.photonics import generate_burst, transmit_and_detect
 from qkdlink.postproc import KeyBuffer
 from qkdlink.session import (
+    CHAT_CHUNK_BYTES,
     AbortReason,
     BurstOutcome,
     ChannelClosed,
@@ -124,6 +125,31 @@ def test_socket_channel_refuses_unknown_type_before_reading_the_body():
         start = time.monotonic()
         with pytest.raises(ProtocolError, match=error):
             chan.recv(MsgType.HELLO)
+        assert time.monotonic() - start < 1.0
+        chan.close()
+        a.close()
+
+
+def test_socket_channel_refuses_an_oversized_chat_frame_at_its_header():
+    # a CHAT_DATA payload is an 8-byte key offset and at most CHAT_CHUNK_BYTES of
+    # ciphertext: a frame at that cap is read whole, a header claiming one byte more (or
+    # the most the length field allows) is refused at once while the peer keeps the
+    # socket open and never sends the body, not after the 5-s receive timeout
+    a, b = socket.socketpair()
+    chan = SocketChannel(b, timeout=5.0)
+    at_cap = bytes(8 + CHAT_CHUNK_BYTES)
+    a.sendall(encode_message(Message(MsgType.CHAT_DATA, at_cap)))
+    assert chan.recv(MsgType.CHAT_DATA).payload == at_cap
+    chan.close()
+    a.close()
+    for claimed in (CHAT_CHUNK_BYTES + 1, session.MAX_PAYLOAD - 8):
+        a, b = socket.socketpair()
+        chan = SocketChannel(b, timeout=5.0)
+        a.sendall(struct.pack(">IB", 8 + claimed + 1, MsgType.CHAT_DATA) + bytes(100))
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match=f"chat frame of {claimed} bytes, over "
+                                                f"{CHAT_CHUNK_BYTES}"):
+            chan.recv(MsgType.CHAT_DATA)
         assert time.monotonic() - start < 1.0
         chan.close()
         a.close()
