@@ -92,9 +92,7 @@ class ReportWriter:
 
 
 def _load_cfg(args) -> SimConfig:
-    cfg = default_config()
-    if args.config:
-        cfg = load_config(args.config, base=cfg)
+    cfg = load_config(args.config) if args.config else default_config()
     updates = {}
     if args.seed is not None:
         updates["rng_seed"] = args.seed
@@ -256,16 +254,13 @@ def cmd_terminal(args) -> int:
 def _run_chat(args, chan, result: session.SessionResult, payload: bytes) -> int:
     """OTP messaging on the freshly distilled key: handshake, duplex transfer, EOF.
 
+    A refused handshake raises ChatRefused, a ProtocolError like any other.
     A frame its lane cannot cover raises KeyExhausted at once, and a receive
     still short of the peer's EOF ``--timeout`` after the local EOF raises
     TimeoutError, so truncated output never exits 0.
     """
     endpoint = securecomm.ChatEndpoint(chan, result.key_buffer, result.role)
-    try:
-        endpoint.handshake()
-    except securecomm.ChatRefused as exc:
-        log(event="chat_refused", reason=str(exc))
-        return EXIT_ABORT
+    endpoint.handshake()
     log(event="chat_established", role=result.role,
         send_bits=result.key_buffer.available(endpoint.send_lane),
         recv_bits=result.key_buffer.available(endpoint.recv_lane))

@@ -268,9 +268,9 @@ def _coerce(key: str, raw: str, kind: str):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def parse_config(text: str, base: SimConfig | None = None) -> SimConfig:
-    """Parse flat key=value configuration text, overriding ``base`` (defaults)."""
-    cfg = base if base is not None else default_config()
+def parse_config(text: str) -> SimConfig:
+    """Parse flat key=value configuration text, overriding the defaults."""
+    cfg = default_config()
     link_updates: dict = {}
     top_updates: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -297,12 +297,12 @@ def parse_config(text: str, base: SimConfig | None = None) -> SimConfig:
     return out
 
 
-def load_config(path: str | Path, base: SimConfig | None = None) -> SimConfig:
+def load_config(path: str | Path) -> SimConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    return parse_config(text, base=base)
+    return parse_config(text)
 
 
 def format_config(cfg: SimConfig) -> str:

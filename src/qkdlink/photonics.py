@@ -77,8 +77,6 @@ def prbs11_sequence(state: int, n: int) -> np.ndarray:
     is one period of the doubled cycle read from ``state``'s phase, repeated.
     """
     _check_prbs11_state(state)
-    if n <= 0:
-        return np.empty(0, dtype=np.uint8)
     phase = _PHASE[state]
     out = np.empty((-(-n // PRBS11_PERIOD), PRBS11_PERIOD), dtype=np.uint8)
     out[:] = _CYCLE2[phase:phase + PRBS11_PERIOD]  # cheaper than np.tile's shape work

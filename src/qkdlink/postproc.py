@@ -5,8 +5,8 @@ so both terminals of :mod:`qkdlink.session` call the same code:
 
 * sifting: :func:`sift_mask` keeps the positions where the bases agree;
 * QBER check: :func:`qber_sample_indices` draws the disclosed sample,
-  :func:`sample_qber` compares it, :func:`without` strips it from the key and
-  :func:`check_abort` is true strictly above ``QBER_ABORT_THRESHOLD``;
+  :func:`sample_qber` compares it (each terminal then deletes it from its key)
+  and :func:`check_abort` is true strictly above ``QBER_ABORT_THRESHOLD``;
 * Winnow: :class:`WinnowAlice` and :class:`WinnowBob` are its two I/O-free
   steps.  Per pass Alice's gives a layout seed and her block parities
   (:func:`winnow_pass`), Bob's the blocks whose parities differ, Alice's
@@ -73,13 +73,6 @@ def sample_qber(bits: np.ndarray, sample_idx: np.ndarray, peer_sample: np.ndarra
     if len(sample_idx) == 0:
         return 0.5
     return float(np.mean(bits[sample_idx] != peer_sample))
-
-
-def without(bits: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``bits`` with the positions ``idx`` removed, order preserved."""
-    keep = np.ones(len(bits), dtype=bool)
-    keep[idx] = False
-    return bits[keep]
 
 
 def check_abort(qber: float) -> bool:
@@ -307,7 +300,7 @@ class KeyBuffer:
         self._lane_starts: tuple[list[int], list[int]] = ([], [])  # lane byte of each chunk
         self._tail = 0  # the last len(self) % 8 bits, in the high bits of a byte
         self._length = 0
-        self._lock = threading.RLock()  # both chat lanes take from one buffer, on two threads
+        self._lock = threading.Lock()  # both chat lanes take from one buffer, on two threads
         self._lane_used = [0, 0]
         self._lane_high = [0, 0]  # absolute end of the last range each lane issued
         self.issued_ranges: list[tuple[int, int]] = []
@@ -354,10 +347,6 @@ class KeyBuffer:
                 chunk.flags.writeable = False  # takes hand out views of it
                 starts.append(starts[-1] + len(chunks[-1]) if chunks else 0)
                 chunks.append(chunk)
-
-    def bits(self) -> np.ndarray:
-        with self._lock:
-            return np.unpackbits(np.frombuffer(self.to_bytes(), np.uint8), count=self._length)
 
     def to_bytes(self) -> bytes:
         """The key packed as by ``np.packbits``, its last byte padded with zero bits."""

@@ -544,7 +544,7 @@ def run_burst_alice(k: int, cfg: SimConfig, chan, transport, key_buffer: postpro
             # a degenerate burst has nothing to estimate on: its QBER check fails
             raise _Abort(AbortReason.QBER, out.qber if n_sift >= 2 else 1.0)
 
-        winnow = postproc.WinnowAlice(postproc.without(alice_sifted, sample_idx),
+        winnow = postproc.WinnowAlice(np.delete(alice_sifted, sample_idx),
                                       rng_stream(seed, f"winnow:{k}"))
         while not winnow.done:
             burst.send(MsgType.WINNOW_PARITIES, *winnow.parities())
@@ -610,7 +610,7 @@ def run_burst_bob(k: int, cfg: SimConfig, chan, transport, key_buffer: postproc.
         if postproc.check_abort(out.qber):
             burst.recv(abort=AbortReason.QBER)  # Alice's ABORT ends the burst
 
-        winnow = postproc.WinnowBob(postproc.without(bob_sifted, sample_idx))
+        winnow = postproc.WinnowBob(np.delete(bob_sifted, sample_idx))
         del bob_sifted
         while not winnow.done:
             pass_no, perm_seed, alice_parities = burst.recv(MsgType.WINNOW_PARITIES,

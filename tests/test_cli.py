@@ -14,7 +14,7 @@ import pytest
 from conftest import free_port
 from qkdlink import cli, photonics
 from qkdlink.cli import ReportWriter, main
-from qkdlink.core import default_config, load_config, rng_stream
+from qkdlink.core import load_config, rng_stream
 from qkdlink.eve import Eavesdropper
 from qkdlink.photonics import generate_burst, transmit_and_detect
 from qkdlink.securecomm import CHAT_CHUNK_BYTES, ChatEndpoint
@@ -153,7 +153,7 @@ def test_simulate_eve_log_matches_replayed_interception(tmp_path, capsys, monkey
     # exit code is not what this test checks
     main(["simulate", "--config", cfg_path, "--seed", "3", "--eve", "--eve-log", str(log_path)])
     # the same interception, written row by row with the csv module
-    cfg = dataclasses.replace(load_config(cfg_path, base=default_config(3)), eve_enabled=True)
+    cfg = dataclasses.replace(load_config(cfg_path), rng_seed=3, eve_enabled=True)
     tx = generate_burst(cfg, rng_stream(3, "txgen:0"))
     parts = []
     eve = Eavesdropper(rng_stream(3, "eve:0"), cfg.eve_fraction, log=parts)
@@ -231,7 +231,7 @@ def test_bob_exits_2_on_a_hostile_pulse_stream(tmp_path, capsys, fields):
     # a peer posing as Alice sends a valid BURST_START, then SIM_PULSESTREAM
     # (pulse count over the configuration's, PRBS11 state of the bases, of the bits)
     cfg_path = _write_cfg(tmp_path)
-    cfg = load_config(cfg_path, base=default_config(33))
+    cfg = dataclasses.replace(load_config(cfg_path), rng_seed=33)
     extra, state_bases, state_bits = fields
     codes = []
     with socket.create_server(("127.0.0.1", 0)) as srv:
@@ -281,7 +281,7 @@ def test_chat_receive_that_cannot_finish_exits_2(tmp_path, capsys):
     alice.start()
     chan = SocketChannel(_connect_when_listening(port), timeout=10.0)
     try:
-        cfg = load_config(cfg_path, base=default_config(33))
+        cfg = dataclasses.replace(load_config(cfg_path), rng_seed=33)
         result = run_session("bob", cfg, chan, NetworkTransport(chan), 1)
         peer = ChatEndpoint(chan, result.key_buffer, "bob")
         peer.handshake()
@@ -317,7 +317,7 @@ def test_chat_receive_past_its_deadline_exits_2(tmp_path, capsys):
         conn, _ = srv.accept()
     chan = SocketChannel(conn, timeout=10.0)
     try:
-        cfg = load_config(cfg_path, base=default_config(33))
+        cfg = dataclasses.replace(load_config(cfg_path), rng_seed=33)
         result = run_session("alice", cfg, chan, NetworkTransport(chan), 1)
         peer = ChatEndpoint(chan, result.key_buffer, "alice")
         peer.handshake()
@@ -358,7 +358,7 @@ def test_terminal_logs_each_burst_as_simulate_does(tmp_path, capsys):
     alice.start()
     chan = SocketChannel(_connect_when_listening(port), timeout=10.0)
     try:
-        cfg = load_config(cfg_path, base=default_config(5))
+        cfg = dataclasses.replace(load_config(cfg_path), rng_seed=5)
         run_session("bob", cfg, chan, NetworkTransport(chan), 2)
         alice.join(timeout=30)
     finally:
@@ -369,6 +369,30 @@ def test_terminal_logs_each_burst_as_simulate_does(tmp_path, capsys):
     assert got == want
 
 
+def _chat_pair(capture, common, alice_args=(), bob_args=()):
+    """Runs a ``chat --listen`` terminal on a thread and its ``--connect`` peer on
+    this one, through ``capsys`` or ``capsysbinary``; returns the exit codes in the
+    order the terminals end, their stdout as captured and their stderr as text."""
+    def text(s):
+        return s.decode() if isinstance(s, bytes) else s
+
+    port = free_port()
+    codes = []
+    alice = threading.Thread(target=lambda: codes.append(main(
+        ["chat", "--listen", "--port", str(port), *common, *alice_args])), daemon=True)
+    alice.start()
+    err, deadline = "", time.monotonic() + 15
+    while "event=listening" not in err and time.monotonic() < deadline:
+        err += text(capture.readouterr().err)  # nothing is on stdout before a chat
+        time.sleep(0.02)
+    start = time.monotonic()
+    codes.append(main(["chat", "--connect", f"127.0.0.1:{port}", *common, *bob_args]))
+    alice.join(timeout=30)
+    assert time.monotonic() - start < 15  # nothing waits out --timeout
+    out, rest = capture.readouterr()
+    return codes, out, err + text(rest)
+
+
 def test_chat_send_past_the_key_exits_2_at_once(tmp_path, capsys):
     # a 0.2-s burst at seed 1 distills 58,949 key bits, so Bob's send lane holds
     # 26,181 (3,272 B): Bob's one 4,000-byte frame needs 32,000, so his send fails
@@ -376,22 +400,8 @@ def test_chat_send_past_the_key_exits_2_at_once(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, "burst_seconds=0.2\n")
     send = tmp_path / "send.bin"
     send.write_bytes(bytes(4000))
-    port = free_port()
-    common = ["--config", cfg_path, "--seed", "1", "--timeout", "30"]
-    codes = []
-    alice = threading.Thread(target=lambda: codes.append(main(
-        ["chat", "--listen", "--port", str(port), *common])), daemon=True)
-    alice.start()
-    err, deadline = "", time.monotonic() + 15
-    while "event=listening" not in err and time.monotonic() < deadline:
-        err += capsys.readouterr().err
-        time.sleep(0.02)
-    start = time.monotonic()
-    codes.append(main(["chat", "--connect", f"127.0.0.1:{port}", *common,
-                       "--send-file", str(send)]))
-    alice.join(timeout=30)
-    assert time.monotonic() - start < 15  # nothing waits out --timeout
-    err += capsys.readouterr().err
+    codes, _, err = _chat_pair(capsys, ["--config", cfg_path, "--seed", "1", "--timeout", "30"],
+                               bob_args=["--send-file", str(send)])
     assert codes == [2, 2]
     assert "key_bits=58949" in err
     # each terminal logs its lanes before any frame: 32,768 bits less the handshake's
@@ -402,6 +412,34 @@ def test_chat_send_past_the_key_exits_2_at_once(tmp_path, capsys):
            "lane has 26181" in err
     assert err.count("event=abort") == 2
     assert "chat_done" not in err and "Traceback" not in err
+
+
+def test_chat_refused_for_want_of_key_exits_2(tmp_path, capsys):
+    # the eavesdropped 0.01-s burst aborts, so neither buffer holds the handshake's 64
+    # bits: each terminal refuses the chat as a protocol abort
+    cfg_path = _write_cfg(tmp_path)
+    codes, _, err = _chat_pair(capsys, ["--config", cfg_path, "--seed", "1", "--eve",
+                                        "--timeout", "30"])
+    assert codes == [2, 2]
+    assert err.count("event=abort error=ChatRefused detail=need 64 fresh key bits for the "
+                     "handshake, have 0 (consumed 0)") == 2
+    assert "chat_established" not in err
+    assert "chat_done" not in err and "Traceback" not in err
+
+
+def test_chat_text_goes_out_and_the_peer_bytes_come_out_on_stdout(tmp_path, capsysbinary):
+    # Alice sends --text and, with no --recv-out, writes what Bob sent to stdout
+    cfg_path = _write_cfg(tmp_path, "burst_seconds=0.2\n")
+    send, recv = tmp_path / "send.bin", tmp_path / "recv.bin"
+    send.write_bytes(bytes(range(256)) * 7)
+    text = "h\u00e9llo \u2713"
+    codes, out, err = _chat_pair(capsysbinary, ["--config", cfg_path, "--seed", "1"],
+                                 alice_args=["--text", text],
+                                 bob_args=["--send-file", str(send), "--recv-out", str(recv)])
+    assert codes == [0, 0]
+    assert out == send.read_bytes()
+    assert recv.read_bytes() == text.encode("utf-8")
+    assert err.count("event=chat_done") == 2 and "Traceback" not in err
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -45,7 +45,7 @@ def test_zero_plaintext_exposes_key_bytes():
     frame = otp_seal(bytes(32), tx_buf)
     key = probe.take(32 * 8)
     assert frame[8:] == key.tobytes()
-    assert np.array_equal(np.unpackbits(key, count=32 * 8), probe.bits()[: 32 * 8])
+    assert probe.to_bytes()[:32] == key.tobytes()
 
 
 def test_tampered_bit_flips_exactly_that_plaintext_bit():
@@ -349,7 +349,7 @@ def test_incoming_frame_is_bounded_before_any_key_is_taken(size):
 
 def _lane_key_digest(buf, lane):
     """sha256 of the key bits a lane consumed, in lane order."""
-    page, held = KeyBuffer.PAGE_BITS, buf.bits()
+    page, held = KeyBuffer.PAGE_BITS, np.unpackbits(np.frombuffer(buf.to_bytes(), np.uint8))
     spans = sorted(r for r in buf.issued_ranges if r[0] // page % 2 == lane)
     return hashlib.sha256(np.packbits(np.concatenate([held[a:b] for a, b in spans]))).hexdigest()
 

@@ -70,6 +70,9 @@ def test_decode_rejects_truncated():
     good = encode_message(Message(MsgType.BASES, b"payload"))
     with pytest.raises(ProtocolError):
         decode_message(good[:-2])
+    # shorter than the 5-byte header
+    with pytest.raises(ProtocolError, match="truncated frame: 4 bytes"):
+        decode_message(good[:4])
 
 
 def test_decode_rejects_length_mismatch():
@@ -153,6 +156,22 @@ def test_socket_channel_refuses_an_oversized_chat_frame_at_its_header():
         assert time.monotonic() - start < 1.0
         chan.close()
         a.close()
+
+
+def test_socket_channel_refuses_a_zero_length_frame_and_a_silent_peer():
+    # a length of 0 cannot hold the type byte: refused at the header; a peer that
+    # stays open and sends nothing ends the receive at the channel's timeout
+    a, b = socket.socketpair()
+    chan = SocketChannel(b, timeout=0.2)
+    a.sendall(b"\x00\x00\x00\x00")
+    with pytest.raises(ProtocolError, match="zero-length frame"):
+        chan.recv(MsgType.HELLO)
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match="receive timeout"):
+        chan.recv(MsgType.HELLO)
+    assert 0.15 < time.monotonic() - start < 2.0
+    chan.close()
+    a.close()
 
 
 def test_socket_channel_roundtrip():
@@ -291,8 +310,8 @@ def test_two_burst_session_buffers_identical(small_cfg):
 def test_key_accumulation_is_concatenation(small_cfg):
     one, _ = simulate_session(small_cfg, 1)
     two, _ = simulate_session(small_cfg, 2)
-    first = one.key_buffer.bits()
-    both = two.key_buffer.bits()
+    first, both = (np.unpackbits(np.frombuffer(r.key_buffer.to_bytes(), np.uint8),
+                                 count=len(r.key_buffer)) for r in (one, two))
     assert len(both) > len(first) * 1.5
     assert np.array_equal(both[: len(first)], first)
 
@@ -434,17 +453,28 @@ def test_full_burst_eve_log_is_pinned():
     assert _digest(index, bases, bits) == "871f7b2a04539b3d"
 
 
-@pytest.mark.parametrize("role", ["alice", "bob"])
-def test_hello_of_another_protocol_version_is_refused(small_cfg, role):
+# (which HELLO field the peer gets wrong, its value, the error); the version is
+# the field of the unsuffixed ids
+HELLO_FAULTS = [("version", session.PROTOCOL_VERSION - 1, "protocol version mismatch"),
+                ("magic", b"QKDX", "malformed HELLO"),
+                ("bursts", 2, "burst count mismatch: peer wants 2, local 1")]
+
+
+@pytest.mark.parametrize("role,field,value,error",
+                         [(r, *f) for f in HELLO_FAULTS for r in ("alice", "bob")],
+                         ids=[r if f[0] == "version" else f"{r}-{f[0]}"
+                              for f in HELLO_FAULTS for r in ("alice", "bob")])
+def test_hello_of_another_protocol_version_is_refused(small_cfg, role, field, value, error):
     # section bytes changed meaning between versions: the peer of the last
-    # version is refused at its HELLO, before any burst message
+    # version is refused at its HELLO, before any burst message; so is a HELLO of
+    # another protocol (magic) or for another number of bursts
     peer = "bob" if role == "alice" else "alice"
     chan, peer_chan = make_loop_pair(timeout=2.0)
     chan.tap = []
-    peer_chan.send(MsgType.HELLO, pack_payload(
-        peer, MsgType.HELLO, session.PROTOCOL_MAGIC, session.PROTOCOL_VERSION - 1,
-        session.config_fingerprint(small_cfg), 1))
-    with pytest.raises(ProtocolError, match="protocol version mismatch"):
+    hello = {"magic": session.PROTOCOL_MAGIC, "version": session.PROTOCOL_VERSION,
+             "fingerprint": session.config_fingerprint(small_cfg), "bursts": 1, field: value}
+    peer_chan.send(MsgType.HELLO, pack_payload(peer, MsgType.HELLO, *hello.values()))
+    with pytest.raises(ProtocolError, match=error):
         run_session(role, small_cfg, chan, InProcessTransport(2.0), 1)
     # Bob speaks first, so his HELLO is all that left him
     assert [t for t, _ in chan.tap] == ([MsgType.HELLO] if role == "bob" else [])
@@ -696,6 +726,16 @@ def wrong_pass(msg_type, payload):
     return msg_type, bytes([payload[0] + 1]) + payload[1:]
 
 
+def count_999(msg_type, payload):
+    # the 0.01-s burst's 1,000 sync pulses and 999 pack into the same 125 bytes a
+    # section, so only the count check can refuse it
+    return msg_type, struct.pack(">I", 999) + payload[4:]
+
+
+def first_bit_flipped(msg_type, payload):
+    return msg_type, bytes([payload[0] ^ 0x80]) + payload[1:]
+
+
 # (sender, the message it sends, how it is rewritten, which of those messages); every
 # message a burst receives, and an ABORT whose reason that point of the burst cannot
 # produce; the seed-33 burst of _run_tampered has three Winnow passes, two with syndromes
@@ -703,6 +743,7 @@ HOSTILE = [(s, t, r, 1) for s, t, r in [
     ("alice", MsgType.BURST_START, truncated),
     ("alice", MsgType.BURST_START, burst_id_off),
     ("alice", MsgType.SYNC_SUBSET, truncated),
+    ("alice", MsgType.SYNC_SUBSET, count_999),
     ("bob", MsgType.FRAME_OFFSET_ACK, truncated),
     ("bob", MsgType.FRAME_OFFSET_ACK, short_abort),
     ("bob", MsgType.FRAME_OFFSET_ACK, unknown_abort_reason),
@@ -728,6 +769,7 @@ HOSTILE = [(s, t, r, 1) for s, t, r in [
     ("alice", MsgType.PA_SEED, truncated),
     ("bob", MsgType.KEY_HASH, truncated),
     ("bob", MsgType.KEY_HASH, abort_no_lock),
+    ("bob", MsgType.KEY_HASH, first_bit_flipped),
 ]] + [
     ("alice", MsgType.WINNOW_PARITIES, truncated, 2),
     ("alice", MsgType.WINNOW_PARITIES, wrong_pass, 2),
