@@ -9,10 +9,8 @@ and secure key rates.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .core import LinkBudget
 from .photonics import total_efficiency
@@ -73,15 +71,6 @@ def estimate_rates(link: LinkBudget, distance_m: float | None = None) -> RateEst
 def distance_sweep(link: LinkBudget, distances_m: list[float]) -> list[tuple[float, float]]:
     """Secure rate at each distance (>= 0), holding everything but geometry fixed."""
     return [(d, estimate_rates(link, distance_m=d).secure_rate) for d in distances_m]
-
-
-def write_sweep_csv(rows: list[tuple[float, float]], path: str | Path) -> None:
-    """Emit the sweep as CSV (columns distance_m,secure_kbps)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["distance_m", "secure_kbps"])
-        for d, rate in rows:
-            writer.writerow([f"{d:g}", f"{rate / 1e3:.3f}"])
 
 
 def format_rate_table(link: LinkBudget) -> str:

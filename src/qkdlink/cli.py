@@ -1,15 +1,16 @@
 """Command-line entry points: estimate, sweep, simulate, alice, bob, chat.
 
 Exit codes: 0 success, 1 usage/configuration error (bad arguments or a file that
-cannot be read or written too), 2 protocol abort.
-Diagnostics go to standard error as key=value lines; reports to --out.
+cannot be read or written too), 2 protocol abort or socket failure.
+Diagnostics go to standard error as key=value lines; reports to --out.  This
+module writes every report file and maps every failure to its exit code.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
+import math
 import socket
 import sys
 from contextlib import closing
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, securecomm, session, timing
+from . import analysis, securecomm, session
 from .core import ConfigError, SimConfig, Worker, default_config, load_config
 from .postproc import KeyExhausted
 from .session import (
@@ -50,6 +51,16 @@ def log(**fields) -> None:
     print(" ".join(f"{k}={v}" for k, v in fields.items()), file=sys.stderr, flush=True)
 
 
+def _csv_line(*fields) -> str:
+    """One report row.  No field needs quoting: each is a number or a fixed name."""
+    return ",".join(map(str, fields)) + "\n"
+
+
+def _open_report(path: str | Path):
+    """A report file whose lines end in CRLF, as the csv module's dialect writes them."""
+    return open(path, "w", newline="\r\n", encoding="utf-8")
+
+
 class ReportWriter:
     """Reports each burst: one ``event=burst`` line and, given a path, one CSV row,
     flushed immediately so a crash leaves a prefix."""
@@ -61,9 +72,8 @@ class ReportWriter:
         self.burst_seconds = burst_seconds
         self._fh = None
         if path:
-            self._fh = open(path, "w", newline="", encoding="utf-8")
-            self._writer = csv.writer(self._fh)
-            self._writer.writerow(self.COLUMNS)
+            self._fh = _open_report(path)
+            self._fh.write(_csv_line(*self.COLUMNS))
             self._fh.flush()
 
     def add(self, o: BurstOutcome) -> None:
@@ -74,7 +84,7 @@ class ReportWriter:
             aborted=o.aborted_reason or "no", r_n=o.offset_frames, fifo=o.fifo_choice)
         if self._fh is None:
             return
-        self._writer.writerow([
+        self._fh.write(_csv_line(
             o.burst_id,
             f"{o.sifted_kbps(seconds):.3f}",
             f"{o.qber:.6f}",
@@ -83,7 +93,7 @@ class ReportWriter:
             o.fifo_choice,
             o.aborted_reason or "",
             o.disclosed_bits,
-        ])
+        ))
         self._fh.flush()
 
     def close(self) -> None:
@@ -114,11 +124,29 @@ def _check_outputs(args) -> None:
                              "not a file in an existing directory")
 
 
-def _count(text: str) -> int:
-    """argparse type of --bursts: a whole number >= 1."""
-    if (n := int(text)) < 1:
-        raise argparse.ArgumentTypeError(f"needs a count >= 1, got {n}")
-    return n
+def _checked(convert, ok, need: str):
+    """An argparse type: ``convert(text)``, a usage error unless it converts and ``ok`` holds."""
+    def parse(text: str):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"needs {need}, got {text}")
+    return parse
+
+
+_count = _checked(int, lambda n: n >= 1, "a count >= 1")  # --bursts
+_port = _checked(int, lambda n: 1 <= n <= 65535, "a port in 1-65535")
+_seconds = _checked(float, lambda t: 0 < t < math.inf, "finite seconds > 0")  # --timeout
+
+
+def _host_port(text: str) -> tuple[str, int]:
+    """argparse type of --connect: HOST:PORT, or HOST alone for the default port."""
+    host, _, port = text.partition(":")
+    if not host:
+        raise argparse.ArgumentTypeError(f"needs a host, got {text}")
+    return host, _port(port) if port else DEFAULT_PORT
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -138,14 +166,15 @@ def cmd_sweep(args) -> int:
     if args.from_m < 0 or args.step <= 0 or args.to < args.from_m:
         raise UsageError("sweep needs --from >= 0, --step > 0 and --to >= --from")
     distances = list(np.arange(args.from_m, args.to + args.step / 2, args.step))
-    rows = analysis.distance_sweep(cfg.link, distances)
+    lines = [_csv_line("distance_m", "secure_kbps")]
+    lines += [_csv_line(f"{d:g}", f"{rate / 1e3:.3f}")
+              for d, rate in analysis.distance_sweep(cfg.link, distances)]
     if args.out:
-        analysis.write_sweep_csv(rows, args.out)
-        log(event="sweep_written", path=args.out, points=len(rows))
+        with _open_report(args.out) as fh:
+            fh.writelines(lines)
+        log(event="sweep_written", path=args.out, points=len(lines) - 1)
     else:
-        print("distance_m,secure_kbps")
-        for d, rate in rows:
-            print(f"{d:g},{rate / 1e3:.3f}")
+        sys.stdout.writelines(lines)
     return EXIT_OK
 
 
@@ -175,7 +204,9 @@ def cmd_simulate(args) -> int:
         alice, bob = simulate_session(cfg, args.bursts, on_burst=report.add)
     for o in bob.outcomes:  # the offset search, and so its curve, is the receiver's
         if args.sync_report and o.sync_curve:
-            timing.write_sync_report(o.sync_curve, _sync_report_path(args.sync_report, o.burst_id))
+            with _open_report(_sync_report_path(args.sync_report, o.burst_id)) as fh:
+                fh.write(_csv_line("offset_frames", "qber"))
+                fh.writelines(_csv_line(offset, f"{q:.6f}") for offset, q in o.sync_curve)
     if alice.key_buffer.to_bytes() != bob.key_buffer.to_bytes():
         raise ProtocolError("terminal key buffers diverged")
     if args.eve_log:
@@ -224,9 +255,7 @@ def _connect(args, role: str) -> socket.socket:
             conn, peer = srv.accept()
         log(event="connected", peer=f"{peer[0]}:{peer[1]}")
         return conn
-    host, _, port_text = args.connect.partition(":")
-    port = int(port_text) if port_text else DEFAULT_PORT
-    return socket.create_connection((host, port), timeout=args.timeout)
+    return socket.create_connection(args.connect, timeout=args.timeout)
 
 
 def cmd_terminal(args) -> int:
@@ -316,15 +345,16 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         if name != "bob":
-            p.add_argument("--port", type=int, default=DEFAULT_PORT)
+            p.add_argument("--port", type=_port, default=DEFAULT_PORT)
         if name == "chat":
             p.add_argument("--listen", action="store_true", help="accept a connection as alice")
         if name != "alice":
-            p.add_argument("--connect", required=name == "bob", metavar="HOST:PORT")
+            p.add_argument("--connect", type=_host_port, required=name == "bob",
+                           metavar="HOST:PORT")
         p.add_argument("--bursts", type=_count, default=1)
         p.add_argument("--out", help="per-burst report CSV")
         p.add_argument("--key-out", dest="key_out", help="write the accumulated key bytes here")
-        p.add_argument("--timeout", type=float, default=session.DEFAULT_PHASE_TIMEOUT)
+        p.add_argument("--timeout", type=_seconds, default=session.DEFAULT_PHASE_TIMEOUT)
         if name == "chat":
             p.add_argument("--send-file", dest="send_file", help="file to transmit")
             p.add_argument("--text", help="text message to transmit")
@@ -336,13 +366,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         _check_outputs(args)
         return args.func(args)
     except UsageError as exc:
@@ -351,14 +376,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ProtocolError, ConnectionError, TimeoutError, KeyExhausted) as exc:
+    except (ProtocolError, KeyExhausted, OSError) as exc:
+        if getattr(exc, "filename", None) is not None:  # a named file's error, not a socket's
+            print(f"usage error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return EXIT_USAGE
         log(event="abort", error=type(exc).__name__, detail=str(exc))
         return EXIT_ABORT
-    except OSError as exc:
-        if exc.filename is None:  # a socket's error, not a named file's
-            raise
-        print(f"usage error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -143,11 +143,8 @@ class SocketChannel:
             # algorithm the second waits for the peer's delayed ACK, tens of ms each time
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._reader = sock.makefile("rb")
-        self.tap: list | None = None  # if set, every sent (type, payload) is appended
 
     def send(self, msg_type: int, payload: bytes = b"") -> None:
-        if self.tap is not None:
-            self.tap.append((MsgType(msg_type), payload))
         self.sock.sendall(encode_message(Message(msg_type, payload)))
 
     def _recv_exact(self, n: int, at_boundary: bool = False) -> bytes:

@@ -21,11 +21,9 @@ three layers, coarse to fine:
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
-from pathlib import Path
 
 import numpy as np
 
@@ -163,8 +161,6 @@ def interim_qber(tx_bases: np.ndarray, tx_bits: np.ndarray, rx, b: int, shift: i
     also the expected value at any wrong offset.
     """
     n = len(tx_bases)
-    if n == 0:
-        return np.full(len(offsets), 0.5)
     lo, hi = min(offsets), max(offsets)
     res = nnc_match(hi + n, rx, b, shift, central, 0, lo)
     pad = hi - lo  # matched frame f under offset r reads code f - r + pad, in [0, n + 2 * pad)
@@ -254,11 +250,3 @@ def synchronize(tx_bases: np.ndarray, tx_bits: np.ndarray, rx, cfg: SimConfig) -
     sync.r_n, sync.curve = estimate_frame_offset(tx_bases, tx_bits, rx, sync.shift, central, cfg)
     return sync
 
-
-def write_sync_report(curve: list[tuple[int, float]], path: str | Path) -> None:
-    """Emit the offset -> interim QBER curve as CSV (columns offset_frames,qber)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["offset_frames", "qber"])
-        for offset, q in curve:
-            writer.writerow([offset, f"{q:.6f}"])

@@ -13,7 +13,6 @@ from qkdlink.analysis import (
     poisson_pmf,
     total_efficiency,
     trigger_prob,
-    write_sweep_csv,
 )
 from conftest import scaled_config
 from qkdlink.core import default_config
@@ -115,15 +114,6 @@ def test_rate_monotone_in_detector_efficiency(e1, e2):
 def test_total_efficiency_geometry_coupling():
     assert total_efficiency(LINK) == pytest.approx(0.3164, abs=1e-9)
     assert total_efficiency(LINK, distance_m=2500) < total_efficiency(LINK)
-
-
-def test_sweep_csv(tmp_path):
-    path = tmp_path / "sweep.csv"
-    write_sweep_csv(distance_sweep(LINK, [0, 300, 750]), path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "distance_m,secure_kbps"
-    assert len(lines) == 4
-    assert float(lines[2].split(",")[1]) == pytest.approx(301.2, abs=5)
 
 
 def test_rate_table_mentions_key_numbers():

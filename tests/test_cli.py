@@ -68,12 +68,21 @@ def test_default_sweep_stdout_is_pinned(capsys):
     assert _digest(out.encode()) == "3c216319e1c06a41"
 
 
+def test_sweep_out_is_the_stdout_table_with_crlf_line_ends(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep"]) == 0
+    table = capsys.readouterr().out
+    assert main(["sweep", "--out", str(out)]) == 0
+    assert out.read_bytes() == table.replace("\n", "\r\n").encode()
+
+
 def test_sweep_csv_anchors(tmp_path):
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--from", "0", "--to", "2500", "--step", "250",
+    assert main(["sweep", "--from", "0", "--to", "2500", "--step", "50",
                  "--out", str(out)]) == 0
     with open(out) as fh:
         rows = {float(r["distance_m"]): float(r["secure_kbps"]) for r in csv.DictReader(fh)}
+    assert rows[300.0] == pytest.approx(301.2, abs=5)
     assert rows[750.0] >= 280.0
     assert 40.0 <= rows[2500.0] <= 60.0
 
@@ -100,6 +109,19 @@ def test_simulate_writes_report_and_key(tmp_path):
     assert report.read_text().splitlines()[0] == ",".join(ReportWriter.COLUMNS)
     assert ReportWriter.COLUMNS[:6] == ["burst_id", "sifted_kbps", "qber", "secure_kbps",
                                         "offset_frames", "fifo_choice"]
+
+
+@pytest.mark.parametrize("cfg_text, flags, code, digest", [
+    (CFG_SMALL, [], 0, "1c07b5625b9698e3"),
+    (CFG_SMALL, ["--eve"], 2, "49265ba6e9b83e81"),  # each burst aborts at the QBER check
+    (CFG_SMALL + "link.mu=0.0\nlink.dark_cps=0.0\n", [], 2, "91a710bc1d9b870f"),  # no lock
+], ids=["clean", "eve", "no_lock"])
+def test_simulate_report_is_pinned(tmp_path, cfg_text, flags, code, digest):
+    # every column of two bursts, an empty offset_frames and abort_reason among them
+    report = tmp_path / "report.csv"
+    assert main(["simulate", "--config", _write_cfg(tmp_path, cfg_text), "--seed", "1",
+                 "--bursts", "2", "--out", str(report), *flags]) == code
+    assert _digest(report.read_bytes()) == digest
 
 
 def test_simulate_deterministic_reports(tmp_path):
@@ -467,17 +489,46 @@ def test_unknown_flag_is_usage_error(capsys):
      "usage error: cannot write --recv-out"),
     (["chat", "--connect", "127.0.0.1:1", "--send-file", "missing.bin"],
      "usage error: cannot open missing.bin: No such file or directory"),
+    (["chat"], "usage error: chat needs --listen or --connect"),
+    (["alice", "--port", "99999"], "usage error: argument --port"),
+    (["alice", "--port", "-5"], "usage error: argument --port"),
+    (["bob", "--connect", "127.0.0.1:abc"], "usage error: argument --connect"),
+    (["bob", "--connect", ":47000"], "usage error: argument --connect"),
+    (["bob", "--connect", "127.0.0.1:1", "--timeout", "0"], "usage error: argument --timeout"),
+    (["bob", "--connect", "127.0.0.1:1", "--timeout", "-1"], "usage error: argument --timeout"),
+    (["chat", "--connect", "127.0.0.1:1", "--timeout", "inf"],
+     "usage error: argument --timeout"),
 ], ids=["sweep_from_negative", "simulate_bursts_negative", "simulate_bursts_zero",
         "bob_bursts_zero", "chat_bursts_negative", "estimate_missing_config",
         "simulate_out_missing_dir", "simulate_out_a_dir", "simulate_key_out_missing_dir",
         "simulate_sync_report_missing_dir", "simulate_eve_log_missing_dir",
         "sweep_out_missing_dir", "bob_out_missing_dir", "bob_key_out_missing_dir",
-        "chat_recv_out_missing_dir", "chat_send_file_missing"])
+        "chat_recv_out_missing_dir", "chat_send_file_missing", "chat_neither_listen_nor_connect",
+        "alice_port_over_65535", "alice_port_negative", "bob_connect_port_not_a_number",
+        "bob_connect_no_host", "bob_timeout_zero", "bob_timeout_negative",
+        "chat_timeout_infinite"])
 def test_bad_input_exits_1(tmp_path, monkeypatch, capsys, argv, prefix):
     monkeypatch.chdir(tmp_path)  # where missing.cfg does not exist
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(prefix)
+    assert err.count("\n") == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize("case, error", [("refused", "ConnectionRefusedError"),
+                                         ("port_in_use", "OSError"),
+                                         ("unresolvable_host", "gaierror")])
+def test_socket_failure_exits_2(tmp_path, capsys, case, error):
+    # a closed loopback port, a --port another socket listens on, and a host that never
+    # resolves (.invalid, RFC 6761): each ends as a logged abort, not a traceback
+    cfg_path = _write_cfg(tmp_path)
+    with socket.create_server(("", 0)) as held:
+        argv = {"refused": ["bob", "--connect", f"127.0.0.1:{free_port()}"],
+                "port_in_use": ["alice", "--port", str(held.getsockname()[1])],
+                "unresolvable_host": ["bob", "--connect", "nosuchhost.invalid:47000"]}[case]
+        assert main([*argv, "--config", cfg_path, "--timeout", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"event=abort error={error} detail=")
     assert err.count("\n") == 1  # one line, no traceback
 
 

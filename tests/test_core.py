@@ -127,13 +127,31 @@ def test_config_unknown_key_rejected():
         parse_config("clock_spread_bins=0\n")
 
 
+BAD_CONFIGS = [  # (text, what the refusal says): every value check of validate and the parser
+    ("link.mu=banana\n", "link.mu: could not convert"),
+    ("link.mu=-0.5\n", "link.mu must be >= 0"),
+    ("pps_jitter_cap_ns=10\npps_jitter_sigma_ns=50\n", "pps_jitter_cap_ns must be >="),
+    ("link.prf_hz=0\n", "link.prf_hz must be > 0"),
+    ("link.distance_m=-1\n", "link.distance_m must be >= 0"),
+    ("link.aperture_mm=0\n", "aperture and footprint must be positive"),
+    ("link.footprint0_mm=-1\n", "aperture and footprint must be positive"),
+    ("link.divergence_urad=-1\n", "divergence and dark rate must be >= 0"),
+    ("link.dark_cps=-1\n", "divergence and dark rate must be >= 0"),
+    ("burst_seconds=0\n", "burst_seconds must be > 0"),
+    ("bins_per_frame=1\n", "bins_per_frame must be >= 2"),
+    ("pps_jitter_sigma_ns=-1\n", "pps_jitter_sigma_ns must be >= 0"),
+    ("clock_center_prob=1.5\n", r"clock_center_prob must be in \[0, 1\]"),
+    ("eve_fraction=-0.1\n", r"eve_fraction must be in \[0, 1\]"),
+    ("eve_enabled=maybe\n", "eve_enabled: expected a boolean, got 'maybe'"),
+    ("link.mu 0.2\n", "line 1: expected key=value"),
+]
+
+
 def test_config_bad_values_rejected():
-    with pytest.raises(ConfigError):
-        parse_config("link.mu=banana\n")
-    with pytest.raises(ConfigError):
-        parse_config("link.mu=-0.5\n")
-    with pytest.raises(ConfigError):
-        parse_config("pps_jitter_cap_ns=10\npps_jitter_sigma_ns=50\n")
+    # one test id for the table, so each row is checked in turn
+    for text, refusal in BAD_CONFIGS:
+        with pytest.raises(ConfigError, match=refusal):
+            parse_config(text)
 
 
 def test_validate_catches_bad_fractions():

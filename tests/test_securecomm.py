@@ -145,6 +145,16 @@ def test_handshake_refuses_on_flipped_bit():
     assert buf_a.consumed_total == buf_b.consumed_total == HANDSHAKE_BITS
 
 
+def test_handshake_refuses_a_malformed_payload():
+    # the peer's parity is one byte; a 2-byte payload is refused, with the window burned
+    ca, cb = make_loop_pair(timeout=2.0)
+    buf_a = _filled_buffer(10_000)
+    cb.send(MsgType.CHAT_HANDSHAKE, bytes(2))
+    with pytest.raises(ChatRefused, match="malformed handshake payload"):
+        ChatEndpoint(ca, buf_a, "alice").handshake()
+    assert buf_a.consumed_total == HANDSHAKE_BITS
+
+
 def test_handshake_requires_fresh_key():
     ca, _ = make_loop_pair(timeout=0.5)
     with pytest.raises(ChatRefused):

@@ -584,6 +584,22 @@ def test_receiver_failure_surfaces_as_itself_not_as_peer_closed(monkeypatch):
     assert isinstance(info.value.__cause__, ChannelClosed)
 
 
+def test_receiver_failure_after_the_last_burst_surfaces_as_itself(monkeypatch):
+    # Bob fails once his one burst is done; Alice has finished hers and ends cleanly,
+    # so his error stands alone, with no peer-closed cause
+    class ReceiverFailed(Exception):
+        pass
+
+    def failing_after(*args, **kwargs):
+        run_burst_bob(*args, **kwargs)
+        raise ReceiverFailed
+
+    monkeypatch.setattr(session, "run_burst_bob", failing_after)
+    with pytest.raises(ReceiverFailed) as info:
+        simulate_session(scaled_config(0.01, seed=33), 1, timeout=5.0)
+    assert info.value.__cause__ is None
+
+
 def test_receiver_runs_on_the_calling_thread(monkeypatch):
     # Bob's burst arrays stay in the caller's allocator arena from session to session
     threads = {}

@@ -28,7 +28,6 @@ from qkdlink.timing import (
     offset_window,
     sample_pps_offset,
     synchronize,
-    write_sync_report,
 )
 
 
@@ -537,18 +536,6 @@ def test_boundary_selection_never_worse_than_best_fifo(tof_ns, worst):
     assert s_chosen <= min(s1, s2)
     if worst:
         assert s1 > 0 and s_chosen == 0
-
-
-def test_sync_report_csv(tmp_path, small_cfg):
-    tx = generate_burst(small_cfg, rng_stream(12, "g"))
-    rx = transmit_and_detect(tx, small_cfg, rng=rng_stream(12, "c"))
-    s = small_cfg.sync_subset_size
-    sync = synchronize(tx.bases[:s], tx.bits[:s], rx, small_cfg)
-    path = tmp_path / "sync.csv"
-    write_sync_report(sync.curve, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "offset_frames,qber"
-    assert len(lines) == len(sync.curve) + 1
 
 
 def test_config_object_not_mutated(small_cfg):
